@@ -96,9 +96,9 @@ struct ServePoint {
     events_total: u64,
     /// Deterministic: summed model-message ledger after the drive.
     ledger_total: u64,
-    /// Deterministic: candidates the merges actually inspected (0 for the
-    /// single-session baseline).
-    merge_offered: u64,
+    /// Deterministic: candidates the *last* merge inspected
+    /// (`TopkService::merge_offered`; 0 for the single-session baseline).
+    last_merge_offered: u64,
 }
 
 #[derive(Serialize)]
@@ -230,10 +230,16 @@ fn measure_sparse(runs: usize) -> Vec<SparsePoint> {
             let mut changes: Vec<(NodeId, Value)> = Vec::new();
             feed.fill_delta(0, &mut changes);
             mon.step_sparse(0, &changes);
+            // Generate the timed steps' inputs before the clock starts.
+            let inputs: Vec<Vec<(NodeId, Value)>> = (1..=steps_per_run)
+                .map(|t| {
+                    feed.fill_delta(t, &mut changes);
+                    changes.clone()
+                })
+                .collect();
             let t0 = Instant::now();
-            for t in 1..=steps_per_run {
-                feed.fill_delta(t, &mut changes);
-                mon.step_sparse(t, &changes);
+            for (t, changes) in (1..=steps_per_run).zip(&inputs) {
+                mon.step_sparse(t, changes);
             }
             step_us.push(t0.elapsed().as_secs_f64() * 1e6 / steps_per_run as f64);
 
@@ -278,10 +284,16 @@ fn measure_wire(runs: usize) -> Vec<WirePoint> {
             mon.step(0, &row);
             let bytes_before = mon.wire().bytes_total;
             let frames_before = mon.wire().frames_total;
+            // Generate the timed steps' inputs before the clock starts.
+            let rows: Vec<Vec<Value>> = (1..=steps_per_run)
+                .map(|t| {
+                    feed.fill_step(t, &mut row);
+                    row.clone()
+                })
+                .collect();
             let t0 = Instant::now();
-            for t in 1..=steps_per_run {
-                feed.fill_step(t, &mut row);
-                mon.step(t, &row);
+            for (t, row) in (1..=steps_per_run).zip(&rows) {
+                mon.step(t, row);
             }
             step_us.push(t0.elapsed().as_secs_f64() * 1e6 / steps_per_run as f64);
             last = Some((mon, bytes_before, frames_before));
@@ -331,10 +343,16 @@ fn drive_serve_arm(
     }
     let mut ingest_us = Vec::new();
     for _ in 0..SERVE_CHUNKS {
+        // Generate the chunk's inputs before the clock starts.
+        let chunk: Vec<Vec<(NodeId, Value)>> = (t..t + SERVE_CHUNK_STEPS)
+            .map(|t| {
+                feed.fill_delta(t, &mut changes);
+                changes.clone()
+            })
+            .collect();
         let t0 = Instant::now();
-        for _ in 0..SERVE_CHUNK_STEPS {
-            feed.fill_delta(t, &mut changes);
-            events_total += step(t, &changes) as u64;
+        for changes in &chunk {
+            events_total += step(t, changes) as u64;
             t += 1;
         }
         ingest_us.push(t0.elapsed().as_secs_f64() * 1e6 / SERVE_CHUNK_STEPS as f64);
@@ -381,7 +399,7 @@ fn measure_serve() -> Vec<ServePoint> {
             silent_advance_us_median: median(silent),
             events_total,
             ledger_total: session.ledger().total(),
-            merge_offered: 0,
+            last_merge_offered: 0,
         });
     }
 
@@ -405,7 +423,7 @@ fn measure_serve() -> Vec<ServePoint> {
             silent_advance_us_median: median(silent),
             events_total,
             ledger_total: svc.ledger().total(),
-            merge_offered: svc.merge_offered(),
+            last_merge_offered: svc.merge_offered(),
         });
     }
     points

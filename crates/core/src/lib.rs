@@ -13,8 +13,9 @@
 //!   routing and a typed [`TopkEvent`] stream, over any [`Engine`];
 //! * [`monitor`] — the [`Monitor`] trait and [`TopkMonitor`], the
 //!   assembled algorithm;
-//! * [`threaded`] — [`ThreadedTopkMonitor`], the same algorithm on live
-//!   OS-thread nodes with the delta-driven frame transport;
+//! * [`cluster`] — [`ClusterTopkMonitor`], the same algorithm on a transport
+//!   engine: [`ThreadedTopkMonitor`] (OS-thread nodes, [`threaded`]) and
+//!   [`SocketTopkMonitor`] (loopback-TCP shards, [`socket`]);
 //! * [`baselines`] — naive streaming, §2.1 periodic recomputation,
 //!   filter-with-poll-resolution, and Lam-et-al.-style dominance tracking;
 //! * [`opt`] — the offline optimal filter segmentation (the competitive
@@ -30,6 +31,7 @@
 
 pub mod audit;
 pub mod baselines;
+pub mod cluster;
 pub mod codec;
 pub mod config;
 pub mod coordinator;
@@ -47,6 +49,7 @@ pub mod threaded;
 
 pub use audit::{assert_audit_clean, audit_monitor, AuditError};
 pub use baselines::{DominanceMidpoint, FilterNaiveResolve, NaiveMonitor, PeriodicRecompute};
+pub use cluster::ClusterTopkMonitor;
 pub use config::{ApproxMode, HandlerMode, MonitorConfig, ResetStrategy};
 pub use coordinator::CoordinatorMachine;
 pub use events::{EventReplay, TopkEvent};

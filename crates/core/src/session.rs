@@ -3,9 +3,9 @@
 //!
 //! The paper's model is event-driven: nodes *receive* new values, and the
 //! coordinator only learns what the filters let through. The engine types
-//! ([`TopkMonitor`], [`ThreadedTopkMonitor`]) still expose that inverted —
-//! the caller owns a dense value row (or hand-builds delta lists) and picks
-//! a concrete runtime up front. [`MonitorSession`] restores the paper's
+//! ([`TopkMonitor`], [`ThreadedTopkMonitor`], [`SocketTopkMonitor`]) still
+//! expose that inverted — the caller owns a dense value row (or hand-builds
+//! delta lists) and picks a concrete runtime up front. [`MonitorSession`] restores the paper's
 //! shape:
 //!
 //! ```
@@ -43,7 +43,7 @@
 use topk_net::behavior::{CoordinatorBehavior as _, ValueFeed};
 use topk_net::chaos::{ChaosPolicy, RecoveryMetrics};
 use topk_net::id::{NodeId, Value};
-use topk_net::ledger::LedgerSnapshot;
+use topk_net::ledger::{LedgerSnapshot, WireMetrics};
 use topk_proto::extremum::BroadcastPolicy;
 
 use crate::config::{ApproxMode, HandlerMode, MonitorConfig, ResetStrategy};
@@ -273,28 +273,12 @@ impl MonitorBuilder {
     }
 
     fn assemble(&self) -> MonitorSession {
-        let engine = if let Some(policy) = self.chaos {
-            match self.engine.resolve() {
-                Engine::Socket => EngineImpl::Socket(Box::new(SocketTopkMonitor::new_chaotic(
-                    self.cfg, self.seed, policy,
-                ))),
-                _ => EngineImpl::Threaded(Box::new(ThreadedTopkMonitor::new_chaotic(
-                    self.cfg, self.seed, policy,
-                ))),
-            }
-        } else {
-            match self.engine.resolve() {
-                Engine::Sequential => {
-                    EngineImpl::Sequential(Box::new(TopkMonitor::new(self.cfg, self.seed)))
-                }
-                Engine::Threaded => {
-                    EngineImpl::Threaded(Box::new(ThreadedTopkMonitor::new(self.cfg, self.seed)))
-                }
-                Engine::Socket => {
-                    EngineImpl::Socket(Box::new(SocketTopkMonitor::new(self.cfg, self.seed)))
-                }
-                Engine::Auto => unreachable!("resolve never returns Auto"),
-            }
+        let (cfg, seed, chaos) = (self.cfg, self.seed, self.chaos);
+        let engine: Box<dyn EngineOps> = match self.engine.resolve() {
+            Engine::Socket => Box::new(SocketTopkMonitor::start(cfg, seed, chaos)),
+            Engine::Sequential if chaos.is_none() => Box::new(TopkMonitor::new(cfg, seed)),
+            // Chaos needs a transport: every other selection runs threaded.
+            _ => Box::new(ThreadedTopkMonitor::start(cfg, seed, chaos)),
         };
         MonitorSession {
             engine,
@@ -357,55 +341,43 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// The resolved engine behind a session. Every engine is sizeable (the
-/// threaded and socket ones especially, with thread handles and socket
-/// state), so they live behind boxes to keep the session handle itself
-/// small.
-enum EngineImpl {
-    Sequential(Box<TopkMonitor>),
-    Threaded(Box<ThreadedTopkMonitor>),
-    Socket(Box<SocketTopkMonitor>),
+/// What a session needs from its engine beyond [`Monitor`] — implemented
+/// by [`TopkMonitor`] and by every [`crate::cluster::ClusterTopkMonitor`],
+/// so the session holds one boxed engine and never matches on its kind.
+pub(crate) trait EngineOps: Monitor {
+    fn kind(&self) -> Engine;
+    fn coordinator(&self) -> &CoordinatorMachine;
+    fn silent_steps(&self) -> u64;
+    fn micro_rounds_run(&self) -> u64;
+    /// Transport recovery counters (`None` without a transport).
+    fn recovery(&self) -> Option<&RecoveryMetrics> {
+        None
+    }
+    /// The physical wire ledger (`None` without a wire).
+    fn wire(&self) -> Option<&WireMetrics> {
+        None
+    }
+    /// Transport sync frames (`None` without a transport).
+    fn sync_frames(&self) -> Option<u64> {
+        None
+    }
 }
 
-impl EngineImpl {
-    fn monitor_mut(&mut self) -> &mut dyn Monitor {
-        match self {
-            EngineImpl::Sequential(m) => m.as_mut(),
-            EngineImpl::Threaded(m) => m.as_mut(),
-            EngineImpl::Socket(m) => m.as_mut(),
-        }
+impl EngineOps for TopkMonitor {
+    fn kind(&self) -> Engine {
+        Engine::Sequential
     }
 
     fn coordinator(&self) -> &CoordinatorMachine {
-        match self {
-            EngineImpl::Sequential(m) => m.coordinator(),
-            EngineImpl::Threaded(m) => m.coordinator(),
-            EngineImpl::Socket(m) => m.coordinator(),
-        }
-    }
-
-    fn ledger(&self) -> LedgerSnapshot {
-        match self {
-            EngineImpl::Sequential(m) => m.ledger(),
-            EngineImpl::Threaded(m) => m.ledger(),
-            EngineImpl::Socket(m) => m.ledger(),
-        }
+        TopkMonitor::coordinator(self)
     }
 
     fn silent_steps(&self) -> u64 {
-        match self {
-            EngineImpl::Sequential(m) => m.silent_steps(),
-            EngineImpl::Threaded(m) => m.silent_steps(),
-            EngineImpl::Socket(m) => m.silent_steps(),
-        }
+        TopkMonitor::silent_steps(self)
     }
 
     fn micro_rounds_run(&self) -> u64 {
-        match self {
-            EngineImpl::Sequential(m) => m.micro_rounds_run(),
-            EngineImpl::Threaded(m) => m.micro_rounds_run(),
-            EngineImpl::Socket(m) => m.micro_rounds_run(),
-        }
+        TopkMonitor::micro_rounds_run(self)
     }
 }
 
@@ -423,7 +395,7 @@ impl EngineImpl {
 /// actually communicates is decided by the filters, exactly as in the
 /// paper, and is what [`ledger`](Self::ledger) counts.
 pub struct MonitorSession {
-    engine: EngineImpl,
+    engine: Box<dyn EngineOps>,
     cfg: MonitorConfig,
     /// Committed value row (updated by the commit itself, so it always
     /// mirrors what the engine has seen).
@@ -523,11 +495,11 @@ impl MonitorSession {
         if first || self.dense_pending || 2 * self.pending.len() > self.cfg.n {
             // Dense diff (and the mandatory dense first step).
             let row = std::mem::take(&mut self.row);
-            self.engine.monitor_mut().step(t, &row);
+            self.engine.step(t, &row);
             self.row = row;
         } else {
             let pending = std::mem::take(&mut self.pending);
-            self.engine.monitor_mut().step_sparse(t, &pending);
+            self.engine.step_sparse(t, &pending);
             self.pending = pending;
         }
         self.started = true;
@@ -539,7 +511,7 @@ impl MonitorSession {
         // Protocol-level events straight from the monitor's cursor.
         self.events.clear();
         let mut events = std::mem::take(&mut self.events);
-        self.engine.monitor_mut().drain_events(t, &mut events);
+        self.engine.drain_events(t, &mut events);
         self.events = events;
 
         // Membership / rank events, derived — but only when they can have
@@ -720,21 +692,14 @@ impl MonitorSession {
     /// sequential engine; all-zero on a threaded or socket engine without a
     /// [`ChaosPolicy`]).
     pub fn recovery(&self) -> Option<&RecoveryMetrics> {
-        match &self.engine {
-            EngineImpl::Sequential(_) => None,
-            EngineImpl::Threaded(m) => Some(m.recovery()),
-            EngineImpl::Socket(m) => Some(m.recovery()),
-        }
+        self.engine.recovery()
     }
 
     /// The physical wire ledger (`None` on the in-process engines; the
     /// socket engine counts every frame and byte it writes, per channel).
     /// The same block is mirrored into [`RunMetrics::wire`] at each step.
-    pub fn wire(&self) -> Option<&topk_net::ledger::WireMetrics> {
-        match &self.engine {
-            EngineImpl::Sequential(_) | EngineImpl::Threaded(_) => None,
-            EngineImpl::Socket(m) => Some(m.wire()),
-        }
+    pub fn wire(&self) -> Option<&WireMetrics> {
+        self.engine.wire()
     }
 
     /// Message counters (model cost).
@@ -764,11 +729,7 @@ impl MonitorSession {
 
     /// The engine this session resolved to.
     pub fn engine(&self) -> Engine {
-        match self.engine {
-            EngineImpl::Sequential(_) => Engine::Sequential,
-            EngineImpl::Threaded(_) => Engine::Threaded,
-            EngineImpl::Socket(_) => Engine::Socket,
-        }
+        self.engine.kind()
     }
 
     /// The last committed time step.
@@ -791,11 +752,7 @@ impl MonitorSession {
     /// transport layer). Charged at dispatch intent on both transports, so
     /// the threaded and socket counts are bit-identical.
     pub fn sync_frames(&self) -> Option<u64> {
-        match &self.engine {
-            EngineImpl::Sequential(_) => None,
-            EngineImpl::Threaded(m) => Some(m.sync_frames()),
-            EngineImpl::Socket(m) => Some(m.sync_frames()),
-        }
+        self.engine.sync_frames()
     }
 
     /// Capacity of the reusable event buffer — the zero-alloc steady-state
@@ -808,11 +765,7 @@ impl MonitorSession {
     /// Tear the session down, returning the underlying [`Monitor`] (joins
     /// node threads on the threaded engine via its `Drop`).
     pub fn into_monitor(self) -> Box<dyn Monitor> {
-        match self.engine {
-            EngineImpl::Sequential(m) => m,
-            EngineImpl::Threaded(m) => m,
-            EngineImpl::Socket(m) => m,
-        }
+        self.engine
     }
 }
 

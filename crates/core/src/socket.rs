@@ -1,122 +1,35 @@
-//! [`SocketTopkMonitor`] — Algorithm 1 assembled on the *socket* runtime:
-//! node shards behind loopback-TCP connections, every message a
-//! length-prefixed [`crate::codec`] frame, the coordinator driven from the
-//! caller's thread.
-//!
-//! Same [`Monitor`] contract as [`TopkMonitor`], same ledgers, same answers
-//! — the three engines are bit-identical for equal `(cfg, seed)` and inputs
-//! (pinned by `tests/runtime_conformance.rs`). What this engine adds is the
-//! *physical* side of the cost model: a [`WireMetrics`] ledger of frames and
-//! bytes actually written to the sockets, mirrored into
-//! [`RunMetrics::wire`] at every step, with the `FireCalendar` skip rule and
-//! `RoundScope` narrowing measurable as bytes never written.
+//! [`SocketTopkMonitor`] — Algorithm 1 on the *socket* transport: node
+//! shards behind loopback-TCP connections, every message a length-prefixed
+//! [`crate::codec`] frame (see [`topk_net::socket`]). Behavior lives in
+//! [`ClusterTopkMonitor`]; this module adds the physical side of the cost
+//! model — a [`WireMetrics`] ledger of frames and bytes actually written,
+//! mirrored into [`crate::metrics::RunMetrics::wire`] at every step.
 
-use topk_net::behavior::CoordinatorBehavior;
-use topk_net::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};
-use topk_net::id::{NodeId, Value};
-use topk_net::ledger::{LedgerSnapshot, WireMetrics};
-use topk_net::socket::{SocketCluster, WireTaps};
+use topk_net::driver::Cluster;
+use topk_net::ledger::WireMetrics;
+use topk_net::socket::{SocketTransport, WireTaps};
 
+use crate::cluster::{ClusterTopkMonitor, ClusterTransport};
 use crate::config::MonitorConfig;
-use crate::coordinator::CoordinatorMachine;
-use crate::events::{EventCursor, TopkEvent};
-use crate::metrics::RunMetrics;
-use crate::monitor::{Monitor, TopkMonitor};
+use crate::monitor::TopkMonitor;
 use crate::node::NodeMachine;
+use crate::session::Engine;
 
-/// Algorithm 1 on the socket runtime — a [`Monitor`] whose nodes live in
-/// shard threads behind real loopback-TCP connections.
-///
-/// This is the *engine* type; new code should usually build a
-/// [`crate::session::MonitorSession`] with
-/// [`Engine::Socket`](crate::session::Engine) instead of constructing it
-/// directly.
-pub struct SocketTopkMonitor {
-    cluster: SocketCluster<NodeMachine>,
-    coord: CoordinatorMachine,
-    cfg: MonitorConfig,
-    events: EventCursor,
+/// Algorithm 1 on the socket transport.
+pub type SocketTopkMonitor = ClusterTopkMonitor<SocketTransport<NodeMachine>>;
+
+impl ClusterTransport for SocketTransport<NodeMachine> {
+    const ENGINE: Engine = Engine::Socket;
+    const NAME: &'static str = "topk-filter-socket";
 }
 
 impl SocketTopkMonitor {
-    /// Spawn the shard threads and connect them over loopback TCP (port 0).
-    /// Seeds and behaviors match [`TopkMonitor::new`] exactly, so the two
-    /// monitors are interchangeable twins.
-    pub fn new(cfg: MonitorConfig, seed: u64) -> Self {
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
-        SocketTopkMonitor {
-            cluster: SocketCluster::spawn(nodes),
-            coord,
-            cfg,
-            events: EventCursor::default(),
-        }
-    }
-
     /// [`SocketTopkMonitor::new`] with per-connection byte capture armed —
     /// [`SocketTopkMonitor::capture`] then exposes the exact wire bytes for
     /// golden-frame snapshot tests.
     pub fn new_captured(cfg: MonitorConfig, seed: u64) -> Self {
         let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
-        SocketTopkMonitor {
-            cluster: SocketCluster::spawn_captured(nodes),
-            coord,
-            cfg,
-            events: EventCursor::default(),
-        }
-    }
-
-    /// [`SocketTopkMonitor::new`] behind a chaos-injecting transport: the
-    /// same monitor, but every frame crosses a seeded fault layer — the
-    /// in-process classes of [`ChaosPolicy`] (drops, duplicates, delays,
-    /// stalls, coordinator crash-and-restart) *plus* the wire classes of
-    /// [`topk_net::WireChaos`] (torn frames, connection resets, half-open
-    /// connections, reconnect storms). Every *committed* step produces
-    /// answers, thresholds and events identical to the fault-free twin
-    /// (pinned by the socket chaos arms of `tests/runtime_conformance.rs`);
-    /// only the recovery counters and the retransmit channels record that
-    /// faults happened.
-    pub fn new_chaotic(cfg: MonitorConfig, seed: u64, policy: ChaosPolicy) -> Self {
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
-        SocketTopkMonitor {
-            cluster: SocketCluster::spawn_chaotic(nodes, policy),
-            coord,
-            cfg,
-            events: EventCursor::default(),
-        }
-    }
-
-    /// The coordinator (tracker/threshold accessors for tests and tools).
-    pub fn coordinator(&self) -> &CoordinatorMachine {
-        &self.coord
-    }
-
-    /// Fault-injection and recovery counters (all zero without a
-    /// [`ChaosPolicy`]). The same block is mirrored into
-    /// [`RunMetrics::recovery`] at each committed step.
-    pub fn recovery(&self) -> &RecoveryMetrics {
-        self.cluster.recovery()
-    }
-
-    /// Fallible form of [`Monitor::step`]: a dead shard or a hung reply
-    /// surfaces as a typed [`RuntimeError`] instead of a panic.
-    pub fn try_step(&mut self, t: u64, values: &[Value]) -> Result<(), RuntimeError> {
-        self.cluster.try_step(&mut self.coord, t, values)
-    }
-
-    /// Fallible form of [`Monitor::step_sparse`].
-    pub fn try_step_sparse(
-        &mut self,
-        t: u64,
-        changes: &[(NodeId, Value)],
-    ) -> Result<(), RuntimeError> {
-        self.cluster.try_step_sparse(&mut self.coord, t, changes)
-    }
-
-    /// Phase-attributed event counters of the coordinator — same accessor
-    /// surface as [`TopkMonitor::metrics`], with [`RunMetrics::wire`]
-    /// carrying this engine's physical wire ledger.
-    pub fn metrics(&self) -> &RunMetrics {
-        self.coord.metrics()
+        Self::from_cluster(Cluster::spawn_captured(nodes), coord, cfg)
     }
 
     /// The physical wire ledger: frames and bytes actually written to the
@@ -126,8 +39,7 @@ impl SocketTopkMonitor {
     }
 
     /// Per-connection byte captures (only on a monitor built with
-    /// [`SocketTopkMonitor::new_captured`]); handles stay valid across
-    /// [`SocketTopkMonitor::shutdown`].
+    /// [`SocketTopkMonitor::new_captured`]); valid across shutdown.
     pub fn capture(&self) -> Option<WireTaps> {
         self.cluster.capture()
     }
@@ -136,75 +48,13 @@ impl SocketTopkMonitor {
     pub fn shards(&self) -> usize {
         self.cluster.shards()
     }
-
-    /// Coordinator micro-rounds executed so far (all phases) — counted by
-    /// the socket driver identically to [`TopkMonitor::micro_rounds_run`].
-    pub fn micro_rounds_run(&self) -> u64 {
-        self.cluster.micro_rounds_run()
-    }
-
-    /// Steps that exchanged no message and ran no micro-round.
-    pub fn silent_steps(&self) -> u64 {
-        self.cluster.silent_steps()
-    }
-
-    /// Transport-level synchronization frames sent so far (excluded from
-    /// model cost). Charged at dispatch intent, exactly like the threaded
-    /// runtime — so this count is bit-identical to the threaded twin even
-    /// though here every frame is real bytes.
-    pub fn sync_frames(&self) -> u64 {
-        self.cluster.ledger().sync_frames()
-    }
-
-    /// The configuration this monitor runs.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
-    }
-
-    /// Shut down the shard threads and return the final node state machines
-    /// (for state-equality assertions against a sequential twin).
-    pub fn shutdown(self) -> Vec<NodeMachine> {
-        self.cluster.shutdown()
-    }
-}
-
-impl Monitor for SocketTopkMonitor {
-    fn name(&self) -> &'static str {
-        "topk-filter-socket"
-    }
-
-    fn step(&mut self, t: u64, values: &[Value]) {
-        self.cluster.step(&mut self.coord, t, values);
-    }
-
-    fn step_sparse(&mut self, t: u64, changes: &[(NodeId, Value)]) {
-        self.cluster.step_sparse(&mut self.coord, t, changes);
-    }
-
-    fn topk(&self) -> Vec<NodeId> {
-        self.coord.topk().to_vec()
-    }
-
-    fn ledger(&self) -> LedgerSnapshot {
-        self.cluster.ledger().snapshot()
-    }
-
-    fn n(&self) -> usize {
-        self.cfg.n
-    }
-
-    fn k(&self) -> usize {
-        self.cfg.k
-    }
-
-    fn drain_events(&mut self, t: u64, out: &mut Vec<TopkEvent>) {
-        self.events.drain(&self.coord, t, out);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RunMetrics;
+    use crate::monitor::Monitor;
     use topk_net::id::true_topk;
 
     #[test]

@@ -1,175 +1,27 @@
-//! [`ThreadedTopkMonitor`] — Algorithm 1 assembled on the *threaded*
-//! runtime: one OS thread per [`NodeMachine`], the coordinator driven from
-//! the caller's thread.
-//!
-//! Same [`Monitor`] contract as [`TopkMonitor`], same ledgers, same answers
-//! — the two are bit-identical for equal `(cfg, seed)` and inputs (pinned by
-//! `tests/runtime_conformance.rs`). The threaded transport is delta-driven:
-//! on a silent step only changed and engaged nodes receive an observation
-//! frame (see [`topk_net::threaded`]), so `sync_frames` grows with the
-//! number of movers, not `n`.
+//! [`ThreadedTopkMonitor`] — Algorithm 1 on the *threaded* transport: one
+//! OS thread per [`NodeMachine`], frames over crossbeam channels (see
+//! [`topk_net::threaded`]). All behavior lives in [`ClusterTopkMonitor`].
 
-use topk_net::behavior::CoordinatorBehavior;
-use topk_net::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};
-use topk_net::id::{NodeId, Value};
-use topk_net::ledger::LedgerSnapshot;
-use topk_net::threaded::ThreadedCluster;
+use topk_net::threaded::ThreadTransport;
 
-use crate::config::MonitorConfig;
-use crate::coordinator::CoordinatorMachine;
-use crate::events::{EventCursor, TopkEvent};
-use crate::metrics::RunMetrics;
-use crate::monitor::{Monitor, TopkMonitor};
+use crate::cluster::{ClusterTopkMonitor, ClusterTransport};
 use crate::node::NodeMachine;
+use crate::session::Engine;
 
-/// Algorithm 1 on the threaded runtime — a [`Monitor`] whose nodes are live
-/// OS threads exchanging crossbeam-channel frames with the driver.
-///
-/// This is the *engine* type; new code should usually build a
-/// [`crate::session::MonitorSession`] with
-/// [`Engine::Threaded`](crate::session::Engine) instead of constructing it
-/// directly.
-pub struct ThreadedTopkMonitor {
-    cluster: ThreadedCluster<NodeMachine>,
-    coord: CoordinatorMachine,
-    cfg: MonitorConfig,
-    events: EventCursor,
-}
+/// Algorithm 1 on the threaded transport.
+pub type ThreadedTopkMonitor = ClusterTopkMonitor<ThreadTransport<NodeMachine>>;
 
-impl ThreadedTopkMonitor {
-    /// Spawn the node threads. Seeds and behaviors match
-    /// [`TopkMonitor::new`] exactly, so the two monitors are
-    /// interchangeable twins.
-    pub fn new(cfg: MonitorConfig, seed: u64) -> Self {
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
-        ThreadedTopkMonitor {
-            cluster: ThreadedCluster::spawn(nodes),
-            coord,
-            cfg,
-            events: EventCursor::default(),
-        }
-    }
-
-    /// Spawn the node threads behind a chaos-injecting transport: the same
-    /// monitor as [`ThreadedTopkMonitor::new`], but every frame and reply
-    /// crosses a seeded fault layer (drops, duplicates, delays, stalls,
-    /// coordinator crash-and-restart — see [`ChaosPolicy`]). Every
-    /// *committed* step produces answers, thresholds and events identical to
-    /// the fault-free twin (pinned by the chaos arms of
-    /// `tests/runtime_conformance.rs`); only the recovery counters and
-    /// retransmission ledger channel record that faults happened.
-    pub fn new_chaotic(cfg: MonitorConfig, seed: u64, policy: ChaosPolicy) -> Self {
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
-        ThreadedTopkMonitor {
-            cluster: ThreadedCluster::spawn_chaotic(nodes, policy),
-            coord,
-            cfg,
-            events: EventCursor::default(),
-        }
-    }
-
-    /// The coordinator (tracker/threshold accessors for tests and tools).
-    pub fn coordinator(&self) -> &CoordinatorMachine {
-        &self.coord
-    }
-
-    /// Fault-injection and recovery counters (all zero without a
-    /// [`ChaosPolicy`]). The same block is mirrored into
-    /// [`RunMetrics::recovery`] at each committed step.
-    pub fn recovery(&self) -> &RecoveryMetrics {
-        self.cluster.recovery()
-    }
-
-    /// Fallible form of [`Monitor::step`]: a transport failure the recovery
-    /// layer cannot mask (a dead node thread, retries exhausted) surfaces as
-    /// a typed [`RuntimeError`] instead of a panic.
-    pub fn try_step(&mut self, t: u64, values: &[Value]) -> Result<(), RuntimeError> {
-        self.cluster.try_step(&mut self.coord, t, values)
-    }
-
-    /// Fallible form of [`Monitor::step_sparse`].
-    pub fn try_step_sparse(
-        &mut self,
-        t: u64,
-        changes: &[(NodeId, Value)],
-    ) -> Result<(), RuntimeError> {
-        self.cluster.try_step_sparse(&mut self.coord, t, changes)
-    }
-
-    /// Phase-attributed event counters of the coordinator — same accessor
-    /// surface as [`TopkMonitor::metrics`].
-    pub fn metrics(&self) -> &RunMetrics {
-        self.coord.metrics()
-    }
-
-    /// Coordinator micro-rounds executed so far (all phases) — counted by
-    /// the threaded driver identically to
-    /// [`TopkMonitor::micro_rounds_run`].
-    pub fn micro_rounds_run(&self) -> u64 {
-        self.cluster.micro_rounds_run()
-    }
-
-    /// Steps that exchanged no message and ran no micro-round.
-    pub fn silent_steps(&self) -> u64 {
-        self.cluster.silent_steps()
-    }
-
-    /// Transport-level synchronization frames sent so far (excluded from
-    /// model cost). With the delta-driven transport this grows by
-    /// `#changed + #engaged` per silent step, not `n`.
-    pub fn sync_frames(&self) -> u64 {
-        self.cluster.ledger().sync_frames()
-    }
-
-    /// The configuration this monitor runs.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
-    }
-
-    /// Shut down the node threads and return their final state machines
-    /// (for state-equality assertions against a sequential twin).
-    pub fn shutdown(self) -> Vec<NodeMachine> {
-        self.cluster.shutdown()
-    }
-}
-
-impl Monitor for ThreadedTopkMonitor {
-    fn name(&self) -> &'static str {
-        "topk-filter-threaded"
-    }
-
-    fn step(&mut self, t: u64, values: &[Value]) {
-        self.cluster.step(&mut self.coord, t, values);
-    }
-
-    fn step_sparse(&mut self, t: u64, changes: &[(NodeId, Value)]) {
-        self.cluster.step_sparse(&mut self.coord, t, changes);
-    }
-
-    fn topk(&self) -> Vec<NodeId> {
-        self.coord.topk().to_vec()
-    }
-
-    fn ledger(&self) -> LedgerSnapshot {
-        self.cluster.ledger().snapshot()
-    }
-
-    fn n(&self) -> usize {
-        self.cfg.n
-    }
-
-    fn k(&self) -> usize {
-        self.cfg.k
-    }
-
-    fn drain_events(&mut self, t: u64, out: &mut Vec<TopkEvent>) {
-        self.events.drain(&self.coord, t, out);
-    }
+impl ClusterTransport for ThreadTransport<NodeMachine> {
+    const ENGINE: Engine = Engine::Threaded;
+    const NAME: &'static str = "topk-filter-threaded";
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RunMetrics;
+    use crate::monitor::{Monitor, TopkMonitor};
+    use crate::MonitorConfig;
     use topk_net::id::true_topk;
 
     #[test]

@@ -1,7 +1,7 @@
 //! [`FireCalendar`] — the runtime-side half of the fire-round calendar
 //! contract ([`crate::behavior::RoundAction::wake_at`]), shared by the
-//! sequential ([`crate::seq::SyncRuntime`]) and threaded
-//! ([`crate::threaded::ThreadedCluster`]) runtimes.
+//! sequential runtime ([`crate::seq::SyncRuntime`]) and the transport
+//! driver ([`crate::driver::Cluster`]).
 //!
 //! A node that announces its wake phase is bucketed under it and dropped
 //! from the per-round poll set; each micro-round then visits only the
@@ -129,6 +129,30 @@ impl FireCalendar {
                     self.live -= 1;
                 }
             }
+        }
+    }
+
+    /// Apply one poll's answer to the visit state: resolve or (re)schedule
+    /// node `i`, and push it onto `engaged_out` if it stays an every-round
+    /// poller. The one rule for both the sequential runtime (at poll time)
+    /// and [`crate::driver::Cluster`] (at collect time).
+    #[inline]
+    pub fn note_reply(
+        &mut self,
+        i: u32,
+        engaged: bool,
+        wake_at: Option<u32>,
+        phase: u32,
+        log_len: usize,
+        engaged_out: &mut Vec<u32>,
+    ) {
+        debug_assert!(wake_at.is_none() || engaged, "wake_at requires engaged");
+        let wake = if engaged { wake_at } else { None };
+        if wake.is_some() || (self.live > 0 && self.is_scheduled(i)) {
+            self.note_poll(i, wake, phase, log_len);
+        }
+        if engaged && wake.is_none() {
+            engaged_out.push(i);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Seeded fault injection for the threaded and socket runtimes — the chaos
-//! half of the transport's recovery story (the recovery halves live in
-//! [`crate::threaded::ThreadedCluster`] and [`crate::socket::SocketCluster`]).
+//! half of the transport's recovery story (the recovery half is the step
+//! driver, [`crate::driver::Cluster`]).
 //!
 //! The paper's model assumes a *perfect* synchronous transport: every frame
 //! delivered exactly once, instantly. A [`ChaosPolicy`] breaks that promise

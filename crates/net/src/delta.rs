@@ -1,6 +1,6 @@
 //! [`DeltaRow`] — the driver-side cached value row shared by the
-//! sequential ([`crate::seq::SyncRuntime`]) and threaded
-//! ([`crate::threaded::ThreadedCluster`]) runtimes' delta-driven entry
+//! sequential runtime ([`crate::seq::SyncRuntime`]) and the transport
+//! driver ([`crate::driver::Cluster`]) for their delta-driven entry
 //! points.
 //!
 //! Both runtimes accept the same two drives — dense rows (`step`) and

@@ -1,0 +1,1153 @@
+//! The one step driver behind the threaded and socket engines.
+//!
+//! The paper's model is `n` nodes, one coordinator and synchronous rounds
+//! with every message charged; Algorithm 1 does not care what carries a
+//! frame. [`Cluster`] is that model's driver, written once. It routes dense
+//! rows and change-lists through [`DeltaRow`], applies the visit rule
+//! (`visit_round`: sparse node-phase 0 with value-less cached observes,
+//! [`FireCalendar`] skip plus broadcast-log replay, [`RoundScope`]
+//! narrowing), charges `sync_frames` at dispatch intent and every model
+//! message to its [`CommLedger`], and runs the recovery state machine. A
+//! [`Transport`] only carries frames: [`crate::threaded`] moves them over
+//! crossbeam channels to one thread per node, [`crate::socket`] writes them
+//! as length-prefixed bytes over loopback TCP to node shards.
+//!
+//! Node-phase 0 frames only changed ∪ engaged nodes for behaviors that opt
+//! into [`NodeBehavior::SPARSE_OBSERVE`] (an engaged node whose value did
+//! not move observes the value cached on its side), so `sync_frames` grows
+//! by `O(#changed + #engaged)` per silent step, not `n`. The model ledger
+//! (messages, payload bits, RNG streams) stays bit-identical to
+//! [`crate::seq::SyncRuntime`], pinned by `tests/runtime_conformance.rs`.
+//!
+//! # Recovery state machine
+//!
+//! A [`ChaosPolicy`] arms seeded faults at dispatch: a frame's *first*
+//! delivery may be dropped, duplicated, delayed past its wave, or stalled;
+//! a reply may be lost; the coordinator may crash between micro-rounds; and
+//! a wire transport adds its own classes through [`Transport::wire_fault`].
+//! Recovery works in layers:
+//!
+//! * **Idempotent re-delivery** — every work frame carries the key
+//!   `(t, run, m)`. The node side (`NodeHost`) processes each key at most
+//!   once: a stale key is ignored, a repeated key re-sends the cached reply.
+//! * **Reply deadlines with bounded retry** — [`Cluster`] collects each wave
+//!   under the policy's deadline and re-sends outstanding frames (charged
+//!   to [`ChannelKind::Retransmit`]) up to `max_retries` times before a
+//!   typed [`RuntimeError::ReplyTimeout`]. A clean transport waits
+//!   [`MAX_IDLE_TICKS`] × [`RECV_TICK_MS`] (30 s) of silence instead, so a
+//!   wedged node fails typed rather than blocking forever.
+//! * **Whole-step re-run** — an injected coordinator crash restores the
+//!   last committed snapshot, rolls the model ledger back, fences the dead
+//!   attempt with an abort wave (one abort and one ack per endpoint), and
+//!   re-runs the step under `run + 1`. Protocol rounds are Las Vegas, so the
+//!   re-run lands on the same committed answers.
+//!
+//! Without restarts, fault mixes leave the whole model ledger, including
+//! `sync_frames`, bit-identical to a fault-free twin.
+
+use std::marker::PhantomData;
+use std::time::{Duration, Instant};
+
+pub use crossbeam::channel::RecvTimeoutError;
+
+use crate::behavior::{
+    max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, RoundAction, RoundScope,
+    ValueFeed,
+};
+use crate::calendar::FireCalendar;
+use crate::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};
+use crate::delta::{merge_visit, DeltaRow};
+use crate::id::{NodeId, Value};
+use crate::ledger::{ChannelKind, CommLedger, LedgerSnapshot, WireMetrics};
+use crate::wire::WireSize;
+
+/// Node-phase index of the step-abort control frame — past every real
+/// phase, so `(t, run, ABORT_M)` outranks all work of the aborted attempt.
+pub const ABORT_M: u32 = u32::MAX;
+
+/// Reply-collect tick of a clean transport; dead-endpoint detection runs
+/// once per tick.
+pub const RECV_TICK_MS: u64 = 200;
+
+/// Idle collect ticks before a clean transport gives up with
+/// [`RuntimeError::ReplyTimeout`] (150 × 200 ms = 30 s).
+pub const MAX_IDLE_TICKS: u32 = 150;
+
+/// Idempotency key `(t, run, m)` of one work frame: time step, step attempt
+/// (bumped on every whole-step re-run) and node-phase (0 = observe).
+pub type FrameKey = (u64, u32, u32);
+
+/// What one work frame asks a node to do.
+pub enum Work<'a, D> {
+    /// Node-phase 0: observe a new value, or (`None`) replay the value
+    /// cached on the node side.
+    Observe(Option<Value>),
+    /// Node-phase `m ≥ 1`: the broadcasts the node has not seen yet, in
+    /// emission order, and an optional unicast addressed to it.
+    Round {
+        bcasts: &'a [D],
+        ucast: Option<&'a D>,
+    },
+}
+
+/// A node's answer to one work frame, echoing its key. An abort ack is a
+/// reply at `m == ABORT_M` from the endpoint's first node.
+#[derive(Debug, Clone)]
+pub struct Reply<U> {
+    pub id: NodeId,
+    pub t: u64,
+    pub run: u32,
+    pub m: u32,
+    pub up: Option<U>,
+    pub engaged: bool,
+    /// Fire-round calendar entry (see [`RoundAction::wake_at`]).
+    pub wake_at: Option<u32>,
+    /// Encoded bytes of `up` on the wire (0 on in-process transports).
+    pub up_bytes: u64,
+}
+
+/// What carries frames between a [`Cluster`] and its nodes.
+///
+/// Nodes live in *endpoints* — the transport's fault domains (one thread per
+/// node, or one shard connection per node range). The driver decides what
+/// to send, when to re-send and which faults to inject; the transport
+/// encodes, moves and receives. Every method that touches a dead endpoint
+/// returns [`RuntimeError::NodeDown`] instead of panicking.
+pub trait Transport<NB: NodeBehavior>: Sized {
+    /// A retained copy of one encoded work frame, kept for re-send.
+    type Frame;
+
+    /// Start the endpoints for `nodes` (dense, id-ordered). `chaos`
+    /// selects the recoverable frame layout; wire transports also read
+    /// their own fault rates from it.
+    fn spawn(nodes: Vec<NB>, chaos: Option<ChaosPolicy>) -> Result<Self, RuntimeError>;
+    /// Number of endpoints.
+    fn endpoints(&self) -> usize;
+    /// The endpoint hosting node `i`.
+    fn endpoint_of(&self, i: u32) -> usize;
+    /// The first node of endpoint `e` (error attribution, abort acks).
+    fn first_node(&self, e: usize) -> NodeId;
+    /// Whether endpoint `e`'s thread has exited.
+    fn is_dead(&self, e: usize) -> bool;
+    /// Encode one work frame for node `i` into the staging slot.
+    fn encode(&mut self, i: u32, key: FrameKey, work: Work<'_, NB::Down>);
+    /// A re-sendable copy of the staged frame.
+    fn keep(&self) -> Self::Frame;
+    /// First delivery of the staged frame to node `i`; `stall_ms > 0` makes
+    /// the node sleep before processing it. May consume the staged frame,
+    /// so the driver calls [`Transport::keep`] first.
+    fn send(&mut self, i: u32, stall_ms: u32) -> Result<(), RuntimeError>;
+    /// Re-send a kept frame to node `i` (off-model traffic).
+    fn resend(&mut self, i: u32, frame: &Self::Frame) -> Result<(), RuntimeError>;
+    /// Push buffered frames out.
+    fn flush(&mut self) -> Result<(), RuntimeError> {
+        Ok(())
+    }
+    /// Wait up to `timeout` for one reply.
+    fn recv(&mut self, timeout: Duration) -> Result<Reply<NB::Up>, RecvTimeoutError>;
+    /// Charge a received reply's payload bytes to `kind` (wire transports).
+    fn charge_reply(&mut self, _kind: ChannelKind, _up_bytes: u64) {}
+    /// Send the abort of attempt `(t, run)` to endpoint `e`.
+    fn send_abort(&mut self, e: usize, t: u64, run: u32) -> Result<(), RuntimeError>;
+    /// Wire-level fault hook, called before (`sent == false`) and after the
+    /// staged frame's first delivery. Returns `true` when the fault severed
+    /// the connection and the transport has already reconnected and
+    /// re-delivered the frame.
+    fn wire_fault(
+        &mut self,
+        _i: u32,
+        _key: FrameKey,
+        _sent: bool,
+        _policy: &ChaosPolicy,
+        _recovery: &mut RecoveryMetrics,
+    ) -> Result<bool, RuntimeError> {
+        Ok(false)
+    }
+    /// The physical wire ledger, if this transport has a wire.
+    fn wire(&self) -> Option<&WireMetrics> {
+        None
+    }
+    /// Halt every endpoint and return the behaviors in id order (those of
+    /// panicked endpoints are skipped).
+    fn shutdown(self) -> Vec<NB>;
+}
+
+/// Outcome of one step attempt that did not commit.
+enum AttemptError {
+    /// Injected coordinator crash — recover and re-run the step.
+    Crashed,
+    /// Unrecoverable transport failure.
+    Fatal(RuntimeError),
+}
+
+impl From<RuntimeError> for AttemptError {
+    fn from(e: RuntimeError) -> Self {
+        AttemptError::Fatal(e)
+    }
+}
+
+/// One node poll of a micro-round, as decided by [`visit_round`].
+pub(crate) struct Poll<'a, D> {
+    pub i: u32,
+    pub bcasts: &'a [D],
+    pub ucast: Option<&'a D>,
+    /// Broadcast-log length after this round's broadcasts.
+    pub log_len: usize,
+}
+
+/// The round visit rule, shared by [`crate::seq::SyncRuntime`] and
+/// [`Cluster`]: deliver the coordinator output of round `m-1` as node-phase
+/// `m`. This round's broadcasts are appended to the step's `log`, then
+/// `poll` runs once per visited node in ascending id order.
+///
+/// A [`RoundScope::All`] broadcast reaches every node; otherwise only
+/// engaged nodes, the calendar entries due at `m`, unicast addressees and
+/// the [`RoundScope::EngagedPlus`] addressee are visited (skipped nodes are
+/// contractual no-ops). A scheduled node receives every broadcast since its
+/// last poll, replayed from the log; everyone else gets this round's.
+#[allow(clippy::too_many_arguments)] // the visit state is split across both runtimes' fields
+pub(crate) fn visit_round<D: Clone, E>(
+    n: usize,
+    m: u32,
+    out: &mut CoordOut<D>,
+    engaged: &[u32],
+    cal: &mut FireCalendar,
+    log: &mut Vec<D>,
+    visit: &mut Vec<u32>,
+    mut poll: impl FnMut(&mut FireCalendar, Poll<'_, D>) -> Result<(), E>,
+) -> Result<(), E> {
+    if out.unicasts.len() > 1 {
+        out.unicasts.sort_by_key(|(id, _)| *id);
+    }
+    debug_assert!(
+        out.unicasts.windows(2).all(|w| w[0].0 != w[1].0),
+        "at most one unicast per node per round"
+    );
+    let full_fanout = !out.broadcasts.is_empty() && out.scope == RoundScope::All;
+    // A scoped extra addressee matters only when something is broadcast.
+    let extra = match out.scope {
+        RoundScope::EngagedPlus(id) if !out.broadcasts.is_empty() => Some(id.0),
+        _ => None,
+    };
+    let round_start = log.len();
+    log.extend(out.broadcasts.iter().cloned());
+    let log: &[D] = log;
+    let unicasts = &out.unicasts;
+    let mut u = unicasts.iter().peekable();
+    let mut one = |cal: &mut FireCalendar, i: u32| {
+        let ucast = match u.peek() {
+            Some((id, _)) if id.0 == i => u.next().map(|(_, d)| d),
+            _ => None,
+        };
+        let from = if cal.is_scheduled(i) {
+            cal.seen(i)
+        } else {
+            round_start
+        };
+        let p = Poll {
+            i,
+            bcasts: &log[from..],
+            ucast,
+            log_len: log.len(),
+        };
+        poll(cal, p)
+    };
+    if full_fanout {
+        for i in 0..n as u32 {
+            one(cal, i)?;
+        }
+    } else if unicasts.is_empty() && extra.is_none() && !cal.has_due(m) {
+        // Silent or engaged-scoped round with no scheduled firer due.
+        for &i in engaged {
+            one(cal, i)?;
+        }
+    } else {
+        visit.clear();
+        visit.extend_from_slice(engaged);
+        cal.due_into(m, visit);
+        visit.extend(unicasts.iter().map(|(id, _)| id.0));
+        visit.extend(extra);
+        visit.sort_unstable();
+        visit.dedup();
+        for &i in visit.iter() {
+            one(cal, i)?;
+        }
+    }
+    Ok(())
+}
+
+/// What a [`NodeHost`] should do with an incoming work key.
+pub(crate) enum Admit<'a, R> {
+    /// A fresh key: run the behavior.
+    Run,
+    /// The current key again: re-send the cached reply, if any.
+    Repeat(Option<&'a R>),
+    /// An older key: ignore.
+    Stale,
+}
+
+/// The node-side endpoint of the recovery state machine, one per hosted
+/// node, shared by the threaded node threads and the socket shards: the
+/// cached observation (for value-less observes), the `(t, run, m)` cursor,
+/// the cached reply `R`, and the step-start checkpoint an abort rolls back
+/// to.
+pub(crate) struct NodeHost<NB: NodeBehavior, R> {
+    pub node: NB,
+    last: Value,
+    cur: Option<FrameKey>,
+    cached: Option<R>,
+    ck: Option<(u64, NB)>,
+}
+
+impl<NB: NodeBehavior, R> NodeHost<NB, R> {
+    pub fn new(node: NB) -> Self {
+        NodeHost {
+            node,
+            last: 0,
+            cur: None,
+            cached: None,
+            ck: None,
+        }
+    }
+
+    /// Classify `key` against the cursor. On a recoverable transport the
+    /// first fresh key of a new step also takes the step checkpoint; a clean
+    /// transport never re-delivers, so it always runs.
+    pub fn admit(&mut self, key: FrameKey, recoverable: bool) -> Admit<'_, R> {
+        if !recoverable {
+            return Admit::Run;
+        }
+        match self.cur {
+            Some(c) if key < c => return Admit::Stale,
+            Some(c) if key == c => return Admit::Repeat(self.cached.as_ref()),
+            _ => {}
+        }
+        if self.ck.as_ref().is_none_or(|(s, _)| *s < key.0) {
+            let snap = self
+                .node
+                .checkpoint()
+                .expect("chaos transport requires NodeBehavior::checkpoint support");
+            self.ck = Some((key.0, snap));
+        }
+        Admit::Run
+    }
+
+    /// Run the behavior for one admitted frame.
+    pub fn run(&mut self, key: FrameKey, work: Work<'_, NB::Down>) -> RoundAction<NB::Up> {
+        let (t, _, m) = key;
+        match work {
+            Work::Observe(value) => {
+                if let Some(v) = value {
+                    self.last = v;
+                }
+                let a = self.node.observe(t, self.last);
+                RoundAction {
+                    up: a.up,
+                    engaged: a.engaged,
+                    wake_at: a.wake_at,
+                }
+            }
+            Work::Round { bcasts, ucast } => self.node.micro_round(t, m, bcasts, ucast),
+        }
+    }
+
+    /// Record the reply to `key` for re-delivery (recoverable transports).
+    pub fn commit(&mut self, key: FrameKey, reply: R) {
+        self.cur = Some(key);
+        self.cached = Some(reply);
+    }
+
+    /// Discard every effect of attempt `(t, run)`: roll back to the step
+    /// checkpoint (the RNG cursor keeps advancing — a re-run is a fresh Las
+    /// Vegas trial) and move the cursor past the attempt. Idempotent.
+    pub fn abort(&mut self, t: u64, run: u32) {
+        let key = (t, run, ABORT_M);
+        if self.cur.is_none_or(|c| key > c) {
+            if let Some((s, snap)) = &self.ck {
+                if *s == t {
+                    self.node.rollback(snap);
+                }
+            }
+            self.cur = Some(key);
+            self.cached = None;
+        }
+    }
+}
+
+/// The frame-carrying half of the driver: transport, ledger, the in-flight
+/// wave and the fault schedule.
+struct Link<NB: NodeBehavior, T: Transport<NB>> {
+    transport: T,
+    ledger: CommLedger,
+    /// Armed fault schedule (`None` = clean transport).
+    chaos: Option<ChaosPolicy>,
+    recovery: RecoveryMetrics,
+    /// Current step attempt (part of every frame key).
+    run: u32,
+    /// Per-node "reply outstanding" flags of the in-flight wave.
+    pending: Vec<bool>,
+    pending_count: usize,
+    /// Reply-drop already injected for (this wave, node) — at most one per
+    /// wave so retries converge.
+    reply_dropped: Vec<bool>,
+    /// Frames of the in-flight wave, kept for re-send (chaos only).
+    wave: Vec<(u32, T::Frame)>,
+    /// Delay-injected frames awaiting their late (stale) flush.
+    delayed: Vec<(u32, T::Frame)>,
+    _nodes: PhantomData<fn() -> NB>,
+}
+
+impl<NB: NodeBehavior, T: Transport<NB>> Link<NB, T> {
+    /// Start a wave: flush delay-injected frames of earlier waves (their
+    /// keys are stale by now, so nodes ignore them — pure reorder noise) and
+    /// reset the per-wave fault latches.
+    fn begin_wave(&mut self) -> Result<(), RuntimeError> {
+        debug_assert_eq!(self.pending_count, 0, "wave started with replies pending");
+        self.wave.clear();
+        if self.chaos.is_none() {
+            return Ok(());
+        }
+        let mut delayed = std::mem::take(&mut self.delayed);
+        let mut res = Ok(());
+        for (i, frame) in &delayed {
+            res = self.transport.resend(*i, frame);
+            if res.is_err() {
+                break;
+            }
+            self.ledger.count(ChannelKind::Retransmit, 0);
+        }
+        let flushed = !delayed.is_empty();
+        delayed.clear();
+        self.delayed = delayed;
+        res?;
+        if flushed {
+            self.transport.flush()?;
+        }
+        self.reply_dropped.fill(false);
+        Ok(())
+    }
+
+    /// Frame node `i` for the current wave. The sync frame is charged at
+    /// send *intent*, so `sync_frames` matches a fault-free twin even when
+    /// the delivery is suppressed; everything the fault layer adds is
+    /// charged to [`ChannelKind::Retransmit`].
+    fn dispatch(
+        &mut self,
+        i: u32,
+        key: FrameKey,
+        work: Work<'_, NB::Down>,
+    ) -> Result<(), RuntimeError> {
+        debug_assert!(!self.pending[i as usize], "node framed twice in a wave");
+        self.pending[i as usize] = true;
+        self.pending_count += 1;
+        self.ledger.count_sync();
+        self.transport.encode(i, key, work);
+        let Some(p) = self.chaos else {
+            return self.transport.send(i, 0);
+        };
+        let (t, run, m) = key;
+        self.wave.push((i, self.transport.keep()));
+        if p.drop_frame(t, run, m, i) {
+            self.recovery.injected_drops += 1;
+            return Ok(());
+        }
+        if p.delay_frame(t, run, m, i) {
+            // Held back past this wave: the retry path completes the wave,
+            // and the late copy is flushed (and deduped) later.
+            self.recovery.injected_delays += 1;
+            self.delayed.push((i, self.transport.keep()));
+            return Ok(());
+        }
+        if self
+            .transport
+            .wire_fault(i, key, false, &p, &mut self.recovery)?
+        {
+            self.note_redelivery();
+            return Ok(());
+        }
+        let stall = if p.stall_frame(t, run, m, i) {
+            self.recovery.injected_stalls += 1;
+            p.stall_ms
+        } else {
+            0
+        };
+        if p.duplicate_frame(t, run, m, i) {
+            self.recovery.injected_dups += 1;
+            if let Some((_, frame)) = self.wave.last() {
+                self.transport.resend(i, frame)?;
+            }
+            self.ledger.count(ChannelKind::Retransmit, 0);
+        }
+        self.transport.send(i, stall)?;
+        if self
+            .transport
+            .wire_fault(i, key, true, &p, &mut self.recovery)?
+        {
+            self.note_redelivery();
+        }
+        Ok(())
+    }
+
+    fn note_redelivery(&mut self) {
+        self.ledger.count(ChannelKind::Retransmit, 0);
+        self.recovery.redelivered_frames += 1;
+    }
+
+    /// Re-send every outstanding frame of the in-flight wave.
+    fn resend_pending(&mut self) -> Result<(), RuntimeError> {
+        let mut resent = 0;
+        for (i, frame) in &self.wave {
+            if self.pending[*i as usize] {
+                self.transport.resend(*i, frame)?;
+                self.ledger.count(ChannelKind::Retransmit, 0);
+                resent += 1;
+            }
+        }
+        self.transport.flush()?;
+        self.recovery.redelivered_frames += resent;
+        Ok(())
+    }
+
+    /// A reply that matches no outstanding frame: count and charge it.
+    fn discard(&mut self, up_bytes: u64) {
+        self.recovery.stale_replies += 1;
+        self.transport
+            .charge_reply(ChannelKind::Retransmit, up_bytes);
+    }
+
+    fn dead_pending(&self) -> Option<NodeId> {
+        (0..self.pending.len())
+            .find(|&i| {
+                self.pending[i] && self.transport.is_dead(self.transport.endpoint_of(i as u32))
+            })
+            .map(|i| NodeId(i as u32))
+    }
+
+    /// Fence attempt `(t, run)` on every endpoint: send the aborts, then
+    /// wait for one ack per endpoint, re-sending to laggards (aborts are
+    /// idempotent and re-acked).
+    fn abort_wave(&mut self, t: u64) -> Result<(), RuntimeError> {
+        let p = self.chaos.expect("abort waves exist only under chaos");
+        self.delayed.clear();
+        self.wave.clear();
+        self.pending.fill(false);
+        self.pending_count = 0;
+        let run = self.run;
+        let mut owed = vec![true; self.transport.endpoints()];
+        let mut waiting = owed.len();
+        let tick = Duration::from_millis(p.deadline_ms.max(1));
+        let mut attempts: u32 = 0;
+        loop {
+            for (e, _) in owed.iter().enumerate().filter(|(_, o)| **o) {
+                self.transport.send_abort(e, t, run)?;
+                self.ledger.count(ChannelKind::Retransmit, 0);
+            }
+            self.transport.flush()?;
+            loop {
+                if waiting == 0 {
+                    return Ok(());
+                }
+                match self.transport.recv(tick) {
+                    Ok(rep) => {
+                        let e = self.transport.endpoint_of(rep.id.0);
+                        if rep.t == t && rep.run == run && rep.m == ABORT_M && owed[e] {
+                            owed[e] = false;
+                            waiting -= 1;
+                        } else {
+                            self.discard(rep.up_bytes);
+                        }
+                    }
+                    Err(RecvTimeoutError::Timeout) => break,
+                    Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::AllNodesDown),
+                }
+            }
+            if let Some(e) = (0..owed.len()).find(|&e| owed[e] && self.transport.is_dead(e)) {
+                return Err(RuntimeError::NodeDown {
+                    id: self.transport.first_node(e),
+                });
+            }
+            attempts += 1;
+            if attempts > p.max_retries.saturating_mul(4) {
+                return Err(RuntimeError::ReplyTimeout {
+                    t,
+                    m: ABORT_M,
+                    waiting,
+                });
+            }
+        }
+    }
+}
+
+/// A running cluster of node endpoints behind transport `T`, plus the
+/// coordinator-side driver state. See the module docs.
+pub struct Cluster<NB: NodeBehavior, T: Transport<NB>> {
+    link: Link<NB, T>,
+    n: usize,
+    /// Sorted ids of currently engaged every-round pollers — rebuilt from
+    /// each phase's replies.
+    engaged_idx: Vec<u32>,
+    engaged_scratch: Vec<u32>,
+    visit_scratch: Vec<u32>,
+    calendar: FireCalendar,
+    /// All broadcasts of the current step in emission order.
+    bcast_log: Vec<NB::Down>,
+    delta_row: DeltaRow,
+    /// Node-phase 0 of the current step: `(id, Some(new value) | cached)`,
+    /// kept so a re-run re-delivers identical observations.
+    phase0: Vec<(u32, Option<Value>)>,
+    ups_scratch: Vec<(NodeId, NB::Up)>,
+    out: CoordOut<NB::Down>,
+    feed_row: Vec<Value>,
+    feed_changes: Vec<(NodeId, Value)>,
+    steps_run: u64,
+    silent_steps: u64,
+    micro_rounds_run: u64,
+    /// Remaining injected-crash budget for the current step.
+    crashes_left: u32,
+    /// Engaged set at the start of the current step, restored on re-run.
+    engaged_mark: Vec<u32>,
+    /// Last committed coordinator snapshot (chaos only).
+    snapshot_buf: Vec<u8>,
+    have_snapshot: bool,
+}
+
+impl<NB, T> Cluster<NB, T>
+where
+    NB: NodeBehavior + 'static,
+    T: Transport<NB>,
+{
+    /// Start the endpoints, clean transport. Panics on a setup failure.
+    pub fn spawn(nodes: Vec<NB>) -> Self {
+        Self::launch(nodes, None, T::spawn)
+    }
+
+    /// Start the endpoints with a seeded fault schedule armed. Requires
+    /// checkpoint-capable behaviors ([`NodeBehavior::checkpoint`] returning
+    /// `Some`) — step re-runs roll nodes back to their step-start state.
+    pub fn spawn_chaotic(nodes: Vec<NB>, policy: ChaosPolicy) -> Self {
+        assert!(
+            nodes.first().is_none_or(|node| node.checkpoint().is_some()),
+            "chaos transport requires NodeBehavior::checkpoint support"
+        );
+        Self::launch(nodes, Some(policy), T::spawn)
+    }
+
+    pub(crate) fn launch(
+        nodes: Vec<NB>,
+        chaos: Option<ChaosPolicy>,
+        start: impl FnOnce(Vec<NB>, Option<ChaosPolicy>) -> Result<T, RuntimeError>,
+    ) -> Self {
+        let n = nodes.len();
+        assert!(n > 0, "need at least one node");
+        for (i, node) in nodes.iter().enumerate() {
+            assert_eq!(
+                node.id(),
+                NodeId(i as u32),
+                "nodes must be dense, id-ordered"
+            );
+        }
+        let transport = start(nodes, chaos).unwrap_or_else(|e| panic!("cluster setup failed: {e}"));
+        Cluster {
+            link: Link {
+                transport,
+                ledger: CommLedger::new(),
+                chaos,
+                recovery: RecoveryMetrics::default(),
+                run: 0,
+                pending: vec![false; n],
+                pending_count: 0,
+                reply_dropped: vec![false; n],
+                wave: Vec::new(),
+                delayed: Vec::new(),
+                _nodes: PhantomData,
+            },
+            n,
+            engaged_idx: Vec::new(),
+            engaged_scratch: Vec::new(),
+            visit_scratch: Vec::new(),
+            calendar: FireCalendar::new(n),
+            bcast_log: Vec::new(),
+            // The cached row backs diffing/sparse stepping only; non-sparse
+            // behaviors never read it, so don't pay for it.
+            delta_row: DeltaRow::new(n, NB::SPARSE_OBSERVE),
+            phase0: Vec::new(),
+            ups_scratch: Vec::new(),
+            out: CoordOut::empty(),
+            feed_row: Vec::new(),
+            feed_changes: Vec::new(),
+            steps_run: 0,
+            silent_steps: 0,
+            micro_rounds_run: 0,
+            crashes_left: 0,
+            engaged_mark: Vec::new(),
+            snapshot_buf: Vec::new(),
+            have_snapshot: false,
+        }
+    }
+
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The transport (wire ledger, captures, shard layout).
+    pub fn transport(&self) -> &T {
+        &self.link.transport
+    }
+
+    pub fn ledger(&self) -> &CommLedger {
+        &self.link.ledger
+    }
+
+    pub fn steps_run(&self) -> u64 {
+        self.steps_run
+    }
+
+    /// Steps that exchanged no message and ran no micro-round.
+    pub fn silent_steps(&self) -> u64 {
+        self.silent_steps
+    }
+
+    /// Coordinator micro-rounds driven so far — counted exactly like
+    /// [`crate::seq::SyncRuntime::micro_rounds_run`].
+    pub fn micro_rounds_run(&self) -> u64 {
+        self.micro_rounds_run
+    }
+
+    /// Indices of nodes currently engaged in a protocol episode (sorted).
+    pub fn engaged_nodes(&self) -> &[u32] {
+        &self.engaged_idx
+    }
+
+    /// Injected-fault and recovery counters (all zero on a clean transport).
+    pub fn recovery(&self) -> &RecoveryMetrics {
+        &self.link.recovery
+    }
+
+    /// Panicking wrapper of [`Cluster::try_step`].
+    pub fn step<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value])
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        self.try_step(coord, t, values)
+            .unwrap_or_else(|e| panic!("cluster runtime failed at t={t}: {e}"));
+    }
+
+    /// Execute one synchronous time step against `coord`.
+    ///
+    /// For [`NodeBehavior::SPARSE_OBSERVE`] behaviors the row is diffed
+    /// against the driver's cached row and only changed ∪ engaged nodes are
+    /// framed; other behaviors get the dense fan-out of every observation.
+    /// A dead endpoint, an exhausted retry budget, or a failed coordinator
+    /// restore surfaces as a typed [`RuntimeError`].
+    pub fn try_step<CB>(
+        &mut self,
+        coord: &mut CB,
+        t: u64,
+        values: &[Value],
+    ) -> Result<(), RuntimeError>
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        assert_eq!(values.len(), self.n, "one value per node");
+        if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
+            self.delta_row.diff(values);
+            self.stage_changes();
+        } else {
+            if NB::SPARSE_OBSERVE {
+                self.delta_row.prime(values);
+            }
+            stage_dense(&mut self.phase0, values);
+        }
+        self.run_step(coord, t)
+    }
+
+    /// Panicking wrapper of [`Cluster::try_step_sparse`].
+    pub fn step_sparse<CB>(&mut self, coord: &mut CB, t: u64, changes: &[(NodeId, Value)])
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        self.try_step_sparse(coord, t, changes)
+            .unwrap_or_else(|e| panic!("cluster runtime failed at t={t}: {e}"));
+    }
+
+    /// Execute one step given only the values that changed since `t − 1`
+    /// (ascending ids, at most one entry per node; repeating an unchanged
+    /// value is permitted and costs no frame). Requires
+    /// [`NodeBehavior::SPARSE_OBSERVE`]. The first step must carry all `n`
+    /// nodes. Bit-identical to the dense [`Cluster::try_step`] driven with
+    /// the corresponding full rows; validation lives in [`DeltaRow`].
+    pub fn try_step_sparse<CB>(
+        &mut self,
+        coord: &mut CB,
+        t: u64,
+        changes: &[(NodeId, Value)],
+    ) -> Result<(), RuntimeError>
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        assert!(
+            NB::SPARSE_OBSERVE,
+            "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
+        );
+        if self.delta_row.apply_sparse(changes) {
+            stage_dense(&mut self.phase0, self.delta_row.row());
+        } else {
+            self.stage_changes();
+        }
+        self.run_step(coord, t)
+    }
+
+    /// Node-phase 0 over changed ∪ engaged nodes: changed nodes get their
+    /// new value, engaged-but-unchanged nodes a value-less cached observe.
+    fn stage_changes(&mut self) {
+        self.phase0.clear();
+        let phase0 = &mut self.phase0;
+        merge_visit(self.delta_row.last_delta(), &self.engaged_idx, |i, v| {
+            phase0.push((i, v.copied()))
+        });
+    }
+
+    /// Run the step from its staged phase-0 wave, re-running whole attempts
+    /// after injected coordinator crashes until one commits.
+    fn run_step<CB>(&mut self, coord: &mut CB, t: u64) -> Result<(), RuntimeError>
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        let ledger_mark = self.link.ledger.snapshot();
+        let rounds_mark = self.micro_rounds_run;
+        if let Some(p) = self.link.chaos {
+            self.engaged_mark.clear();
+            self.engaged_mark.extend_from_slice(&self.engaged_idx);
+            // Restarts need a committed snapshot to restore from.
+            self.crashes_left = if self.have_snapshot {
+                p.max_restarts_per_step
+            } else {
+                0
+            };
+        }
+        self.link.run = 0;
+        loop {
+            let mut ups = std::mem::take(&mut self.ups_scratch);
+            let mut out = std::mem::take(&mut self.out);
+            let attempt = self.run_attempt(coord, t, &mut ups, &mut out);
+            self.ups_scratch = ups;
+            self.out = out;
+            match attempt {
+                Ok(silent) => {
+                    if self.link.chaos.is_some() {
+                        coord.note_recovery(&self.link.recovery);
+                        self.snapshot_buf.clear();
+                        self.have_snapshot = coord.encode_snapshot(&mut self.snapshot_buf);
+                    }
+                    if let Some(w) = self.link.transport.wire() {
+                        coord.note_wire(w);
+                    }
+                    self.steps_run += 1;
+                    if silent {
+                        self.silent_steps += 1;
+                    }
+                    return Ok(());
+                }
+                Err(AttemptError::Crashed) => {
+                    let t0 = Instant::now();
+                    self.recover(coord, t, &ledger_mark, rounds_mark)?;
+                    self.link.recovery.recovery_nanos += t0.elapsed().as_nanos() as u64;
+                    self.link.run += 1;
+                }
+                Err(AttemptError::Fatal(e)) => return Err(e),
+            }
+        }
+    }
+
+    /// One attempt at the step: phase-0 wave, silent fast path, then the
+    /// coordinator micro-round loop. Returns `Ok(true)` for a silent step.
+    fn run_attempt<CB>(
+        &mut self,
+        coord: &mut CB,
+        t: u64,
+        ups: &mut Vec<(NodeId, NB::Up)>,
+        out: &mut CoordOut<NB::Down>,
+    ) -> Result<bool, AttemptError>
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        coord.begin_step(t);
+        self.link.begin_wave()?;
+        let key = (t, self.link.run, 0);
+        for &(i, value) in &self.phase0 {
+            self.link.dispatch(i, key, Work::Observe(value))?;
+        }
+        self.link.transport.flush()?;
+        self.collect(t, 0, ups)?;
+
+        if self.engaged_idx.is_empty()
+            && self.calendar.is_empty()
+            && ups.is_empty()
+            && coord.try_skip_silent_step(t)
+        {
+            return Ok(true);
+        }
+
+        let guard = max_micro_rounds(self.n, 16) * 4;
+        let mut m: u32 = 0;
+        loop {
+            out.clear();
+            coord.micro_round(t, m, ups, out);
+            ups.clear();
+            for (_, d) in &out.unicasts {
+                self.link.ledger.count(ChannelKind::Down, d.wire_bits());
+            }
+            for b in &out.broadcasts {
+                self.link
+                    .ledger
+                    .count(ChannelKind::Broadcast, b.wire_bits());
+            }
+            if out.is_empty() && coord.step_done() {
+                break;
+            }
+            m += 1;
+            self.micro_rounds_run += 1;
+            assert!(m <= guard, "micro-round guard exceeded at t={t}");
+            if let Some(p) = self.link.chaos {
+                if self.crashes_left > 0 && p.crash_coordinator(t, self.link.run, m) {
+                    self.crashes_left -= 1;
+                    return Err(AttemptError::Crashed);
+                }
+            }
+            self.deliver_round(t, m, out)?;
+            self.collect(t, m, ups)?;
+        }
+        // Schedules and the broadcast log are step-local.
+        self.calendar.end_step();
+        self.bcast_log.clear();
+        Ok(false)
+    }
+
+    /// Frame the coordinator output of round `m-1` as node-phase `m` under
+    /// the shared [`visit_round`] rule.
+    fn deliver_round(
+        &mut self,
+        t: u64,
+        m: u32,
+        out: &mut CoordOut<NB::Down>,
+    ) -> Result<(), RuntimeError> {
+        self.link.begin_wave()?;
+        let key = (t, self.link.run, m);
+        let link = &mut self.link;
+        visit_round(
+            self.n,
+            m,
+            out,
+            &self.engaged_idx,
+            &mut self.calendar,
+            &mut self.bcast_log,
+            &mut self.visit_scratch,
+            |_, p| {
+                let work = Work::Round {
+                    bcasts: p.bcasts,
+                    ucast: p.ucast,
+                };
+                link.dispatch(p.i, key, work)
+            },
+        )?;
+        self.link.transport.flush()
+    }
+
+    /// Collect the in-flight wave's replies into `ups` (sorted by node id),
+    /// charging `Some` payloads, rebuilding the engaged list and resolving
+    /// calendar entries. Replies are matched against the key
+    /// `(t, run, phase)`: stale or duplicate arrivals are discarded. On a
+    /// chaotic transport each deadline re-sends the outstanding frames, up
+    /// to the policy's retry budget; a clean transport gives up after
+    /// [`MAX_IDLE_TICKS`] silent ticks. A dead endpoint surfaces as
+    /// [`RuntimeError::NodeDown`].
+    fn collect(
+        &mut self,
+        t: u64,
+        phase: u32,
+        ups: &mut Vec<(NodeId, NB::Up)>,
+    ) -> Result<(), RuntimeError> {
+        ups.clear();
+        let log_len = self.bcast_log.len();
+        let mut next = std::mem::take(&mut self.engaged_scratch);
+        next.clear();
+        let link = &mut self.link;
+        let tick = Duration::from_millis(link.chaos.map_or(RECV_TICK_MS, |p| p.deadline_ms.max(1)));
+        let mut idle: u32 = 0;
+        let mut attempts: u32 = 0;
+        let result = loop {
+            if link.pending_count == 0 {
+                break Ok(());
+            }
+            match link.transport.recv(tick) {
+                Ok(rep) => {
+                    idle = 0;
+                    let idx = rep.id.idx();
+                    if rep.t != t || rep.run != link.run || rep.m != phase || !link.pending[idx] {
+                        link.discard(rep.up_bytes);
+                        continue;
+                    }
+                    if let Some(p) = link.chaos {
+                        if !link.reply_dropped[idx] && p.drop_reply(t, link.run, phase, rep.id.0) {
+                            // Lost after it arrived: charge it off-model and
+                            // wait for the re-send to answer from the cache.
+                            link.reply_dropped[idx] = true;
+                            link.recovery.injected_reply_drops += 1;
+                            link.transport
+                                .charge_reply(ChannelKind::Retransmit, rep.up_bytes);
+                            continue;
+                        }
+                    }
+                    link.pending[idx] = false;
+                    link.pending_count -= 1;
+                    self.calendar.note_reply(
+                        rep.id.0,
+                        rep.engaged,
+                        rep.wake_at,
+                        phase,
+                        log_len,
+                        &mut next,
+                    );
+                    if let Some(up) = rep.up {
+                        link.transport.charge_reply(ChannelKind::Up, rep.up_bytes);
+                        link.ledger.count(ChannelKind::Up, up.wire_bits());
+                        ups.push((rep.id, up));
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    if let Some(id) = link.dead_pending() {
+                        break Err(RuntimeError::NodeDown { id });
+                    }
+                    let exhausted = match link.chaos {
+                        Some(p) => {
+                            attempts += 1;
+                            attempts > p.max_retries
+                        }
+                        None => {
+                            idle += 1;
+                            idle >= MAX_IDLE_TICKS
+                        }
+                    };
+                    if exhausted {
+                        break Err(RuntimeError::ReplyTimeout {
+                            t,
+                            m: phase,
+                            waiting: link.pending_count,
+                        });
+                    }
+                    if link.chaos.is_some() {
+                        if let Err(e) = link.resend_pending() {
+                            break Err(e);
+                        }
+                        link.recovery.retries += 1;
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => break Err(RuntimeError::AllNodesDown),
+            }
+        };
+        match result {
+            Ok(()) => {
+                next.sort_unstable();
+                self.engaged_scratch = std::mem::replace(&mut self.engaged_idx, next);
+                ups.sort_by_key(|(id, _)| *id);
+                Ok(())
+            }
+            Err(e) => {
+                self.engaged_scratch = next;
+                Err(e)
+            }
+        }
+    }
+
+    /// Recover from an injected coordinator crash: restore the last
+    /// committed snapshot, roll the model ledger and driver state back to
+    /// the step's start, and fence the dead attempt with an abort wave.
+    fn recover<CB>(
+        &mut self,
+        coord: &mut CB,
+        t: u64,
+        ledger_mark: &LedgerSnapshot,
+        rounds_mark: u64,
+    ) -> Result<(), RuntimeError>
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        self.link.recovery.restarts += 1;
+        self.link.recovery.rerun_rounds += self.micro_rounds_run - rounds_mark;
+        if !coord.restore_snapshot(&self.snapshot_buf) {
+            return Err(RuntimeError::RecoveryFailed {
+                reason: "coordinator rejected its own committed snapshot",
+            });
+        }
+        self.link.ledger.rollback_model(ledger_mark);
+        self.micro_rounds_run = rounds_mark;
+        self.engaged_idx.clear();
+        self.engaged_idx.extend_from_slice(&self.engaged_mark);
+        self.calendar.end_step();
+        self.bcast_log.clear();
+        self.link.abort_wave(t)
+    }
+
+    /// Drive `steps` time steps from a feed (dense rows via
+    /// [`ValueFeed::fill_step`]); returns the ledger delta.
+    pub fn run_feed<CB>(
+        &mut self,
+        coord: &mut CB,
+        feed: &mut dyn ValueFeed,
+        start_t: u64,
+        steps: u64,
+    ) -> LedgerSnapshot
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        assert_eq!(feed.n(), self.n);
+        let before = self.link.ledger.snapshot();
+        let mut row = std::mem::take(&mut self.feed_row);
+        row.resize(self.n, 0);
+        for t in start_t..start_t + steps {
+            feed.fill_step(t, &mut row);
+            self.step(coord, t, &row);
+        }
+        self.feed_row = row;
+        self.link.ledger.snapshot().since(&before)
+    }
+
+    /// Delta-driven counterpart of [`Cluster::run_feed`] via
+    /// [`ValueFeed::fill_delta`]. Requires [`NodeBehavior::SPARSE_OBSERVE`].
+    pub fn run_feed_sparse<CB>(
+        &mut self,
+        coord: &mut CB,
+        feed: &mut dyn ValueFeed,
+        start_t: u64,
+        steps: u64,
+    ) -> LedgerSnapshot
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        assert_eq!(feed.n(), self.n);
+        let before = self.link.ledger.snapshot();
+        let mut changes = std::mem::take(&mut self.feed_changes);
+        for t in start_t..start_t + steps {
+            feed.fill_delta(t, &mut changes);
+            self.step_sparse(coord, t, &changes);
+        }
+        self.feed_changes = changes;
+        self.link.ledger.snapshot().since(&before)
+    }
+
+    /// Shut the endpoints down and return the final behaviors in id order
+    /// (those of panicked endpoints are skipped).
+    pub fn shutdown(self) -> Vec<NB> {
+        self.link.transport.shutdown()
+    }
+
+    /// Give up the transport itself (transport-specific teardown).
+    pub(crate) fn into_transport(self) -> T {
+        self.link.transport
+    }
+}
+
+fn stage_dense(phase0: &mut Vec<(u32, Option<Value>)>, values: &[Value]) {
+    phase0.clear();
+    phase0.extend(values.iter().enumerate().map(|(i, &v)| (i as u32, Some(v))));
+}

@@ -15,17 +15,22 @@
 //! * [`rng`] — deterministic per-node randomness and the exact `2^r/N`
 //!   Bernoulli trials the model's nodes are equipped with;
 //! * [`behavior`] — the node/coordinator state-machine traits;
-//! * [`delta`] — the cached-row diff/filter shared by both runtimes'
+//! * [`delta`] — the cached-row diff/filter shared by every engine's
 //!   delta-driven entry points;
-//! * [`calendar`] — the fire-round calendar bookkeeping shared by both
-//!   runtimes (protocol rounds visit only the round's scheduled firers);
-//! * [`seq`] — the deterministic sequential runtime (used by all
-//!   experiments);
-//! * [`socket`] — the loopback-TCP runtime: node shards behind real
+//! * [`calendar`] — the fire-round calendar bookkeeping shared by every
+//!   engine (protocol rounds visit only the round's scheduled firers);
+//! * [`seq`] — the deterministic sequential runtime: the conformance
+//!   reference every other engine is pinned against, and the runtime of
+//!   all experiments;
+//! * [`driver`] — the one step driver behind both transport engines:
+//!   dense/sparse routing, the round visit rule, the attempt loop, reply
+//!   collection and the crash-recovery state machine, over a small
+//!   [`Transport`] trait;
+//! * [`threaded`] — the OS-thread + crossbeam-channel transport (the
+//!   "real" distributed execution, ledger-equivalent to [`seq`]);
+//! * [`socket`] — the loopback-TCP transport: node shards behind real
 //!   sockets, length-prefixed frames, and a physical wire ledger
 //!   ([`WireMetrics`]) alongside the model ledger;
-//! * [`threaded`] — the OS-thread + crossbeam-channel runtime (the "real"
-//!   distributed execution, ledger-equivalent to [`seq`]);
 //! * [`trace`] — dense observation traces, replay and CSV I/O;
 //! * [`events`] — bounded message tracing for transcripts and fine-grained
 //!   ordering assertions;
@@ -40,6 +45,7 @@ pub mod behavior;
 pub mod calendar;
 pub mod chaos;
 pub mod delta;
+pub mod driver;
 pub mod events;
 pub mod id;
 pub mod ledger;
@@ -56,10 +62,11 @@ pub use behavior::{
 pub use calendar::FireCalendar;
 pub use chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError, WireChaos};
 pub use delta::DeltaRow;
+pub use driver::{Cluster, Transport};
 pub use events::{Event, EventLog};
 pub use id::{midpoint_floor, true_ranking, true_topk, MinEntry, NodeId, RankEntry, Value};
 pub use ledger::{ChannelKind, CommLedger, LedgerSnapshot, WireMetrics};
 pub use seq::SyncRuntime;
-pub use socket::{FrameCodec, SocketCluster, WireError, WireTaps};
-pub use threaded::ThreadedCluster;
+pub use socket::{FrameCodec, SocketCluster, SocketTransport, WireError, WireTaps};
+pub use threaded::{ThreadTransport, ThreadedCluster};
 pub use trace::{TraceMatrix, TraceReplay};

@@ -1,11 +1,17 @@
-//! Deterministic sequential runtime — the workhorse of all experiments.
+//! Deterministic sequential runtime — the conformance reference every other
+//! engine is compared against, and the workhorse of all experiments.
+//!
+//! It keeps its own direct-call step loop (nodes are called, not framed),
+//! but its micro-rounds follow the same visit rule as the transport
+//! engines' driver ([`crate::driver::Cluster`]): one definition of which
+//! nodes a round polls.
 //!
 //! Drives one [`CoordinatorBehavior`] and `n` [`NodeBehavior`]s through the
 //! synchronous micro-round schedule (see [`crate::behavior`]), charging every
 //! model message to an internal [`CommLedger`]. Node visit order is always
 //! ascending node id, and per-node RNG streams are owned by the node state
 //! machines, so a run is a pure function of `(behaviors, values)` — the
-//! threaded runtime produces the identical ledger.
+//! transport engines produce the identical ledger.
 //!
 //! # Sparsity
 //!
@@ -40,11 +46,12 @@
 //! buckets, the broadcast log) are owned by the runtime and reused across
 //! rounds and steps — the steady-state hot path performs no allocation.
 
-use crate::behavior::{
-    max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, RoundScope, ValueFeed,
-};
+use std::convert::Infallible;
+
+use crate::behavior::{max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, ValueFeed};
 use crate::calendar::FireCalendar;
 use crate::delta::{merge_visit, DeltaRow};
+use crate::driver::visit_round;
 use crate::id::{NodeId, Value};
 use crate::ledger::{ChannelKind, CommLedger};
 use crate::wire::WireSize;
@@ -63,7 +70,7 @@ where
     /// Scratch for rebuilding `engaged_idx` (swapped each phase).
     engaged_next: Vec<u32>,
     /// Cached last-observed value row + diff/filter logic shared with the
-    /// threaded runtime (see [`crate::delta`]).
+    /// transport driver (see [`crate::delta`]).
     delta_row: DeltaRow,
     /// Scratch: up-messages of the current node-phase.
     ups: Vec<(NodeId, NB::Up)>,
@@ -214,7 +221,7 @@ where
     /// Produces bit-identical ledgers, answers, and node/RNG state to the
     /// dense [`SyncRuntime::step`] driven with the corresponding full rows.
     /// Validation and filtering live in [`DeltaRow`], shared with the
-    /// threaded runtime. (The sorted-ids check is a hard release assert: a
+    /// transport driver. (The sorted-ids check is a hard release assert: a
     /// malformed list would silently corrupt protocol state.)
     pub fn step_sparse(&mut self, t: u64, changes: &[(NodeId, Value)]) {
         assert!(
@@ -233,30 +240,7 @@ where
     /// Node-phase 0 over every node (the legacy dense visit), then the
     /// micro-round schedule.
     fn step_dense(&mut self, t: u64, values: &[Value]) {
-        self.coord.begin_step(t);
-        self.ups.clear();
-
-        let mut any_engaged = false;
-        let mut next = std::mem::take(&mut self.engaged_next);
-        next.clear();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let act = node.observe(t, values[i]);
-            self.observe_calls += 1;
-            if act.engaged {
-                any_engaged = true;
-                match act.wake_at {
-                    // Observe is node-phase 0; the log is empty.
-                    Some(f) => self.calendar.note_poll(i as u32, Some(f), 0, 0),
-                    None => next.push(i as u32),
-                }
-            }
-            if let Some(up) = act.up {
-                self.ledger.count(ChannelKind::Up, up.wire_bits());
-                self.ups.push((NodeId(i as u32), up));
-            }
-        }
-        self.engaged_next = std::mem::replace(&mut self.engaged_idx, next);
-
+        let any_engaged = self.observe_phase(t, values.iter().copied().enumerate());
         self.finish_step(t, any_engaged);
     }
 
@@ -264,41 +248,37 @@ where
     /// schedule. `row` is the current full value row (already reflecting
     /// the changes) — engaged-but-unchanged nodes observe from it.
     fn step_visits(&mut self, t: u64, changes: &[(NodeId, Value)], row: &[Value]) {
-        self.coord.begin_step(t);
-        self.ups.clear();
-
-        // Merge the (sorted) change ids with the (sorted) engaged set.
         let mut visit = std::mem::take(&mut self.visit);
         visit.clear();
-        {
-            let engaged_prev = std::mem::take(&mut self.engaged_idx);
-            merge_visit(changes, &engaged_prev, |i, _| visit.push(i));
-            self.engaged_idx = engaged_prev;
-        }
+        merge_visit(changes, &self.engaged_idx, |i, _| visit.push(i));
+        let any_engaged =
+            self.observe_phase(t, visit.iter().map(|&i| (i as usize, row[i as usize])));
+        self.visit = visit;
+        self.finish_step(t, any_engaged);
+    }
 
+    /// Observe `(node, value)` pairs as node-phase 0; returns whether any
+    /// node engaged.
+    fn observe_phase(&mut self, t: u64, visits: impl Iterator<Item = (usize, Value)>) -> bool {
+        self.coord.begin_step(t);
+        self.ups.clear();
         let mut any_engaged = false;
         let mut next = std::mem::take(&mut self.engaged_next);
         next.clear();
-        for &i in &visit {
-            let i = i as usize;
-            let act = self.nodes[i].observe(t, row[i]);
+        for (i, value) in visits {
+            let act = self.nodes[i].observe(t, value);
             self.observe_calls += 1;
-            if act.engaged {
-                any_engaged = true;
-                match act.wake_at {
-                    Some(f) => self.calendar.note_poll(i as u32, Some(f), 0, 0),
-                    None => next.push(i as u32),
-                }
-            }
+            any_engaged |= act.engaged;
+            // Observe is node-phase 0; the log is empty.
+            self.calendar
+                .note_reply(i as u32, act.engaged, act.wake_at, 0, 0, &mut next);
             if let Some(up) = act.up {
                 self.ledger.count(ChannelKind::Up, up.wire_bits());
                 self.ups.push((NodeId(i as u32), up));
             }
         }
-        self.visit = visit;
         self.engaged_next = std::mem::replace(&mut self.engaged_idx, next);
-
-        self.finish_step(t, any_engaged);
+        any_engaged
     }
 
     /// Silent-step fast path plus the coordinator micro-round loop.
@@ -342,132 +322,40 @@ where
         self.steps_run += 1;
     }
 
-    /// Deliver the coordinator output of round `m-1` as node-phase `m` and
-    /// collect the nodes' up-messages into `self.ups`. `out` is runtime
-    /// scratch: read here, cleared by the next round.
-    ///
-    /// Visit rule: a round with [`RoundScope::All`] broadcasts reaches every
-    /// node; otherwise only engaged nodes, the calendar entries due at this
-    /// phase, unicast addressees, and the [`RoundScope::EngagedPlus`]
-    /// addressee are polled (skipped nodes are contractual no-ops — see
-    /// [`RoundScope`] and [`crate::behavior::RoundAction::wake_at`]).
-    /// Scheduled nodes receive every broadcast since their last poll,
-    /// replayed from the step's log; everyone else gets this round's.
+    /// Deliver the coordinator output of round `m-1` as node-phase `m` under
+    /// the shared visit rule ([`crate::driver`]'s `visit_round`, the same
+    /// rule the transport engines frame by) and collect the nodes'
+    /// up-messages into `self.ups`. `out` is runtime scratch: read here,
+    /// cleared by the next round.
     fn deliver_phase(&mut self, t: u64, m: u32, out: &mut CoordOut<NB::Down>) {
-        if out.unicasts.len() > 1 {
-            out.unicasts.sort_by_key(|(id, _)| *id);
-        }
-        debug_assert!(
-            out.unicasts.windows(2).all(|w| w[0].0 != w[1].0),
-            "at most one unicast per node per round"
-        );
-        let unicasts = &out.unicasts;
-        let full_fanout = !out.broadcasts.is_empty() && out.scope == RoundScope::All;
-        // A scoped extra addressee matters only when something is broadcast.
-        let extra: Option<u32> = match out.scope {
-            RoundScope::EngagedPlus(id) if !out.broadcasts.is_empty() => Some(id.0),
-            _ => None,
-        };
-
-        // Append this round's broadcasts to the step log; ordinary nodes
-        // are delivered the tail from `round_start`, scheduled nodes from
-        // their own cursor.
-        let mut log = std::mem::take(&mut self.bcast_log);
-        let round_start = log.len();
-        log.extend(out.broadcasts.iter().cloned());
-
-        let engaged_prev = std::mem::take(&mut self.engaged_idx);
         let mut next = std::mem::take(&mut self.engaged_next);
         next.clear();
-
-        if full_fanout {
-            // An unscoped broadcast reaches everyone. Algorithm-1-style
-            // coordinators never unicast, so skip the addressee merge on
-            // the n-wide hot loop.
-            if unicasts.is_empty() {
-                for i in 0..self.nodes.len() {
-                    self.poll_node(t, m, i, &log, round_start, None, &mut next);
-                }
-            } else {
-                let mut u = unicasts.iter().peekable();
-                for i in 0..self.nodes.len() {
-                    let ucast = match u.peek() {
-                        Some((id, _)) if id.idx() == i => u.next().map(|(_, d)| d),
-                        _ => None,
-                    };
-                    self.poll_node(t, m, i, &log, round_start, ucast, &mut next);
-                }
-            }
-        } else if unicasts.is_empty() && extra.is_none() && !self.calendar.has_due(m) {
-            // Silent or engaged-scoped round with no scheduled firers due:
-            // poll only engaged nodes.
-            for &i in &engaged_prev {
-                self.poll_node(t, m, i as usize, &log, round_start, None, &mut next);
-            }
-        } else {
-            // Poll engaged ∪ due-scheduled ∪ unicast addressees ∪ scoped
-            // addressee, in ascending id order.
-            let mut visit = std::mem::take(&mut self.visit);
-            visit.clear();
-            visit.extend_from_slice(&engaged_prev);
-            self.calendar.due_into(m, &mut visit);
-            visit.extend(unicasts.iter().map(|(id, _)| id.0));
-            if let Some(x) = extra {
-                visit.push(x);
-            }
-            visit.sort_unstable();
-            visit.dedup();
-            let mut u = unicasts.iter().peekable();
-            for &i in &visit {
-                let ucast = match u.peek() {
-                    Some((id, _)) if id.0 == i => u.next().map(|(_, d)| d),
-                    _ => None,
-                };
-                self.poll_node(t, m, i as usize, &log, round_start, ucast, &mut next);
-            }
-            self.visit = visit;
-        }
-
-        self.engaged_next = engaged_prev;
-        self.engaged_idx = next;
-        self.bcast_log = log;
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // one poll = one visit-rule context: every arg is load-bearing
-    fn poll_node(
-        &mut self,
-        t: u64,
-        m: u32,
-        i: usize,
-        log: &[NB::Down],
-        round_start: usize,
-        ucast: Option<&NB::Down>,
-        engaged_out: &mut Vec<u32>,
-    ) {
-        let scheduled = self.calendar.is_scheduled(i as u32);
-        let bcasts = if scheduled {
-            &log[self.calendar.seen(i as u32)..]
-        } else {
-            &log[round_start..]
-        };
-        let act = self.nodes[i].micro_round(t, m, bcasts, ucast);
-        self.micro_polls += 1;
-        debug_assert!(
-            act.wake_at.is_none() || act.engaged,
-            "wake_at requires engaged"
+        let (nodes, ups, ledger, polls) = (
+            &mut self.nodes,
+            &mut self.ups,
+            &mut self.ledger,
+            &mut self.micro_polls,
         );
-        let wake = if act.engaged { act.wake_at } else { None };
-        if scheduled || wake.is_some() {
-            self.calendar.note_poll(i as u32, wake, m, log.len());
-        }
-        if act.engaged && wake.is_none() {
-            engaged_out.push(i as u32);
-        }
-        if let Some(up) = act.up {
-            self.ledger.count(ChannelKind::Up, up.wire_bits());
-            self.ups.push((NodeId(i as u32), up));
-        }
+        let Ok(()) = visit_round::<_, Infallible>(
+            nodes.len(),
+            m,
+            out,
+            &self.engaged_idx,
+            &mut self.calendar,
+            &mut self.bcast_log,
+            &mut self.visit,
+            |cal, p| {
+                let act = nodes[p.i as usize].micro_round(t, m, p.bcasts, p.ucast);
+                *polls += 1;
+                cal.note_reply(p.i, act.engaged, act.wake_at, m, p.log_len, &mut next);
+                if let Some(up) = act.up {
+                    ledger.count(ChannelKind::Up, up.wire_bits());
+                    ups.push((NodeId(p.i), up));
+                }
+                Ok(())
+            },
+        );
+        self.engaged_next = std::mem::replace(&mut self.engaged_idx, next);
     }
 
     /// Run `steps` consecutive time steps pulled from a [`ValueFeed`],

@@ -1,84 +1,47 @@
-//! Socket runtime: node shards live behind loopback-TCP connections,
-//! messages travel as length-prefixed frames, and the coordinator
-//! multiplexes round phases over persistent connections — the
-//! wire-protocol counterpart of [`crate::threaded::ThreadedCluster`].
+//! Socket transport: node shards live behind loopback-TCP connections and
+//! every message travels as a length-prefixed frame.
 //!
-//! The visit rule is byte-for-byte the threaded runtime's: node-phase 0
-//! frames only changed ∪ engaged nodes
-//! ([`NodeBehavior::SPARSE_OBSERVE`]), a round without broadcasts visits
-//! engaged nodes and unicast addressees, a scoped broadcast round
-//! ([`RoundScope`]) frames engaged ∪ addressees, and the fire-round
-//! calendar ([`crate::calendar::FireCalendar`]) skips a scheduled node
-//! until its wake phase, replaying the broadcasts it missed from the
-//! step's log. Because the frames here are real bytes on real sockets,
-//! the skip rule and scope narrowing are measurable as bytes *not*
-//! written — tallied in [`WireMetrics`], the physical twin of the model
-//! ledger — while the model ledger itself (messages, payload bits, RNG
-//! streams) stays bit-identical to every other runtime (pinned by
-//! `tests/runtime_conformance.rs`).
+//! The step driver — visit rule, ledger accounting, fault injection and the
+//! recovery state machine — is [`crate::driver::Cluster`]; [`SocketCluster`]
+//! is that driver over [`SocketTransport`]. What this module adds is the
+//! wire: [`SocketTransport::spawn`] binds a loopback listener on port 0 and
+//! spawns [`shard_count`]`(n)` shard threads, each owning a contiguous id
+//! range of node behaviors and one persistent connection. A shard
+//! identifies itself with a version-checked `Hello` frame (accept order is
+//! nondeterministic; the handshake makes stream identity deterministic).
+//! Per work frame the shard runs the behavior and answers with one `Reply`
+//! frame; per-shard reader threads funnel replies into one channel. Each
+//! shard is one endpoint of the driver, so an abort wave sends one abort
+//! per shard.
 //!
-//! # Topology
-//!
-//! [`SocketCluster::spawn`] binds a loopback [`TcpListener`] on port 0
-//! (never a fixed port — tests can run in parallel without port
-//! exhaustion) and spawns [`shard_count`]`(n)` shard threads, each owning
-//! a contiguous id range of node behaviors and one persistent TCP
-//! connection. A shard identifies itself with a version-checked `Hello`
-//! frame (accept order is nondeterministic; the handshake makes stream
-//! identity deterministic). Per work frame the shard runs the behavior
-//! and answers with exactly one `Reply` frame; the driver's per-shard
-//! reader threads funnel replies into one channel, so collection mirrors
-//! the threaded runtime's wave protocol. All accepts and collects run
-//! under deadlines: a hung or dead shard surfaces as a typed
-//! [`RuntimeError`] instead of wedging the caller.
+//! Because the frames are real bytes, the visit rule's skips are
+//! measurable as bytes *not* written, tallied in [`WireMetrics`] — the
+//! physical twin of the model ledger — while the model ledger itself stays
+//! bit-identical to every other runtime.
 //!
 //! # Frame format
 //!
-//! See the module docs of [`crate::wire`] for the byte-level layout
-//! (4-byte little-endian length prefix, tag byte, LEB128 varint fields,
-//! version byte in `Hello`). Model payloads are embedded through
-//! [`FrameCodec`], whose implementations delegate to the concrete message
-//! codec (e.g. `topk-core`'s `codec.rs`), so the bytes on these sockets
-//! are the project's one wire vocabulary — pinned byte-for-byte by the
-//! golden-frame snapshot test (`crates/net/tests/wire_golden.rs`).
+//! See [`crate::wire`] for the byte-level layout (4-byte little-endian
+//! length prefix, tag byte, LEB128 varint fields, version byte in `Hello`).
+//! Model payloads are embedded through [`FrameCodec`], whose
+//! implementations delegate to the concrete message codec (e.g.
+//! `topk-core`'s `codec.rs`). The clean layout is pinned byte for byte by
+//! `crates/net/tests/wire_golden.rs`; a chaotic transport switches to a
+//! recoverable layout whose work frames and replies carry the `(t, run, m)`
+//! key and a stall slot.
 //!
-//! # Chaos and recovery
+//! # Wire faults
 //!
-//! [`SocketCluster::spawn_chaotic`] arms a seeded
-//! [`ChaosPolicy`] at the wire: in addition to the
-//! threaded runtime's frame-boundary faults (drop, duplicate, delay,
-//! stall, reply drop, coordinator crash), the [`WireChaos`]
-//! classes attack the TCP connection itself — a frame may be **torn**
-//! mid-write (truncated bytes on the wire, then a sever), the connection
-//! may be **reset** before a frame is written, it may go **half-open**
-//! (frame delivered, severed before the reply), and a severed shard's
-//! re-handshake may be raced by a **reconnect storm** of spurious junk
-//! connections. Recovery rides the same layered semantics as the
-//! threaded runtime:
-//!
-//! * chaos-mode work frames and replies carry the `(t, run, m)`
-//!   idempotency key on the wire (clean-mode frames are byte-identical
-//!   to the golden snapshot); a shard processes each key at most once
-//!   and re-sends its cached reply bytes verbatim on re-delivery;
-//! * a severed shard re-connects to the (retained) listener and
-//!   re-handshakes via `Hello` — version and shard id are validated
-//!   against the original, junk connections are discarded;
-//! * reply deadlines honour [`ChaosPolicy`]'s `deadline_ms`/`max_retries`
-//!   and re-send outstanding frames, charged to
-//!   [`ChannelKind::Retransmit`] on the wire ledger — never to the model
-//!   split, so a no-restart fault mix leaves the per-channel
-//!   up/down/broadcast frame and byte counts bit-identical to a
-//!   fault-free socket twin;
-//! * an injected coordinator crash restores the last committed
-//!   `CoordSnapshot`, rolls the model ledger back and re-runs the whole
-//!   step under a fresh `run` number after an idempotent per-shard abort
-//!   wave — safe because protocol rounds are Las Vegas (a re-run lands
-//!   on the same committed answers).
-//!
-//! Injected-fault and reconnect counters surface through
-//! [`SocketCluster::recovery`] ([`RecoveryMetrics`]), exactly like the
-//! threaded runtime. Pinned by the socket arms of
-//! `tests/runtime_conformance.rs` and `tests/chaos_soak.rs`.
+//! On top of the driver's in-process classes, [`WireChaos`] attacks the
+//! connection itself ([`Transport::wire_fault`]): a **torn** frame (half the
+//! payload, then a sever), a connection **reset** before the write, a
+//! **half-open** connection (frame delivered, severed before the reply), and
+//! a **reconnect storm** of junk connections racing the shard's real
+//! re-handshake. A severed shard reconnects to the retained listener and
+//! re-sends its `Hello` (version and shard id are validated, junk is
+//! skipped); the frame is then re-delivered and deduped by its key. All
+//! faulty traffic is charged to [`ChannelKind::Retransmit`] in both
+//! ledgers.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -87,15 +50,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::behavior::{
-    max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, RoundScope, ValueFeed,
-};
-use crate::calendar::FireCalendar;
+use crate::behavior::NodeBehavior;
 use crate::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError, WireChaos};
-use crate::delta::{merge_visit, DeltaRow};
+use crate::driver::{Admit, Cluster, FrameKey, NodeHost, Reply, Transport, Work, ABORT_M};
 use crate::id::{NodeId, Value};
-use crate::ledger::{ChannelKind, CommLedger, LedgerSnapshot, WireMetrics};
-use crate::wire::{get_varint, put_varint, WireSize};
+use crate::ledger::{ChannelKind, WireMetrics};
+use crate::wire::{get_varint, put_varint};
+
+/// The step driver over loopback-TCP node shards.
+pub type SocketCluster<NB> = Cluster<NB, SocketTransport<NB>>;
 
 /// Length of the frame length prefix (little-endian `u32`).
 pub const FRAME_PREFIX_LEN: usize = 4;
@@ -113,18 +76,6 @@ const MAX_SHARDS: usize = 4;
 
 /// How long `spawn` waits for all shards to connect and say hello.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Reply-collect tick; dead-shard detection runs once per tick.
-const RECV_TICK_MS: u64 = 200;
-
-/// Idle collect ticks before the driver gives up with
-/// [`RuntimeError::ReplyTimeout`] (150 × 200 ms = 30 s) — a hung shard
-/// fails fast instead of wedging CI.
-const MAX_IDLE_TICKS: u32 = 150;
-
-/// Node-phase index of the step-abort control frame — past every real
-/// phase, so `(t, run, ABORT_M)` outranks all work of the aborted attempt.
-const ABORT_M: u32 = u32::MAX;
 
 /// Reconnect attempts a recoverable shard may consume before giving up —
 /// far above any real fault schedule; a runaway sever loop fails typed
@@ -346,27 +297,10 @@ fn tap_extend(tap: &Arc<Mutex<Vec<u8>>>, payload: &[u8]) {
     g.extend_from_slice(payload);
 }
 
-/// One decoded shard reply, funneled through the reader channel.
-struct SockReply<U> {
-    id: NodeId,
-    t: u64,
-    /// Step attempt number echoed from the work frame (always 0 on a clean
-    /// transport, whose frames carry no `run` field).
-    run: u32,
-    m: u32,
-    up: Option<U>,
-    engaged: bool,
-    wake_at: Option<u32>,
-    /// Total frame bytes read off the socket (prefix + payload).
-    frame_bytes: u64,
-    /// Encoded byte length of `up` inside the payload.
-    up_bytes: u64,
-}
-
 /// Decode one reply frame. `with_run` selects the chaos-mode layout, whose
 /// replies echo the `run` component of the `(t, run, m)` idempotency key;
 /// the clean layout (golden-snapshot bytes) has no such field.
-fn decode_reply<U: FrameCodec>(payload: &[u8], with_run: bool) -> Result<SockReply<U>, WireError> {
+fn decode_reply<U: FrameCodec>(payload: &[u8], with_run: bool) -> Result<Reply<U>, WireError> {
     let mut rd: &[u8] = payload;
     match take_u8(&mut rd) {
         Some(T_REPLY) => {}
@@ -400,7 +334,7 @@ fn decode_reply<U: FrameCodec>(payload: &[u8], with_run: bool) -> Result<SockRep
     if !rd.is_empty() {
         return Err(malformed("trailing bytes after reply"));
     }
-    Ok(SockReply {
+    Ok(Reply {
         id: NodeId(id),
         t,
         run,
@@ -408,7 +342,6 @@ fn decode_reply<U: FrameCodec>(payload: &[u8], with_run: bool) -> Result<SockRep
         up,
         engaged: flags & F_ENGAGED != 0,
         wake_at,
-        frame_bytes: 0,
         up_bytes,
     })
 }
@@ -432,29 +365,59 @@ fn decode_hello(payload: &[u8]) -> Result<u32, WireError> {
     Ok(shard)
 }
 
-/// Encode a phase-0 observe frame. `run: Some(r)` selects the chaos-mode
-/// layout: a stall-milliseconds slot directly after the tag (zero on the
-/// canonical copy — see [`stalled_copy`]) and the step attempt number `r`
-/// after `t`, completing the on-wire `(t, run, m)` idempotency key.
-/// `run: None` emits the clean layout, byte-identical to the golden
-/// snapshot.
-fn encode_observe(buf: &mut Vec<u8>, run: Option<u32>, t: u64, i: u32, value: Option<Value>) {
+/// Encode one work frame for node `i` into `buf`. `recoverable` selects the
+/// chaos-mode layout: a stall-milliseconds slot directly after the tag
+/// (zero on the canonical copy — see [`stalled_copy`]) and the attempt
+/// number after `t`, completing the on-wire `(t, run, m)` key. The clean
+/// layout is byte-identical to the golden snapshot. Every embedded model
+/// payload is charged to `wire` as one on-wire copy.
+fn encode_work<D: FrameCodec>(
+    buf: &mut Vec<u8>,
+    recoverable: bool,
+    i: u32,
+    (t, run, m): FrameKey,
+    work: Work<'_, D>,
+    wire: &mut WireMetrics,
+) {
     buf.clear();
-    buf.push(if value.is_some() {
-        T_OBSERVE
-    } else {
-        T_OBSERVE_CACHED
+    buf.push(match work {
+        Work::Observe(Some(_)) => T_OBSERVE,
+        Work::Observe(None) => T_OBSERVE_CACHED,
+        Work::Round { .. } => T_ROUND,
     });
-    if run.is_some() {
+    if recoverable {
         put_varint(buf, 0); // stall slot, patched by `stalled_copy`
     }
     put_varint(buf, t);
-    if let Some(r) = run {
-        put_varint(buf, r as u64);
+    if recoverable {
+        put_varint(buf, run as u64);
     }
-    put_varint(buf, i as u64);
-    if let Some(v) = value {
-        put_varint(buf, v);
+    match work {
+        Work::Observe(value) => {
+            put_varint(buf, i as u64);
+            if let Some(v) = value {
+                put_varint(buf, v);
+            }
+        }
+        Work::Round { bcasts, ucast } => {
+            put_varint(buf, m as u64);
+            put_varint(buf, i as u64);
+            put_varint(buf, bcasts.len() as u64);
+            for b in bcasts {
+                let at = buf.len();
+                b.encode_frame(buf);
+                wire.count(ChannelKind::Broadcast, (buf.len() - at) as u64);
+            }
+            match ucast {
+                Some(d) => {
+                    buf.push(1);
+                    let at = buf.len();
+                    d.encode_frame(buf);
+                    wire.count(ChannelKind::Down, (buf.len() - at) as u64);
+                }
+                None => buf.push(0),
+            }
+        }
     }
 }
 
@@ -507,32 +470,30 @@ fn encode_reply<U: FrameCodec>(
     }
 }
 
-/// Driver reader thread: drain one shard connection, decoding replies into
-/// the shared channel. Exits on clean close, torn frame, or a dropped
-/// receiver — the driver detects the dead shard via its thread handle.
+/// Driver reader thread: drain one shard connection, decoding replies (with
+/// their frame size on the wire) into the shared channel. Exits on clean
+/// close, torn frame, or a dropped receiver — the driver detects the dead
+/// shard via its thread handle.
 fn reader_main<U: FrameCodec + Send + 'static>(
     stream: TcpStream,
-    tx: Sender<SockReply<U>>,
+    tx: Sender<(Reply<U>, u64)>,
     tap: Option<Arc<Mutex<Vec<u8>>>>,
     with_run: bool,
 ) {
     let mut reader = BufReader::new(stream);
     let mut payload = Vec::new();
-    loop {
-        if read_frame(&mut reader, &mut payload).is_err() {
-            break;
-        }
+    while read_frame(&mut reader, &mut payload).is_ok() {
         if let Some(t) = &tap {
             tap_extend(t, &payload);
         }
-        match decode_reply::<U>(&payload, with_run) {
-            Ok(mut rep) => {
-                rep.frame_bytes = (FRAME_PREFIX_LEN + payload.len()) as u64;
-                if tx.send(rep).is_err() {
-                    break;
-                }
-            }
-            Err(_) => break,
+        let Ok(rep) = decode_reply::<U>(&payload, with_run) else {
+            break;
+        };
+        if tx
+            .send((rep, (FRAME_PREFIX_LEN + payload.len()) as u64))
+            .is_err()
+        {
+            break;
         }
     }
 }
@@ -564,24 +525,74 @@ enum ServeExit {
     Lost,
 }
 
-/// Node-range state a shard keeps across reconnects: behaviors, cached
-/// observation values, and (recoverable transports only) the `(t, run, m)`
-/// idempotency cursors, cached reply bytes, and step-start checkpoints.
+/// One decoded work frame (its broadcasts land in the caller's buffer).
+struct WorkIn<D> {
+    stall_ms: u32,
+    key: FrameKey,
+    node: u32,
+    value: Option<Value>,
+    ucast: Option<D>,
+}
+
+/// Decode the body of a work frame after its tag — the inverse of
+/// [`encode_work`]. The input is decoded fully before any state is
+/// touched, so a torn or garbage payload can never half-apply.
+fn decode_work<D: FrameCodec>(
+    tag: u8,
+    rd: &mut &[u8],
+    recoverable: bool,
+    bcasts: &mut Vec<D>,
+) -> Result<WorkIn<D>, WireError> {
+    let stall_ms = if recoverable {
+        need_u32(rd, "stall")?
+    } else {
+        0
+    };
+    let t = need_varint(rd, "t")?;
+    let run = if recoverable { need_u32(rd, "run")? } else { 0 };
+    let m = if tag == T_ROUND {
+        need_u32(rd, "m")?
+    } else {
+        0
+    };
+    let node = need_u32(rd, "node")?;
+    let value = if tag == T_OBSERVE {
+        Some(need_varint(rd, "value")?)
+    } else {
+        None
+    };
+    let mut ucast = None;
+    if tag == T_ROUND {
+        let n_bcasts = need_varint(rd, "bcast count")?;
+        if n_bcasts > rd.len() as u64 {
+            return Err(malformed("bcast count exceeds payload")); // each ≥ 1 byte
+        }
+        bcasts.clear();
+        for _ in 0..n_bcasts {
+            bcasts.push(D::decode_frame(rd)?);
+        }
+        ucast = match take_u8(rd) {
+            Some(0) => None,
+            Some(1) => Some(D::decode_frame(rd)?),
+            _ => return Err(malformed("bad unicast flag")),
+        };
+    }
+    Ok(WorkIn {
+        stall_ms,
+        key: (t, run, m),
+        node,
+        value,
+        ucast,
+    })
+}
+
+/// Node-range state a shard keeps across reconnects: one [`NodeHost`] per
+/// node, whose reply cache holds the encoded reply bytes.
 struct ShardState<NB: NodeBehavior> {
-    nodes: Vec<NB>,
+    hosts: Vec<NodeHost<NB, Vec<u8>>>,
     first: u32,
     shard: u32,
     recoverable: bool,
-    /// Last observed value per node (delta transport replay).
-    last: Vec<Value>,
-    /// Highest processed frame key per node; a stale key is ignored, an
-    /// equal key re-sends the cached reply verbatim.
-    cur: Vec<Option<(u64, u32, u32)>>,
-    /// Encoded payload of each node's latest reply, re-sent byte-for-byte
-    /// on re-delivery (never re-running the behavior or its RNG).
-    cached: Vec<Option<Vec<u8>>>,
-    /// Step-start checkpoint per node (recoverable transports only).
-    ck: Vec<Option<(u64, NB)>>,
 }
 
 impl<NB> ShardState<NB>
@@ -590,39 +601,6 @@ where
     NB::Up: FrameCodec,
     NB::Down: FrameCodec,
 {
-    fn new(nodes: Vec<NB>, first: u32, shard: u32, recoverable: bool) -> Self {
-        let n = nodes.len();
-        ShardState {
-            nodes,
-            first,
-            shard,
-            recoverable,
-            last: vec![0; n],
-            cur: vec![None; n],
-            cached: (0..n).map(|_| None).collect(),
-            ck: (0..n).map(|_| None).collect(),
-        }
-    }
-
-    /// Discard every effect of step `t`, attempt `run`: roll each node
-    /// back to its step-start checkpoint (RNG cursors keep advancing — a
-    /// re-run is a fresh Las Vegas trial) and advance the idempotency
-    /// cursors past the aborted attempt. Idempotent.
-    fn abort(&mut self, t: u64, run: u32) {
-        let key = (t, run, ABORT_M);
-        for idx in 0..self.nodes.len() {
-            if self.cur[idx].is_none_or(|c| key > c) {
-                if let Some((s, snap)) = &self.ck[idx] {
-                    if *s == t {
-                        self.nodes[idx].rollback(snap);
-                    }
-                }
-                self.cur[idx] = Some(key);
-                self.cached[idx] = None;
-            }
-        }
-    }
-
     /// Serve one connection until halt or loss. The hello handshake and
     /// every reply travel over `stream`; node state lives in `self` and
     /// survives the connection.
@@ -633,11 +611,12 @@ where
         };
         let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(stream);
-        let mut buf = Vec::new();
-        buf.push(T_HELLO);
-        buf.push(WIRE_VERSION);
+        let mut buf = vec![T_HELLO, WIRE_VERSION];
         put_varint(&mut buf, self.shard as u64);
-        if write_frame(&mut writer, &buf).is_err() || writer.flush().is_err() {
+        let send = |w: &mut BufWriter<TcpStream>, bytes: &[u8]| {
+            write_frame(w, bytes).is_ok() && w.flush().is_ok()
+        };
+        if !send(&mut writer, &buf) {
             return ServeExit::Lost;
         }
         let mut payload = Vec::new();
@@ -659,9 +638,10 @@ where
                     ) else {
                         return ServeExit::Lost;
                     };
-                    self.abort(t, run);
+                    for h in &mut self.hosts {
+                        h.abort(t, run);
+                    }
                     // One ack per shard, keyed like a reply at ABORT_M.
-                    // Aborts are idempotent and always re-acked.
                     encode_reply::<NB::Up>(
                         &mut buf,
                         self.first,
@@ -670,142 +650,49 @@ where
                         false,
                         None,
                     );
-                    if write_frame(&mut writer, &buf).is_err() || writer.flush().is_err() {
+                    if !send(&mut writer, &buf) {
                         return ServeExit::Lost;
                     }
                 }
                 T_OBSERVE | T_OBSERVE_CACHED | T_ROUND => {
-                    let stall_ms = if self.recoverable {
-                        match need_u32(&mut rd, "stall") {
-                            Ok(s) => s,
-                            Err(_) => return ServeExit::Lost,
-                        }
-                    } else {
-                        0
-                    };
-                    let Ok(t) = need_varint(&mut rd, "t") else {
+                    let Ok(w) = decode_work(tag, &mut rd, self.recoverable, &mut bcasts) else {
                         return ServeExit::Lost;
                     };
-                    let run = if self.recoverable {
-                        match need_u32(&mut rd, "run") {
-                            Ok(r) => r,
-                            Err(_) => return ServeExit::Lost,
-                        }
-                    } else {
-                        0
-                    };
-                    let m = if tag == T_ROUND {
-                        match need_u32(&mut rd, "m") {
-                            Ok(m) => m,
-                            Err(_) => return ServeExit::Lost,
-                        }
-                    } else {
-                        0
-                    };
-                    let Ok(i) = need_u32(&mut rd, "node") else {
+                    let Some(host) = (w.node as usize)
+                        .checked_sub(self.first as usize)
+                        .and_then(|idx| self.hosts.get_mut(idx))
+                    else {
                         return ServeExit::Lost;
                     };
-                    let Some(idx) = (i as usize).checked_sub(self.first as usize) else {
-                        return ServeExit::Lost;
-                    };
-                    if idx >= self.nodes.len() {
-                        return ServeExit::Lost;
+                    if w.stall_ms > 0 {
+                        std::thread::sleep(Duration::from_millis(w.stall_ms as u64));
                     }
-                    // Decode the work input fully before touching state, so
-                    // a torn/garbage payload can never half-apply.
-                    let value = match tag {
-                        T_OBSERVE => match need_varint(&mut rd, "value") {
-                            Ok(v) => Some(v),
-                            Err(_) => return ServeExit::Lost,
-                        },
-                        T_OBSERVE_CACHED => None,
-                        _ => None,
-                    };
-                    let ucast = if tag == T_ROUND {
-                        let Ok(n_bcasts) = need_varint(&mut rd, "bcast count") else {
-                            return ServeExit::Lost;
-                        };
-                        if n_bcasts > rd.len() as u64 {
-                            return ServeExit::Lost; // each encoding is ≥ 1 byte
-                        }
-                        bcasts.clear();
-                        for _ in 0..n_bcasts {
-                            match NB::Down::decode_frame(&mut rd) {
-                                Ok(b) => bcasts.push(b),
-                                Err(_) => return ServeExit::Lost,
+                    match host.admit(w.key, self.recoverable) {
+                        Admit::Stale => continue,
+                        Admit::Repeat(cached) => {
+                            if cached.is_some_and(|bytes| !send(&mut writer, bytes)) {
+                                return ServeExit::Lost;
                             }
+                            continue;
                         }
-                        match take_u8(&mut rd) {
-                            Some(0) => None,
-                            Some(1) => match NB::Down::decode_frame(&mut rd) {
-                                Ok(u) => Some(u),
-                                Err(_) => return ServeExit::Lost,
-                            },
-                            _ => return ServeExit::Lost,
+                        Admit::Run => {}
+                    }
+                    let work = if tag == T_ROUND {
+                        Work::Round {
+                            bcasts: &bcasts,
+                            ucast: w.ucast.as_ref(),
                         }
                     } else {
-                        None
+                        Work::Observe(w.value)
                     };
-                    if stall_ms > 0 {
-                        std::thread::sleep(Duration::from_millis(stall_ms as u64));
-                    }
-                    let key = (t, run, m);
+                    let a = host.run(w.key, work);
+                    let (t, run, m) = w.key;
+                    let key = (t, self.recoverable.then_some(run), m);
+                    encode_reply(&mut buf, w.node, key, &a.up, a.engaged, a.wake_at);
                     if self.recoverable {
-                        match self.cur[idx] {
-                            // Late duplicate of an older key: a no-op.
-                            Some(c) if key < c => continue,
-                            // Re-delivery of the current key: re-send the
-                            // cached reply bytes, touch neither state nor
-                            // RNG.
-                            Some(c) if key == c => {
-                                if let Some(bytes) = &self.cached[idx] {
-                                    if write_frame(&mut writer, bytes).is_err()
-                                        || writer.flush().is_err()
-                                    {
-                                        return ServeExit::Lost;
-                                    }
-                                }
-                                continue;
-                            }
-                            _ => {}
-                        }
-                        // One checkpoint per time step, at the node's first
-                        // work frame for it (an abort of any attempt rolls
-                        // back to here).
-                        if self.ck[idx].as_ref().is_none_or(|(s, _)| *s < t) {
-                            let snap = self.nodes[idx].checkpoint().expect(
-                                "chaos transport requires NodeBehavior::checkpoint support",
-                            );
-                            self.ck[idx] = Some((t, snap));
-                        }
+                        host.commit(w.key, buf.clone());
                     }
-                    let (up, engaged, wake_at) = if tag == T_ROUND {
-                        let a = self.nodes[idx].micro_round(t, m, &bcasts, ucast.as_ref());
-                        (a.up, a.engaged, a.wake_at)
-                    } else {
-                        let v = match value {
-                            Some(v) => {
-                                self.last[idx] = v;
-                                v
-                            }
-                            None => self.last[idx],
-                        };
-                        let a = self.nodes[idx].observe(t, v);
-                        (a.up, a.engaged, a.wake_at)
-                    };
-                    encode_reply(
-                        &mut buf,
-                        i,
-                        (t, self.recoverable.then_some(run), m),
-                        &up,
-                        engaged,
-                        wake_at,
-                    );
-                    if self.recoverable {
-                        self.cur[idx] = Some(key);
-                        self.cached[idx] = Some(buf.clone());
-                    }
-                    if write_frame(&mut writer, &buf).is_err() || writer.flush().is_err() {
+                    if !send(&mut writer, &buf) {
                         return ServeExit::Lost;
                     }
                 }
@@ -816,14 +703,9 @@ where
 }
 
 /// Shard thread: own a contiguous node range behind one TCP connection.
-/// Caches each node's last observed value so a value-less `ObserveCached`
-/// frame replays the observation locally (delta transport), exactly like
-/// the threaded runtime's node threads.
-///
-/// On a recoverable (chaos) transport the shard additionally survives a
-/// severed connection: it re-connects to the driver's listener, re-sends
-/// its `Hello`, and keeps serving with its node state — idempotency
-/// cursors, cached replies, and checkpoints — intact, bounded by
+/// On a recoverable (chaos) transport the shard survives a severed
+/// connection: it re-connects to the driver's listener, re-sends its
+/// `Hello`, and keeps serving with its node state intact, bounded by
 /// [`SHARD_RECONNECT_BUDGET`].
 fn shard_main<NB>(
     nodes: Vec<NB>,
@@ -837,35 +719,24 @@ where
     NB::Up: FrameCodec,
     NB::Down: FrameCodec,
 {
-    let mut st = ShardState::new(nodes, first, shard, recoverable);
+    let mut st = ShardState {
+        hosts: nodes.into_iter().map(NodeHost::new).collect(),
+        first,
+        shard,
+        recoverable,
+    };
     let mut budget = if recoverable {
         SHARD_RECONNECT_BUDGET
     } else {
         0
     };
-    loop {
-        let Some(stream) = connect_with_retries(addr) else {
-            return st.nodes;
-        };
+    while let Some(stream) = connect_with_retries(addr) {
         match st.serve(stream) {
-            ServeExit::Halt => return st.nodes,
-            ServeExit::Lost => {
-                if budget == 0 {
-                    return st.nodes;
-                }
-                budget -= 1;
-            }
+            ServeExit::Lost if budget > 0 => budget -= 1,
+            _ => break,
         }
     }
-}
-
-/// Why one step attempt ended without committing.
-enum AttemptError {
-    /// Seeded coordinator crash — recover (snapshot restore + abort wave)
-    /// and re-run the step.
-    Crashed,
-    /// A real transport failure — surfaces to the caller as-is.
-    Fatal(RuntimeError),
+    st.hosts.into_iter().map(|h| h.node).collect()
 }
 
 /// Wrap a transport-layer failure into the typed runtime error.
@@ -875,133 +746,111 @@ fn transport(what: impl std::fmt::Display) -> RuntimeError {
     }
 }
 
-/// A running socket cluster: shard threads behind loopback TCP plus the
-/// coordinator-side driver state. Drop-in peer of
-/// [`crate::threaded::ThreadedCluster`], including the chaotic flavor —
-/// [`SocketCluster::spawn_chaotic`] injects the in-process fault classes
-/// *and* the wire-level [`WireChaos`] classes (torn frames, connection
-/// resets, half-open connections, reconnect storms).
-pub struct SocketCluster<NB>
-where
-    NB: NodeBehavior + 'static,
-    NB::Up: FrameCodec,
-    NB::Down: FrameCodec,
-{
-    /// One buffered writer per shard; `None` while that shard's connection
-    /// is severed (chaos) awaiting reconnect.
+/// The driver side of the shard connections: one buffered writer per shard
+/// (`None` while severed, awaiting reconnect), the wire ledger, and the
+/// optional byte captures.
+struct Conns {
     writers: Vec<Option<BufWriter<TcpStream>>>,
+    wire: WireMetrics,
+    taps: Option<WireTaps>,
+}
+
+impl Conns {
+    /// Write one frame (physical charge + tap + length prefix).
+    fn write(&mut self, s: usize, payload: &[u8]) -> Result<(), WireError> {
+        let Some(w) = self.writers[s].as_mut() else {
+            return Err(WireError::Io(io::ErrorKind::NotConnected));
+        };
+        write_frame(w, payload)?;
+        self.wire.frames_total += 1;
+        self.wire.bytes_total += (FRAME_PREFIX_LEN + payload.len()) as u64;
+        if let Some(taps) = &self.taps {
+            tap_extend(&taps.to_shard[s], payload);
+        }
+        Ok(())
+    }
+
+    /// Write a duplicate/re-sent frame, charging its payload bytes to
+    /// [`ChannelKind::Retransmit`] so the model split stays clean.
+    fn write_retransmit(&mut self, s: usize, payload: &[u8]) -> Result<(), WireError> {
+        self.wire
+            .count(ChannelKind::Retransmit, payload.len() as u64);
+        self.write(s, payload)
+    }
+
+    /// Write a deliberately torn frame: a full-length prefix followed by
+    /// only half the payload. Write errors are ignored — the connection is
+    /// about to be severed anyway. The bytes that did leave are charged as
+    /// retransmit overhead.
+    fn write_torn(&mut self, s: usize, payload: &[u8]) {
+        let keep = payload.len() / 2;
+        if let Some(w) = self.writers[s].as_mut() {
+            let prefix = (payload.len() as u32).to_le_bytes();
+            let _ = w.write_all(&prefix);
+            let _ = w.write_all(&payload[..keep]);
+            let _ = w.flush();
+        }
+        self.wire.frames_total += 1;
+        self.wire.bytes_total += (FRAME_PREFIX_LEN + keep) as u64;
+        self.wire.count(ChannelKind::Retransmit, keep as u64);
+    }
+
+    fn flush(&mut self, s: usize) -> io::Result<()> {
+        self.writers[s].as_mut().map_or(Ok(()), |w| w.flush())
+    }
+
+    /// Tear down shard `s`'s connection from the driver side. `shutdown`
+    /// (not just drop) because the reader thread holds a dup of the fd —
+    /// both halves must die so the old reader exits and the shard sees
+    /// EOF/reset and reconnects.
+    fn sever(&mut self, s: usize) {
+        if let Some(mut w) = self.writers[s].take() {
+            let _ = w.flush();
+            let _ = w.get_ref().shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Loopback-TCP connections to node shards, plus the shard and reader
+/// threads behind them.
+pub struct SocketTransport<NB: NodeBehavior> {
+    conns: Conns,
     shard_handles: Vec<JoinHandle<Vec<NB>>>,
     reader_handles: Vec<JoinHandle<()>>,
-    from_shards: Receiver<SockReply<NB::Up>>,
-    /// Kept alive on a chaotic transport so reconnect readers can clone it
-    /// (`None` on a clean transport, where reader exit must surface as
-    /// `Disconnected`).
-    reply_tx: Option<Sender<SockReply<NB::Up>>>,
-    /// Retained (nonblocking) on a chaotic transport to accept shard
-    /// reconnects after an injected sever.
+    from_shards: Receiver<(Reply<NB::Up>, u64)>,
+    /// Kept on a chaotic transport so reconnect readers can clone it (`None`
+    /// on a clean one, where reader exit must surface as `Disconnected`).
+    reply_tx: Option<Sender<(Reply<NB::Up>, u64)>>,
+    /// Retained (nonblocking) on a chaotic transport to accept reconnects.
     listener: Option<TcpListener>,
     /// The listener's loopback address (reconnect storms self-connect).
     addr: SocketAddr,
     /// Node id → owning shard index.
     shard_of: Vec<u32>,
-    /// First node id per shard (for dead-shard error attribution).
+    /// First node id per shard.
     shard_first: Vec<u32>,
-    taps: Option<WireTaps>,
-    chaos: Option<ChaosPolicy>,
-    recovery: RecoveryMetrics,
-    /// Attempt counter for the current step (0 on the first run).
-    run: u32,
-    /// Coordinator crash injections still allowed this step.
-    crashes_left: u32,
-    /// Per-node "already dropped a reply this wave" latch.
-    reply_dropped: Vec<bool>,
-    /// Canonical payloads of the in-flight wave, for timeout re-sends.
-    wave_frames: Vec<(u32, Vec<u8>)>,
-    /// Frames delayed into the next wave (delivered as stale noise).
-    delayed: Vec<(u32, Vec<u8>)>,
-    /// Engaged set at step start, restored on recovery.
-    engaged_mark: Vec<u32>,
-    /// Committed coordinator snapshot (chaos only).
-    snapshot_buf: Vec<u8>,
-    have_snapshot: bool,
-    /// Sorted ids of currently engaged nodes (see
-    /// [`crate::threaded::ThreadedCluster`]).
-    engaged_idx: Vec<u32>,
-    engaged_scratch: Vec<u32>,
-    visit_scratch: Vec<u32>,
-    /// Phase-0 visit list scratch: `(id, Some(new value) | cached)`.
-    phase0_scratch: Vec<(u32, Option<Value>)>,
-    calendar: FireCalendar,
-    /// All broadcasts of the current step in emission order.
-    bcast_log: Vec<NB::Down>,
-    delta_row: DeltaRow,
-    ups_scratch: Vec<(NodeId, NB::Up)>,
-    out: CoordOut<NB::Down>,
-    feed_row: Vec<Value>,
-    feed_changes: Vec<(NodeId, Value)>,
-    /// Frame payload scratch.
+    recoverable: bool,
+    /// The staged (canonical) work frame.
     frame_buf: Vec<u8>,
-    ledger: CommLedger,
-    wire: WireMetrics,
-    steps_run: u64,
-    silent_steps: u64,
-    micro_rounds_run: u64,
-    pending_mask: Vec<bool>,
-    pending_count: usize,
+    /// Scratch for stalled copies and abort frames.
+    scratch: Vec<u8>,
 }
 
-impl<NB> SocketCluster<NB>
+impl<NB> SocketTransport<NB>
 where
     NB: NodeBehavior + 'static,
     NB::Up: FrameCodec,
     NB::Down: FrameCodec,
 {
-    /// Spawn the shard threads over loopback TCP (port 0 — the OS picks).
-    ///
-    /// Panics on a setup failure (bind, spawn, handshake); the handshake
-    /// itself runs under `ACCEPT_TIMEOUT` so a hung accept fails fast
-    /// instead of blocking forever.
-    pub fn spawn(nodes: Vec<NB>) -> Self {
-        Self::try_spawn_inner(nodes, false, None)
-            .unwrap_or_else(|e| panic!("socket cluster setup failed: {e}"))
-    }
-
-    /// [`SocketCluster::spawn`] with per-connection byte capture armed, for
-    /// the golden-frame snapshot test (see [`SocketCluster::capture`]).
-    pub fn spawn_captured(nodes: Vec<NB>) -> Self {
-        Self::try_spawn_inner(nodes, true, None)
-            .unwrap_or_else(|e| panic!("socket cluster setup failed: {e}"))
-    }
-
-    /// [`SocketCluster::spawn`] with seeded fault injection armed: the
-    /// in-process classes of [`ChaosPolicy`] plus the wire classes of
-    /// [`WireChaos`] (torn frames, connection resets, half-open
-    /// connections, reconnect storms). Requires
-    /// [`NodeBehavior::checkpoint`] support — chaotic re-delivery and step
-    /// re-runs lean on node-side rollback.
-    pub fn spawn_chaotic(nodes: Vec<NB>, policy: ChaosPolicy) -> Self {
-        assert!(
-            nodes.first().is_none_or(|n| n.checkpoint().is_some()),
-            "chaos transport requires NodeBehavior::checkpoint support"
-        );
-        Self::try_spawn_inner(nodes, false, Some(policy))
-            .unwrap_or_else(|e| panic!("socket cluster setup failed: {e}"))
-    }
-
-    fn try_spawn_inner(
+    /// Bind, spawn the shards and accept their handshakes. `capture` arms
+    /// per-connection byte capture (see [`SocketCluster::capture`]). The
+    /// handshake runs under `ACCEPT_TIMEOUT`, so a hung accept fails fast.
+    pub fn connect(
         mut nodes: Vec<NB>,
         capture: bool,
         chaos: Option<ChaosPolicy>,
     ) -> Result<Self, RuntimeError> {
         let n = nodes.len();
-        assert!(n > 0, "need at least one node");
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(
-                node.id(),
-                NodeId(i as u32),
-                "nodes must be dense, id-ordered"
-            );
-        }
         let ranges = shard_ranges(n);
         let s_count = ranges.len();
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(transport)?;
@@ -1070,7 +919,7 @@ where
             }
         }
 
-        let (tx, rx) = unbounded::<SockReply<NB::Up>>();
+        let (tx, rx) = unbounded();
         let mut writers = Vec::with_capacity(s_count);
         let mut reader_handles = Vec::with_capacity(s_count);
         for (s, slot) in streams.into_iter().enumerate() {
@@ -1090,16 +939,15 @@ where
         }
 
         let mut shard_of = vec![0u32; n];
-        let mut shard_first = Vec::with_capacity(s_count);
         for (s, &(first, len)) in ranges.iter().enumerate() {
-            shard_first.push(first);
-            for i in first..first + len {
-                shard_of[i as usize] = s as u32;
-            }
+            shard_of[first as usize..(first + len) as usize].fill(s as u32);
         }
-
-        Ok(SocketCluster {
-            writers,
+        Ok(SocketTransport {
+            conns: Conns {
+                writers,
+                wire,
+                taps,
+            },
             shard_handles,
             reader_handles,
             from_shards: rx,
@@ -1107,42 +955,11 @@ where
             listener: recoverable.then_some(listener),
             addr,
             shard_of,
-            shard_first,
-            taps,
-            chaos,
-            recovery: RecoveryMetrics::default(),
-            run: 0,
-            crashes_left: 0,
-            reply_dropped: vec![false; n],
-            wave_frames: Vec::new(),
-            delayed: Vec::new(),
-            engaged_mark: Vec::new(),
-            snapshot_buf: Vec::new(),
-            have_snapshot: false,
-            engaged_idx: Vec::new(),
-            engaged_scratch: Vec::new(),
-            visit_scratch: Vec::new(),
-            phase0_scratch: Vec::new(),
-            calendar: FireCalendar::new(n),
-            bcast_log: Vec::new(),
-            delta_row: DeltaRow::new(n, NB::SPARSE_OBSERVE),
-            ups_scratch: Vec::new(),
-            out: CoordOut::empty(),
-            feed_row: Vec::new(),
-            feed_changes: Vec::new(),
+            shard_first: ranges.iter().map(|&(first, _)| first).collect(),
+            recoverable,
             frame_buf: Vec::new(),
-            ledger: CommLedger::new(),
-            wire,
-            steps_run: 0,
-            silent_steps: 0,
-            micro_rounds_run: 0,
-            pending_mask: vec![false; n],
-            pending_count: 0,
+            scratch: Vec::new(),
         })
-    }
-
-    pub fn n(&self) -> usize {
-        self.shard_of.len()
     }
 
     /// Number of shard connections.
@@ -1150,743 +967,33 @@ where
         self.shard_first.len()
     }
 
-    pub fn ledger(&self) -> &CommLedger {
-        &self.ledger
-    }
-
-    /// The physical wire ledger: frames and bytes actually written to the
-    /// sockets, per model channel plus totals.
-    pub fn wire(&self) -> &WireMetrics {
-        &self.wire
-    }
-
-    /// Injection and recovery counters. All-zero on a clean transport;
-    /// on a chaotic one ([`SocketCluster::spawn_chaotic`]) every seeded
-    /// fault and every recovery action is tallied here.
-    pub fn recovery(&self) -> &RecoveryMetrics {
-        &self.recovery
-    }
-
-    /// Handles to the per-connection byte captures (only on a cluster built
-    /// with [`SocketCluster::spawn_captured`]). Clone-cheap; the handles
-    /// stay valid across [`SocketCluster::shutdown`].
+    /// Handles to the per-connection byte captures (only when built with
+    /// capture armed). Clone-cheap; valid across shutdown.
     pub fn capture(&self) -> Option<WireTaps> {
-        self.taps.clone()
+        self.conns.taps.clone()
     }
 
-    pub fn steps_run(&self) -> u64 {
-        self.steps_run
-    }
-
-    /// Steps that exchanged no message and ran no micro-round.
-    pub fn silent_steps(&self) -> u64 {
-        self.silent_steps
-    }
-
-    /// Coordinator micro-rounds driven so far — identical accounting to
-    /// both in-process runtimes.
-    pub fn micro_rounds_run(&self) -> u64 {
-        self.micro_rounds_run
-    }
-
-    /// Indices of nodes currently engaged in a protocol episode (sorted).
-    pub fn engaged_nodes(&self) -> &[u32] {
-        &self.engaged_idx
-    }
-
-    /// Execute one synchronous time step against `coord`, panicking on
-    /// transport failure (see [`SocketCluster::try_step`]).
-    pub fn step<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value])
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.try_step(coord, t, values)
-            .unwrap_or_else(|e| panic!("socket runtime failed at t={t}: {e}"));
-    }
-
-    /// Execute one synchronous time step against `coord` — the socket twin
-    /// of [`crate::threaded::ThreadedCluster::try_step`]: same sparse-diff
-    /// routing, same visit rule, same ledger accounting; only the frames
-    /// are real bytes on real sockets. A dead shard or a hung reply
-    /// surfaces as a typed [`RuntimeError`].
-    pub fn try_step<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        values: &[Value],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(values.len(), self.n(), "one value per node");
-        if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
-            let mut dr = std::mem::take(&mut self.delta_row);
-            dr.diff(values);
-            let res = self.try_step_visits(coord, t, dr.last_delta());
-            self.delta_row = dr;
-            res
-        } else {
-            if NB::SPARSE_OBSERVE {
-                self.delta_row.prime(values);
-            }
-            self.try_step_dense(coord, t, values)
-        }
-    }
-
-    /// Panicking wrapper of [`SocketCluster::try_step_sparse`].
-    pub fn step_sparse<CB>(&mut self, coord: &mut CB, t: u64, changes: &[(NodeId, Value)])
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.try_step_sparse(coord, t, changes)
-            .unwrap_or_else(|e| panic!("socket runtime failed at t={t}: {e}"));
-    }
-
-    /// Execute one step given only the values that changed since `t − 1`
-    /// (same contract as
-    /// [`crate::threaded::ThreadedCluster::try_step_sparse`]).
-    pub fn try_step_sparse<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        changes: &[(NodeId, Value)],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert!(
-            NB::SPARSE_OBSERVE,
-            "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
-        );
-        let mut dr = std::mem::take(&mut self.delta_row);
-        let res = if dr.apply_sparse(changes) {
-            self.try_step_dense(coord, t, dr.row())
-        } else {
-            self.try_step_visits(coord, t, dr.last_delta())
-        };
-        self.delta_row = dr;
-        res
-    }
-
-    /// Node-phase 0 as a full observation fan-out, then the micro-round
-    /// schedule.
-    fn try_step_dense<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        values: &[Value],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        let mut wave = std::mem::take(&mut self.phase0_scratch);
-        wave.clear();
-        wave.extend(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &value)| (i as u32, Some(value))),
-        );
-        let res = self.run_step(coord, t, &wave);
-        self.phase0_scratch = wave;
-        res
-    }
-
-    /// Node-phase 0 over changed ∪ engaged nodes only.
-    fn try_step_visits<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        changes: &[(NodeId, Value)],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        let mut wave = std::mem::take(&mut self.phase0_scratch);
-        wave.clear();
-        let engaged = std::mem::take(&mut self.engaged_idx);
-        merge_visit(changes, &engaged, |i, value| {
-            wave.push((i, value.copied()));
-        });
-        self.engaged_idx = engaged;
-        let res = self.run_step(coord, t, &wave);
-        self.phase0_scratch = wave;
-        res
-    }
-
-    /// Run one step: phase-0 wave, silent fast path, micro-round loop. On a
-    /// chaotic transport this is an attempt loop — a seeded coordinator
-    /// crash triggers snapshot-restore recovery and a whole-step re-run,
-    /// exactly like the threaded runtime.
-    fn run_step<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        wave: &[(u32, Option<Value>)],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        let ledger_mark = self.ledger.snapshot();
-        let rounds_mark = self.micro_rounds_run;
-        if let Some(p) = self.chaos {
-            self.engaged_mark.clear();
-            self.engaged_mark.extend_from_slice(&self.engaged_idx);
-            // Without a committed snapshot a crash would be unrecoverable,
-            // so injection only arms once the first step has committed.
-            self.crashes_left = if self.have_snapshot {
-                p.max_restarts_per_step
-            } else {
-                0
-            };
-        }
-        self.run = 0;
-        loop {
-            let mut ups = std::mem::take(&mut self.ups_scratch);
-            let mut out = std::mem::take(&mut self.out);
-            let res = self.run_attempt(coord, t, wave, &mut ups, &mut out);
-            self.ups_scratch = ups;
-            self.out = out;
-            match res {
-                Ok(silent) => {
-                    if self.chaos.is_some() {
-                        coord.note_recovery(&self.recovery);
-                        self.snapshot_buf.clear();
-                        let mut snap = std::mem::take(&mut self.snapshot_buf);
-                        self.have_snapshot = coord.encode_snapshot(&mut snap);
-                        self.snapshot_buf = snap;
-                    }
-                    coord.note_wire(&self.wire);
-                    self.steps_run += 1;
-                    if silent {
-                        self.silent_steps += 1;
-                    }
-                    return Ok(());
-                }
-                Err(AttemptError::Crashed) => {
-                    let before = Instant::now();
-                    self.recover(coord, t, &ledger_mark, rounds_mark)?;
-                    self.recovery.recovery_nanos += before.elapsed().as_nanos() as u64;
-                    self.run += 1;
-                }
-                Err(AttemptError::Fatal(e)) => return Err(e),
-            }
-        }
-    }
-
-    /// One attempt at step `t`: phase-0 wave, collect, silent fast path,
-    /// micro-round loop. Mirrors the threaded runtime's `run_attempt` —
-    /// with the chaos hooks live on a chaotic transport.
-    fn run_attempt<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        wave: &[(u32, Option<Value>)],
-        ups: &mut Vec<(NodeId, NB::Up)>,
-        out: &mut CoordOut<NB::Down>,
-    ) -> Result<bool, AttemptError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        coord.begin_step(t);
-        debug_assert_eq!(self.pending_count, 0, "wave started with replies pending");
-        self.begin_wave().map_err(AttemptError::Fatal)?;
-        let run = self.chaos.map(|_| self.run);
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        let mut res = Ok(());
-        for &(i, value) in wave {
-            encode_observe(&mut buf, run, t, i, value);
-            res = self.dispatch_payload(i, t, 0, &buf);
-            if res.is_err() {
-                break;
-            }
-        }
-        self.frame_buf = buf;
-        res.map_err(AttemptError::Fatal)?;
-        self.flush_all().map_err(AttemptError::Fatal)?;
-        self.collect(t, 0, ups).map_err(AttemptError::Fatal)?;
-
-        if self.engaged_idx.is_empty()
-            && self.calendar.is_empty()
-            && ups.is_empty()
-            && coord.try_skip_silent_step(t)
-        {
-            return Ok(true);
-        }
-
-        let guard = max_micro_rounds(self.n(), 16) * 4;
-        let mut m: u32 = 0;
-        loop {
-            out.clear();
-            coord.micro_round(t, m, ups, out);
-            ups.clear();
-            for (_, d) in &out.unicasts {
-                self.ledger.count(ChannelKind::Down, d.wire_bits());
-            }
-            for b in &out.broadcasts {
-                self.ledger.count(ChannelKind::Broadcast, b.wire_bits());
-            }
-            if out.is_empty() && coord.step_done() {
-                break;
-            }
-            m += 1;
-            self.micro_rounds_run += 1;
-            assert!(m <= guard, "micro-round guard exceeded at t={t}");
-            if self.crashes_left > 0 {
-                if let Some(p) = self.chaos {
-                    if p.crash_coordinator(t, self.run, m) {
-                        self.crashes_left -= 1;
-                        return Err(AttemptError::Crashed);
-                    }
-                }
-            }
-            self.deliver_round(t, m, out).map_err(AttemptError::Fatal)?;
-            self.flush_all().map_err(AttemptError::Fatal)?;
-            self.collect(t, m, ups).map_err(AttemptError::Fatal)?;
-        }
-        // Schedules and the broadcast log are step-local.
-        self.calendar.end_step();
-        self.bcast_log.clear();
-        Ok(false)
-    }
-
-    /// Reset per-wave chaos state and flush frames delayed out of the
-    /// previous wave. A delayed frame is re-sent with its original `(t,
-    /// run, m)` key, so the shard's idempotency cursor discards it as stale
-    /// noise — matching the threaded runtime's delayed-delivery semantics.
-    fn begin_wave(&mut self) -> Result<(), RuntimeError> {
-        debug_assert_eq!(self.pending_count, 0, "wave started with replies pending");
-        self.wave_frames.clear();
-        if self.chaos.is_none() {
-            return Ok(());
-        }
-        let delayed = std::mem::take(&mut self.delayed);
-        for (i, payload) in &delayed {
-            let s = self.shard_of[*i as usize] as usize;
-            self.write_retransmit(s, payload)
-                .map_err(|_| RuntimeError::NodeDown { id: NodeId(*i) })?;
-            self.ledger.count(ChannelKind::Retransmit, 0);
-        }
-        if !delayed.is_empty() {
-            self.flush_all()?;
-        }
-        self.reply_dropped.iter_mut().for_each(|d| *d = false);
-        Ok(())
-    }
-
-    /// Re-send the canonical payload of every still-pending frame of the
-    /// in-flight wave (reply lost or dropped). The shard's `(t, run, m)`
-    /// cursor answers duplicates from its reply cache without re-running
-    /// the node behavior.
-    fn resend_pending(&mut self) -> Result<(), RuntimeError> {
-        let wave = std::mem::take(&mut self.wave_frames);
-        let mut resent = 0u64;
-        let mut res = Ok(());
-        for (i, payload) in &wave {
-            if !self.pending_mask[*i as usize] {
-                continue;
-            }
-            let s = self.shard_of[*i as usize] as usize;
-            if self.write_retransmit(s, payload).is_err() {
-                res = Err(RuntimeError::NodeDown { id: NodeId(*i) });
-                break;
-            }
-            self.ledger.count(ChannelKind::Retransmit, 0);
-            resent += 1;
-        }
-        self.wave_frames = wave;
-        res?;
-        self.flush_all()?;
-        self.recovery.redelivered_frames += resent;
-        Ok(())
-    }
-
-    /// Recover from an injected coordinator crash: restore the coordinator
-    /// from its last committed snapshot, roll the model ledger and
-    /// micro-round counters back to the step boundary, and abort the
-    /// half-finished attempt on every shard (rollback to step-start
-    /// checkpoints). The caller then re-runs the whole step as attempt
-    /// `run + 1`.
-    fn recover<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        ledger_mark: &LedgerSnapshot,
-        rounds_mark: u64,
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.recovery.restarts += 1;
-        self.recovery.rerun_rounds += self.micro_rounds_run - rounds_mark;
-        if !coord.restore_snapshot(&self.snapshot_buf) {
-            return Err(RuntimeError::RecoveryFailed {
-                reason: "coordinator rejected its own committed snapshot",
-            });
-        }
-        self.ledger.rollback_model(ledger_mark);
-        self.micro_rounds_run = rounds_mark;
-        self.engaged_idx.clear();
-        self.engaged_idx.extend_from_slice(&self.engaged_mark);
-        self.calendar.end_step();
-        self.bcast_log.clear();
-        self.delayed.clear();
-        self.wave_frames.clear();
-        self.pending_mask.iter_mut().for_each(|p| *p = false);
-        self.pending_count = 0;
-
-        // Abort wave: one control frame per shard, so every node rolls
-        // back to its step-start checkpoint and outranks the aborted
-        // attempt's keys.
-        let run = self.run;
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        buf.clear();
-        buf.push(T_ABORT);
-        put_varint(&mut buf, t);
-        put_varint(&mut buf, run as u64);
-        let mut res = Ok(());
-        for s in 0..self.writers.len() {
-            if self.write_retransmit(s, &buf).is_err() {
-                res = Err(RuntimeError::NodeDown {
-                    id: NodeId(self.shard_first[s]),
-                });
-                break;
-            }
-            self.ledger.count(ChannelKind::Retransmit, 0);
-        }
-        self.frame_buf = buf;
-        res?;
-        self.flush_all()?;
-        self.collect_abort_acks(t, run)
-    }
-
-    /// Wait for one abort ack per shard (key `(t, run, ABORT_M)`), re-sending
-    /// the abort on timeout. Acks can race with stale work replies of the
-    /// aborted attempt — those are discarded as stale noise.
-    fn collect_abort_acks(&mut self, t: u64, run: u32) -> Result<(), RuntimeError> {
-        let s_count = self.writers.len();
-        let mut ack_pending = vec![true; s_count];
-        let mut waiting = s_count;
-        let tick = Duration::from_millis(
-            self.chaos
-                .map(|p| p.deadline_ms.max(1))
-                .unwrap_or(RECV_TICK_MS),
-        );
-        let budget = self
-            .chaos
-            .map(|p| p.max_retries.saturating_mul(4))
-            .unwrap_or(MAX_IDLE_TICKS);
-        let mut attempts: u32 = 0;
-        while waiting > 0 {
-            match self.from_shards.recv_timeout(tick) {
-                Ok(rep) => {
-                    self.wire.frames_total += 1;
-                    self.wire.bytes_total += rep.frame_bytes;
-                    let s = self.shard_of[rep.id.idx()] as usize;
-                    if rep.t == t && rep.run == run && rep.m == ABORT_M && ack_pending[s] {
-                        ack_pending[s] = false;
-                        waiting -= 1;
-                    } else {
-                        self.recovery.stale_replies += 1;
-                        self.wire.count(ChannelKind::Retransmit, rep.up_bytes);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    for (s, pending) in ack_pending.iter().enumerate() {
-                        if *pending && self.shard_handles[s].is_finished() {
-                            return Err(RuntimeError::NodeDown {
-                                id: NodeId(self.shard_first[s]),
-                            });
-                        }
-                    }
-                    attempts += 1;
-                    if attempts > budget {
-                        return Err(RuntimeError::ReplyTimeout {
-                            t,
-                            m: ABORT_M,
-                            waiting,
-                        });
-                    }
-                    // Re-send the abort to shards still owing an ack.
-                    let mut buf = std::mem::take(&mut self.frame_buf);
-                    buf.clear();
-                    buf.push(T_ABORT);
-                    put_varint(&mut buf, t);
-                    put_varint(&mut buf, run as u64);
-                    let mut res = Ok(());
-                    for (s, pending) in ack_pending.iter().enumerate() {
-                        if !*pending {
-                            continue;
-                        }
-                        if self.write_retransmit(s, &buf).is_err() {
-                            res = Err(RuntimeError::NodeDown {
-                                id: NodeId(self.shard_first[s]),
-                            });
-                            break;
-                        }
-                        self.ledger.count(ChannelKind::Retransmit, 0);
-                    }
-                    self.frame_buf = buf;
-                    res?;
-                    self.flush_all()?;
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::AllNodesDown),
-            }
-        }
-        Ok(())
-    }
-
-    /// Frame the coordinator output of round `m-1` as node-phase `m`,
-    /// applying the same visit rule as the threaded runtime — but here a
-    /// skipped node is measured in bytes never written.
-    fn deliver_round(
-        &mut self,
-        t: u64,
-        m: u32,
-        out: &mut CoordOut<NB::Down>,
-    ) -> Result<(), RuntimeError> {
-        if out.unicasts.len() > 1 {
-            out.unicasts.sort_by_key(|(id, _)| *id);
-        }
-        let full_fanout = !out.broadcasts.is_empty() && out.scope == RoundScope::All;
-        let extra: Option<u32> = match out.scope {
-            RoundScope::EngagedPlus(id) if !out.broadcasts.is_empty() => Some(id.0),
-            _ => None,
-        };
-        self.bcast_log.extend(out.broadcasts.iter().cloned());
-        self.begin_wave()?;
-        let n_bcasts = out.broadcasts.len();
-
-        let engaged = std::mem::take(&mut self.engaged_idx);
-        let mut visit = std::mem::take(&mut self.visit_scratch);
-        visit.clear();
-        if full_fanout {
-            visit.extend(0..self.n() as u32);
-        } else {
-            visit.extend_from_slice(&engaged);
-            self.calendar.due_into(m, &mut visit);
-            visit.extend(out.unicasts.iter().map(|(id, _)| id.0));
-            if let Some(x) = extra {
-                visit.push(x);
-            }
-            visit.sort_unstable();
-            visit.dedup();
-        }
-
-        let log = std::mem::take(&mut self.bcast_log);
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        let mut u = 0usize; // cursor into the id-sorted unicast list
-        let mut res = Ok(());
-        for &i in &visit {
-            let ucast = match out.unicasts.get(u) {
-                Some((id, _)) if id.0 == i => {
-                    u += 1;
-                    Some(&out.unicasts[u - 1].1)
-                }
-                _ => None,
-            };
-            // A scheduled node's frame replays every broadcast since its
-            // last poll; everyone else gets this round's broadcasts.
-            let bcasts: &[NB::Down] = if self.calendar.is_scheduled(i) {
-                &log[self.calendar.seen(i)..]
-            } else {
-                &log[log.len() - n_bcasts..]
-            };
-            buf.clear();
-            buf.push(T_ROUND);
-            if self.chaos.is_some() {
-                put_varint(&mut buf, 0); // stall slot (canonical: none)
-            }
-            put_varint(&mut buf, t);
-            if self.chaos.is_some() {
-                put_varint(&mut buf, self.run as u64);
-            }
-            put_varint(&mut buf, m as u64);
-            put_varint(&mut buf, i as u64);
-            put_varint(&mut buf, bcasts.len() as u64);
-            for b in bcasts {
-                let at = buf.len();
-                b.encode_frame(&mut buf);
-                self.wire
-                    .count(ChannelKind::Broadcast, (buf.len() - at) as u64);
-            }
-            match ucast {
-                Some(d) => {
-                    buf.push(1);
-                    let at = buf.len();
-                    d.encode_frame(&mut buf);
-                    self.wire.count(ChannelKind::Down, (buf.len() - at) as u64);
-                }
-                None => buf.push(0),
-            }
-            res = self.dispatch_payload(i, t, m, &buf);
-            if res.is_err() {
-                break;
-            }
-        }
-        self.frame_buf = buf;
-        self.bcast_log = log;
-        self.visit_scratch = visit;
-        self.engaged_idx = engaged;
-        res
-    }
-
-    /// Mark node `i` pending and write one work frame to its shard. The
-    /// sync frame is charged at send intent, mirroring the threaded
-    /// runtime; the wire ledger records the physical frame and its bytes.
-    /// On a chaotic transport this is also the injection point for every
-    /// seeded fault class — in-process (drop, delay, dup, stall) and wire
-    /// ([`WireChaos`]: torn frame, connection reset, half-open, storm).
-    fn dispatch_payload(
-        &mut self,
-        i: u32,
-        t: u64,
-        m: u32,
-        payload: &[u8],
-    ) -> Result<(), RuntimeError> {
-        debug_assert!(
-            !self.pending_mask[i as usize],
-            "node framed twice in a wave"
-        );
-        self.pending_mask[i as usize] = true;
-        self.pending_count += 1;
-        self.ledger.count_sync();
-        let s = self.shard_of[i as usize] as usize;
-        let Some(p) = self.chaos else {
-            return self
-                .write_model_frame(s, payload)
-                .map_err(|_| RuntimeError::NodeDown { id: NodeId(i) });
-        };
-        let down = |_: WireError| RuntimeError::NodeDown { id: NodeId(i) };
-        // Keep the canonical payload for timeout re-sends regardless of
-        // what the wire does to this copy.
-        self.wave_frames.push((i, payload.to_vec()));
-        let run = self.run;
-        if p.drop_frame(t, run, m, i) {
-            self.recovery.injected_drops += 1;
-            return Ok(());
-        }
-        if p.delay_frame(t, run, m, i) {
-            self.recovery.injected_delays += 1;
-            self.delayed.push((i, payload.to_vec()));
-            return Ok(());
-        }
-        let w = WireChaos::new(p);
-        if w.conn_reset(t, run, m, i) {
-            // The frame dies with the connection: sever before writing.
-            self.recovery.injected_conn_resets += 1;
-            return self.sever_and_redeliver(s, i, t, run, m, payload);
-        }
-        if w.torn_frame(t, run, m, i) {
-            // Half a frame hits the wire, then the connection is cut; the
-            // shard's read_frame sees a truncated payload and reconnects.
-            self.recovery.injected_torn_frames += 1;
-            self.write_torn(s, payload);
-            return self.sever_and_redeliver(s, i, t, run, m, payload);
-        }
-        if p.duplicate_frame(t, run, m, i) {
-            self.recovery.injected_dups += 1;
-            self.write_retransmit(s, payload).map_err(down)?;
-            self.ledger.count(ChannelKind::Retransmit, 0);
-        }
-        let stall = if p.stall_frame(t, run, m, i) {
-            p.stall_ms
-        } else {
-            0
-        };
-        if stall > 0 {
-            self.recovery.injected_stalls += 1;
-            let mut stalled = Vec::with_capacity(payload.len() + 4);
-            stalled_copy(payload, stall, &mut stalled);
-            self.write_model_frame(s, &stalled).map_err(down)?;
-        } else {
-            self.write_model_frame(s, payload).map_err(down)?;
-        }
-        if w.half_open(t, run, m, i) {
-            // The frame made it out, but the connection dies before the
-            // reply can travel back: flush, then sever. The immediate
-            // re-delivery after reconnect is answered from the shard's
-            // reply cache (same `(t, run, m)` key).
-            self.recovery.injected_half_opens += 1;
-            if let Some(wr) = self.writers[s].as_mut() {
-                wr.flush().map_err(|e| down(WireError::Io(e.kind())))?;
-            }
-            return self.sever_and_redeliver(s, i, t, run, m, payload);
-        }
-        Ok(())
-    }
-
-    /// Write one model frame (physical charge + tap + length prefix).
-    fn write_model_frame(&mut self, s: usize, payload: &[u8]) -> Result<(), WireError> {
-        let Some(w) = self.writers[s].as_mut() else {
-            return Err(WireError::Io(io::ErrorKind::NotConnected));
-        };
-        write_frame(w, payload)?;
-        self.wire.frames_total += 1;
-        self.wire.bytes_total += (FRAME_PREFIX_LEN + payload.len()) as u64;
-        if let Some(taps) = &self.taps {
-            tap_extend(&taps.to_shard[s], payload);
-        }
-        Ok(())
-    }
-
-    /// Write a duplicate/re-sent frame, charging its payload bytes to
-    /// [`ChannelKind::Retransmit`] so the model split stays clean.
-    fn write_retransmit(&mut self, s: usize, payload: &[u8]) -> Result<(), WireError> {
-        self.wire
-            .count(ChannelKind::Retransmit, payload.len() as u64);
-        self.write_model_frame(s, payload)
-    }
-
-    /// Write a deliberately torn frame: a full-length prefix followed by
-    /// only half the payload. Write errors are ignored — the connection is
-    /// about to be severed anyway. The bytes that did leave are charged as
-    /// retransmit overhead.
-    fn write_torn(&mut self, s: usize, payload: &[u8]) {
-        let keep = payload.len() / 2;
-        if let Some(w) = self.writers[s].as_mut() {
-            let prefix = (payload.len() as u32).to_le_bytes();
-            let _ = w.write_all(&prefix);
-            let _ = w.write_all(&payload[..keep]);
-            let _ = w.flush();
-        }
-        self.wire.frames_total += 1;
-        self.wire.bytes_total += (FRAME_PREFIX_LEN + keep) as u64;
-        self.wire.count(ChannelKind::Retransmit, keep as u64);
-    }
-
-    /// Tear down shard `s`'s connection from the driver side. `shutdown`
-    /// (not just drop) because the reader thread holds a dup of the fd —
-    /// both halves must die so the old reader exits and the shard sees
-    /// EOF/reset and reconnects.
-    fn sever_shard(&mut self, s: usize) {
-        if let Some(mut w) = self.writers[s].take() {
-            let _ = w.flush();
-            let _ = w.get_ref().shutdown(Shutdown::Both);
-        }
+    fn down(&self, i: u32) -> RuntimeError {
+        RuntimeError::NodeDown { id: NodeId(i) }
     }
 
     /// Sever shard `s`'s connection, optionally inject a reconnect storm
     /// (junk connections racing the shard's real reconnect), accept the
-    /// shard's re-handshake, and re-deliver the canonical frame. The shard
+    /// shard's re-handshake, and re-deliver the staged frame. The shard
     /// dedups by `(t, run, m)` if the original actually made it through.
     fn sever_and_redeliver(
         &mut self,
-        s: usize,
         i: u32,
-        t: u64,
-        run: u32,
-        m: u32,
-        payload: &[u8],
+        (t, run, m): FrameKey,
+        policy: &ChaosPolicy,
+        recovery: &mut RecoveryMetrics,
     ) -> Result<(), RuntimeError> {
-        let Some(p) = self.chaos else { return Ok(()) };
-        let storm = WireChaos::new(p).reconnect_storm(t, run, m, i);
-        self.sever_shard(s);
-        if storm {
+        let s = self.shard_of[i as usize] as usize;
+        self.conns.sever(s);
+        if WireChaos::new(*policy).reconnect_storm(t, run, m, i) {
             // Junk connections that never send a Hello; the accept loop
-            // must skip them (their read times out / EOFs) and still find
-            // the real shard.
-            self.recovery.injected_storms += 1;
+            // must skip them and still find the real shard.
+            recovery.injected_storms += 1;
             for _ in 0..2 {
                 if let Ok(junk) = TcpStream::connect(self.addr) {
                     let _ = junk.shutdown(Shutdown::Both);
@@ -1894,15 +1001,11 @@ where
             }
         }
         self.accept_reconnect(s)?;
-        self.write_retransmit(s, payload)
-            .map_err(|_| RuntimeError::NodeDown { id: NodeId(i) })?;
-        if let Some(w) = self.writers[s].as_mut() {
-            w.flush()
-                .map_err(|_| RuntimeError::NodeDown { id: NodeId(i) })?;
-        }
-        self.ledger.count(ChannelKind::Retransmit, 0);
-        self.recovery.redelivered_frames += 1;
-        Ok(())
+        recovery.reconnects += 1;
+        self.conns
+            .write_retransmit(s, &self.frame_buf)
+            .map_err(|_| self.down(i))?;
+        self.conns.flush(s).map_err(|_| self.down(i))
     }
 
     /// Accept shard `s`'s reconnect on the retained listener: validate the
@@ -1919,56 +1022,49 @@ where
             match listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nodelay(true).ok();
-                    if stream.set_read_timeout(Some(ACCEPT_TIMEOUT)).is_err() {
-                        continue; // junk connection
-                    }
                     let mut r = &stream;
-                    if read_frame(&mut r, &mut payload).is_err() {
+                    if stream.set_read_timeout(Some(ACCEPT_TIMEOUT)).is_err()
+                        || read_frame(&mut r, &mut payload).is_err()
+                    {
                         continue; // junk/storm connection: no Hello
                     }
-                    self.wire.frames_total += 1;
-                    self.wire.bytes_total += (FRAME_PREFIX_LEN + payload.len()) as u64;
-                    match decode_hello(&payload) {
-                        Ok(shard) if shard as usize == s => {
-                            if stream.set_read_timeout(None).is_err() {
-                                continue;
-                            }
-                            let read_half = stream.try_clone().map_err(transport)?;
-                            let tap = self.taps.as_ref().map(|t| t.from_shard[s].clone());
-                            let Some(tx) = self.reply_tx.clone() else {
-                                return Err(transport(
-                                    "reconnect without a retained reply channel",
-                                ));
-                            };
-                            if let Some(taps) = &self.taps {
-                                tap_extend(&taps.from_shard[s], &payload);
-                            }
-                            self.reader_handles.push(
-                                std::thread::Builder::new()
-                                    .name(format!("topk-shard-rx-{s}r"))
-                                    .spawn(move || reader_main::<NB::Up>(read_half, tx, tap, true))
-                                    .expect("spawn reader thread"),
-                            );
-                            self.writers[s] = Some(BufWriter::new(stream));
-                            self.recovery.reconnects += 1;
-                            return Ok(());
-                        }
-                        // Wrong shard id or version skew: not our shard's
-                        // re-handshake — drop it.
-                        _ => continue,
+                    self.conns.wire.frames_total += 1;
+                    self.conns.wire.bytes_total += (FRAME_PREFIX_LEN + payload.len()) as u64;
+                    // Wrong shard id or version skew: not our shard's
+                    // re-handshake — drop it.
+                    if decode_hello(&payload).ok() != Some(s as u32)
+                        || stream.set_read_timeout(None).is_err()
+                    {
+                        continue;
                     }
+                    let read_half = stream.try_clone().map_err(transport)?;
+                    let Some(tx) = self.reply_tx.clone() else {
+                        return Err(transport("reconnect without a retained reply channel"));
+                    };
+                    let tap = self.conns.taps.as_ref().map(|t| t.from_shard[s].clone());
+                    if let Some(tap) = &tap {
+                        tap_extend(tap, &payload);
+                    }
+                    self.reader_handles.push(
+                        std::thread::Builder::new()
+                            .name(format!("topk-shard-rx-{s}r"))
+                            .spawn(move || reader_main::<NB::Up>(read_half, tx, tap, true))
+                            .expect("spawn reader thread"),
+                    );
+                    self.conns.writers[s] = Some(BufWriter::new(stream));
+                    return Ok(());
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
-                        return if self.shard_handles[s].is_finished() {
-                            Err(RuntimeError::NodeDown {
+                        return Err(if self.shard_handles[s].is_finished() {
+                            RuntimeError::NodeDown {
                                 id: NodeId(self.shard_first[s]),
-                            })
+                            }
                         } else {
-                            Err(transport(format_args!(
+                            transport(format_args!(
                                 "shard {s} did not reconnect within {ACCEPT_TIMEOUT:?}"
-                            )))
-                        };
+                            ))
+                        });
                     }
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -1976,235 +1072,20 @@ where
             }
         }
     }
+}
 
-    /// Push the wave's buffered frames onto the sockets.
-    fn flush_all(&mut self) -> Result<(), RuntimeError> {
-        for s in 0..self.writers.len() {
-            if let Some(w) = self.writers[s].as_mut() {
-                w.flush().map_err(|_| RuntimeError::NodeDown {
-                    id: NodeId(self.shard_first[s]),
-                })?;
-            }
+impl<NB: NodeBehavior> SocketTransport<NB> {
+    /// Halt every shard and join all threads, returning the shards'
+    /// behaviors in id order (panicked shards are skipped).
+    fn halt_and_join(&mut self) -> Vec<NB> {
+        for s in 0..self.conns.writers.len() {
+            let _ = self.conns.write(s, &[T_HALT]);
+            let _ = self.conns.flush(s);
         }
-        Ok(())
-    }
-
-    fn find_dead_pending(&self) -> Option<NodeId> {
-        (0..self.n())
-            .find(|&i| {
-                self.pending_mask[i] && self.shard_handles[self.shard_of[i] as usize].is_finished()
-            })
-            .map(|i| NodeId(i as u32))
-    }
-
-    /// Collect the in-flight wave's replies — the same bookkeeping as the
-    /// threaded runtime's `collect` (id-sorted ups, engaged rebuild,
-    /// calendar `note_poll`), plus the reply side of the wire ledger. A
-    /// dead shard or reply-deadline exhaustion surfaces as a typed error
-    /// instead of a hung receive.
-    ///
-    /// Timing: a clean transport ticks at [`RECV_TICK_MS`] and gives up
-    /// after [`MAX_IDLE_TICKS`] of silence; a chaotic one honors the
-    /// policy's `deadline_ms` per tick and `max_retries` re-send rounds
-    /// (each timeout re-sends the wave's still-pending canonical frames).
-    fn collect(
-        &mut self,
-        t: u64,
-        phase: u32,
-        ups: &mut Vec<(NodeId, NB::Up)>,
-    ) -> Result<(), RuntimeError> {
-        ups.clear();
-        let log_len = self.bcast_log.len();
-        let mut next = std::mem::take(&mut self.engaged_scratch);
-        next.clear();
-        let chaotic = self.chaos.is_some();
-        let tick = Duration::from_millis(
-            self.chaos
-                .map(|p| p.deadline_ms.max(1))
-                .unwrap_or(RECV_TICK_MS),
-        );
-        let mut idle: u32 = 0;
-        let mut attempts: u32 = 0;
-        let result = loop {
-            if self.pending_count == 0 {
-                break Ok(());
-            }
-            match self.from_shards.recv_timeout(tick) {
-                Ok(rep) => {
-                    idle = 0;
-                    self.wire.frames_total += 1;
-                    self.wire.bytes_total += rep.frame_bytes;
-                    let idx = rep.id.idx();
-                    if rep.t != t
-                        || rep.run != self.run
-                        || rep.m != phase
-                        || !self.pending_mask[idx]
-                    {
-                        // Stale on a chaotic wire (duplicate answered from
-                        // the shard's reply cache, or a leftover of an
-                        // aborted attempt); unreachable on a clean one but
-                        // tolerated defensively.
-                        if chaotic {
-                            self.recovery.stale_replies += 1;
-                            self.wire.count(ChannelKind::Retransmit, rep.up_bytes);
-                        }
-                        continue;
-                    }
-                    if chaotic && !self.reply_dropped[idx] {
-                        if let Some(p) = self.chaos {
-                            if p.drop_reply(t, self.run, phase, rep.id.0) {
-                                // The reply is "lost" after the bytes
-                                // physically arrived; charge them off-model
-                                // and wait for the re-send to answer from
-                                // the reply cache.
-                                self.reply_dropped[idx] = true;
-                                self.recovery.injected_reply_drops += 1;
-                                self.wire.count(ChannelKind::Retransmit, rep.up_bytes);
-                                continue;
-                            }
-                        }
-                    }
-                    if rep.up.is_some() {
-                        self.wire.count(ChannelKind::Up, rep.up_bytes);
-                    }
-                    self.pending_mask[idx] = false;
-                    self.pending_count -= 1;
-                    debug_assert!(
-                        rep.wake_at.is_none() || rep.engaged,
-                        "wake_at requires engaged"
-                    );
-                    let wake = if rep.engaged { rep.wake_at } else { None };
-                    if wake.is_some() || self.calendar.is_scheduled(rep.id.0) {
-                        self.calendar.note_poll(rep.id.0, wake, phase, log_len);
-                    }
-                    if rep.engaged && wake.is_none() {
-                        next.push(rep.id.0);
-                    }
-                    if let Some(up) = rep.up {
-                        self.ledger.count(ChannelKind::Up, up.wire_bits());
-                        ups.push((rep.id, up));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(id) = self.find_dead_pending() {
-                        break Err(RuntimeError::NodeDown { id });
-                    }
-                    if chaotic {
-                        attempts += 1;
-                        if attempts > self.chaos.map(|p| p.max_retries).unwrap_or(0) {
-                            break Err(RuntimeError::ReplyTimeout {
-                                t,
-                                m: phase,
-                                waiting: self.pending_count,
-                            });
-                        }
-                        if let Err(e) = self.resend_pending() {
-                            break Err(e);
-                        }
-                        self.recovery.retries += 1;
-                    } else {
-                        idle += 1;
-                        if idle >= MAX_IDLE_TICKS {
-                            break Err(RuntimeError::ReplyTimeout {
-                                t,
-                                m: phase,
-                                waiting: self.pending_count,
-                            });
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break Err(RuntimeError::AllNodesDown),
-            }
-        };
-        match result {
-            Ok(()) => {
-                next.sort_unstable();
-                self.engaged_scratch = std::mem::replace(&mut self.engaged_idx, next);
-                ups.sort_by_key(|(id, _)| *id);
-                Ok(())
-            }
-            Err(e) => {
-                self.engaged_scratch = next;
-                Err(e)
-            }
-        }
-    }
-
-    /// Drive `steps` time steps from a feed (dense rows); returns the
-    /// ledger delta.
-    pub fn run_feed<CB>(
-        &mut self,
-        coord: &mut CB,
-        feed: &mut dyn ValueFeed,
-        start_t: u64,
-        steps: u64,
-    ) -> LedgerSnapshot
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(feed.n(), self.n());
-        let before = self.ledger.snapshot();
-        let mut row = std::mem::take(&mut self.feed_row);
-        row.resize(self.n(), 0);
-        for dt in 0..steps {
-            let t = start_t + dt;
-            feed.fill_step(t, &mut row);
-            self.step(coord, t, &row);
-        }
-        self.feed_row = row;
-        self.ledger.snapshot().since(&before)
-    }
-
-    /// Delta-driven counterpart of [`SocketCluster::run_feed`]. Requires
-    /// [`NodeBehavior::SPARSE_OBSERVE`].
-    pub fn run_feed_sparse<CB>(
-        &mut self,
-        coord: &mut CB,
-        feed: &mut dyn ValueFeed,
-        start_t: u64,
-        steps: u64,
-    ) -> LedgerSnapshot
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(feed.n(), self.n());
-        let before = self.ledger.snapshot();
-        let mut changes = std::mem::take(&mut self.feed_changes);
-        for dt in 0..steps {
-            let t = start_t + dt;
-            feed.fill_delta(t, &mut changes);
-            self.step_sparse(coord, t, &changes);
-        }
-        self.feed_changes = changes;
-        self.ledger.snapshot().since(&before)
-    }
-
-    fn send_halt(&mut self) {
-        let payload = [T_HALT];
-        for s in 0..self.writers.len() {
-            let _ = self.write_model_frame(s, &payload);
-            if let Some(w) = self.writers[s].as_mut() {
-                let _ = w.flush();
-            }
-        }
-        self.writers.clear();
+        self.conns.writers.clear();
         // Dropping the listener unblocks any shard still trying to
         // reconnect (its connect loop fails fast).
         self.listener = None;
-    }
-
-    /// Shut down all shard threads and return their behaviors in node-id
-    /// order (panicked shards are skipped).
-    pub fn shutdown(self) -> Vec<NB> {
-        self.shutdown_with_metrics().0
-    }
-
-    /// [`SocketCluster::shutdown`], also returning the final wire ledger —
-    /// which, unlike a pre-shutdown [`SocketCluster::wire`] read, includes
-    /// the `Halt` frames of the shutdown itself, so it equals the total
-    /// bytes on the captured taps exactly.
-    pub fn shutdown_with_metrics(mut self) -> (Vec<NB>, WireMetrics) {
-        self.send_halt();
         let mut nodes = Vec::new();
         for h in self.shard_handles.drain(..) {
             if let Ok(mut chunk) = h.join() {
@@ -2214,24 +1095,190 @@ where
         for h in self.reader_handles.drain(..) {
             let _ = h.join();
         }
-        (nodes, self.wire)
+        nodes
+    }
+
+    /// Halt the shards and return their behaviors plus the final wire
+    /// ledger, which includes the `Halt` frames of the shutdown itself — so
+    /// it equals the total bytes on the captured taps exactly.
+    pub fn shutdown_with_metrics(mut self) -> (Vec<NB>, WireMetrics) {
+        let nodes = self.halt_and_join();
+        (nodes, self.conns.wire)
     }
 }
 
-impl<NB> Drop for SocketCluster<NB>
+impl<NB> Transport<NB> for SocketTransport<NB>
 where
     NB: NodeBehavior + 'static,
     NB::Up: FrameCodec,
     NB::Down: FrameCodec,
 {
+    type Frame = Vec<u8>;
+
+    fn spawn(nodes: Vec<NB>, chaos: Option<ChaosPolicy>) -> Result<Self, RuntimeError> {
+        Self::connect(nodes, false, chaos)
+    }
+
+    fn endpoints(&self) -> usize {
+        self.shard_first.len()
+    }
+
+    fn endpoint_of(&self, i: u32) -> usize {
+        self.shard_of[i as usize] as usize
+    }
+
+    fn first_node(&self, e: usize) -> NodeId {
+        NodeId(self.shard_first[e])
+    }
+
+    fn is_dead(&self, e: usize) -> bool {
+        self.shard_handles[e].is_finished()
+    }
+
+    fn encode(&mut self, i: u32, key: FrameKey, work: Work<'_, NB::Down>) {
+        let wire = &mut self.conns.wire;
+        encode_work(&mut self.frame_buf, self.recoverable, i, key, work, wire);
+    }
+
+    fn keep(&self) -> Vec<u8> {
+        self.frame_buf.clone()
+    }
+
+    fn send(&mut self, i: u32, stall_ms: u32) -> Result<(), RuntimeError> {
+        let s = self.shard_of[i as usize] as usize;
+        let res = if stall_ms > 0 {
+            stalled_copy(&self.frame_buf, stall_ms, &mut self.scratch);
+            self.conns.write(s, &self.scratch)
+        } else {
+            self.conns.write(s, &self.frame_buf)
+        };
+        res.map_err(|_| self.down(i))
+    }
+
+    fn resend(&mut self, i: u32, frame: &Vec<u8>) -> Result<(), RuntimeError> {
+        let s = self.shard_of[i as usize] as usize;
+        self.conns
+            .write_retransmit(s, frame)
+            .map_err(|_| self.down(i))
+    }
+
+    fn flush(&mut self) -> Result<(), RuntimeError> {
+        for s in 0..self.conns.writers.len() {
+            self.conns.flush(s).map_err(|_| RuntimeError::NodeDown {
+                id: NodeId(self.shard_first[s]),
+            })?;
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self, timeout: Duration) -> Result<Reply<NB::Up>, RecvTimeoutError> {
+        let (rep, frame_bytes) = self.from_shards.recv_timeout(timeout)?;
+        self.conns.wire.frames_total += 1;
+        self.conns.wire.bytes_total += frame_bytes;
+        Ok(rep)
+    }
+
+    fn charge_reply(&mut self, kind: ChannelKind, up_bytes: u64) {
+        self.conns.wire.count(kind, up_bytes);
+    }
+
+    fn send_abort(&mut self, e: usize, t: u64, run: u32) -> Result<(), RuntimeError> {
+        self.scratch.clear();
+        self.scratch.push(T_ABORT);
+        put_varint(&mut self.scratch, t);
+        put_varint(&mut self.scratch, run as u64);
+        self.conns
+            .write_retransmit(e, &self.scratch)
+            .map_err(|_| RuntimeError::NodeDown {
+                id: NodeId(self.shard_first[e]),
+            })
+    }
+
+    /// Before the first write: a connection reset (the frame dies with the
+    /// connection) or a torn frame (half of it hits the wire, then the cut).
+    /// After it: a half-open connection (the frame made it out, the reply
+    /// path dies). Each severs, reconnects and re-delivers.
+    fn wire_fault(
+        &mut self,
+        i: u32,
+        key: FrameKey,
+        sent: bool,
+        policy: &ChaosPolicy,
+        recovery: &mut RecoveryMetrics,
+    ) -> Result<bool, RuntimeError> {
+        let (t, run, m) = key;
+        let w = WireChaos::new(*policy);
+        let s = self.shard_of[i as usize] as usize;
+        if sent {
+            if !w.half_open(t, run, m, i) {
+                return Ok(false);
+            }
+            recovery.injected_half_opens += 1;
+            self.conns.flush(s).map_err(|_| self.down(i))?;
+        } else if w.conn_reset(t, run, m, i) {
+            recovery.injected_conn_resets += 1;
+        } else if w.torn_frame(t, run, m, i) {
+            recovery.injected_torn_frames += 1;
+            self.conns.write_torn(s, &self.frame_buf);
+        } else {
+            return Ok(false);
+        }
+        self.sever_and_redeliver(i, key, policy, recovery)?;
+        Ok(true)
+    }
+
+    fn wire(&self) -> Option<&WireMetrics> {
+        Some(&self.conns.wire)
+    }
+
+    fn shutdown(self) -> Vec<NB> {
+        self.shutdown_with_metrics().0
+    }
+}
+
+impl<NB: NodeBehavior> Drop for SocketTransport<NB> {
     fn drop(&mut self) {
-        self.send_halt();
-        for h in self.shard_handles.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.reader_handles.drain(..) {
-            let _ = h.join();
-        }
+        self.halt_and_join();
+    }
+}
+
+/// Socket-only surface of the driver: the wire ledger, captures and shard
+/// layout.
+impl<NB> SocketCluster<NB>
+where
+    NB: NodeBehavior + 'static,
+    NB::Up: FrameCodec,
+    NB::Down: FrameCodec,
+{
+    /// [`Cluster::spawn`] with per-connection byte capture armed, for the
+    /// golden-frame snapshot test (see [`SocketCluster::capture`]).
+    pub fn spawn_captured(nodes: Vec<NB>) -> Self {
+        Self::launch(nodes, None, |nodes, chaos| {
+            SocketTransport::connect(nodes, true, chaos)
+        })
+    }
+
+    /// Number of shard connections.
+    pub fn shards(&self) -> usize {
+        self.transport().shards()
+    }
+
+    /// The physical wire ledger: frames and bytes actually written to the
+    /// sockets, per model channel plus totals.
+    pub fn wire(&self) -> &WireMetrics {
+        &self.transport().conns.wire
+    }
+
+    /// Handles to the per-connection byte captures (only on a cluster built
+    /// with [`SocketCluster::spawn_captured`]).
+    pub fn capture(&self) -> Option<WireTaps> {
+        self.transport().capture()
+    }
+
+    /// [`Cluster::shutdown`], also returning the final wire ledger (see
+    /// [`SocketTransport::shutdown_with_metrics`]).
+    pub fn shutdown_with_metrics(self) -> (Vec<NB>, WireMetrics) {
+        self.into_transport().shutdown_with_metrics()
     }
 }
 

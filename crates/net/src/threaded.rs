@@ -1,1082 +1,160 @@
-//! Threaded runtime: every node is an OS thread, channels are
-//! `crossbeam-channel` — the "real distributed execution" counterpart of
-//! [`crate::seq::SyncRuntime`].
+//! Threaded transport: every node is an OS thread, frames are owned Rust
+//! values on `crossbeam-channel` — the "real distributed execution"
+//! counterpart of [`crate::seq::SyncRuntime`] without leaving the process.
 //!
-//! The synchronous model is emulated with explicit frames: per node-phase the
-//! driver sends each *visited* node one `NodeFrame` and waits for its
-//! `NodeReply`. Frames and replies are transport artifacts: only `Some`
-//! payloads inside them are charged to the model ledger; the frames
-//! themselves are tallied as `sync_frames` (a real deployment would use
-//! timeouts to observe silence — the paper's synchronous model gets this for
-//! free).
-//!
-//! The visit rule, the node-phase indices and the per-node RNG streams are
-//! identical to the sequential runtime, so for the same behaviors and inputs
-//! the two runtimes produce **equal ledgers** (asserted by the
-//! `runtime_conformance` and `threaded_vs_sequential` integration tests).
-//!
-//! # Delta-driven transport
-//!
-//! The frame fan-out mirrors the sequential runtime's sparse visit rule
-//! instead of broadcasting every observation:
-//!
-//! * **node-phase 0** — for behaviors that opt into
-//!   [`NodeBehavior::SPARSE_OBSERVE`], only *changed* nodes receive an
-//!   observe frame carrying their new value; *engaged* nodes whose
-//!   value did not move receive a value-less `ObserveCached` frame
-//!   and replay the observation against the value cached in their own
-//!   thread. Unchanged, disengaged nodes receive nothing (their `observe`
-//!   is contractually a no-op). The driver keeps its own cached value row,
-//!   so the dense [`ThreadedCluster::step`] entry point is a thin diff and
-//!   [`ThreadedCluster::step_sparse`] consumes change-lists directly.
-//! * **micro-rounds** — a round without broadcasts visits only engaged
-//!   nodes and unicast addressees, walking a persistent sorted
-//!   engaged-index list. A round *with* a broadcast falls back to the full
-//!   fan-out — unless the coordinator scoped the round via
-//!   [`crate::behavior::RoundScope`] (running-extremum / k-select-bar
-//!   announcements only live participants react to, winner announcements
-//!   with one self-identified addressee), in which case only engaged ∪
-//!   addressees are framed. Scoping never changes the model ledger: every
-//!   broadcast is still charged in full.
-//!
-//! `sync_frames` therefore counts `O(#changed + #engaged)` per silent step
-//! rather than `n`, while the model ledger (messages, payload bits, RNG
-//! streams) stays bit-identical to every other execution path. Behaviors
-//! that do not opt into `SPARSE_OBSERVE` keep the classic dense observe
-//! fan-out.
-//!
-//! The fire-round calendar ([`crate::behavior::RoundAction::wake_at`])
-//! narrows micro-round frames the same way the sequential runtime narrows
-//! polls: a node that announced its wake phase receives no frame in silent
-//! or scoped rounds before it, and its next frame carries every broadcast
-//! it skipped (replayed from the driver's step log, in emission order) —
-//! so a protocol round frames only that round's scheduled firers.
-//!
-//! # Chaos and recovery
-//!
-//! [`ThreadedCluster::spawn_chaotic`] arms a seeded
-//! [`ChaosPolicy`] at the frame boundary: a
-//! frame's *first* delivery may be dropped, duplicated, delayed past its
-//! wave (reorder), or stalled; a node's reply may be lost; and the
-//! coordinator may crash between micro-rounds. Recovery works in layers:
-//!
-//! * **Idempotent re-delivery** — every work frame carries a lexicographic
-//!   key `(t, run, m)`. A node processes each key at most once: a stale
-//!   key is ignored, a repeated key re-sends the cached reply verbatim, so
-//!   duplicated or re-sent frames are no-ops on model state and RNG
-//!   streams.
-//! * **Reply deadlines with bounded retry** — the driver collects each
-//!   wave under a deadline and re-sends outstanding frames (charged to
-//!   [`ChannelKind::Retransmit`], never to the model ledger) up to
-//!   `max_retries` times before surfacing a typed
-//!   [`RuntimeError::ReplyTimeout`].
-//! * **Whole-step re-run** — an injected coordinator crash discards the
-//!   attempt: the coordinator restores its last committed snapshot, the
-//!   model ledger rolls back to the step's start, every node rolls back to
-//!   its step-start checkpoint (keeping its RNG cursor), and the step runs
-//!   again under a fresh `run` number. Re-running is safe because protocol
-//!   rounds are Las Vegas: the new attempt consumes a fresh RNG segment
-//!   but lands on the same committed answers and thresholds.
-//!
-//! As long as no coordinator restart occurs, fault mixes leave every
-//! counter of the model ledger (including `sync_frames`, charged at first
-//! send *intent*) bit-identical to a fault-free twin; restarts additionally
-//! perturb only fault-channel counters and RNG cursors, never committed
-//! answers, thresholds or event streams (pinned by the chaos arms of
-//! `tests/runtime_conformance.rs`).
+//! The step driver — visit rule, ledger accounting, fault injection and the
+//! recovery state machine — is [`crate::driver::Cluster`];
+//! [`ThreadedCluster`] is that driver over [`ThreadTransport`]. This module
+//! only moves frames: one channel per node thread, one shared reply
+//! channel. Each thread hosts its node in a `NodeHost`, which caches the
+//! last observed value (for value-less cached observes) and, on a chaotic
+//! transport, the `(t, run, m)` cursor, reply cache and step checkpoint.
+//! Every node thread is its own endpoint, so an abort wave sends one abort
+//! per node.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::behavior::{
-    max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, RoundScope, ValueFeed,
-};
-use crate::calendar::FireCalendar;
-use crate::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};
-use crate::delta::{merge_visit, DeltaRow};
+use crate::behavior::{NodeBehavior, RoundAction};
+use crate::chaos::{ChaosPolicy, RuntimeError};
+use crate::driver::{Admit, Cluster, FrameKey, NodeHost, Reply, Transport, Work, ABORT_M};
 use crate::id::{NodeId, Value};
-use crate::ledger::{ChannelKind, CommLedger, LedgerSnapshot};
-use crate::wire::WireSize;
 
-/// Node-phase index of the step-abort control frame — past every real
-/// phase, so `(t, run, ABORT_M)` outranks all work of the aborted attempt.
-const ABORT_M: u32 = u32::MAX;
+/// The step driver over node threads.
+pub type ThreadedCluster<NB> = Cluster<NB, ThreadTransport<NB>>;
 
-/// Payload of one work frame.
+/// Owned payload of one work frame.
 #[derive(Clone)]
-enum FramePayload<D> {
-    /// Deliver the observation (node-phase 0).
-    Observe { value: Value },
-    /// Node-phase 0 for an engaged node whose value did not change: observe
-    /// the value cached in the node thread (delta transport only; requires
-    /// [`NodeBehavior::SPARSE_OBSERVE`]).
-    ObserveCached,
-    /// Run a node-phase `m ≥ 1` with the round's broadcasts and an optional
-    /// unicast addressed to this node.
+enum Payload<D> {
+    Observe(Option<Value>),
     Round { bcasts: Vec<D>, ucast: Option<D> },
 }
 
-/// One keyed unit of node work. The `(t, run, m)` triple is the
-/// idempotency key: nodes process each key at most once, so re-delivery
-/// (retry, injected duplicate, late-flushed delayed copy) is a no-op.
+/// One keyed unit of node work, as it crosses a channel.
 #[derive(Clone)]
-struct WorkFrame<D> {
-    t: u64,
-    /// Step attempt number — bumped on every whole-step re-run.
-    run: u32,
-    /// Node-phase (0 = observe).
-    m: u32,
-    /// Injected stall: sleep this long before processing (chaos only;
-    /// always 0 on re-sent frames).
+pub struct WorkFrame<D> {
+    key: FrameKey,
+    /// Injected stall: sleep this long before processing (0 on re-sends).
     stall_ms: u32,
-    payload: FramePayload<D>,
+    payload: Payload<D>,
 }
 
-/// Frame sent from the driver to a node thread.
 enum NodeFrame<D> {
     Work(WorkFrame<D>),
-    /// Discard every effect of step `t`, attempt `run` (roll back to the
-    /// step-start checkpoint) and acknowledge. Idempotent.
+    /// Discard every effect of attempt `(t, run)` and acknowledge.
     Abort {
         t: u64,
         run: u32,
     },
-    /// Shut the node thread down.
     Halt,
 }
 
-/// The behavior-visible part of a node's reply, cached node-side so a
-/// re-delivered frame can re-send it without re-running the behavior.
-#[derive(Clone)]
-struct ReplyBody<U> {
-    up: Option<U>,
-    engaged: bool,
-    /// Fire-round calendar entry (see
-    /// [`crate::behavior::RoundAction::wake_at`]).
-    wake_at: Option<u32>,
+/// Channels to one thread per node.
+pub struct ThreadTransport<NB: NodeBehavior> {
+    to_nodes: Vec<Sender<NodeFrame<NB::Down>>>,
+    from_nodes: Receiver<Reply<NB::Up>>,
+    handles: Vec<JoinHandle<NB>>,
+    staged: Option<WorkFrame<NB::Down>>,
 }
 
-impl<U> ReplyBody<U> {
-    fn idle() -> Self {
-        ReplyBody {
-            up: None,
-            engaged: false,
-            wake_at: None,
+impl<NB: NodeBehavior> ThreadTransport<NB> {
+    fn post(&self, i: usize, frame: NodeFrame<NB::Down>) -> Result<(), RuntimeError> {
+        self.to_nodes[i]
+            .send(frame)
+            .map_err(|_| RuntimeError::NodeDown {
+                id: NodeId(i as u32),
+            })
+    }
+
+    fn halt(&mut self) {
+        for tx in self.to_nodes.drain(..) {
+            let _ = tx.send(NodeFrame::Halt);
         }
     }
 }
 
-/// Reply from a node thread, echoing the frame key it answers.
-struct NodeReply<U> {
-    id: NodeId,
-    t: u64,
-    run: u32,
-    m: u32,
-    body: ReplyBody<U>,
-}
+impl<NB: NodeBehavior + 'static> Transport<NB> for ThreadTransport<NB> {
+    type Frame = WorkFrame<NB::Down>;
 
-/// Internal outcome of one step attempt.
-enum AttemptError {
-    /// Injected coordinator crash — recover and re-run the step.
-    Crashed,
-    /// Unrecoverable transport failure.
-    Fatal(RuntimeError),
-}
-
-/// A running cluster of node threads plus the coordinator-side driver state.
-pub struct ThreadedCluster<NB>
-where
-    NB: NodeBehavior + 'static,
-{
-    to_nodes: Vec<Sender<NodeFrame<NB::Down>>>,
-    from_nodes: Receiver<NodeReply<NB::Up>>,
-    handles: Vec<JoinHandle<NB>>,
-    /// Sorted ids of currently engaged nodes — rebuilt from each phase's
-    /// replies (every engaged node is visited every phase, so the engaged
-    /// set after a phase is exactly its engaged repliers).
-    engaged_idx: Vec<u32>,
-    /// Scratch for rebuilding `engaged_idx` (swapped each phase).
-    engaged_scratch: Vec<u32>,
-    /// Scratch: merged visit list for narrow-delivery rounds.
-    visit_scratch: Vec<u32>,
-    /// Fire-round calendar: nodes that announced their wake phase, plus
-    /// their broadcast-log replay cursors (mirrors the sequential runtime).
-    calendar: FireCalendar,
-    /// All broadcasts of the current step in emission order.
-    bcast_log: Vec<NB::Down>,
-    /// Driver-side cached value row + diff/filter logic shared with the
-    /// sequential runtime (see [`crate::delta`]).
-    delta_row: DeltaRow,
-    /// Scratch: up-messages of the current node-phase.
-    ups_scratch: Vec<(NodeId, NB::Up)>,
-    /// Scratch: coordinator output, reused across micro-rounds.
-    out: CoordOut<NB::Down>,
-    /// Scratch: value row / change list for the feed drivers.
-    feed_row: Vec<Value>,
-    feed_changes: Vec<(NodeId, Value)>,
-    ledger: CommLedger,
-    steps_run: u64,
-    silent_steps: u64,
-    micro_rounds_run: u64,
-    /// Armed fault schedule (`None` = clean transport, zero overhead).
-    chaos: Option<ChaosPolicy>,
-    /// Injected-fault and recovery-work counters.
-    recovery: RecoveryMetrics,
-    /// Current step attempt number (part of every frame key).
-    run: u32,
-    /// Remaining injected-crash budget for the current step.
-    crashes_left: u32,
-    /// Per-node "reply outstanding" flags for the in-flight wave.
-    pending_mask: Vec<bool>,
-    pending_count: usize,
-    /// Reply-drop already injected for (this wave, node) — at most one per
-    /// wave so retries always converge.
-    reply_dropped: Vec<bool>,
-    /// Phase-0 frames of the current step, kept verbatim so a step re-run
-    /// re-delivers identical observations.
-    phase0_wave: Vec<(u32, WorkFrame<NB::Down>)>,
-    /// Frames of the in-flight wave (chaos mode), kept for re-delivery.
-    wave: Vec<(u32, WorkFrame<NB::Down>)>,
-    /// Delay-injected frames awaiting their late (reordered) flush.
-    delayed: Vec<(u32, WorkFrame<NB::Down>)>,
-    /// Engaged set at the start of the current step, restored on re-run.
-    engaged_mark: Vec<u32>,
-    /// Last committed coordinator snapshot (chaos mode).
-    snapshot_buf: Vec<u8>,
-    have_snapshot: bool,
-}
-
-impl<NB> ThreadedCluster<NB>
-where
-    NB: NodeBehavior + 'static,
-{
-    /// Spawn one thread per node behavior, clean transport.
-    pub fn spawn(nodes: Vec<NB>) -> Self {
-        Self::spawn_inner(nodes, None)
-    }
-
-    /// Spawn with a seeded fault schedule armed at the frame boundary.
-    /// Requires checkpoint-capable behaviors ([`NodeBehavior::checkpoint`]
-    /// returning `Some`) — step re-runs roll nodes back to their
-    /// step-start state.
-    pub fn spawn_chaotic(nodes: Vec<NB>, policy: ChaosPolicy) -> Self {
-        assert!(
-            nodes.first().is_none_or(|node| node.checkpoint().is_some()),
-            "chaos transport requires NodeBehavior::checkpoint support"
-        );
-        Self::spawn_inner(nodes, Some(policy))
-    }
-
-    fn spawn_inner(nodes: Vec<NB>, chaos: Option<ChaosPolicy>) -> Self {
-        let n = nodes.len();
-        assert!(n > 0, "need at least one node");
+    fn spawn(nodes: Vec<NB>, chaos: Option<ChaosPolicy>) -> Result<Self, RuntimeError> {
         let recoverable = chaos.is_some();
-        let (reply_tx, reply_rx) = unbounded::<NodeReply<NB::Up>>();
-        let mut to_nodes = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for (i, mut node) in nodes.into_iter().enumerate() {
-            assert_eq!(
-                node.id(),
-                NodeId(i as u32),
-                "nodes must be dense, id-ordered"
-            );
-            let (tx, rx) = unbounded::<NodeFrame<NB::Down>>();
+        let (reply_tx, reply_rx) = unbounded();
+        let mut to_nodes = Vec::with_capacity(nodes.len());
+        let mut handles = Vec::with_capacity(nodes.len());
+        for (i, node) in nodes.into_iter().enumerate() {
+            let (tx, rx) = unbounded();
             let reply = reply_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("topk-node-{i}"))
-                .spawn(move || {
-                    node_main(&mut node, rx, reply, recoverable);
-                    node
-                })
+                .spawn(move || node_main(node, rx, reply, recoverable))
                 .expect("spawn node thread");
             to_nodes.push(tx);
             handles.push(handle);
         }
-        ThreadedCluster {
+        Ok(ThreadTransport {
             to_nodes,
             from_nodes: reply_rx,
             handles,
-            engaged_idx: Vec::new(),
-            engaged_scratch: Vec::new(),
-            visit_scratch: Vec::new(),
-            calendar: FireCalendar::new(n),
-            bcast_log: Vec::new(),
-            // The cached row backs diffing/sparse stepping only; non-sparse
-            // behaviors never read it, so don't pay for it.
-            delta_row: DeltaRow::new(n, NB::SPARSE_OBSERVE),
-            ups_scratch: Vec::new(),
-            out: CoordOut::empty(),
-            feed_row: Vec::new(),
-            feed_changes: Vec::new(),
-            ledger: CommLedger::new(),
-            steps_run: 0,
-            silent_steps: 0,
-            micro_rounds_run: 0,
-            chaos,
-            recovery: RecoveryMetrics::default(),
-            run: 0,
-            crashes_left: 0,
-            pending_mask: vec![false; n],
-            pending_count: 0,
-            reply_dropped: vec![false; n],
-            phase0_wave: Vec::new(),
-            wave: Vec::new(),
-            delayed: Vec::new(),
-            engaged_mark: Vec::new(),
-            snapshot_buf: Vec::new(),
-            have_snapshot: false,
-        }
+            staged: None,
+        })
     }
 
-    pub fn n(&self) -> usize {
-        self.to_nodes.len()
+    fn endpoints(&self) -> usize {
+        self.handles.len()
     }
 
-    pub fn ledger(&self) -> &CommLedger {
-        &self.ledger
+    fn endpoint_of(&self, i: u32) -> usize {
+        i as usize
     }
 
-    pub fn steps_run(&self) -> u64 {
-        self.steps_run
+    fn first_node(&self, e: usize) -> NodeId {
+        NodeId(e as u32)
     }
 
-    /// Steps that exchanged no message and ran no micro-round.
-    pub fn silent_steps(&self) -> u64 {
-        self.silent_steps
+    fn is_dead(&self, e: usize) -> bool {
+        self.handles[e].is_finished()
     }
 
-    /// Coordinator micro-rounds driven so far — counted exactly like
-    /// [`crate::seq::SyncRuntime::micro_rounds_run`], so the two runtimes
-    /// expose one round-complexity witness to the session layer.
-    pub fn micro_rounds_run(&self) -> u64 {
-        self.micro_rounds_run
-    }
-
-    /// Indices of nodes currently engaged in a protocol episode (sorted).
-    pub fn engaged_nodes(&self) -> &[u32] {
-        &self.engaged_idx
-    }
-
-    /// Injected-fault and recovery counters (all zero on a clean transport).
-    pub fn recovery(&self) -> &RecoveryMetrics {
-        &self.recovery
-    }
-
-    /// Execute one synchronous time step against `coord`, panicking on
-    /// transport failure (see [`ThreadedCluster::try_step`]).
-    pub fn step<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value])
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.try_step(coord, t, values)
-            .unwrap_or_else(|e| panic!("threaded runtime failed at t={t}: {e}"));
-    }
-
-    /// Execute one synchronous time step against `coord`.
-    ///
-    /// For behaviors that opt into [`NodeBehavior::SPARSE_OBSERVE`] this is
-    /// a thin wrapper: the row is diffed against the driver's cached row and
-    /// observation frames go only to changed/engaged nodes. Other behaviors
-    /// get the classic dense fan-out of every observation.
-    ///
-    /// A dead node thread, an exhausted retry budget, or a failed
-    /// coordinator restore surfaces as a typed [`RuntimeError`] instead of
-    /// a panic or a hung receive.
-    pub fn try_step<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        values: &[Value],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(values.len(), self.n(), "one value per node");
-        if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
-            let mut dr = std::mem::take(&mut self.delta_row);
-            dr.diff(values);
-            let res = self.try_step_visits(coord, t, dr.last_delta());
-            self.delta_row = dr;
-            res
-        } else {
-            if NB::SPARSE_OBSERVE {
-                self.delta_row.prime(values);
-            }
-            self.try_step_dense(coord, t, values)
-        }
-    }
-
-    /// Panicking wrapper of [`ThreadedCluster::try_step_sparse`].
-    pub fn step_sparse<CB>(&mut self, coord: &mut CB, t: u64, changes: &[(NodeId, Value)])
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.try_step_sparse(coord, t, changes)
-            .unwrap_or_else(|e| panic!("threaded runtime failed at t={t}: {e}"));
-    }
-
-    /// Execute one step given only the values that changed since `t − 1`
-    /// (ascending ids, at most one entry per node; repeating an unchanged
-    /// value is permitted and costs no frame — entries are filtered
-    /// against the driver's cached row). Requires
-    /// [`NodeBehavior::SPARSE_OBSERVE`]. The first step must carry all `n`
-    /// nodes (there is no previous row yet).
-    ///
-    /// Produces bit-identical ledgers, answers, and node/RNG state to the
-    /// dense [`ThreadedCluster::step`] driven with the corresponding full
-    /// rows — and to both sequential execution paths. Validation and
-    /// filtering live in [`DeltaRow`], shared with the sequential runtime.
-    pub fn try_step_sparse<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        changes: &[(NodeId, Value)],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert!(
-            NB::SPARSE_OBSERVE,
-            "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
-        );
-        let mut dr = std::mem::take(&mut self.delta_row);
-        let res = if dr.apply_sparse(changes) {
-            self.try_step_dense(coord, t, dr.row())
-        } else {
-            self.try_step_visits(coord, t, dr.last_delta())
+    fn encode(&mut self, _i: u32, key: FrameKey, work: Work<'_, NB::Down>) {
+        let payload = match work {
+            Work::Observe(value) => Payload::Observe(value),
+            Work::Round { bcasts, ucast } => Payload::Round {
+                bcasts: bcasts.to_vec(),
+                ucast: ucast.cloned(),
+            },
         };
-        self.delta_row = dr;
-        res
-    }
-
-    /// Node-phase 0 as a full observation fan-out (non-sparse behaviors and
-    /// the very first step), then the micro-round schedule.
-    fn try_step_dense<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        values: &[Value],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.phase0_wave.clear();
-        self.phase0_wave
-            .extend(values.iter().enumerate().map(|(i, &value)| {
-                (
-                    i as u32,
-                    WorkFrame {
-                        t,
-                        run: 0,
-                        m: 0,
-                        stall_ms: 0,
-                        payload: FramePayload::Observe { value },
-                    },
-                )
-            }));
-        self.run_step(coord, t)
-    }
-
-    /// Node-phase 0 over changed ∪ engaged nodes only: changed nodes get
-    /// their new value, engaged-but-unchanged nodes a value-less
-    /// [`FramePayload::ObserveCached`] frame replayed from the value cached
-    /// in their own thread (no driver-side row is consulted here).
-    fn try_step_visits<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        changes: &[(NodeId, Value)],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.phase0_wave.clear();
-        let engaged = std::mem::take(&mut self.engaged_idx);
-        let wave = &mut self.phase0_wave;
-        merge_visit(changes, &engaged, |i, value| {
-            let payload = match value {
-                Some(&value) => FramePayload::Observe { value },
-                None => FramePayload::ObserveCached,
-            };
-            wave.push((
-                i,
-                WorkFrame {
-                    t,
-                    run: 0,
-                    m: 0,
-                    stall_ms: 0,
-                    payload,
-                },
-            ));
+        self.staged = Some(WorkFrame {
+            key,
+            stall_ms: 0,
+            payload,
         });
-        self.engaged_idx = engaged;
-        self.run_step(coord, t)
     }
 
-    /// Run the step from its stored phase-0 wave, re-running whole attempts
-    /// after injected coordinator crashes until one commits.
-    fn run_step<CB>(&mut self, coord: &mut CB, t: u64) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        let ledger_mark = self.ledger.snapshot();
-        let rounds_mark = self.micro_rounds_run;
-        if let Some(p) = self.chaos {
-            self.engaged_mark.clear();
-            self.engaged_mark.extend_from_slice(&self.engaged_idx);
-            // Restarts need a committed snapshot to restore from.
-            self.crashes_left = if self.have_snapshot {
-                p.max_restarts_per_step
-            } else {
-                0
-            };
-        }
-        self.run = 0;
-        loop {
-            let mut ups = std::mem::take(&mut self.ups_scratch);
-            let mut out = std::mem::take(&mut self.out);
-            let attempt = self.run_attempt(coord, t, &mut ups, &mut out);
-            self.ups_scratch = ups;
-            self.out = out;
-            match attempt {
-                Ok(silent) => {
-                    if self.chaos.is_some() {
-                        coord.note_recovery(&self.recovery);
-                        self.snapshot_buf.clear();
-                        self.have_snapshot = coord.encode_snapshot(&mut self.snapshot_buf);
-                    }
-                    self.steps_run += 1;
-                    if silent {
-                        self.silent_steps += 1;
-                    }
-                    return Ok(());
-                }
-                Err(AttemptError::Crashed) => {
-                    let t0 = Instant::now();
-                    self.recover(coord, t, &ledger_mark, rounds_mark)?;
-                    self.recovery.recovery_nanos += t0.elapsed().as_nanos() as u64;
-                    self.run += 1;
-                }
-                Err(AttemptError::Fatal(e)) => return Err(e),
-            }
-        }
+    fn keep(&self) -> WorkFrame<NB::Down> {
+        self.staged.clone().expect("a staged frame")
     }
 
-    /// One attempt at the step: phase-0 wave, silent fast path, then the
-    /// coordinator micro-round loop. Returns `Ok(true)` for a silent step.
-    fn run_attempt<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        ups: &mut Vec<(NodeId, NB::Up)>,
-        out: &mut CoordOut<NB::Down>,
-    ) -> Result<bool, AttemptError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        coord.begin_step(t);
-        self.begin_wave().map_err(AttemptError::Fatal)?;
-        for idx in 0..self.phase0_wave.len() {
-            let (i, mut frame) = self.phase0_wave[idx].clone();
-            frame.run = self.run;
-            self.dispatch(i, frame).map_err(AttemptError::Fatal)?;
-        }
-        self.collect(t, 0, ups).map_err(AttemptError::Fatal)?;
-
-        if self.engaged_idx.is_empty()
-            && self.calendar.is_empty()
-            && ups.is_empty()
-            && coord.try_skip_silent_step(t)
-        {
-            return Ok(true);
-        }
-
-        let guard = max_micro_rounds(self.n(), 16) * 4;
-        let mut m: u32 = 0;
-        loop {
-            out.clear();
-            coord.micro_round(t, m, ups, out);
-            ups.clear();
-            for (_, d) in &out.unicasts {
-                self.ledger.count(ChannelKind::Down, d.wire_bits());
-            }
-            for b in &out.broadcasts {
-                self.ledger.count(ChannelKind::Broadcast, b.wire_bits());
-            }
-            if out.is_empty() && coord.step_done() {
-                break;
-            }
-            m += 1;
-            self.micro_rounds_run += 1;
-            assert!(m <= guard, "micro-round guard exceeded at t={t}");
-            if let Some(p) = self.chaos {
-                if self.crashes_left > 0 && p.crash_coordinator(t, self.run, m) {
-                    self.crashes_left -= 1;
-                    return Err(AttemptError::Crashed);
-                }
-            }
-            self.deliver_round(t, m, out).map_err(AttemptError::Fatal)?;
-            self.collect(t, m, ups).map_err(AttemptError::Fatal)?;
-        }
-        // Schedules and the broadcast log are step-local.
-        self.calendar.end_step();
-        self.bcast_log.clear();
-        Ok(false)
+    fn send(&mut self, i: u32, stall_ms: u32) -> Result<(), RuntimeError> {
+        let mut frame = self.staged.take().expect("a staged frame");
+        frame.stall_ms = stall_ms;
+        self.post(i as usize, NodeFrame::Work(frame))
     }
 
-    /// Start a new wave: flush delay-injected frames from earlier waves
-    /// (their keys are stale by now, so nodes dedup them — pure reorder
-    /// noise on the wire) and reset per-wave fault bookkeeping.
-    fn begin_wave(&mut self) -> Result<(), RuntimeError> {
-        debug_assert_eq!(self.pending_count, 0, "wave started with replies pending");
-        self.wave.clear();
-        if self.chaos.is_some() {
-            let mut delayed = std::mem::take(&mut self.delayed);
-            let mut res = Ok(());
-            for (i, frame) in delayed.drain(..) {
-                if res.is_ok() {
-                    res = self.send_work(i, frame);
-                    self.ledger.count(ChannelKind::Retransmit, 0);
-                }
-            }
-            self.delayed = delayed;
-            res?;
-            for b in self.reply_dropped.iter_mut() {
-                *b = false;
-            }
-        }
-        Ok(())
+    fn resend(&mut self, i: u32, frame: &WorkFrame<NB::Down>) -> Result<(), RuntimeError> {
+        self.post(i as usize, NodeFrame::Work(frame.clone()))
     }
 
-    fn send_work(&mut self, i: u32, frame: WorkFrame<NB::Down>) -> Result<(), RuntimeError> {
-        self.to_nodes[i as usize]
-            .send(NodeFrame::Work(frame))
-            .map_err(|_| RuntimeError::NodeDown { id: NodeId(i) })
+    fn recv(&mut self, timeout: Duration) -> Result<Reply<NB::Up>, RecvTimeoutError> {
+        self.from_nodes.recv_timeout(timeout)
     }
 
-    /// Deliver one frame of the current wave, applying the fault schedule
-    /// to its first delivery. The sync frame is charged at send *intent*,
-    /// so `sync_frames` matches the fault-free twin even when the delivery
-    /// is suppressed; everything the fault layer adds (duplicates, late
-    /// flushes, retries) is charged to [`ChannelKind::Retransmit`].
-    fn dispatch(&mut self, i: u32, mut frame: WorkFrame<NB::Down>) -> Result<(), RuntimeError> {
-        debug_assert!(
-            !self.pending_mask[i as usize],
-            "node framed twice in a wave"
-        );
-        self.pending_mask[i as usize] = true;
-        self.pending_count += 1;
-        self.ledger.count_sync();
-        let Some(p) = self.chaos else {
-            return self.send_work(i, frame);
-        };
-        let (t, run, m) = (frame.t, frame.run, frame.m);
-        if p.drop_frame(t, run, m, i) {
-            self.recovery.injected_drops += 1;
-            self.wave.push((i, frame));
-            return Ok(());
-        }
-        if p.delay_frame(t, run, m, i) {
-            // Held back past this wave: the retry path completes the wave,
-            // and the late copy is flushed (and deduped) later.
-            self.recovery.injected_delays += 1;
-            self.delayed.push((i, frame.clone()));
-            self.wave.push((i, frame));
-            return Ok(());
-        }
-        if p.stall_frame(t, run, m, i) {
-            self.recovery.injected_stalls += 1;
-            frame.stall_ms = p.stall_ms;
-        }
-        if p.duplicate_frame(t, run, m, i) {
-            self.recovery.injected_dups += 1;
-            self.send_work(i, frame.clone())?;
-            self.ledger.count(ChannelKind::Retransmit, 0);
-        }
-        self.send_work(i, frame.clone())?;
-        self.wave.push((i, frame));
-        Ok(())
+    fn send_abort(&mut self, e: usize, t: u64, run: u32) -> Result<(), RuntimeError> {
+        self.post(e, NodeFrame::Abort { t, run })
     }
 
-    /// Re-send every outstanding frame of the in-flight wave (stall
-    /// stripped — recovery must converge).
-    fn resend_pending(&mut self) -> Result<(), RuntimeError> {
-        let wave = std::mem::take(&mut self.wave);
-        let mut resent = 0u64;
-        let mut res = Ok(());
-        for (i, frame) in &wave {
-            if self.pending_mask[*i as usize] && res.is_ok() {
-                let mut frame = frame.clone();
-                frame.stall_ms = 0;
-                res = self.send_work(*i, frame);
-                self.ledger.count(ChannelKind::Retransmit, 0);
-                resent += 1;
-            }
-        }
-        self.wave = wave;
-        self.recovery.redelivered_frames += resent;
-        res
-    }
-
-    fn find_dead_pending(&self) -> Option<NodeId> {
-        (0..self.n())
-            .find(|&i| self.pending_mask[i] && self.handles[i].is_finished())
-            .map(|i| NodeId(i as u32))
-    }
-
-    /// Deliver the coordinator output of round `m-1` as node-phase `m`.
-    /// Same visit rule as the sequential runtime: a [`RoundScope::All`]
-    /// broadcast reaches everyone (full fan-out), otherwise only engaged
-    /// nodes, the calendar entries due at this phase, unicast addressees
-    /// and the [`RoundScope::EngagedPlus`] addressee are framed (skipped
-    /// nodes are contractual no-ops for the round's payload). A scheduled
-    /// node's frame replays every broadcast since its last poll from the
-    /// step log.
-    fn deliver_round(
-        &mut self,
-        t: u64,
-        m: u32,
-        out: &mut CoordOut<NB::Down>,
-    ) -> Result<(), RuntimeError> {
-        if out.unicasts.len() > 1 {
-            out.unicasts.sort_by_key(|(id, _)| *id);
-        }
-        let full_fanout = !out.broadcasts.is_empty() && out.scope == RoundScope::All;
-        let extra: Option<u32> = match out.scope {
-            RoundScope::EngagedPlus(id) if !out.broadcasts.is_empty() => Some(id.0),
-            _ => None,
-        };
-        self.bcast_log.extend(out.broadcasts.iter().cloned());
-        self.begin_wave()?;
-        let n_bcasts = out.broadcasts.len();
-        let run = self.run;
-        let frame_bcasts = |cal: &FireCalendar, log: &[NB::Down], i: u32| -> Vec<NB::Down> {
-            if cal.is_scheduled(i) {
-                log[cal.seen(i)..].to_vec()
-            } else {
-                log[log.len() - n_bcasts..].to_vec()
-            }
-        };
-        if full_fanout {
-            let mut u = out.unicasts.iter().peekable();
-            for i in 0..self.n() as u32 {
-                let ucast = match u.peek() {
-                    Some((id, _)) if id.0 == i => u.next().map(|(_, d)| d.clone()),
-                    _ => None,
-                };
-                let bcasts = frame_bcasts(&self.calendar, &self.bcast_log, i);
-                self.dispatch(
-                    i,
-                    WorkFrame {
-                        t,
-                        run,
-                        m,
-                        stall_ms: 0,
-                        payload: FramePayload::Round { bcasts, ucast },
-                    },
-                )?;
-            }
-        } else {
-            let engaged = std::mem::take(&mut self.engaged_idx);
-            let mut visit = std::mem::take(&mut self.visit_scratch);
-            visit.clear();
-            visit.extend_from_slice(&engaged);
-            self.calendar.due_into(m, &mut visit);
-            visit.extend(out.unicasts.iter().map(|(id, _)| id.0));
-            if let Some(x) = extra {
-                visit.push(x);
-            }
-            visit.sort_unstable();
-            visit.dedup();
-            let mut u = out.unicasts.iter().peekable();
-            let mut res = Ok(());
-            for &i in &visit {
-                let ucast = match u.peek() {
-                    Some((id, _)) if id.0 == i => u.next().map(|(_, d)| d.clone()),
-                    _ => None,
-                };
-                let bcasts = frame_bcasts(&self.calendar, &self.bcast_log, i);
-                res = self.dispatch(
-                    i,
-                    WorkFrame {
-                        t,
-                        run,
-                        m,
-                        stall_ms: 0,
-                        payload: FramePayload::Round { bcasts, ucast },
-                    },
-                );
-                if res.is_err() {
-                    break;
-                }
-            }
-            self.visit_scratch = visit;
-            self.engaged_idx = engaged;
-            res?;
-        }
-        Ok(())
-    }
-
-    /// Collect the in-flight wave's replies into `ups` (sorted by node id),
-    /// charging `Some` payloads, rebuilding the engaged index list from the
-    /// repliers, and resolving/re-creating calendar entries from their
-    /// `wake_at` answers. Replies are matched against the wave key
-    /// `(t, run, phase)`: stale or duplicate arrivals are discarded, and
-    /// outstanding frames are re-sent after each reply deadline (bounded by
-    /// the policy's retry budget). A dead node thread surfaces as
-    /// [`RuntimeError::NodeDown`] instead of a hung receive.
-    fn collect(
-        &mut self,
-        t: u64,
-        phase: u32,
-        ups: &mut Vec<(NodeId, NB::Up)>,
-    ) -> Result<(), RuntimeError> {
-        ups.clear();
-        let log_len = self.bcast_log.len();
-        let mut next = std::mem::take(&mut self.engaged_scratch);
-        next.clear();
-        let deadline = Duration::from_millis(match self.chaos {
-            Some(p) => p.deadline_ms.max(1),
-            None => 200,
-        });
-        let mut attempts: u32 = 0;
-        let result = loop {
-            if self.pending_count == 0 {
-                break Ok(());
-            }
-            match self.from_nodes.recv_timeout(deadline) {
-                Ok(reply) => {
-                    let idx = reply.id.idx();
-                    if reply.t != t
-                        || reply.run != self.run
-                        || reply.m != phase
-                        || !self.pending_mask[idx]
-                    {
-                        self.recovery.stale_replies += 1;
-                        continue;
-                    }
-                    if let Some(p) = self.chaos {
-                        if !self.reply_dropped[idx] && p.drop_reply(t, self.run, phase, reply.id.0)
-                        {
-                            self.reply_dropped[idx] = true;
-                            self.recovery.injected_reply_drops += 1;
-                            continue;
-                        }
-                    }
-                    self.pending_mask[idx] = false;
-                    self.pending_count -= 1;
-                    let body = reply.body;
-                    debug_assert!(
-                        body.wake_at.is_none() || body.engaged,
-                        "wake_at requires engaged"
-                    );
-                    let wake = if body.engaged { body.wake_at } else { None };
-                    if wake.is_some() || self.calendar.is_scheduled(reply.id.0) {
-                        self.calendar.note_poll(reply.id.0, wake, phase, log_len);
-                    }
-                    if body.engaged && wake.is_none() {
-                        next.push(reply.id.0);
-                    }
-                    if let Some(up) = body.up {
-                        self.ledger.count(ChannelKind::Up, up.wire_bits());
-                        ups.push((reply.id, up));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(id) = self.find_dead_pending() {
-                        break Err(RuntimeError::NodeDown { id });
-                    }
-                    if let Some(p) = self.chaos {
-                        attempts += 1;
-                        if attempts > p.max_retries {
-                            break Err(RuntimeError::ReplyTimeout {
-                                t,
-                                m: phase,
-                                waiting: self.pending_count,
-                            });
-                        }
-                        if let Err(e) = self.resend_pending() {
-                            break Err(e);
-                        }
-                        self.recovery.retries += 1;
-                    }
-                    // Clean transport: keep waiting (the model blocks on
-                    // replies); the timeout only exists to detect dead
-                    // threads.
-                }
-                Err(RecvTimeoutError::Disconnected) => break Err(RuntimeError::AllNodesDown),
-            }
-        };
-        match result {
-            Ok(()) => {
-                next.sort_unstable();
-                self.engaged_scratch = std::mem::replace(&mut self.engaged_idx, next);
-                ups.sort_by_key(|(id, _)| *id);
-                Ok(())
-            }
-            Err(e) => {
-                self.engaged_scratch = next;
-                Err(e)
-            }
-        }
-    }
-
-    /// Recover from an injected coordinator crash: restore the last
-    /// committed snapshot, roll the model ledger and driver state back to
-    /// the step's start, and make every node discard the dead attempt via
-    /// an idempotent abort wave.
-    fn recover<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        ledger_mark: &LedgerSnapshot,
-        rounds_mark: u64,
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.recovery.restarts += 1;
-        self.recovery.rerun_rounds += self.micro_rounds_run - rounds_mark;
-        if !coord.restore_snapshot(&self.snapshot_buf) {
-            return Err(RuntimeError::RecoveryFailed {
-                reason: "coordinator rejected its own committed snapshot",
-            });
-        }
-        self.ledger.rollback_model(ledger_mark);
-        self.micro_rounds_run = rounds_mark;
-        self.engaged_idx.clear();
-        self.engaged_idx.extend_from_slice(&self.engaged_mark);
-        self.calendar.end_step();
-        self.bcast_log.clear();
-        self.delayed.clear();
-        self.wave.clear();
-        for b in self.pending_mask.iter_mut() {
-            *b = false;
-        }
-        self.pending_count = 0;
-        let run = self.run;
-        for i in 0..self.n() {
-            self.to_nodes[i]
-                .send(NodeFrame::Abort { t, run })
-                .map_err(|_| RuntimeError::NodeDown {
-                    id: NodeId(i as u32),
-                })?;
-            self.ledger.count(ChannelKind::Retransmit, 0);
-            self.pending_mask[i] = true;
-        }
-        self.pending_count = self.n();
-        self.collect_abort_acks(t, run)
-    }
-
-    /// Wait for every node to acknowledge the abort (re-sending to
-    /// laggards — aborts are idempotent and re-acked).
-    fn collect_abort_acks(&mut self, t: u64, run: u32) -> Result<(), RuntimeError> {
-        let p = self.chaos.expect("abort waves exist only under chaos");
-        let deadline = Duration::from_millis(p.deadline_ms.max(1));
-        let mut attempts: u32 = 0;
-        while self.pending_count > 0 {
-            match self.from_nodes.recv_timeout(deadline) {
-                Ok(reply) => {
-                    let idx = reply.id.idx();
-                    if reply.t == t
-                        && reply.run == run
-                        && reply.m == ABORT_M
-                        && self.pending_mask[idx]
-                    {
-                        self.pending_mask[idx] = false;
-                        self.pending_count -= 1;
-                    } else {
-                        self.recovery.stale_replies += 1;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(id) = self.find_dead_pending() {
-                        return Err(RuntimeError::NodeDown { id });
-                    }
-                    attempts += 1;
-                    if attempts > p.max_retries.saturating_mul(4) {
-                        return Err(RuntimeError::ReplyTimeout {
-                            t,
-                            m: ABORT_M,
-                            waiting: self.pending_count,
-                        });
-                    }
-                    for i in 0..self.n() {
-                        if self.pending_mask[i] {
-                            self.to_nodes[i]
-                                .send(NodeFrame::Abort { t, run })
-                                .map_err(|_| RuntimeError::NodeDown {
-                                    id: NodeId(i as u32),
-                                })?;
-                            self.ledger.count(ChannelKind::Retransmit, 0);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::AllNodesDown),
-            }
-        }
-        Ok(())
-    }
-
-    /// Drive `steps` time steps from a feed (dense rows via
-    /// [`ValueFeed::fill_step`]); returns the ledger delta. The value row is
-    /// runtime-owned scratch, reused across steps and calls.
-    pub fn run_feed<CB>(
-        &mut self,
-        coord: &mut CB,
-        feed: &mut dyn ValueFeed,
-        start_t: u64,
-        steps: u64,
-    ) -> LedgerSnapshot
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(feed.n(), self.n());
-        let before = self.ledger.snapshot();
-        let mut row = std::mem::take(&mut self.feed_row);
-        row.resize(self.n(), 0);
-        for dt in 0..steps {
-            let t = start_t + dt;
-            feed.fill_step(t, &mut row);
-            self.step(coord, t, &row);
-        }
-        self.feed_row = row;
-        self.ledger.snapshot().since(&before)
-    }
-
-    /// Delta-driven counterpart of [`ThreadedCluster::run_feed`]: pulls
-    /// change lists via [`ValueFeed::fill_delta`] and steps sparsely.
-    /// Requires [`NodeBehavior::SPARSE_OBSERVE`].
-    pub fn run_feed_sparse<CB>(
-        &mut self,
-        coord: &mut CB,
-        feed: &mut dyn ValueFeed,
-        start_t: u64,
-        steps: u64,
-    ) -> LedgerSnapshot
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(feed.n(), self.n());
-        let before = self.ledger.snapshot();
-        let mut changes = std::mem::take(&mut self.feed_changes);
-        for dt in 0..steps {
-            let t = start_t + dt;
-            feed.fill_delta(t, &mut changes);
-            self.step_sparse(coord, t, &changes);
-        }
-        self.feed_changes = changes;
-        self.ledger.snapshot().since(&before)
-    }
-
-    /// Shut down all node threads and return their final behaviors
-    /// (panicked threads are skipped).
-    pub fn shutdown(mut self) -> Vec<NB> {
-        for tx in &self.to_nodes {
-            let _ = tx.send(NodeFrame::Halt);
-        }
-        self.to_nodes.clear();
+    fn shutdown(mut self) -> Vec<NB> {
+        self.halt();
         self.handles
             .drain(..)
             .filter_map(|h| h.join().ok())
@@ -1084,135 +162,72 @@ where
     }
 }
 
-impl<NB> Drop for ThreadedCluster<NB>
-where
-    NB: NodeBehavior + 'static,
-{
+impl<NB: NodeBehavior> Drop for ThreadTransport<NB> {
     fn drop(&mut self) {
-        for tx in &self.to_nodes {
-            let _ = tx.send(NodeFrame::Halt);
-        }
+        self.halt();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// Node thread main loop: frame-driven, no shared state. The thread caches
-/// its last observed value so a value-less [`FramePayload::ObserveCached`]
-/// frame can replay the observation locally.
-///
-/// Under a recoverable (chaos) transport the loop additionally maintains a
-/// lexicographic frame cursor `(t, run, m)` (each key processed at most
-/// once — a stale key is ignored, a repeated key re-sends the cached reply
-/// verbatim) and a step-start checkpoint of the behavior, restored when an
-/// abort frame discards a step attempt.
-fn node_main<NB>(
-    node: &mut NB,
+/// Node thread main loop: frame-driven, no shared state.
+fn node_main<NB: NodeBehavior>(
+    node: NB,
     rx: Receiver<NodeFrame<NB::Down>>,
-    reply: Sender<NodeReply<NB::Up>>,
+    reply: Sender<Reply<NB::Up>>,
     recoverable: bool,
-) where
-    NB: NodeBehavior,
-{
-    let mut last: Value = 0;
-    let mut cur: Option<(u64, u32, u32)> = None;
-    let mut cached: Option<ReplyBody<NB::Up>> = None;
-    let mut ck: Option<(u64, NB)> = None;
+) -> NB {
+    let mut host: NodeHost<NB, RoundAction<NB::Up>> = NodeHost::new(node);
+    let id = host.node.id();
+    let send = |(t, run, m): FrameKey, a: RoundAction<NB::Up>| {
+        let _ = reply.send(Reply {
+            id,
+            t,
+            run,
+            m,
+            up: a.up,
+            engaged: a.engaged,
+            wake_at: a.wake_at,
+            up_bytes: 0,
+        });
+    };
     while let Ok(frame) = rx.recv() {
         match frame {
             NodeFrame::Work(w) => {
                 if w.stall_ms > 0 {
                     std::thread::sleep(Duration::from_millis(w.stall_ms as u64));
                 }
-                let key = (w.t, w.run, w.m);
-                match cur {
-                    // Late duplicate of an older key: a no-op.
-                    Some(c) if key < c => continue,
-                    // Re-delivery of the current key: re-send the cached
-                    // reply, touch neither state nor RNG.
-                    Some(c) if key == c => {
-                        if let Some(body) = &cached {
-                            let _ = reply.send(NodeReply {
-                                id: node.id(),
-                                t: w.t,
-                                run: w.run,
-                                m: w.m,
-                                body: body.clone(),
-                            });
+                match host.admit(w.key, recoverable) {
+                    Admit::Stale => continue,
+                    Admit::Repeat(cached) => {
+                        if let Some(a) = cached {
+                            send(w.key, a.clone());
                         }
                         continue;
                     }
-                    _ => {}
+                    Admit::Run => {}
                 }
-                // One checkpoint per time step, at the node's first work
-                // frame for it (an abort of any attempt rolls back to here).
-                if recoverable && ck.as_ref().is_none_or(|(s, _)| *s < w.t) {
-                    let snap = node
-                        .checkpoint()
-                        .expect("chaos transport requires NodeBehavior::checkpoint support");
-                    ck = Some((w.t, snap));
-                }
-                let act = match w.payload {
-                    FramePayload::Observe { value } => {
-                        last = value;
-                        let a = node.observe(w.t, value);
-                        ReplyBody {
-                            up: a.up,
-                            engaged: a.engaged,
-                            wake_at: a.wake_at,
-                        }
-                    }
-                    FramePayload::ObserveCached => {
-                        let a = node.observe(w.t, last);
-                        ReplyBody {
-                            up: a.up,
-                            engaged: a.engaged,
-                            wake_at: a.wake_at,
-                        }
-                    }
-                    FramePayload::Round { bcasts, ucast } => {
-                        let a = node.micro_round(w.t, w.m, &bcasts, ucast.as_ref());
-                        ReplyBody {
-                            up: a.up,
-                            engaged: a.engaged,
-                            wake_at: a.wake_at,
-                        }
-                    }
+                let work = match &w.payload {
+                    Payload::Observe(value) => Work::Observe(*value),
+                    Payload::Round { bcasts, ucast } => Work::Round {
+                        bcasts,
+                        ucast: ucast.as_ref(),
+                    },
                 };
-                cur = Some(key);
+                let act = host.run(w.key, work);
                 if recoverable {
-                    cached = Some(act.clone());
+                    host.commit(w.key, act.clone());
                 }
-                let _ = reply.send(NodeReply {
-                    id: node.id(),
-                    t: w.t,
-                    run: w.run,
-                    m: w.m,
-                    body: act,
-                });
+                send(w.key, act);
             }
             NodeFrame::Abort { t, run } => {
-                let key = (t, run, ABORT_M);
-                if cur.is_none_or(|c| key > c) {
-                    if let Some((s, snap)) = &ck {
-                        if *s == t {
-                            node.rollback(snap);
-                        }
-                    }
-                    cur = Some(key);
-                    cached = None;
-                }
+                host.abort(t, run);
                 // Always ack — abort re-delivery must re-ack.
-                let _ = reply.send(NodeReply {
-                    id: node.id(),
-                    t,
-                    run,
-                    m: ABORT_M,
-                    body: ReplyBody::idle(),
-                });
+                send((t, run, ABORT_M), RoundAction::idle());
             }
             NodeFrame::Halt => break,
         }
     }
+    host.node
 }
