@@ -1,21 +1,20 @@
-//! FILTERRESET cost: batched k-select sweep vs the legacy `k+1` sequential
-//! maximum searches, measured end to end through the sequential runtime.
+//! FILTERRESET cost: the batched k-select sweep, measured end to end
+//! through the sequential runtime.
 //!
 //! Each iteration builds a fresh monitor and runs the `t = 0` init step —
 //! which *is* one full FILTERRESET over all `n` nodes — so the timing
 //! captures everything the reset schedule costs: coordinator rounds,
-//! broadcast fan-outs (each polls all `n` nodes), participant coin flips
-//! and the up-message plumbing. Alongside the wall clock the harness
-//! prints the per-reset round and message counts from the coordinator's
-//! phase-attributed metrics, the quantities pinned exactly by
-//! `crates/core/tests/reset_rounds.rs`.
+//! broadcast fan-outs, participant coin flips and the up-message plumbing.
+//! Alongside the wall clock the harness prints the per-reset round and
+//! message counts from the coordinator's phase-attributed metrics, the
+//! quantities pinned exactly by `crates/core/tests/reset_rounds.rs`.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use topk_core::{Monitor, MonitorConfig, ResetStrategy, TopkMonitor};
+use topk_core::{Monitor, MonitorConfig, TopkMonitor};
 use topk_net::id::Value;
 use topk_net::rng::substream_rng;
 
@@ -29,8 +28,8 @@ fn init_values(n: usize) -> Vec<Value> {
     (0..n).map(|_| rng.gen_range(0..1u64 << 40)).collect()
 }
 
-fn bench_strategy(c: &mut Criterion, strategy: ResetStrategy, tag: &str) {
-    let mut group = c.benchmark_group(format!("reset_rounds/{tag}"));
+fn batched_reset(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reset_rounds/batched");
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_secs(3));
@@ -42,33 +41,23 @@ fn bench_strategy(c: &mut Criterion, strategy: ResetStrategy, tag: &str) {
             &n,
             |b, _| {
                 b.iter(|| {
-                    let cfg = MonitorConfig::new(n, k).with_reset(strategy);
-                    let mut mon = TopkMonitor::new(cfg, 42);
+                    let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), 42);
                     mon.step(0, &values);
                     black_box(mon.topk().len())
                 });
             },
         );
         // One representative run's reset accounting.
-        let cfg = MonitorConfig::new(n, k).with_reset(strategy);
-        let mut mon = TopkMonitor::new(cfg, 42);
+        let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), 42);
         mon.step(0, &values);
         let m = mon.metrics();
         eprintln!(
-            "reset_rounds/{tag} n={n} k={k}: {} rounds, {} up-msgs, {} broadcasts per reset",
+            "reset_rounds/batched n={n} k={k}: {} rounds, {} up-msgs, {} broadcasts per reset",
             m.reset_rounds, m.reset_up, m.reset_bcast
         );
     }
     group.finish();
 }
 
-fn batched_reset(c: &mut Criterion) {
-    bench_strategy(c, ResetStrategy::Batched, "batched");
-}
-
-fn legacy_reset(c: &mut Criterion) {
-    bench_strategy(c, ResetStrategy::Legacy, "legacy");
-}
-
-criterion_group!(benches, batched_reset, legacy_reset);
+criterion_group!(benches, batched_reset);
 criterion_main!(benches);

@@ -2,8 +2,7 @@
 //! re-measurements of the headline criterion groups, written as JSON so CI
 //! can archive one artifact per commit and regressions show up as a diff:
 //!
-//! * `results/BENCH_reset.json` — FILTERRESET init cost per strategy
-//!   (mirrors `benches/reset_rounds.rs` + `benches/calendar.rs`): median
+//! * `results/BENCH_reset.json` — FILTERRESET init cost (mirrors `benches/reset_rounds.rs` + `benches/calendar.rs`): median
 //!   wall clock, rounds, up-messages, micro-polls;
 //! * `results/BENCH_sparse.json` — steady-state silent-step cost (mirrors
 //!   `benches/sparse_step.rs`): µs/step for the delta-driven loop and the
@@ -34,7 +33,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use topk_core::session::{Engine, MonitorBuilder};
-use topk_core::{Monitor, MonitorConfig, ResetStrategy, SocketTopkMonitor, TopkMonitor};
+use topk_core::{Monitor, MonitorConfig, SocketTopkMonitor, TopkMonitor};
 use topk_net::behavior::ValueFeed;
 use topk_net::id::{NodeId, Value};
 use topk_serve::ServeBuilder;
@@ -44,8 +43,7 @@ use topk_streams::WorkloadSpec;
 struct ResetPoint {
     n: usize,
     k: usize,
-    strategy: String,
-    /// Actual runs behind this point's median (large-n points are trimmed).
+    /// Runs behind this point's median.
     runs: usize,
     init_ms_median: f64,
     reset_rounds: u64,
@@ -177,36 +175,25 @@ fn measure_reset(runs: usize) -> Vec<ResetPoint> {
     let mut points = Vec::new();
     for &(n, k) in grid {
         let values = init_values(n);
-        for strategy in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-            // The n = 1M legacy init costs ~1 s per run; one run suffices
-            // at that size to track the trajectory.
-            let runs = if n >= 1_000_000 {
-                1.max(runs / 3)
-            } else {
-                runs
-            };
-            let mut times = Vec::new();
-            let mut last = None;
-            for _ in 0..runs {
-                let cfg = MonitorConfig::new(n, k).with_reset(strategy);
-                let mut mon = TopkMonitor::new(cfg, 42);
-                let t0 = Instant::now();
-                mon.step(0, &values);
-                times.push(t0.elapsed().as_secs_f64() * 1e3);
-                last = Some(mon);
-            }
-            let mon = last.unwrap();
-            points.push(ResetPoint {
-                n,
-                k,
-                strategy: format!("{strategy:?}").to_lowercase(),
-                runs,
-                init_ms_median: median(times),
-                reset_rounds: mon.metrics().reset_rounds,
-                reset_up_msgs: mon.metrics().reset_up,
-                micro_polls: mon.micro_polls(),
-            });
+        let mut times = Vec::new();
+        let mut last = None;
+        for _ in 0..runs {
+            let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), 42);
+            let t0 = Instant::now();
+            mon.step(0, &values);
+            times.push(t0.elapsed().as_secs_f64() * 1e3);
+            last = Some(mon);
         }
+        let mon = last.unwrap();
+        points.push(ResetPoint {
+            n,
+            k,
+            runs,
+            init_ms_median: median(times),
+            reset_rounds: mon.metrics().reset_rounds,
+            reset_up_msgs: mon.metrics().reset_up,
+            micro_polls: mon.micro_polls(),
+        });
     }
     points
 }

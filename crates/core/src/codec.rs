@@ -29,7 +29,7 @@ const T_HANDLER_ANN: u8 = 0x15;
 const T_MIDPOINT: u8 = 0x16;
 const T_RESET_START: u8 = 0x17;
 const T_RESET_WINNER: u8 = 0x18;
-const T_RESET_ANN: u8 = 0x19;
+// 0x19 retired (legacy reset announce) — never reuse
 const T_RESET_DONE: u8 = 0x1a;
 const T_RESET_BAR: u8 = 0x1b;
 const T_BAND: u8 = 0x1c;
@@ -123,10 +123,6 @@ pub fn encode_down(msg: &DownMsg, buf: &mut impl BufMut) {
             put_varint(buf, rank as u64);
             put_report(buf, report);
         }
-        DownMsg::ResetAnnounce(r) => {
-            buf.put_u8(T_RESET_ANN);
-            put_report(buf, r);
-        }
         DownMsg::ResetBar(r) => {
             buf.put_u8(T_RESET_BAR);
             put_report(buf, r);
@@ -165,7 +161,6 @@ pub fn decode_down(buf: &mut impl Buf) -> Result<DownMsg, DecodeError> {
                 report: get_report(buf)?,
             }
         }
-        T_RESET_ANN => DownMsg::ResetAnnounce(get_report(buf)?),
         T_RESET_BAR => DownMsg::ResetBar(get_report(buf)?),
         T_RESET_DONE => DownMsg::ResetDone {
             threshold: get_varint(buf).ok_or_else(|| DecodeError("truncated threshold".into()))?,
@@ -378,7 +373,6 @@ fn sample_messages(id: topk_net::id::NodeId, v: u64) -> (Vec<UpMsg>, Vec<DownMsg
                 rank: id.0.max(1),
                 report: r,
             },
-            DownMsg::ResetAnnounce(r),
             DownMsg::ResetBar(r),
             DownMsg::ResetDone { threshold: v },
         ],
@@ -437,6 +431,13 @@ mod tests {
         assert!(decode_down(&mut unknown).is_err());
         let mut truncated: &[u8] = &[super::T_VIOL_MIN, 0x80]; // unterminated varint
         assert!(decode_up(&mut truncated).is_err());
+    }
+
+    #[test]
+    fn retired_reset_announce_tag_is_rejected() {
+        // 0x19 carried a report; a well-formed payload must still fail.
+        let mut frame: &[u8] = &[0x19, 0x03, 0x09];
+        assert!(decode_down(&mut frame).is_err());
     }
 
     #[test]
@@ -552,7 +553,7 @@ mod tests {
         }
 
         #[test]
-        fn decode_never_panics_on_truncation(id in 0u32..=u32::MAX, v in 0u64..=u64::MAX, which in 0u8..12, cut in 0usize..16) {
+        fn decode_never_panics_on_truncation(id in 0u32..=u32::MAX, v in 0u64..=u64::MAX, which in 0u8..11, cut in 0usize..16) {
             let r = Report { id: NodeId(id), value: v };
             let m = match which {
                 0 => DownMsg::ViolMinAnnounce(r),
@@ -563,9 +564,8 @@ mod tests {
                 5 => DownMsg::Midpoint(v),
                 6 => DownMsg::ResetStart,
                 7 => DownMsg::ResetWinner { rank: id.max(1), report: r },
-                8 => DownMsg::ResetAnnounce(r),
-                9 => DownMsg::ResetBar(r),
-                10 => DownMsg::Band(v),
+                8 => DownMsg::ResetBar(r),
+                9 => DownMsg::Band(v),
                 _ => DownMsg::ResetDone { threshold: v },
             };
             let mut buf = BytesMut::new();
@@ -597,7 +597,7 @@ mod tests {
         }
 
         #[test]
-        fn down_roundtrip(id in 0u32..=u32::MAX, v in 0u64..=u64::MAX, rank in 1u32..=u32::MAX, which in 0u8..12) {
+        fn down_roundtrip(id in 0u32..=u32::MAX, v in 0u64..=u64::MAX, rank in 1u32..=u32::MAX, which in 0u8..11) {
             let r = Report { id: NodeId(id), value: v };
             let m = match which {
                 0 => DownMsg::ViolMinAnnounce(r),
@@ -608,9 +608,8 @@ mod tests {
                 5 => DownMsg::Midpoint(v),
                 6 => DownMsg::ResetStart,
                 7 => DownMsg::ResetWinner { rank, report: r },
-                8 => DownMsg::ResetAnnounce(r),
-                9 => DownMsg::ResetBar(r),
-                10 => DownMsg::Band(v),
+                8 => DownMsg::ResetBar(r),
+                9 => DownMsg::Band(v),
                 _ => DownMsg::ResetDone { threshold: v },
             };
             let mut buf = BytesMut::new();

@@ -64,29 +64,6 @@ impl ApproxMode {
     }
 }
 
-/// How `FILTERRESET` finds the top-`k+1` values (lines 36–42).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ResetStrategy {
-    /// One batched k-select sweep: participants sample themselves up with
-    /// doubling probability exactly as in MAXIMUMPROTOCOL(n), but the
-    /// coordinator keeps the running top-`k+1` candidate set and broadcasts
-    /// the current `(k+1)`-th best as the deactivation bar, then announces
-    /// the `k+1` winners rank by rank. `⌈log₂(n/(k+1))⌉ + k + 3` coordinator
-    /// rounds (the sampling schedule starts at `(k+1)/n`, so the sweep is
-    /// shorter than one maximum search)
-    /// and `O(k·log(n/k) + log n)` expected up-messages per reset — the
-    /// default.
-    /// Answers and post-reset thresholds are identical to [`Self::Legacy`]
-    /// (both are exact), only cost differs; pinned by the conformance
-    /// matrix in `tests/runtime_conformance.rs`.
-    #[default]
-    Batched,
-    /// The pseudocode's `k+1` sequential iterations of MAXIMUMPROTOCOL(n),
-    /// winner announcements doubling as next-iteration start signals:
-    /// `(k+1)·(⌈log₂n⌉ + 1) + 1` coordinator rounds per reset.
-    Legacy,
-}
-
 /// Static configuration of one monitoring instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MonitorConfig {
@@ -108,10 +85,6 @@ pub struct MonitorConfig {
     /// accuracy/communication trade-off; experiment E14). `ε = 0` recovers
     /// the paper's exact algorithm bit-for-bit.
     pub slack: u64,
-    /// FILTERRESET execution strategy (batched k-select vs the pseudocode's
-    /// `k+1` sequential maximum searches). Both are exact; see
-    /// [`ResetStrategy`].
-    pub reset: ResetStrategy,
     /// Coordinator-side approximation mode (default exact); see
     /// [`ApproxMode`]. Distinct from [`MonitorConfig::slack`]: slack is
     /// *node-side* hysteresis around the common filter threshold, the band
@@ -132,7 +105,6 @@ impl MonitorConfig {
             policy: BroadcastPolicy::OnChange,
             handler_mode: HandlerMode::Tight,
             slack: 0,
-            reset: ResetStrategy::Batched,
             approx: ApproxMode::Exact,
         }
     }
@@ -150,12 +122,6 @@ impl MonitorConfig {
     /// Set the approximation slack `ε` (see the field docs).
     pub fn with_slack(mut self, slack: u64) -> Self {
         self.slack = slack;
-        self
-    }
-
-    /// Select the FILTERRESET strategy (see [`ResetStrategy`]).
-    pub fn with_reset(mut self, reset: ResetStrategy) -> Self {
-        self.reset = reset;
         self
     }
 
@@ -186,18 +152,11 @@ mod tests {
     fn config_builders() {
         let cfg = MonitorConfig::new(10, 3)
             .with_policy(BroadcastPolicy::EveryRound)
-            .with_handler_mode(HandlerMode::Faithful)
-            .with_reset(ResetStrategy::Legacy);
+            .with_handler_mode(HandlerMode::Faithful);
         assert_eq!(cfg.n, 10);
         assert_eq!(cfg.k, 3);
         assert_eq!(cfg.policy, BroadcastPolicy::EveryRound);
         assert_eq!(cfg.handler_mode, HandlerMode::Faithful);
-        assert_eq!(cfg.reset, ResetStrategy::Legacy);
-        assert_eq!(
-            MonitorConfig::new(10, 3).reset,
-            ResetStrategy::Batched,
-            "batched reset is the default"
-        );
         assert!(!cfg.is_degenerate());
         assert!(MonitorConfig::new(5, 5).is_degenerate());
         assert!(MonitorConfig::new(1, 1).is_degenerate());

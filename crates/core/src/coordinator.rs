@@ -13,37 +13,32 @@
 //!    that side.
 //! 3. **Conclusion** (lines 27–34): fold the exact min/max into the
 //!    [`GapTracker`]; either broadcast the new midpoint threshold or
-//! 4. **FILTERRESET** (lines 36–42) — one of two strategies, selected by
-//!    [`crate::config::ResetStrategy`]:
-//!    * **Batched** (default): a single k-select sweep. Every node joins one
-//!      MAXIMUMPROTOCOL(n)-style sampling schedule; the coordinator keeps
-//!      the running top-`k+1` candidate set ([`KSelectAggregator`]) and
-//!      broadcasts the current `(k+1)`-th best as the deactivation bar
-//!      (`ResetBar`), then announces the `k+1` winners rank by rank and
-//!      concludes with the threshold broadcast. `⌈log₂(n/(k+1))⌉ + k + 3`
-//!      coordinator rounds (the sampling schedule starts at `(k+1)/n`) and
-//!      `O(k·log(n/k) + log n)` expected up-messages.
-//!    * **Legacy** (the pseudocode, literally): `k+1` sequential iterations
-//!      of MAXIMUMPROTOCOL(n), winner announcements doubling as
-//!      next-iteration start signals — `(k+1)·(⌈log₂n⌉+1) + 1` rounds and
-//!      `(k+1)·O(log n)` expected up-messages.
-//!
-//!    Both strategies are Las Vegas-exact and produce identical winners,
-//!    membership and thresholds (pinned by the strategy matrix in
-//!    `tests/runtime_conformance.rs`); round counts are pinned by
-//!    `crates/core/tests/reset_rounds.rs` via [`RunMetrics::reset_rounds`].
+//! 4. **FILTERRESET** (lines 36–42) as a single k-select sweep. Every node
+//!    joins one MAXIMUMPROTOCOL(n)-style sampling schedule; the coordinator
+//!    keeps the running top-`k+1` candidate set ([`KSelectAggregator`]) and
+//!    broadcasts the current `(k+1)`-th best as the deactivation bar
+//!    (`ResetBar`), then announces the `k+1` winners rank by rank and
+//!    concludes with the threshold broadcast. `⌈log₂(n/(k+1))⌉ + k + 3`
+//!    coordinator rounds (the sampling schedule starts at `(k+1)/n`) and
+//!    `O(k·log(n/k) + log n)` expected up-messages, against the
+//!    pseudocode's `k+1` sequential MAXIMUMPROTOCOL(n) searches at
+//!    `(k+1)·(⌈log₂n⌉+1) + 1` rounds. Both are Las Vegas-exact, so they
+//!    select the same winners; the searches stay as the proto-level
+//!    reference `topk_proto::runner::select_topk`, pinned equal to the
+//!    sweep by `kselect_matches_iterated_selection_exactly`. Round counts
+//!    are pinned by `crates/core/tests/reset_rounds.rs` via
+//!    [`RunMetrics::reset_rounds`].
 
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, RoundScope};
 use topk_net::id::{midpoint_floor, NodeId};
 use topk_net::rng::log2_ceil;
-use topk_net::wire::Report;
 
 use topk_filters::tracker::{GapTracker, GapUpdate};
 use topk_proto::extremum::{MaxAggregator, MinAggregator};
 use topk_proto::kselect::KSelectAggregator;
 
 use crate::codec::{self, CoordSnapshot};
-use crate::config::{HandlerMode, MonitorConfig, ResetStrategy};
+use crate::config::{HandlerMode, MonitorConfig};
 use crate::metrics::RunMetrics;
 use crate::msg::{DownMsg, UpMsg};
 
@@ -70,14 +65,10 @@ enum Phase {
         start_m: u32,
         carried_min: u64,
     },
-    /// Legacy FILTERRESET iteration in progress (one of `k+1` sequential
-    /// maximum searches); winners accumulate in the coordinator-owned
-    /// `reset_winners` buffer.
-    Reset { agg: MaxAggregator, start_m: u32 },
-    /// Batched FILTERRESET: single k-select sweep (the coordinator-owned
-    /// `ks_agg`), then rank-by-rank winner announcements
-    /// (`reset_announced` = winners broadcast so far).
-    ResetBatched { start_m: u32 },
+    /// FILTERRESET: single k-select sweep (the coordinator-owned `ks_agg`),
+    /// then rank-by-rank winner announcements (`reset_announced` = winners
+    /// broadcast so far).
+    Reset { start_m: u32 },
 }
 
 /// The monitoring coordinator.
@@ -89,21 +80,18 @@ pub struct CoordinatorMachine {
     /// The threshold `M` the nodes currently hold (informational).
     last_threshold: Option<u64>,
     phase: Phase,
-    /// Batched-reset sweep state, coordinator-owned so repeated resets
-    /// reuse the candidate buffer (zero-allocation reset discipline —
-    /// pinned by `tests/alloc_discipline.rs`).
+    /// Reset sweep state, coordinator-owned so repeated resets reuse the
+    /// candidate buffer (zero-allocation reset discipline — pinned by
+    /// `tests/alloc_discipline.rs`).
     ks_agg: KSelectAggregator,
-    /// Legacy-reset winner accumulator (same reuse discipline).
-    reset_winners: Vec<Report>,
-    /// Winners announced so far in the batched conclusion.
+    /// Winners announced so far in the reset conclusion.
     reset_announced: usize,
     metrics: RunMetrics,
     initialized: bool,
     l_min: u32,
     l_max: u32,
     l_viol: u32,
-    l_n: u32,
-    /// Final participant round of the batched k-select sweep:
+    /// Final participant round of the k-select sweep:
     /// `⌈log₂(max(1, ⌊n/(k+1)⌋))⌉` (the schedule starts at `(k+1)/n`).
     l_ks: u32,
 }
@@ -124,14 +112,12 @@ impl CoordinatorMachine {
             last_threshold: None,
             phase: Phase::Done,
             ks_agg: KSelectAggregator::new(cfg.k + 1, cfg.n as u64),
-            reset_winners: Vec::with_capacity(cfg.k + 2),
             reset_announced: 0,
             metrics: RunMetrics::default(),
             initialized: cfg.is_degenerate(),
             l_min,
             l_max,
             l_viol: l_min.max(l_max),
-            l_n: log2_ceil(cfg.n as u64),
             l_ks: log2_ceil(topk_proto::kselect::sampling_bound(cfg.k + 1, cfg.n as u64)),
         }
     }
@@ -155,31 +141,17 @@ impl CoordinatorMachine {
         out.broadcasts.push(DownMsg::ResetStart);
         self.metrics.reset_bcast += 1;
         self.metrics.reset_rounds += 1;
-        self.reset_winners.clear();
         self.reset_announced = 0;
-        self.phase = match self.cfg.reset {
-            ResetStrategy::Batched => {
-                self.ks_agg.clear();
-                Phase::ResetBatched { start_m: m + 1 }
-            }
-            ResetStrategy::Legacy => Phase::Reset {
-                agg: MaxAggregator::new(self.cfg.n as u64),
-                start_m: m + 1,
-            },
-        };
+        self.ks_agg.clear();
+        self.phase = Phase::Reset { start_m: m + 1 };
     }
 
-    /// Lines 40–41, shared by both reset strategies: derive the new epoch
-    /// from the reset's `k+1` winners (best-first), update the answer and
-    /// tracker in place (the answer buffer is reused across resets), and
-    /// emit `ResetDone`.
-    fn conclude_reset(&mut self, t: u64, winners_from_sweep: bool, out: &mut CoordOut<DownMsg>) {
+    /// Lines 40–41: derive the new epoch from the sweep's `k+1` winners
+    /// (best-first), update the answer and tracker in place (the answer
+    /// buffer is reused across resets), and emit `ResetDone`.
+    fn conclude_reset(&mut self, t: u64, out: &mut CoordOut<DownMsg>) {
         let k = self.cfg.k;
-        let winners: &[Report] = if winners_from_sweep {
-            self.ks_agg.winners()
-        } else {
-            &self.reset_winners
-        };
+        let winners = self.ks_agg.winners();
         let kth = winners[k - 1];
         let k1 = winners[k];
         let thresh = midpoint_floor(kth.value, k1.value);
@@ -423,49 +395,7 @@ impl CoordinatorBehavior for CoordinatorMachine {
                     self.conclude_handler(m, mn, mx, out);
                 }
             }
-            Phase::Reset { agg, start_m } => {
-                self.metrics.reset_rounds += 1;
-                for (_, up) in ups.drain(..) {
-                    match up {
-                        UpMsg::Reset(r) => {
-                            agg.absorb(r);
-                            self.metrics.reset_up += 1;
-                        }
-                        other => debug_assert!(false, "unexpected report {other:?}"),
-                    }
-                }
-                let r = m - *start_m;
-                if r < self.l_n {
-                    if let Some(a) = agg.pending_announcement(policy) {
-                        out.broadcasts.push(DownMsg::ResetAnnounce(a));
-                        out.scope = RoundScope::Engaged;
-                        agg.mark_announced();
-                        self.metrics.reset_bcast += 1;
-                    }
-                }
-                if r == self.l_n {
-                    let w = agg
-                        .result()
-                        .expect("every iteration has ≥ 1 unselected participant");
-                    let k = self.cfg.k;
-                    if self.reset_winners.len() < k {
-                        self.reset_winners.push(w);
-                        out.broadcasts.push(DownMsg::ResetWinner {
-                            rank: self.reset_winners.len() as u32,
-                            report: w,
-                        });
-                        self.metrics.reset_bcast += 1;
-                        *agg = MaxAggregator::new(self.cfg.n as u64);
-                        *start_m = m + 1;
-                    } else {
-                        // Line 40–41: threshold between the k-th and
-                        // (k+1)-st largest; new epoch begins.
-                        self.reset_winners.push(w);
-                        self.conclude_reset(t, false, out);
-                    }
-                }
-            }
-            Phase::ResetBatched { start_m } => {
+            Phase::Reset { start_m } => {
                 self.metrics.reset_rounds += 1;
                 for (_, up) in ups.drain(..) {
                     match up {
@@ -501,9 +431,9 @@ impl CoordinatorBehavior for CoordinatorMachine {
                     );
                     let idx = self.reset_announced;
                     if idx <= k {
-                        // Only the self-identified winner reacts (batched
-                        // nodes never restart on winner announcements), so
-                        // the round is scoped to engaged ∪ winner.
+                        // Only the self-identified winner reacts (nodes
+                        // never restart on winner announcements), so the
+                        // round is scoped to engaged ∪ winner.
                         out.broadcasts.push(DownMsg::ResetWinner {
                             rank: (idx + 1) as u32,
                             report: winners[idx],
@@ -512,7 +442,7 @@ impl CoordinatorBehavior for CoordinatorMachine {
                         self.reset_announced += 1;
                         self.metrics.reset_bcast += 1;
                     } else {
-                        self.conclude_reset(t, true, out);
+                        self.conclude_reset(t, out);
                     }
                 }
             }
@@ -589,7 +519,6 @@ impl CoordinatorBehavior for CoordinatorMachine {
         self.metrics.wire = live_wire;
         self.phase = Phase::Done;
         self.ks_agg.clear();
-        self.reset_winners.clear();
         self.reset_announced = 0;
         true
     }

@@ -7,10 +7,10 @@
 //! (`RankChanged`), filter-threshold updates (`ThresholdUpdated`) and
 //! completed `FILTERRESET` episodes (`ResetCompleted`). The contract is
 //! **replayability**: feeding the event stream of any run — on any engine,
-//! any reset strategy, any dense/sparse interleaving — into an
+//! any dense/sparse interleaving — into an
 //! [`EventReplay`] reconstructs exactly the answer and threshold the session
 //! would report when polled at every step. `tests/session_events.rs`
-//! property-tests that contract across the full runtime × strategy matrix.
+//! property-tests that contract across the engines.
 //!
 //! Within one step's batch, events are emitted in a fixed order:
 //! `ResetCompleted`, `ThresholdUpdated` / `ApproxBoundary`, then membership

@@ -50,7 +50,7 @@ pub mod threaded;
 pub use audit::{assert_audit_clean, audit_monitor, AuditError};
 pub use baselines::{DominanceMidpoint, FilterNaiveResolve, NaiveMonitor, PeriodicRecompute};
 pub use cluster::ClusterTopkMonitor;
-pub use config::{ApproxMode, HandlerMode, MonitorConfig, ResetStrategy};
+pub use config::{ApproxMode, HandlerMode, MonitorConfig};
 pub use coordinator::CoordinatorMachine;
 pub use events::{EventReplay, TopkEvent};
 pub use metrics::RunMetrics;

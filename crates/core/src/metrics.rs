@@ -42,8 +42,9 @@ pub struct RunMetrics {
     pub reset_bcast: u64,
     /// Coordinator micro-rounds spent inside resets (including the round
     /// that broadcasts `ResetStart` and the `t = 0` initialization). This is
-    /// the FILTERRESET *round* complexity — `(k+1)·(⌈log₂n⌉+1) + 1` per
-    /// legacy reset, `⌈log₂(n/(k+1))⌉ + k + 3` per batched reset — counted
+    /// the FILTERRESET *round* complexity — `⌈log₂(n/(k+1))⌉ + k + 3` per
+    /// k-select reset, against the pseudocode's `(k+1)·(⌈log₂n⌉+1) + 1`
+    /// for `k+1` sequential maximum searches — counted
     /// identically on every runtime (it lives in the coordinator, not the
     /// driver) and pinned by `crates/core/tests/reset_rounds.rs`.
     pub reset_rounds: u64,

@@ -21,7 +21,7 @@ pub enum UpMsg {
     ViolMax(Report),
     /// Report within a handler-initiated full-group protocol (lines 23/25).
     Handler(Report),
-    /// Report within a FILTERRESET iteration's MAXIMUMPROTOCOL(n) (line 38).
+    /// Report within the FILTERRESET k-select sweep (line 38).
     Reset(Report),
 }
 
@@ -64,18 +64,14 @@ pub enum DownMsg {
     /// are identical to [`DownMsg::Midpoint`]; the distinct frame keeps
     /// the wire ledger and event replay lossless about which rule fired.
     Band(Value),
-    /// Begin FILTERRESET (line 37): every node joins iteration 1 of
-    /// MAXIMUMPROTOCOL(n).
+    /// Begin FILTERRESET (line 37): every node joins the k-select sweep.
     ResetStart,
-    /// Winner of reset iteration `rank` (1-based). Doubles as the start
-    /// signal of iteration `rank+1`; the named node stops participating and,
-    /// if `rank ≤ k`, will be in the new top-k.
+    /// The sweep's winner of rank `rank` (1-based); the named node stops
+    /// participating and, if `rank ≤ k`, will be in the new top-k.
     ResetWinner { rank: u32, report: Report },
-    /// Running maximum announcement within a legacy reset iteration.
-    ResetAnnounce(Report),
-    /// Batched reset only: the current `(k+1)`-th best report — the
-    /// deactivation bar of the single k-select sweep. A participant that
-    /// cannot beat it is provably outside the new top-`k+1` and withdraws.
+    /// The current `(k+1)`-th best report — the deactivation bar of the
+    /// k-select sweep. A participant that cannot beat it is provably
+    /// outside the new top-`k+1` and withdraws.
     ResetBar(Report),
     /// End of FILTERRESET (line 41): new threshold `M`; each node's
     /// membership is "was announced with rank ≤ k during this reset".
@@ -88,7 +84,6 @@ impl WireSize for DownMsg {
             DownMsg::ViolMinAnnounce(r)
             | DownMsg::ViolMaxAnnounce(r)
             | DownMsg::HandlerAnnounce(r)
-            | DownMsg::ResetAnnounce(r)
             | DownMsg::ResetBar(r) => r.wire_bits(),
             DownMsg::HandlerStartMin | DownMsg::HandlerStartMax | DownMsg::ResetStart => 0,
             DownMsg::Midpoint(m) | DownMsg::Band(m) => varint_bits(m),
@@ -131,7 +126,6 @@ mod tests {
                 rank: n - 1,
                 report: r,
             },
-            DownMsg::ResetAnnounce(r),
             DownMsg::ResetBar(r),
             DownMsg::ResetDone { threshold: v },
         ];

@@ -41,7 +41,6 @@ use topk_net::wire::Report;
 
 use topk_proto::extremum::{MaxOrder, MinOrder, ProtocolOrder};
 
-use crate::config::ResetStrategy;
 use crate::msg::{DownMsg, UpMsg};
 use crate::params::NodeParams;
 
@@ -207,10 +206,8 @@ impl NodeMachine {
                 }
                 _ => {}
             },
-            DownMsg::ResetAnnounce(rep) | DownMsg::ResetBar(rep) => {
-                // Legacy running maximum and batched (k+1)-th-best bar drive
-                // the same deactivation comparison: withdraw unless we beat
-                // the announced report.
+            DownMsg::ResetBar(rep) => {
+                // The (k+1)-th-best bar: withdraw unless we beat it.
                 if self.kind() == KIND_RESET && self.flags & ACTIVE != 0 {
                     self.apply_announcement::<MaxOrder>(rep);
                 }
@@ -243,15 +240,11 @@ impl NodeMachine {
                     // impossible in the synchronous model; ignore defensively.
                     return;
                 }
+                // The sweep already selected every winner; non-winners
+                // just stay quiet.
                 if report.id == self.id {
                     self.flags = (self.flags & !ACTIVE) | SELECTED;
                     self.aux = rank;
-                } else if self.params.reset == ResetStrategy::Legacy && self.flags & SELECTED == 0 {
-                    // Legacy only: the winner announcement doubles as the
-                    // next iteration's start signal — fresh schedule.
-                    // (Batched resets select every winner in the single
-                    // sweep already run; non-winners just stay quiet.)
-                    self.start_episode(KIND_RESET, m);
                 }
             }
             DownMsg::ResetDone { threshold } => {

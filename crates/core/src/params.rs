@@ -6,13 +6,12 @@
 //! n = 10⁶ that is cache traffic, construction time, and memory for data
 //! that is identical across the fleet. All nodes of one monitor now share
 //! a single `Arc<NodeParams>` carrying the few fields the node side reads
-//! (`n`, `k`, `slack`, the reset strategy) plus the three precomputed
-//! fire-round distributions of the protocol bounds Algorithm 1 ever hands
-//! a node:
+//! (`n`, `k`, `slack`) plus the three precomputed fire-round distributions
+//! of the protocol bounds Algorithm 1 ever hands a node:
 //!
 //! * `k` — violation/handler MINIMUMPROTOCOL(k);
 //! * `n − k` — violation/handler MAXIMUMPROTOCOL(n−k);
-//! * the reset bound — `n` (legacy) or `⌊n/(k+1)⌋` (batched k-select).
+//! * `⌊n/(k+1)⌋` — the FILTERRESET k-select sweep.
 //!
 //! Sampling a participant's first-send round is then one table lookup per
 //! episode ([`topk_proto::schedule::FireDist`]), and the node itself fits
@@ -23,7 +22,7 @@ use std::sync::Arc;
 use topk_proto::kselect::sampling_bound;
 use topk_proto::schedule::FireDist;
 
-use crate::config::{MonitorConfig, ResetStrategy};
+use crate::config::MonitorConfig;
 
 /// Shared per-monitor node parameters; build once via [`NodeParams::shared`]
 /// and clone the `Arc` into every node.
@@ -35,13 +34,11 @@ pub struct NodeParams {
     pub k: u32,
     /// Approximation slack `ε` (see [`MonitorConfig::slack`]).
     pub slack: u64,
-    /// FILTERRESET strategy (decides the reset sampling bound).
-    pub reset: ResetStrategy,
     /// Fire-round schedule of MINIMUMPROTOCOL(k) (violation + handler).
     pub dist_min: FireDist,
     /// Fire-round schedule of MAXIMUMPROTOCOL(n−k) (violation + handler).
     pub dist_max: FireDist,
-    /// Fire-round schedule of the FILTERRESET sweep (bound per strategy).
+    /// Fire-round schedule of the FILTERRESET k-select sweep.
     pub dist_reset: FireDist,
 }
 
@@ -50,18 +47,13 @@ impl NodeParams {
     pub fn shared(cfg: &MonitorConfig) -> Arc<Self> {
         let n = cfg.n as u64;
         let k = cfg.k as u64;
-        let reset_bound = match cfg.reset {
-            ResetStrategy::Legacy => n,
-            ResetStrategy::Batched => sampling_bound(cfg.k + 1, n),
-        };
         Arc::new(NodeParams {
             n: cfg.n as u32,
             k: cfg.k as u32,
             slack: cfg.slack,
-            reset: cfg.reset,
             dist_min: FireDist::for_bound(k.max(1)),
             dist_max: FireDist::for_bound((n - k).max(1)),
-            dist_reset: FireDist::for_bound(reset_bound),
+            dist_reset: FireDist::for_bound(sampling_bound(cfg.k + 1, n)),
         })
     }
 }
@@ -78,10 +70,6 @@ mod tests {
         assert_eq!(p.dist_max.n_bound(), 992);
         assert_eq!(p.dist_reset.n_bound(), 1000 / 9, "batched k-select bound");
         assert_eq!(p.dist_reset.last_round(), log2_ceil(1000 / 9));
-
-        let legacy =
-            NodeParams::shared(&MonitorConfig::new(1000, 8).with_reset(ResetStrategy::Legacy));
-        assert_eq!(legacy.dist_reset.n_bound(), 1000);
     }
 
     #[test]

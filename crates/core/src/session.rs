@@ -20,7 +20,7 @@
 //! ```
 //!
 //! * **One builder.** [`MonitorBuilder`] carries every knob (`n`, `k`,
-//!   slack, [`ResetStrategy`], [`HandlerMode`], [`BroadcastPolicy`], seed)
+//!   slack, ε, [`HandlerMode`], [`BroadcastPolicy`], seed, chaos)
 //!   plus an [`Engine`] choice, replacing the four-way constructor pick
 //!   (`TopkMonitor` vs `ThreadedTopkMonitor`, dense vs sparse driving).
 //! * **One ingest surface.** [`MonitorSession::update`] /
@@ -46,7 +46,7 @@ use topk_net::id::{NodeId, Value};
 use topk_net::ledger::{LedgerSnapshot, WireMetrics};
 use topk_proto::extremum::BroadcastPolicy;
 
-use crate::config::{ApproxMode, HandlerMode, MonitorConfig, ResetStrategy};
+use crate::config::{ApproxMode, HandlerMode, MonitorConfig};
 use crate::coordinator::CoordinatorMachine;
 use crate::events::TopkEvent;
 use crate::metrics::RunMetrics;
@@ -95,12 +95,11 @@ impl Engine {
 ///
 /// ```
 /// use topk_core::session::{Engine, MonitorBuilder};
-/// use topk_core::{HandlerMode, ResetStrategy};
+/// use topk_core::HandlerMode;
 ///
 /// let session = MonitorBuilder::new(64, 4)
 ///     .seed(7)
 ///     .slack(0)
-///     .reset(ResetStrategy::Batched)
 ///     .handler_mode(HandlerMode::Tight)
 ///     .engine(Engine::Auto)
 ///     .build();
@@ -152,12 +151,6 @@ impl MonitorBuilder {
     /// hysteresis must stay inside the band, `slack ≤ eps`.
     pub fn epsilon(mut self, eps: u64) -> Self {
         self.cfg = self.cfg.with_epsilon(eps);
-        self
-    }
-
-    /// `FILTERRESET` strategy (see [`ResetStrategy`]).
-    pub fn reset(mut self, reset: ResetStrategy) -> Self {
-        self.cfg.reset = reset;
         self
     }
 
@@ -215,7 +208,7 @@ impl MonitorBuilder {
 
     /// A copy of this builder retargeted at a `(n, k)` instance of a
     /// different size, every other knob (slack, ε-approximation mode,
-    /// reset strategy, handler mode, policy, seed, engine, chaos)
+    /// handler mode, policy, seed, engine, chaos)
     /// preserved. This is how the sharded serving layer (`topk-serve`)
     /// stamps out per-shard sessions from one template builder — each
     /// shard inherits the template's ε, so per-shard bands compose into
@@ -225,7 +218,6 @@ impl MonitorBuilder {
         cfg.policy = self.cfg.policy;
         cfg.handler_mode = self.cfg.handler_mode;
         cfg.slack = self.cfg.slack;
-        cfg.reset = self.cfg.reset;
         cfg.approx = self.cfg.approx;
         MonitorBuilder {
             cfg,
@@ -783,12 +775,10 @@ mod tests {
         let b = MonitorBuilder::new(10, 3)
             .seed(9)
             .slack(5)
-            .reset(ResetStrategy::Legacy)
             .handler_mode(HandlerMode::Faithful)
             .policy(BroadcastPolicy::EveryRound)
             .engine(Engine::Sequential);
         assert_eq!(b.config().slack, 5);
-        assert_eq!(b.config().reset, ResetStrategy::Legacy);
         assert_eq!(b.config().handler_mode, HandlerMode::Faithful);
         assert_eq!(b.config().policy, BroadcastPolicy::EveryRound);
         let s = b.build();

@@ -1,21 +1,22 @@
-//! Round-accounting regression tests for the two FILTERRESET strategies.
+//! Round-accounting regression tests for FILTERRESET.
 //!
 //! The round schedule of a reset is **deterministic** — participants may or
 //! may not send in any round, but the coordinator always runs the full
-//! schedule — so these are exact pins, not bounds with slack:
-//!
-//! * legacy:  `(k+1)·(⌈log₂n⌉ + 1) + 1` coordinator rounds per reset;
-//! * batched: `⌈log₂(max(1, ⌊n/(k+1)⌋))⌉ + k + 3` — the `O(log n + k)` claim of the batched
-//!   k-select sweep. A separate assertion keeps it under `4·(⌈log₂n⌉ + k)`
-//!   so the complexity class can't silently regress even if the exact
-//!   schedule shifts by a constant.
+//! schedule — so these are exact pins, not bounds with slack: the batched
+//! k-select sweep takes `⌈log₂(max(1, ⌊n/(k+1)⌋))⌉ + k + 3` coordinator
+//! rounds per reset — the `O(log n + k)` claim. A separate assertion keeps
+//! it under `4·(⌈log₂n⌉ + k)` so the complexity class can't silently
+//! regress even if the exact schedule shifts by a constant. The
+//! pseudocode's `k+1` sequential maximum searches would take
+//! `(k+1)·(⌈log₂n⌉ + 1) + 1`; that formula stays as the arithmetic
+//! reference the sweep is compared against.
 //!
 //! Rounds are counted by the coordinator itself ([`RunMetrics::reset_rounds`])
 //! so the pin is runtime-independent; for the init step we cross-check the
 //! metric against the sequential runtime's `micro_rounds_run`.
 
 use topk_core::metrics::RunMetrics;
-use topk_core::{Monitor, MonitorConfig, ResetStrategy, TopkMonitor};
+use topk_core::{Monitor, MonitorConfig, TopkMonitor};
 use topk_net::rng::log2_ceil;
 
 /// (n, k) grid covering tiny, boundary (k+1 == n) and wide configurations.
@@ -32,7 +33,9 @@ const GRID: &[(usize, usize)] = &[
     (4096, 32),
 ];
 
-fn legacy_rounds(n: usize, k: usize) -> u64 {
+/// Rounds of the pseudocode's `k+1` sequential MAXIMUMPROTOCOL(n) searches,
+/// winner announcements doubling as the next search's start signal.
+fn pseudocode_rounds(n: usize, k: usize) -> u64 {
     (k as u64 + 1) * (log2_ceil(n as u64) as u64 + 1) + 1
 }
 
@@ -45,9 +48,8 @@ fn batched_rounds(n: usize, k: usize) -> u64 {
 }
 
 /// Run the `t = 0` init reset and return `(reset_rounds, micro_rounds_run)`.
-fn init_reset(n: usize, k: usize, strategy: ResetStrategy, seed: u64) -> (u64, u64) {
-    let cfg = MonitorConfig::new(n, k).with_reset(strategy);
-    let mut mon = TopkMonitor::new(cfg, seed);
+fn init_reset(n: usize, k: usize, seed: u64) -> (u64, u64) {
+    let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), seed);
     // Distinct values so the selection is unique (rounds don't depend on
     // the values, but the answer check below should be strict).
     let values: Vec<u64> = (0..n as u64)
@@ -59,25 +61,10 @@ fn init_reset(n: usize, k: usize, strategy: ResetStrategy, seed: u64) -> (u64, u
 }
 
 #[test]
-fn legacy_reset_rounds_exact() {
-    for &(n, k) in GRID {
-        for seed in [1u64, 42, 999] {
-            let (rounds, micro) = init_reset(n, k, ResetStrategy::Legacy, seed);
-            assert_eq!(
-                rounds,
-                legacy_rounds(n, k),
-                "legacy (n={n}, k={k}, seed={seed})"
-            );
-            assert_eq!(micro, rounds, "init step is reset-only (n={n}, k={k})");
-        }
-    }
-}
-
-#[test]
 fn batched_reset_rounds_exact_and_in_class() {
     for &(n, k) in GRID {
         for seed in [1u64, 42, 999] {
-            let (rounds, micro) = init_reset(n, k, ResetStrategy::Batched, seed);
+            let (rounds, micro) = init_reset(n, k, seed);
             assert_eq!(
                 rounds,
                 batched_rounds(n, k),
@@ -100,15 +87,15 @@ fn batched_beats_legacy_for_every_grid_point_with_k_at_least_2() {
     // batched sweep is strictly cheaper, increasingly so in k.
     for &(n, k) in GRID.iter().filter(|&&(_, k)| k >= 2) {
         assert!(
-            batched_rounds(n, k) < legacy_rounds(n, k),
-            "(n={n}, k={k}): batched {} vs legacy {}",
+            batched_rounds(n, k) < pseudocode_rounds(n, k),
+            "(n={n}, k={k}): batched {} vs pseudocode {}",
             batched_rounds(n, k),
-            legacy_rounds(n, k)
+            pseudocode_rounds(n, k)
         );
     }
-    // And the asymptotic gap is the (k+1)× the tentpole claims: at
-    // n = 4096, k = 32 the legacy schedule pays > 6× the batched rounds.
-    assert!(legacy_rounds(4096, 32) > 6 * batched_rounds(4096, 32));
+    // And the asymptotic gap is the (k+1)× the sweep exists for: at
+    // n = 4096, k = 32 the pseudocode schedule pays > 6× the batched rounds.
+    assert!(pseudocode_rounds(4096, 32) > 6 * batched_rounds(4096, 32));
 }
 
 /// Fire-round calendar cost pin: a batched init reset *polls* each node
@@ -122,8 +109,7 @@ fn batched_beats_legacy_for_every_grid_point_with_k_at_least_2() {
 fn batched_init_polls_each_node_a_constant_number_of_times() {
     for &(n, k) in GRID.iter().filter(|&&(n, k)| n > k + 1) {
         for seed in [1u64, 42, 999] {
-            let cfg = MonitorConfig::new(n, k).with_reset(ResetStrategy::Batched);
-            let mut mon = TopkMonitor::new(cfg, seed);
+            let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), seed);
             let values: Vec<u64> = (0..n as u64)
                 .map(|i| (i * 7919) % (131 * n as u64))
                 .collect();
@@ -149,8 +135,7 @@ fn batched_init_polls_each_node_a_constant_number_of_times() {
 #[test]
 fn violation_step_polls_are_linear_not_n_log_n() {
     let (n, k) = (1024usize, 8usize);
-    let cfg = MonitorConfig::new(n, k).with_reset(ResetStrategy::Batched);
-    let mut mon = TopkMonitor::new(cfg, 7);
+    let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), 7);
     let mut values: Vec<u64> = (0..n as u64).map(|i| 1_000 + i * 100).collect();
     mon.step(0, &values);
     let after_init = mon.micro_polls();
@@ -172,35 +157,28 @@ fn violation_step_polls_are_linear_not_n_log_n() {
     );
 }
 
-/// A violation-forced reset (not just init) follows the same schedules.
+/// A violation-forced reset (not just init) follows the same schedule.
 #[test]
 fn mid_stream_reset_rounds_match_init_schedule() {
-    for strategy in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        let n = 64;
-        let k = 4;
-        let cfg = MonitorConfig::new(n, k).with_reset(strategy);
-        let mut mon = TopkMonitor::new(cfg, 7);
-        let mut values: Vec<u64> = (0..n as u64).map(|i| 1_000 + i * 100).collect();
-        mon.step(0, &values);
-        let after_init = mon.metrics().reset_rounds;
+    let n = 64;
+    let k = 4;
+    let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), 7);
+    let mut values: Vec<u64> = (0..n as u64).map(|i| 1_000 + i * 100).collect();
+    mon.step(0, &values);
+    let after_init = mon.metrics().reset_rounds;
 
-        // Flip the total order: previous top-k collapse to the bottom —
-        // the gap certificate cannot absorb this, forcing a reset.
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = 1_000 + (n - i) as u64 * 100;
-        }
-        mon.step(1, &values);
-        let m: &RunMetrics = mon.metrics();
-        assert!(m.resets >= 1, "the order flip must force a reset");
-        let per_reset = match strategy {
-            ResetStrategy::Legacy => legacy_rounds(n, k),
-            ResetStrategy::Batched => batched_rounds(n, k),
-        };
-        assert_eq!(
-            m.reset_rounds - after_init,
-            m.resets * per_reset,
-            "{strategy:?}: every mid-stream reset must follow the schedule"
-        );
-        assert_eq!(mon.topk(), topk_net::id::true_topk(&values, k));
+    // Flip the total order: previous top-k collapse to the bottom — the gap
+    // certificate cannot absorb this, forcing a reset.
+    for (i, v) in values.iter_mut().enumerate() {
+        *v = 1_000 + (n - i) as u64 * 100;
     }
+    mon.step(1, &values);
+    let m: &RunMetrics = mon.metrics();
+    assert!(m.resets >= 1, "the order flip must force a reset");
+    assert_eq!(
+        m.reset_rounds - after_init,
+        m.resets * batched_rounds(n, k),
+        "every mid-stream reset must follow the schedule"
+    );
+    assert_eq!(mon.topk(), topk_net::id::true_topk(&values, k));
 }

@@ -18,14 +18,13 @@
 //! [`EventReplay`]: topk_core::EventReplay
 
 use topk_core::session::{Engine, MonitorBuilder};
-use topk_core::{HandlerMode, ResetStrategy, RunMetrics, TopkEvent};
+use topk_core::{RunMetrics, TopkEvent};
 use topk_net::chaos::{ChaosPolicy, RecoveryMetrics};
 use topk_net::id::{NodeId, Value};
 use topk_net::ledger::{LedgerSnapshot, WireMetrics};
 use topk_net::rng::{derive_seed, splitmix64};
 use topk_net::wire::Report;
 use topk_ordered::ShardMerge;
-use topk_proto::extremum::BroadcastPolicy;
 
 use crate::shard::ShardHandle;
 
@@ -39,9 +38,9 @@ const SHARD_CHAOS_STREAM: u64 = 0x5345_5256_4348_0000; // "SERVCH.."
 
 /// Builder for [`TopkService`] — the serving layer's one entry point.
 ///
-/// Mirrors every [`MonitorBuilder`] knob (seed, engine, reset strategy,
-/// handler mode, broadcast policy, slack, ε tolerance, chaos) and adds the
-/// shard count.
+/// Carries the [`MonitorBuilder`] knobs a service sets — seed, engine, ε
+/// tolerance and chaos — plus the shard count. Every other protocol knob
+/// stays at its [`MonitorBuilder`] default.
 /// The per-shard sessions inherit all of them; seeds (and chaos seeds) are
 /// derived per shard so shards run statistically independent streams while
 /// the whole service stays a pure function of `(keys, k, shards, seed)`.
@@ -101,31 +100,6 @@ impl ServeBuilder {
     /// Execution engine for every shard session (see [`Engine`]).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.template = self.template.engine(engine);
-        self
-    }
-
-    /// `FILTERRESET` strategy for every shard (see [`ResetStrategy`]).
-    pub fn reset(mut self, reset: ResetStrategy) -> Self {
-        self.template = self.template.reset(reset);
-        self
-    }
-
-    /// Handler faithfulness for every shard (see [`HandlerMode`]).
-    pub fn handler_mode(mut self, mode: HandlerMode) -> Self {
-        self.template = self.template.handler_mode(mode);
-        self
-    }
-
-    /// Protocol announcement policy for every shard (see
-    /// [`BroadcastPolicy`]).
-    pub fn policy(mut self, policy: BroadcastPolicy) -> Self {
-        self.template = self.template.policy(policy);
-        self
-    }
-
-    /// Approximation slack `ε ≥ 0` for every shard.
-    pub fn slack(mut self, slack: u64) -> Self {
-        self.template = self.template.slack(slack);
         self
     }
 

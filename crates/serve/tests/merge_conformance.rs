@@ -6,7 +6,7 @@
 //!    `(k+1)`-th best) and full event stream are identical across shard
 //!    counts {1, 2, 3, 7}, identical to a single [`MonitorSession`] twin's
 //!    answer, and identical to `true_ranking` of the pushed row — across
-//!    both [`ResetStrategy`]s and both in-process [`Engine`]s.
+//!    both in-process [`Engine`]s.
 //! 2. **Replayability**: feeding the service's event stream into an
 //!    [`EventReplay`] reconstructs its polled state at every step (the
 //!    session-layer losslessness contract, lifted to the service).
@@ -19,14 +19,13 @@
 //! Run under rotated `PROPTEST_SEED`s in CI (`serve-conformance`).
 //!
 //! [`MonitorSession`]: topk_core::session::MonitorSession
-//! [`ResetStrategy`]: topk_core::ResetStrategy
 //! [`Engine`]: topk_core::session::Engine
 //! [`EventReplay`]: topk_core::EventReplay
 
 use proptest::prelude::*;
 
 use topk_core::session::{Engine, MonitorBuilder};
-use topk_core::{is_eps_valid_topk, is_valid_topk, EventReplay, ResetStrategy, TopkEvent};
+use topk_core::{is_eps_valid_topk, is_valid_topk, EventReplay, TopkEvent};
 use topk_net::id::{true_ranking, NodeId, Value};
 use topk_serve::ServeBuilder;
 use topk_streams::WorkloadSpec;
@@ -51,13 +50,11 @@ fn assert_sharded_conformance(
     seed: u64,
     steps: u64,
     engine: Engine,
-    reset: ResetStrategy,
 ) {
     let keys = spec.n();
     let mut row = vec![0u64; keys];
     let mut twin = MonitorBuilder::new(keys, k)
         .seed(seed)
-        .reset(reset)
         .engine(engine)
         .build();
     let mut services: Vec<_> = SHARD_GRID
@@ -66,7 +63,6 @@ fn assert_sharded_conformance(
             ServeBuilder::new(keys, k)
                 .shards(s)
                 .seed(seed)
-                .reset(reset)
                 .engine(engine)
                 .build()
         })
@@ -141,8 +137,8 @@ fn assert_sharded_conformance(
     }
 }
 
-/// The full shard-count × reset-strategy × engine matrix on a fixed churny
-/// walk: every arm conforms bit-identically.
+/// The full shard-count × engine matrix on a fixed churny walk: every arm
+/// conforms bit-identically.
 #[test]
 fn matrix_shard_counts_resets_engines_conform() {
     let spec = WorkloadSpec::RandomWalk {
@@ -152,10 +148,8 @@ fn matrix_shard_counts_resets_engines_conform() {
         step_max: 300,
         lazy_p: 0.2,
     };
-    for reset in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        for engine in [Engine::Sequential, Engine::Threaded] {
-            assert_sharded_conformance(&spec, 4, 11, 70, engine, reset);
-        }
+    for engine in [Engine::Sequential, Engine::Threaded] {
+        assert_sharded_conformance(&spec, 4, 11, 70, engine);
     }
 }
 
@@ -169,7 +163,7 @@ fn tiny_key_spaces_conform() {
         lo: 0,
         hi: 1 << 10,
     };
-    assert_sharded_conformance(&spec, 2, 3, 40, Engine::Sequential, ResetStrategy::Batched);
+    assert_sharded_conformance(&spec, 2, 3, 40, Engine::Sequential);
 
     // keys == k: everything is a member, the bar never materializes.
     let mut svc = ServeBuilder::new(3, 3).shards(2).seed(5).build();
@@ -323,8 +317,8 @@ fn epsilon_propagates_to_shards_and_band_composes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Arbitrary walks, dimensions, seeds, engines and strategies: the
-    /// sharded service conforms bit-identically on every shard count.
+    /// Arbitrary walks, dimensions, seeds and engines: the sharded service
+    /// conforms bit-identically on every shard count.
     #[test]
     fn arbitrary_walks_conform_across_shard_counts(
         n in 6usize..26,
@@ -332,7 +326,6 @@ proptest! {
         seed in 0u64..1000,
         step_max in 1u64..1500,
         engine_pick in 0u8..2,
-        reset_pick in 0u8..2,
     ) {
         let spec = WorkloadSpec::RandomWalk {
             n,
@@ -343,7 +336,6 @@ proptest! {
         };
         let k = 1 + k_off.min(n - 2);
         let engine = if engine_pick == 0 { Engine::Sequential } else { Engine::Threaded };
-        let reset = if reset_pick == 0 { ResetStrategy::Batched } else { ResetStrategy::Legacy };
-        assert_sharded_conformance(&spec, k, seed, 60, engine, reset);
+        assert_sharded_conformance(&spec, k, seed, 60, engine);
     }
 }

@@ -5,9 +5,9 @@
 //! movers and routes each commit to the sparse execution path, so the
 //! steady-state cost per step is O(#movers), independent of `n`, and the
 //! one-time init FILTERRESET runs the batched k-select sweep —
-//! `⌈log₂(n/(k+1))⌉ + k + 3` coordinator rounds instead of the legacy
-//! `(k+1)·(⌈log₂n⌉+1) + 1`. The example first races the two reset
-//! strategies on the init step, then drives the steady state.
+//! `⌈log₂(n/(k+1))⌉ + k + 3` coordinator rounds instead of the
+//! pseudocode's `(k+1)·(⌈log₂n⌉+1) + 1`. The example times the init step,
+//! then drives the steady state.
 //!
 //! Run with: `cargo run --release --example million_nodes`
 
@@ -27,43 +27,21 @@ fn main() {
         step_max: 64,
         sparsity: 0.0001,
     };
-    let builder = MonitorBuilder::new(n, k).seed(42);
-
     println!("building session: n = {n}, k = {k} ...");
     let t0 = Instant::now();
-    let mut session = builder.build();
+    let mut session = MonitorBuilder::new(n, k).seed(42).build();
     let mut feed = spec.build(7);
     println!("  constructed in {:.2?}", t0.elapsed());
-
-    // Race the legacy reset on the same init row before driving the real
-    // (batched-by-default) session.
-    let legacy_init = {
-        let mut legacy = builder.clone().reset(ResetStrategy::Legacy).build();
-        let mut twin = spec.build(7);
-        legacy.ingest(&mut twin, 0);
-        let t0 = Instant::now();
-        legacy.advance(0);
-        let dt = t0.elapsed();
-        println!(
-            "  init via legacy reset ((k+1)·(⌈log₂n⌉+1)+1 = {} rounds): {dt:.2?}",
-            legacy.metrics().reset_rounds
-        );
-        dt
-    };
 
     session.ingest(&mut feed, 0);
     let t0 = Instant::now();
     let init_events = session.advance(0).len();
-    let batched_init = t0.elapsed();
+    let init = t0.elapsed();
     println!(
-        "  init via batched reset (⌈log₂(n/(k+1))⌉+k+3 = {} rounds): {batched_init:.2?}, \
+        "  init via batched reset (⌈log₂(n/(k+1))⌉+k+3 = {} rounds): {init:.2?}, \
          {} messages, {init_events} events",
         session.metrics().reset_rounds,
         session.ledger().total()
-    );
-    println!(
-        "  init speedup: {:.1}× (legacy {legacy_init:.2?} → batched {batched_init:.2?})",
-        legacy_init.as_secs_f64() / batched_init.as_secs_f64()
     );
 
     let after_init_msgs = session.ledger().total();

@@ -41,8 +41,7 @@
 //! ```
 //!
 //! [`MonitorBuilder`](core::MonitorBuilder) carries every knob (`n`, `k`,
-//! slack, [`ResetStrategy`](core::ResetStrategy),
-//! [`HandlerMode`](core::HandlerMode), seed) plus an
+//! slack, ε, [`HandlerMode`](core::HandlerMode), seed) plus an
 //! [`Engine`](core::Engine) choice — `Sequential`, `Threaded`, `Socket`,
 //! or `Auto` — replacing the per-runtime pick between the dense/sparse
 //! drives of [`TopkMonitor`](core::TopkMonitor),
@@ -120,8 +119,8 @@ pub mod prelude {
     pub use topk_core::{
         is_eps_valid_topk, is_valid_topk, run_monitor, run_monitor_sparse, ApproxMode, BuildError,
         ChaosPolicy, Engine, EventReplay, HandlerMode, Monitor, MonitorBuilder, MonitorConfig,
-        MonitorSession, RecoveryMetrics, ResetStrategy, RuntimeError, SocketTopkMonitor,
-        ThreadedTopkMonitor, TopkEvent, TopkMonitor,
+        MonitorSession, RecoveryMetrics, RuntimeError, SocketTopkMonitor, ThreadedTopkMonitor,
+        TopkEvent, TopkMonitor,
     };
     pub use topk_core::{opt_segments, trace_delta, OptCostModel};
     pub use topk_core::{DominanceMidpoint, FilterNaiveResolve, NaiveMonitor, PeriodicRecompute};

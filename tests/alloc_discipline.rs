@@ -67,10 +67,7 @@ fn row(n: usize, flip: bool) -> Vec<(NodeId, Value)> {
 fn silent_steps_and_batched_resets_allocate_nothing_after_warmup() {
     let n = 512;
     let k = 8;
-    let mut mon = TopkMonitor::new(
-        MonitorConfig::new(n, k).with_reset(ResetStrategy::Batched),
-        42,
-    );
+    let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), 42);
 
     // Init = the first batched reset (warms every protocol buffer once).
     let init = row(n, false);

@@ -2,7 +2,7 @@
 //! through a seeded fault-injecting transport ([`ChaosPolicy`]) under
 //! rotating fault seeds, with a deep invariant audit every step.
 //!
-//! Three cross-checked arms per `(engine, strategy, chaos seed)`:
+//! Three cross-checked arms per `(engine, chaos seed)`:
 //!
 //! 1. a **chaotic session** — the engine under soak behind the fault layer;
 //! 2. a **fault-free session twin** — sequential engine, same stream — whose
@@ -43,12 +43,7 @@ fn chaos_seeds() -> [u64; 3] {
 /// `policy`, cross-checked per step against the fault-free sequential twin
 /// and the audited monitor. Returns the chaotic run's recovery counters for
 /// the caller's coverage gate.
-fn soak_arm(
-    engine: Engine,
-    strategy: ResetStrategy,
-    policy: ChaosPolicy,
-    steps: u64,
-) -> RecoveryMetrics {
+fn soak_arm(engine: Engine, policy: ChaosPolicy, steps: u64) -> RecoveryMetrics {
     let n = 10;
     let k = 2;
     let spec = WorkloadSpec::BoundaryCross {
@@ -69,24 +64,19 @@ fn soak_arm(
         100,
         20,
     ));
-    let ctx = format!(
-        "chaos soak (seed={}, {engine:?}, {strategy:?})",
-        policy.seed
-    );
+    let ctx = format!("chaos soak (seed={}, {engine:?})", policy.seed);
 
     let run_seed = 47;
     let mut chaotic = MonitorBuilder::new(n, k)
-        .reset(strategy)
         .seed(run_seed)
         .engine(engine)
         .chaos(policy)
         .build();
     let mut twin = MonitorBuilder::new(n, k)
-        .reset(strategy)
         .seed(run_seed)
         .engine(Engine::Sequential)
         .build();
-    let mut audited = TopkMonitor::new(MonitorConfig::new(n, k).with_reset(strategy), run_seed);
+    let mut audited = TopkMonitor::new(MonitorConfig::new(n, k), run_seed);
 
     let mut feed_chaotic = sched.apply(spec.build(3));
     let mut feed_twin = sched.apply(spec.build(3));
@@ -133,19 +123,8 @@ fn soak_arm(
 fn chaos_soak_reset_storms_with_per_step_audits() {
     let mut total = RecoveryMetrics::default();
     let mut arms = 0u32;
-    for (i, chaos_seed) in chaos_seeds().into_iter().enumerate() {
-        // Rotate the reset strategy with the seed: both paths soak.
-        let strategy = if i % 2 == 0 {
-            ResetStrategy::Batched
-        } else {
-            ResetStrategy::Legacy
-        };
-        let recovery = soak_arm(
-            Engine::Threaded,
-            strategy,
-            ChaosPolicy::from_seed(chaos_seed),
-            160,
-        );
+    for chaos_seed in chaos_seeds() {
+        let recovery = soak_arm(Engine::Threaded, ChaosPolicy::from_seed(chaos_seed), 160);
         total.injected_drops += recovery.injected_drops;
         total.injected_dups += recovery.injected_dups;
         total.injected_delays += recovery.injected_delays;
@@ -181,18 +160,8 @@ fn chaos_soak_socket_wire_storms_with_per_step_audits() {
     // identical to the threaded slice.
     let mut total = RecoveryMetrics::default();
     let mut arms = 0u32;
-    for (i, chaos_seed) in chaos_seeds().into_iter().enumerate() {
-        let strategy = if i % 2 == 0 {
-            ResetStrategy::Legacy
-        } else {
-            ResetStrategy::Batched
-        };
-        let recovery = soak_arm(
-            Engine::Socket,
-            strategy,
-            ChaosPolicy::from_seed(chaos_seed),
-            120,
-        );
+    for chaos_seed in chaos_seeds() {
+        let recovery = soak_arm(Engine::Socket, ChaosPolicy::from_seed(chaos_seed), 120);
         total.injected_torn_frames += recovery.injected_torn_frames;
         total.injected_conn_resets += recovery.injected_conn_resets;
         total.injected_half_opens += recovery.injected_half_opens;

@@ -12,40 +12,28 @@ use topk_monitoring::net::behavior::CoordinatorBehavior as _;
 use topk_monitoring::prelude::*;
 use topk_monitoring::sim::{boundary_storm, FaultSchedule};
 
-fn audit_run_cfg(
-    mut feed: Box<dyn ValueFeed>,
-    cfg: MonitorConfig,
-    steps: u64,
-    seed: u64,
-    context: &str,
-) -> TopkMonitor {
-    let n = feed.n();
-    assert_eq!(n, cfg.n);
-    let mut mon = TopkMonitor::new(cfg, seed);
-    let mut row = vec![0u64; n];
-    for t in 0..steps {
-        feed.fill_step(t, &mut row);
-        mon.step(t, &row);
-        assert_audit_clean(&mon, &row, context);
-        // No phase may survive a step — in particular no stuck
-        // `Phase::Reset`/`Phase::ResetBatched`.
-        assert!(
-            mon.coordinator().step_done(),
-            "{context}: coordinator stuck mid-phase after t={t}"
-        );
-    }
-    mon
-}
-
 fn audit_run(
-    feed: Box<dyn ValueFeed>,
+    mut feed: Box<dyn ValueFeed>,
     k: usize,
     steps: u64,
     seed: u64,
     context: &str,
 ) -> TopkMonitor {
     let n = feed.n();
-    audit_run_cfg(feed, MonitorConfig::new(n, k), steps, seed, context)
+    let mut mon = TopkMonitor::new(MonitorConfig::new(n, k), seed);
+    let mut row = vec![0u64; n];
+    for t in 0..steps {
+        feed.fill_step(t, &mut row);
+        mon.step(t, &row);
+        assert_audit_clean(&mon, &row, context);
+        // No phase may survive a step — in particular no stuck
+        // `Phase::Reset`.
+        assert!(
+            mon.coordinator().step_done(),
+            "{context}: coordinator stuck mid-phase after t={t}"
+        );
+    }
+    mon
 }
 
 #[test]
@@ -156,55 +144,51 @@ fn affine_delta_shift_preserves_behaviour_shape() {
     assert!(dr <= 4, "reset drift {dr} too large");
 }
 
-/// Mid-reset injection, both reset strategies: glitches land exactly on the
-/// steps whose observations trigger a reset (the reset runs *within* that
-/// step's micro-rounds, so these are the values the k-select sweep /
-/// iterated searches actually select over) and on the immediately following
-/// recovery steps. The deep auditor runs after every step and the
-/// `step_done` probe proves no `Phase::Reset`/`Phase::ResetBatched` ever
-/// survives its step.
+/// Mid-reset injection: glitches land exactly on the steps whose
+/// observations trigger a reset (the reset runs *within* that step's
+/// micro-rounds, so these are the values the k-select sweep actually
+/// selects over) and on the immediately following recovery steps. The deep
+/// auditor runs after every step and the `step_done` probe proves no
+/// `Phase::Reset` ever survives its step.
 #[test]
 fn mid_reset_glitches_recover_under_both_strategies() {
-    for strategy in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        let n = 8;
-        // t=2: total order flip → reset; inject a boundary tie right at the
-        // flip. t=3: recovery step with another injected near-boundary
-        // value. t=5: second flip back, with the glitch landing on the
-        // would-be (k+1)-st rank — the reset's tie-break hot spot.
-        let sched = FaultSchedule::new()
-            .glitch(2, 0, 9_000)
-            .glitch(2, 1, 8_000)
-            .glitch(2, 2, 7_000)
-            .glitch(2, 3, 6_000)
-            .glitch(2, 4, 6_000) // tie at the k/k+1 boundary during the reset
-            .glitch(2, 5, 5_000)
-            .glitch(2, 6, 4_000)
-            .glitch(2, 7, 3_000)
-            .glitch(3, 4, 6_500) // recovery-step wiggle right above the new bar
-            .glitch(5, 0, 1_000)
-            .glitch(5, 1, 2_000)
-            .glitch(5, 2, 3_000)
-            .glitch(5, 3, 4_000)
-            .glitch(5, 4, 5_000)
-            .glitch(5, 5, 6_000)
-            .glitch(5, 6, 7_000)
-            .glitch(5, 7, 7_000); // tie at the top during the second reset
-        let feed = sched.apply(
-            WorkloadSpec::Ramp {
-                n,
-                base: 1_000,
-                gap: 1_000,
-            }
-            .build(0),
-        );
-        let cfg = MonitorConfig::new(n, 4).with_reset(strategy);
-        let mon = audit_run_cfg(feed, cfg, 10, 5, "mid-reset glitches");
-        assert!(
-            mon.metrics().resets >= 2,
-            "{strategy:?}: both flips must reset (got {})",
-            mon.metrics().resets
-        );
-    }
+    let n = 8;
+    // t=2: total order flip → reset; inject a boundary tie right at the
+    // flip. t=3: recovery step with another injected near-boundary value.
+    // t=5: second flip back, with the glitch landing on the would-be
+    // (k+1)-st rank — the reset's tie-break hot spot.
+    let sched = FaultSchedule::new()
+        .glitch(2, 0, 9_000)
+        .glitch(2, 1, 8_000)
+        .glitch(2, 2, 7_000)
+        .glitch(2, 3, 6_000)
+        .glitch(2, 4, 6_000) // tie at the k/k+1 boundary during the reset
+        .glitch(2, 5, 5_000)
+        .glitch(2, 6, 4_000)
+        .glitch(2, 7, 3_000)
+        .glitch(3, 4, 6_500) // recovery-step wiggle right above the new bar
+        .glitch(5, 0, 1_000)
+        .glitch(5, 1, 2_000)
+        .glitch(5, 2, 3_000)
+        .glitch(5, 3, 4_000)
+        .glitch(5, 4, 5_000)
+        .glitch(5, 5, 6_000)
+        .glitch(5, 6, 7_000)
+        .glitch(5, 7, 7_000); // tie at the top during the second reset
+    let feed = sched.apply(
+        WorkloadSpec::Ramp {
+            n,
+            base: 1_000,
+            gap: 1_000,
+        }
+        .build(0),
+    );
+    let mon = audit_run(feed, 4, 10, 5, "mid-reset glitches");
+    assert!(
+        mon.metrics().resets >= 2,
+        "both flips must reset (got {})",
+        mon.metrics().resets
+    );
 }
 
 /// A reset storm on the batched path: boundary churn forces a reset every
@@ -222,7 +206,7 @@ fn batched_reset_storm_recovers_and_settles() {
         period: 4,
     }
     .build(3);
-    let cfg = MonitorConfig::new(n, 1).with_reset(ResetStrategy::Batched);
+    let cfg = MonitorConfig::new(n, 1);
     let mut mon = {
         let mut row = vec![0u64; n];
         let mut feed = feed;
@@ -257,10 +241,10 @@ fn batched_reset_storm_recovers_and_settles() {
 
 /// The seeded boundary-storm generator (shared with the chaos soak): a
 /// deterministic rain of glitches exactly on / one off / around the initial
-/// filter threshold, audited every step under both reset strategies.
+/// filter threshold, audited every step, on two storm seeds.
 #[test]
 fn seeded_boundary_storm_survives_audits() {
-    for (strategy, seed) in [(ResetStrategy::Batched, 21u64), (ResetStrategy::Legacy, 22)] {
+    for seed in [21u64, 22] {
         let n = 10;
         // Ramp 100..=1000, k=3: initial threshold ⌊(800+700)/2⌋ = 750.
         let inner = WorkloadSpec::Ramp {
@@ -270,11 +254,10 @@ fn seeded_boundary_storm_survives_audits() {
         }
         .build(0);
         let sched = FaultSchedule::new().extend(boundary_storm(seed, n, 2, 80, 2, 750, 40));
-        let cfg = MonitorConfig::new(n, 3).with_reset(strategy);
-        let mon = audit_run_cfg(sched.apply(inner), cfg, 90, 13, "boundary storm");
+        let mon = audit_run(sched.apply(inner), 3, 90, 13, "boundary storm");
         assert!(
             mon.metrics().violation_steps >= 5,
-            "{strategy:?}: a storm at the bar must violate repeatedly (got {})",
+            "seed {seed}: a storm at the bar must violate repeatedly (got {})",
             mon.metrics().violation_steps
         );
     }

@@ -15,31 +15,16 @@
 //! `step` entry point diffs against the driver's cached row, so both drives
 //! use the identical delta transport.
 //!
-//! # Reset-strategy matrix
-//!
-//! Every suite runs under the FILTERRESET strategy selected by the
-//! `RESET_STRATEGY` env var (`legacy` or `batched`, default batched) — CI
-//! runs both — and the dedicated `*_strategies_agree` tests drive the full
-//! 4-runtime × 2-strategy matrix in lockstep on reset-heavy workloads:
-//! within a strategy all four runtimes stay bit-identical, and *across*
-//! strategies the answers and post-reset thresholds must agree at every
-//! step (both resets are Las Vegas-exact, so the answer stream is a pure
-//! function of the values). Message ledgers legitimately differ across
-//! strategies and are asserted in the batched path's favor: fewer reset
-//! up-messages, fewer reset broadcasts, strictly fewer reset rounds.
+//! Every step that completes a FILTERRESET is also pinned to ground truth:
+//! the post-reset threshold must be `⌊(v_k + v_{k+1})/2⌋` of the sorted
+//! committed row. The reset is Las Vegas-exact, so this holds on every
+//! seed, not just in expectation.
 
 use proptest::prelude::*;
 
 use topk_monitoring::core::RunMetrics;
+use topk_monitoring::net::id::midpoint_floor;
 use topk_monitoring::prelude::*;
-
-/// FILTERRESET strategy under test for the single-strategy suites.
-fn reset_strategy_from_env() -> ResetStrategy {
-    match std::env::var("RESET_STRATEGY").as_deref() {
-        Ok("legacy") | Ok("Legacy") => ResetStrategy::Legacy,
-        _ => ResetStrategy::Batched,
-    }
-}
 
 /// Model-observable ledger tuple (sync frames excluded — they are transport
 /// accounting, compared separately between the two threaded drives).
@@ -66,22 +51,16 @@ fn assert_conformant_with(
     k: usize,
     seed: u64,
     steps: u64,
-    strategy: ResetStrategy,
     eps: u64,
 ) -> RunMetrics {
     let n = spec.n();
-    let cfg = MonitorConfig::new(n, k)
-        .with_reset(strategy)
-        .with_epsilon(eps);
+    let cfg = MonitorConfig::new(n, k).with_epsilon(eps);
     let mut seq_dense = TopkMonitor::new(cfg, seed);
     let mut seq_sparse = TopkMonitor::new(cfg, seed);
     let mut thr_dense = ThreadedTopkMonitor::new(cfg, seed);
     let mut thr_sparse = ThreadedTopkMonitor::new(cfg, seed);
     let mut soc_sparse = SocketTopkMonitor::new(cfg, seed);
-    let builder = MonitorBuilder::new(n, k)
-        .reset(cfg.reset)
-        .epsilon(eps)
-        .seed(seed);
+    let builder = MonitorBuilder::new(n, k).epsilon(eps).seed(seed);
     let mut ses_seq = builder.clone().engine(Engine::Sequential).build();
     let mut ses_soc = builder.clone().engine(Engine::Socket).build();
     let mut ses_thr = builder.engine(Engine::Threaded).build();
@@ -149,6 +128,20 @@ fn assert_conformant_with(
         }
         assert_eq!(ev_seq, ev_thr, "t={t}: session event streams diverged");
         assert_eq!(ev_seq, ev_soc, "t={t}: socket session events diverged");
+        // A completed reset selected the true top-(k+1), so the threshold
+        // it broadcast is the midpoint of the true k-th and (k+1)-st values.
+        if ev_seq
+            .iter()
+            .any(|e| matches!(e, TopkEvent::ResetCompleted { .. }))
+        {
+            let mut sorted = row.to_vec();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(
+                ses_seq.threshold(),
+                Some(midpoint_floor(sorted[k - 1], sorted[k])),
+                "t={t}: post-reset threshold is not the midpoint of the true v_k, v_(k+1)"
+            );
+        }
         if eps == 0 {
             assert!(is_valid_topk(row, &answer), "t={t}: invalid answer");
         } else {
@@ -270,135 +263,11 @@ fn assert_conformant_with(
     *seq_dense.metrics()
 }
 
-/// The exact-mode entry point: env-selected reset strategy, ε = 0.
-fn assert_conformant(spec: &WorkloadSpec, k: usize, seed: u64, steps: u64) {
-    let m = assert_conformant_with(spec, k, seed, steps, reset_strategy_from_env(), 0);
+/// The exact-mode entry point (ε = 0); returns the run's metrics.
+fn assert_conformant(spec: &WorkloadSpec, k: usize, seed: u64, steps: u64) -> RunMetrics {
+    let m = assert_conformant_with(spec, k, seed, steps, 0);
     assert_eq!(m.band_hits, 0, "exact mode must never take the band arm");
-}
-
-/// One strategy's four execution paths, driven in lockstep.
-struct StrategyArm {
-    seq_dense: TopkMonitor,
-    seq_sparse: TopkMonitor,
-    thr_dense: ThreadedTopkMonitor,
-    thr_sparse: ThreadedTopkMonitor,
-}
-
-impl StrategyArm {
-    fn new(cfg: MonitorConfig, seed: u64) -> Self {
-        StrategyArm {
-            seq_dense: TopkMonitor::new(cfg, seed),
-            seq_sparse: TopkMonitor::new(cfg, seed),
-            thr_dense: ThreadedTopkMonitor::new(cfg, seed),
-            thr_sparse: ThreadedTopkMonitor::new(cfg, seed),
-        }
-    }
-
-    /// Step all four paths; assert 4-way bit-identity; return the arm's
-    /// `(answer, threshold)` for the cross-strategy comparison.
-    fn step_all(
-        &mut self,
-        t: u64,
-        row: &[Value],
-        changes: &[(NodeId, Value)],
-        tag: &str,
-    ) -> (Vec<NodeId>, Option<Value>) {
-        self.seq_dense.step(t, row);
-        self.seq_sparse.step_sparse(t, changes);
-        self.thr_dense.step(t, row);
-        self.thr_sparse.step_sparse(t, changes);
-
-        let answer = self.seq_dense.topk();
-        let ledger = self.seq_dense.ledger();
-        for (name, m) in [
-            ("seq-sparse", &mut self.seq_sparse as &mut dyn Monitor),
-            ("thr-dense", &mut self.thr_dense as &mut dyn Monitor),
-            ("thr-sparse", &mut self.thr_sparse as &mut dyn Monitor),
-        ] {
-            assert_eq!(answer, m.topk(), "t={t}: {tag}/{name} top-k diverged");
-            assert_eq!(
-                model(&ledger),
-                model(&m.ledger()),
-                "t={t}: {tag}/{name} ledger diverged"
-            );
-        }
-        let thresh = self.seq_dense.coordinator().current_threshold();
-        assert_eq!(
-            thresh,
-            self.thr_sparse.coordinator().current_threshold(),
-            "t={t}: {tag} threshold diverged across runtimes"
-        );
-        (answer, thresh)
-    }
-}
-
-/// Drive the 4-runtime × 2-strategy matrix over a reset-heavy workload:
-/// within each strategy the four paths are bit-identical; across strategies
-/// answers and thresholds agree at every step; reset cost is asserted in
-/// the batched path's favor.
-fn assert_strategies_agree(spec: &WorkloadSpec, k: usize, seed: u64, steps: u64, min_resets: u64) {
-    let n = spec.n();
-    let mut batched = StrategyArm::new(
-        MonitorConfig::new(n, k).with_reset(ResetStrategy::Batched),
-        seed,
-    );
-    let mut legacy = StrategyArm::new(
-        MonitorConfig::new(n, k).with_reset(ResetStrategy::Legacy),
-        seed,
-    );
-
-    // One dense feed serves both strategies' dense drives (same rows), one
-    // delta feed both sparse drives.
-    let mut dense_feed = spec.build(seed ^ 0xfeed);
-    let mut delta_feed = spec.build(seed ^ 0xfeed);
-    let mut row = vec![0u64; n];
-    let mut changes: Vec<(NodeId, Value)> = Vec::new();
-
-    for t in 0..steps {
-        dense_feed.fill_step(t, &mut row);
-        delta_feed.fill_delta(t, &mut changes);
-        let (ans_b, th_b) = batched.step_all(t, &row, &changes, "batched");
-        let (ans_l, th_l) = legacy.step_all(t, &row, &changes, "legacy");
-        // Both resets are exact, so the answer stream is a pure function of
-        // the values — strategies must agree step by step.
-        assert_eq!(ans_b, ans_l, "t={t}: strategies' answers diverged");
-        assert_eq!(th_b, th_l, "t={t}: strategies' thresholds diverged");
-        assert!(is_valid_topk(&row, &ans_b), "t={t}: invalid answer");
-    }
-
-    // Same violation history ⇒ same reset schedule; the batched path must
-    // win on every reset-cost axis.
-    let mb = *batched.seq_dense.metrics();
-    let ml = *legacy.seq_dense.metrics();
-    assert_eq!(mb.resets, ml.resets, "reset decisions are value-driven");
-    assert!(
-        mb.resets >= min_resets,
-        "workload must be reset-heavy (got {} resets, wanted ≥ {min_resets})",
-        mb.resets
-    );
-    assert!(
-        mb.reset_rounds < ml.reset_rounds,
-        "batched rounds {} must beat legacy {}",
-        mb.reset_rounds,
-        ml.reset_rounds
-    );
-    // Message counts are random variables and batched only dominates in
-    // expectation, so the ≤ pins run only in the fixed-seed named tests
-    // (min_resets ≥ 2), never in the PROPTEST_SEED-rotated property arm.
-    if min_resets >= 2 {
-        assert!(
-            mb.reset_up <= ml.reset_up,
-            "batched reset up-messages {} must not exceed legacy {}",
-            mb.reset_up,
-            ml.reset_up
-        );
-        assert!(
-            mb.reset_bcast <= ml.reset_bcast,
-            "batched reset broadcasts {} must not exceed legacy {}",
-            mb.reset_bcast,
-            ml.reset_bcast
-        );
-    }
+    m
 }
 
 /// Chaos conformance: a monitor on `engine` behind a seeded fault-injection
@@ -419,14 +288,13 @@ fn assert_strategies_agree(spec: &WorkloadSpec, k: usize, seed: u64, steps: u64,
 fn assert_chaos_conformant(
     engine: Engine,
     policy: ChaosPolicy,
-    strategy: ResetStrategy,
     spec: &WorkloadSpec,
     k: usize,
     seed: u64,
     steps: u64,
 ) -> RecoveryMetrics {
     let n = spec.n();
-    let builder = MonitorBuilder::new(n, k).reset(strategy).seed(seed);
+    let builder = MonitorBuilder::new(n, k).seed(seed);
     let mut twin = builder.clone().engine(Engine::Sequential).build();
     let mut clean = builder.clone().engine(engine).build();
     let mut chaotic = builder.engine(engine).chaos(policy).build();
@@ -435,7 +303,7 @@ fn assert_chaos_conformant(
     let mut chaos_feed = spec.build(seed ^ 0xfeed);
     let mut clean_feed = spec.build(seed ^ 0xfeed);
     let mut changes: Vec<(NodeId, Value)> = Vec::new();
-    let tag = format!("chaos(seed={}, {engine:?}, {strategy:?})", policy.seed);
+    let tag = format!("chaos(seed={}, {engine:?})", policy.seed);
 
     for t in 0..steps {
         twin_feed.fill_delta(t, &mut changes);
@@ -517,8 +385,8 @@ fn assert_chaos_conformant(
 
 #[test]
 fn chaos_seeds_and_strategies_conform_to_fault_free_twin() {
-    // ≥ 3 rotating fault seeds × both reset strategies, on a reset-heavy
-    // boundary churn: every committed step bit-identical to the twin.
+    // Six rotating fault seeds on a reset-heavy boundary churn: every
+    // committed step bit-identical to the twin.
     let spec = WorkloadSpec::BoundaryCross {
         n: 10,
         base: 100,
@@ -526,11 +394,9 @@ fn chaos_seeds_and_strategies_conform_to_fault_free_twin() {
         amplitude: 30,
         period: 4,
     };
-    for strategy in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        for chaos_seed in [1u64, 2, 3] {
-            let policy = ChaosPolicy::from_seed(chaos_seed);
-            assert_chaos_conformant(Engine::Threaded, policy, strategy, &spec, 2, 17, 120);
-        }
+    for chaos_seed in 1u64..=6 {
+        let policy = ChaosPolicy::from_seed(chaos_seed);
+        assert_chaos_conformant(Engine::Threaded, policy, &spec, 2, 17, 120);
     }
 }
 
@@ -541,22 +407,14 @@ fn chaos_without_restarts_is_frame_identical() {
     let spec = WorkloadSpec::default_walk(12);
     for chaos_seed in [7u64, 8, 9] {
         let policy = ChaosPolicy::from_seed(chaos_seed).with_rates(40, 40, 25, 10, 25, 0);
-        assert_chaos_conformant(
-            Engine::Threaded,
-            policy,
-            ResetStrategy::Batched,
-            &spec,
-            3,
-            23,
-            150,
-        );
+        assert_chaos_conformant(Engine::Threaded, policy, &spec, 3, 23, 150);
     }
 }
 
 #[test]
 fn socket_chaos_seeds_and_strategies_conform_to_fault_free_twin() {
-    // The wire-level tentpole pin: ≥ 3 wire-fault seeds × both reset
-    // strategies on `Engine::Socket`. Every frame crosses a real loopback
+    // The wire-level tentpole pin: six wire-fault seeds on
+    // `Engine::Socket`. Every frame crosses a real loopback
     // socket through the seeded [`WireChaos`] layer — torn frames,
     // connection resets, half-open connections, reconnect storms — on top
     // of the in-process classes, and every committed step must still be
@@ -571,17 +429,15 @@ fn socket_chaos_seeds_and_strategies_conform_to_fault_free_twin() {
         period: 4,
     };
     let mut sum = RecoveryMetrics::default();
-    for strategy in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        for chaos_seed in [1u64, 2, 3] {
-            let policy = ChaosPolicy::from_seed(chaos_seed);
-            let r = assert_chaos_conformant(Engine::Socket, policy, strategy, &spec, 2, 17, 120);
-            sum.injected_torn_frames += r.injected_torn_frames;
-            sum.injected_conn_resets += r.injected_conn_resets;
-            sum.injected_half_opens += r.injected_half_opens;
-            sum.injected_storms += r.injected_storms;
-            sum.reconnects += r.reconnects;
-            sum.redelivered_frames += r.redelivered_frames;
-        }
+    for chaos_seed in 1u64..=6 {
+        let policy = ChaosPolicy::from_seed(chaos_seed);
+        let r = assert_chaos_conformant(Engine::Socket, policy, &spec, 2, 17, 120);
+        sum.injected_torn_frames += r.injected_torn_frames;
+        sum.injected_conn_resets += r.injected_conn_resets;
+        sum.injected_half_opens += r.injected_half_opens;
+        sum.injected_storms += r.injected_storms;
+        sum.reconnects += r.reconnects;
+        sum.redelivered_frames += r.redelivered_frames;
     }
     // Across the 6 arms every wire fault class must actually have fired,
     // and every severed connection must have come back via re-handshake.
@@ -611,15 +467,7 @@ fn socket_chaos_without_restarts_is_wire_model_identical() {
         let policy = ChaosPolicy::from_seed(chaos_seed)
             .with_rates(40, 40, 25, 10, 25, 0)
             .with_wire_rates(25, 25, 20, 400);
-        let r = assert_chaos_conformant(
-            Engine::Socket,
-            policy,
-            ResetStrategy::Batched,
-            &spec,
-            3,
-            23,
-            100,
-        );
+        let r = assert_chaos_conformant(Engine::Socket, policy, &spec, 3, 23, 100);
         sum.injected_torn_frames += r.injected_torn_frames;
         sum.injected_conn_resets += r.injected_conn_resets;
         sum.injected_half_opens += r.injected_half_opens;
@@ -729,7 +577,8 @@ fn boundary_churn_strategies_agree() {
     };
     // k = 1: the oscillating pair *is* the rank-1/2 boundary, so every
     // crossing violates and the gap certificate forces regular resets.
-    assert_strategies_agree(&spec, 1, 11, 250, 2);
+    let m = assert_conformant(&spec, 1, 11, 250);
+    assert!(m.resets >= 2, "workload must be reset-heavy: {m:?}");
 }
 
 #[test]
@@ -739,7 +588,8 @@ fn rotating_max_strategies_agree() {
         base: 100,
         bonus: 10_000,
     };
-    assert_strategies_agree(&spec, 2, 5, 250, 2);
+    let m = assert_conformant(&spec, 2, 5, 250);
+    assert!(m.resets >= 2, "workload must be reset-heavy: {m:?}");
 }
 
 #[test]
@@ -749,9 +599,7 @@ fn sparse_walk_400_steps_conformant() {
 
 /// The ISSUE 7 acceptance pin: the socket engine is driven to bit-identical
 /// answers, thresholds, events, model ledgers and RNG tails against the
-/// sequential twin for ≥ 3 seeds × both reset strategies — explicitly, not
-/// via the `RESET_STRATEGY` env var, so one `cargo test` run covers the
-/// whole matrix.
+/// sequential twin for ≥ 3 seeds.
 #[test]
 fn socket_engine_conforms_across_strategies_and_seeds() {
     let spec = WorkloadSpec::BoundaryCross {
@@ -761,94 +609,89 @@ fn socket_engine_conforms_across_strategies_and_seeds() {
         amplitude: 30,
         period: 4,
     };
-    for strategy in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        for seed in [42u64, 7, 3] {
-            let cfg = MonitorConfig::new(10, 2).with_reset(strategy);
-            let mut seq = TopkMonitor::new(cfg, seed);
-            let mut soc = SocketTopkMonitor::new(cfg, seed);
-            let mut ses_seq = MonitorBuilder::new(10, 2)
-                .reset(strategy)
-                .seed(seed)
-                .engine(Engine::Sequential)
-                .build();
-            let mut ses_soc = MonitorBuilder::new(10, 2)
-                .reset(strategy)
-                .seed(seed)
-                .engine(Engine::Socket)
-                .build();
-            let tag = format!("socket({strategy:?}, seed={seed})");
+    for seed in [42u64, 7, 3] {
+        let cfg = MonitorConfig::new(10, 2);
+        let mut seq = TopkMonitor::new(cfg, seed);
+        let mut soc = SocketTopkMonitor::new(cfg, seed);
+        let mut ses_seq = MonitorBuilder::new(10, 2)
+            .seed(seed)
+            .engine(Engine::Sequential)
+            .build();
+        let mut ses_soc = MonitorBuilder::new(10, 2)
+            .seed(seed)
+            .engine(Engine::Socket)
+            .build();
+        let tag = format!("socket(seed={seed})");
 
-            // Reset-heavy main body, then an iid churn tail that would expose
-            // any RNG-stream drift as diverging coin flips.
-            let mut feed_a = spec.build(seed ^ 0xfeed);
-            let mut feed_b = spec.build(seed ^ 0xfeed);
-            let tail = WorkloadSpec::IidUniform {
-                n: 10,
-                lo: 0,
-                hi: 1 << 20,
-            };
-            let mut tail_a = tail.build(seed ^ 0x7a11);
-            let mut tail_b = tail.build(seed ^ 0x7a11);
-            let mut row = vec![0u64; 10];
-            let mut changes: Vec<(NodeId, Value)> = Vec::new();
-            for t in 0..150 {
-                if t < 120 {
-                    feed_a.fill_step(t, &mut row);
-                    feed_b.fill_delta(t, &mut changes);
-                } else {
-                    tail_a.fill_step(t, &mut row);
-                    tail_b.fill_delta(t, &mut changes);
-                }
-                seq.step(t, &row);
-                soc.step_sparse(t, &changes);
-                ses_seq.update_batch(changes.iter().copied());
-                let ev_seq: Vec<TopkEvent> = ses_seq.advance(t).to_vec();
-                ses_soc.update_batch(changes.iter().copied());
-                let ev_soc: Vec<TopkEvent> = ses_soc.advance(t).to_vec();
-
-                assert_eq!(seq.topk(), soc.topk(), "t={t}: {tag} answer diverged");
-                assert_eq!(
-                    seq.coordinator().current_threshold(),
-                    soc.coordinator().current_threshold(),
-                    "t={t}: {tag} threshold diverged"
-                );
-                assert_eq!(
-                    model(&seq.ledger()),
-                    model(&soc.ledger()),
-                    "t={t}: {tag} model ledger diverged"
-                );
-                assert_eq!(ev_seq, ev_soc, "t={t}: {tag} event stream diverged");
+        // Reset-heavy main body, then an iid churn tail that would expose
+        // any RNG-stream drift as diverging coin flips.
+        let mut feed_a = spec.build(seed ^ 0xfeed);
+        let mut feed_b = spec.build(seed ^ 0xfeed);
+        let tail = WorkloadSpec::IidUniform {
+            n: 10,
+            lo: 0,
+            hi: 1 << 20,
+        };
+        let mut tail_a = tail.build(seed ^ 0x7a11);
+        let mut tail_b = tail.build(seed ^ 0x7a11);
+        let mut row = vec![0u64; 10];
+        let mut changes: Vec<(NodeId, Value)> = Vec::new();
+        for t in 0..150 {
+            if t < 120 {
+                feed_a.fill_step(t, &mut row);
+                feed_b.fill_delta(t, &mut changes);
+            } else {
+                tail_a.fill_step(t, &mut row);
+                tail_b.fill_delta(t, &mut changes);
             }
+            seq.step(t, &row);
+            soc.step_sparse(t, &changes);
+            ses_seq.update_batch(changes.iter().copied());
+            let ev_seq: Vec<TopkEvent> = ses_seq.advance(t).to_vec();
+            ses_soc.update_batch(changes.iter().copied());
+            let ev_soc: Vec<TopkEvent> = ses_soc.advance(t).to_vec();
 
-            let scrubbed = RunMetrics {
-                wire: Default::default(),
-                ..*soc.metrics()
-            };
-            assert_eq!(scrubbed, *seq.metrics(), "{tag}: protocol metrics diverged");
-            assert!(soc.metrics().wire.bytes_total > 0, "{tag}: no bytes moved");
+            assert_eq!(seq.topk(), soc.topk(), "t={t}: {tag} answer diverged");
             assert_eq!(
-                ses_soc.wire().map(|w| w.bytes_total > 0),
-                Some(true),
-                "{tag}: session wire accessor must surface the socket ledger"
+                seq.coordinator().current_threshold(),
+                soc.coordinator().current_threshold(),
+                "t={t}: {tag} threshold diverged"
             );
+            assert_eq!(
+                model(&seq.ledger()),
+                model(&soc.ledger()),
+                "t={t}: {tag} model ledger diverged"
+            );
+            assert_eq!(ev_seq, ev_soc, "t={t}: {tag} event stream diverged");
+        }
 
-            // Node state (values, filters, membership, RNG-bearing fields).
-            let soc_nodes = soc.shutdown();
-            for (a, b) in seq.nodes().iter().zip(soc_nodes.iter()) {
-                assert_eq!(a.value(), b.value(), "{tag}: node value diverged");
-                assert_eq!(a.threshold(), b.threshold(), "{tag}: filter diverged");
-                assert_eq!(a.in_topk(), b.in_topk(), "{tag}: membership diverged");
-            }
+        let scrubbed = RunMetrics {
+            wire: Default::default(),
+            ..*soc.metrics()
+        };
+        assert_eq!(scrubbed, *seq.metrics(), "{tag}: protocol metrics diverged");
+        assert!(soc.metrics().wire.bytes_total > 0, "{tag}: no bytes moved");
+        assert_eq!(
+            ses_soc.wire().map(|w| w.bytes_total > 0),
+            Some(true),
+            "{tag}: session wire accessor must surface the socket ledger"
+        );
+
+        // Node state (values, filters, membership, RNG-bearing fields).
+        let soc_nodes = soc.shutdown();
+        for (a, b) in seq.nodes().iter().zip(soc_nodes.iter()) {
+            assert_eq!(a.value(), b.value(), "{tag}: node value diverged");
+            assert_eq!(a.threshold(), b.threshold(), "{tag}: filter diverged");
+            assert_eq!(a.in_topk(), b.in_topk(), "{tag}: membership diverged");
         }
     }
 }
 
 /// The ISSUE 10 tentpole pin: ε-approximate mode is a *full conformance
 /// peer* — the whole 5-runtime + 3-session matrix stays bit-identical with
-/// the band engaged, for both reset strategies, on the adversarial
-/// boundary-oscillation workload built to hammer the band arm. The band
-/// must actually fire (band hits, avoided resets) or the arm proves
-/// nothing.
+/// the band engaged, on the adversarial boundary-oscillation workload
+/// built to hammer the band arm. The band must actually fire (band hits,
+/// avoided resets) or the arm proves nothing.
 #[test]
 fn approx_band_mode_is_a_full_conformance_peer() {
     let spec = WorkloadSpec::BoundaryOscillate {
@@ -859,23 +702,18 @@ fn approx_band_mode_is_a_full_conformance_peer() {
         amplitude: 12,
         period: 6,
     };
-    for strategy in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        for seed in [5u64, 21] {
-            // ε = 30 ≥ 2·amplitude: every flip is in-band.
-            let m = assert_conformant_with(&spec, 2, seed, 200, strategy, 30);
-            assert!(
-                m.band_hits > 0,
-                "{strategy:?}/seed {seed}: the band never engaged"
-            );
-            assert_eq!(m.band_bcast, m.band_hits, "one broadcast per band hit");
-        }
+    for seed in [5u64, 21] {
+        // ε = 30 ≥ 2·amplitude: every flip is in-band.
+        let m = assert_conformant_with(&spec, 2, seed, 200, 30);
+        assert!(m.band_hits > 0, "seed {seed}: the band never engaged");
+        assert_eq!(m.band_bcast, m.band_hits, "one broadcast per band hit");
     }
 }
 
 /// The ε = 0 equivalence arm of the matrix: a session built with
 /// `.epsilon(0)` is bit-identical to one that never touched the knob —
 /// answers, thresholds, typed events, model ledgers and the full metrics
-/// block — on every engine and both reset strategies.
+/// block — on every engine.
 #[test]
 fn approx_epsilon_zero_is_bit_identical_to_exact_mode() {
     let spec = WorkloadSpec::BoundaryCross {
@@ -885,38 +723,33 @@ fn approx_epsilon_zero_is_bit_identical_to_exact_mode() {
         amplitude: 30,
         period: 4,
     };
-    for strategy in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        for engine in [Engine::Sequential, Engine::Threaded, Engine::Socket] {
-            let seed = 13;
-            let tag = format!("eps0({engine:?}, {strategy:?})");
-            let base = MonitorBuilder::new(10, 2)
-                .reset(strategy)
-                .seed(seed)
-                .engine(engine);
-            let mut exact = base.build();
-            let mut zero = base.epsilon(0).build();
-            let mut fa = spec.build(seed ^ 0xfeed);
-            let mut fb = spec.build(seed ^ 0xfeed);
-            for t in 0..150 {
-                exact.ingest(&mut fa, t);
-                zero.ingest(&mut fb, t);
-                let (ea, eb) = (exact.advance(t).to_vec(), zero.advance(t).to_vec());
-                assert_eq!(ea, eb, "t={t}: {tag} event streams diverged");
-                assert_eq!(exact.topk(), zero.topk(), "t={t}: {tag} answer diverged");
-                assert_eq!(
-                    exact.threshold(),
-                    zero.threshold(),
-                    "t={t}: {tag} threshold diverged"
-                );
-                assert_eq!(
-                    model(&exact.ledger()),
-                    model(&zero.ledger()),
-                    "t={t}: {tag} ledger diverged"
-                );
-            }
-            assert_eq!(exact.metrics(), zero.metrics(), "{tag}: metrics diverged");
-            assert_eq!(zero.metrics().band_hits, 0, "{tag}: ε = 0 must never band");
+    for engine in [Engine::Sequential, Engine::Threaded, Engine::Socket] {
+        let seed = 13;
+        let tag = format!("eps0({engine:?})");
+        let base = MonitorBuilder::new(10, 2).seed(seed).engine(engine);
+        let mut exact = base.build();
+        let mut zero = base.epsilon(0).build();
+        let mut fa = spec.build(seed ^ 0xfeed);
+        let mut fb = spec.build(seed ^ 0xfeed);
+        for t in 0..150 {
+            exact.ingest(&mut fa, t);
+            zero.ingest(&mut fb, t);
+            let (ea, eb) = (exact.advance(t).to_vec(), zero.advance(t).to_vec());
+            assert_eq!(ea, eb, "t={t}: {tag} event streams diverged");
+            assert_eq!(exact.topk(), zero.topk(), "t={t}: {tag} answer diverged");
+            assert_eq!(
+                exact.threshold(),
+                zero.threshold(),
+                "t={t}: {tag} threshold diverged"
+            );
+            assert_eq!(
+                model(&exact.ledger()),
+                model(&zero.ledger()),
+                "t={t}: {tag} ledger diverged"
+            );
         }
+        assert_eq!(exact.metrics(), zero.metrics(), "{tag}: metrics diverged");
+        assert_eq!(zero.metrics().band_hits, 0, "{tag}: ε = 0 must never band");
     }
 }
 
@@ -985,7 +818,7 @@ proptest! {
     }
 
     /// ε-approximate runs stay conformant for arbitrary oscillation
-    /// shapes, band widths and phases (strategy rotated by seed).
+    /// shapes, band widths and phases.
     #[test]
     fn approx_oscillation_conformant(
         n in 4usize..12,
@@ -1001,12 +834,11 @@ proptest! {
             amplitude,
             period,
         };
-        let strategy = if seed % 2 == 0 { ResetStrategy::Batched } else { ResetStrategy::Legacy };
-        assert_conformant_with(&spec, 1, seed, 200, strategy, 2 * amplitude);
+        assert_conformant_with(&spec, 1, seed, 200, 2 * amplitude);
     }
 
-    /// The full 4-runtime × 2-strategy matrix agrees on arbitrary
-    /// reset-heavy boundary churn.
+    /// Arbitrary reset-heavy boundary churn: every reset's threshold is the
+    /// ground-truth midpoint, on every execution path.
     #[test]
     fn adversarial_strategy_matrix_agrees(
         n in 4usize..10,
@@ -1020,6 +852,6 @@ proptest! {
             amplitude: 30,
             period,
         };
-        assert_strategies_agree(&spec, 1, seed, 200, 0);
+        assert_conformant(&spec, 1, seed, 200);
     }
 }

@@ -1,8 +1,7 @@
 //! Session-layer contract suite: the typed event stream is a *lossless*
 //! view of the monitoring run.
 //!
-//! 1. **Replayability** (property-tested across the engine × reset-strategy
-//!    matrix): feeding every `advance` batch into an [`EventReplay`]
+//! 1. **Replayability** (property-tested across the engines): feeding every `advance` batch into an [`EventReplay`]
 //!    reconstructs exactly the session's polled `topk()`, its rank order,
 //!    and its `threshold()` at every step — for any workload and any
 //!    dense/sparse routing interleaving.
@@ -25,14 +24,9 @@ fn assert_replay_reconstructs(
     seed: u64,
     steps: u64,
     engine: Engine,
-    reset: ResetStrategy,
 ) -> (u64, u64) {
     let n = spec.n();
-    let mut session = MonitorBuilder::new(n, k)
-        .seed(seed)
-        .reset(reset)
-        .engine(engine)
-        .build();
+    let mut session = MonitorBuilder::new(n, k).seed(seed).engine(engine).build();
     let mut feed = spec.build(seed ^ 0x5e55);
     let mut replay = EventReplay::new();
     let mut row = vec![0u64; n];
@@ -103,10 +97,10 @@ fn assert_replay_reconstructs(
     (events_total, replay.resets())
 }
 
-/// The full engine × strategy matrix on a reset-heavy named workload, with
-/// fixed seeds: replay reconstructs every arm, the two engines of one
-/// strategy produce identical event totals, and the replayed reset count
-/// matches the coordinator's metrics.
+/// Both in-process engines on a reset-heavy named workload, with fixed
+/// seeds: replay reconstructs every arm, the two engines produce identical
+/// event totals, and the replayed reset count matches the coordinator's
+/// metrics.
 #[test]
 fn matrix_replay_reconstructs_reset_heavy_churn() {
     let spec = WorkloadSpec::BoundaryCross {
@@ -116,18 +110,16 @@ fn matrix_replay_reconstructs_reset_heavy_churn() {
         amplitude: 30,
         period: 4,
     };
-    for reset in [ResetStrategy::Batched, ResetStrategy::Legacy] {
-        let mut per_engine = Vec::new();
-        for engine in [Engine::Sequential, Engine::Threaded] {
-            let (events, resets) = assert_replay_reconstructs(&spec, 1, 11, 200, engine, reset);
-            assert!(resets >= 3, "workload must be reset-heavy, got {resets}");
-            per_engine.push((events, resets));
-        }
-        assert_eq!(
-            per_engine[0], per_engine[1],
-            "{reset:?}: engines must emit identical event volumes"
-        );
+    let mut per_engine = Vec::new();
+    for engine in [Engine::Sequential, Engine::Threaded] {
+        let (events, resets) = assert_replay_reconstructs(&spec, 1, 11, 200, engine);
+        assert!(resets >= 3, "workload must be reset-heavy, got {resets}");
+        per_engine.push((events, resets));
     }
+    assert_eq!(
+        per_engine[0], per_engine[1],
+        "engines must emit identical event volumes"
+    );
 }
 
 /// Replayed reset counts equal the coordinator's own accounting
@@ -287,8 +279,8 @@ fn event_buffer_is_reused_under_rank_churn() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Arbitrary walks, k, seeds, engines, and strategies: the event stream
-    /// replays losslessly.
+    /// Arbitrary walks, k, seeds and engines: the event stream replays
+    /// losslessly.
     #[test]
     fn arbitrary_walks_replay_losslessly(
         n in 2usize..14,
@@ -296,7 +288,6 @@ proptest! {
         seed in 0u64..1000,
         step_max in 1u64..2000,
         engine_pick in 0u8..2,
-        reset_pick in 0u8..2,
     ) {
         let spec = WorkloadSpec::RandomWalk {
             n,
@@ -307,8 +298,7 @@ proptest! {
         };
         let k = 1 + k_off.min(n - 1);
         let engine = if engine_pick == 0 { Engine::Sequential } else { Engine::Threaded };
-        let reset = if reset_pick == 0 { ResetStrategy::Batched } else { ResetStrategy::Legacy };
-        assert_replay_reconstructs(&spec, k, seed, 200, engine, reset);
+        assert_replay_reconstructs(&spec, k, seed, 200, engine);
     }
 
     /// Natively sparse workloads (small batches → the sparse commit route,
@@ -321,6 +311,6 @@ proptest! {
         sparsity_pct in 1u64..50,
     ) {
         let spec = WorkloadSpec::default_sparse_walk(n, sparsity_pct as f64 / 100.0);
-        assert_replay_reconstructs(&spec, 2, seed, 200, Engine::Sequential, ResetStrategy::Batched);
+        assert_replay_reconstructs(&spec, 2, seed, 200, Engine::Sequential);
     }
 }
