@@ -9,10 +9,21 @@
 //! range of node behaviors and one persistent connection. A shard
 //! identifies itself with a version-checked `Hello` frame (accept order is
 //! nondeterministic; the handshake makes stream identity deterministic).
-//! Per work frame the shard runs the behavior and answers with one `Reply`
-//! frame; per-shard reader threads funnel replies into one channel. Each
-//! shard is one endpoint of the driver, so an abort wave sends one abort
-//! per shard.
+//! Per work frame the shard runs the behavior and encodes one `Reply`
+//! frame; replies are buffered and flushed when the shard is about to wait.
+//! Per-shard reader threads funnel replies into one channel. Each shard is
+//! one endpoint of the driver, so an abort wave sends one abort per shard.
+//!
+//! # Flush rule
+//!
+//! A side flushes only when it is about to wait. The driver buffers a whole
+//! wave and flushes once per shard before it collects the replies; a shard
+//! buffers its replies and flushes when its reader does not already hold
+//! the next whole frame (the read may block) or before an injected stall.
+//! A burst of work frames is therefore answered by one write, not one per
+//! frame, while `TCP_NODELAY` lets that write leave at once. Neither side
+//! ever waits on a peer that is still holding bytes for it, so coalescing
+//! cannot deadlock, and it changes no byte on the wire.
 //!
 //! Because the frames are real bytes, the visit rule's skips are
 //! measurable as bytes *not* written, tallied in [`WireMetrics`] — the
@@ -76,6 +87,10 @@ const MAX_SHARDS: usize = 4;
 
 /// How long `spawn` waits for all shards to connect and say hello.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// First and longest sleep of a non-blocking accept loop (see [`Backoff`]).
+const ACCEPT_POLL_MIN: Duration = Duration::from_micros(20);
+const ACCEPT_POLL_MAX: Duration = Duration::from_millis(1);
 
 /// Reconnect attempts a recoverable shard may consume before giving up —
 /// far above any real fault schedule; a runaway sever loop fails typed
@@ -211,15 +226,37 @@ pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<(), WireEr
     })
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame. A payload above [`MAX_FRAME_LEN`],
+/// which [`read_frame`] would refuse, is rejected before any byte is
+/// written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    debug_assert!(
-        payload.len() <= MAX_FRAME_LEN,
-        "frame exceeds MAX_FRAME_LEN"
-    );
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(WireError::Oversized {
+            declared: payload.len(),
+            max: MAX_FRAME_LEN,
+        });
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())
         .and_then(|()| w.write_all(payload))
         .map_err(|e| WireError::Io(e.kind()))
+}
+
+/// Read the next frame, first flushing `w` unless `r` already holds the
+/// whole frame: the read may block, and the peer may be waiting for what
+/// `w` holds. This is the shard half of the flush rule (module docs).
+fn next_frame<R: Read, W: Write>(
+    r: &mut BufReader<R>,
+    w: &mut BufWriter<W>,
+    payload: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    let held = r.buffer();
+    let whole = held.first_chunk().is_some_and(|prefix| {
+        held.len() - FRAME_PREFIX_LEN >= u32::from_le_bytes(*prefix) as usize
+    });
+    if !whole {
+        w.flush().map_err(|e| WireError::Io(e.kind()))?;
+    }
+    read_frame(r, payload)
 }
 
 fn take_u8(rd: &mut &[u8]) -> Option<u8> {
@@ -601,28 +638,23 @@ where
     NB::Up: FrameCodec,
     NB::Down: FrameCodec,
 {
-    /// Serve one connection until halt or loss. The hello handshake and
-    /// every reply travel over `stream`; node state lives in `self` and
-    /// survives the connection.
-    fn serve(&mut self, stream: TcpStream) -> ServeExit {
-        stream.set_nodelay(true).ok();
-        let Ok(read_half) = stream.try_clone() else {
-            return ServeExit::Lost;
-        };
+    /// Serve one connection until halt or loss. Work frames arrive on
+    /// `read_half`; the hello handshake and every reply are buffered on
+    /// `write_half` and leave when the shard is about to wait (see
+    /// [`next_frame`]). Node state lives in `self` and survives the
+    /// connection.
+    fn serve(&mut self, read_half: impl Read, write_half: impl Write) -> ServeExit {
         let mut reader = BufReader::new(read_half);
-        let mut writer = BufWriter::new(stream);
+        let mut writer = BufWriter::new(write_half);
         let mut buf = vec![T_HELLO, WIRE_VERSION];
         put_varint(&mut buf, self.shard as u64);
-        let send = |w: &mut BufWriter<TcpStream>, bytes: &[u8]| {
-            write_frame(w, bytes).is_ok() && w.flush().is_ok()
-        };
-        if !send(&mut writer, &buf) {
+        if write_frame(&mut writer, &buf).is_err() {
             return ServeExit::Lost;
         }
         let mut payload = Vec::new();
         let mut bcasts: Vec<NB::Down> = Vec::new();
         loop {
-            if read_frame(&mut reader, &mut payload).is_err() {
+            if next_frame(&mut reader, &mut writer, &mut payload).is_err() {
                 return ServeExit::Lost;
             }
             let mut rd: &[u8] = &payload;
@@ -650,7 +682,7 @@ where
                         false,
                         None,
                     );
-                    if !send(&mut writer, &buf) {
+                    if write_frame(&mut writer, &buf).is_err() {
                         return ServeExit::Lost;
                     }
                 }
@@ -665,12 +697,17 @@ where
                         return ServeExit::Lost;
                     };
                     if w.stall_ms > 0 {
+                        // About to wait: the replies so far leave first.
+                        if writer.flush().is_err() {
+                            return ServeExit::Lost;
+                        }
                         std::thread::sleep(Duration::from_millis(w.stall_ms as u64));
                     }
                     match host.admit(w.key, self.recoverable) {
                         Admit::Stale => continue,
                         Admit::Repeat(cached) => {
-                            if cached.is_some_and(|bytes| !send(&mut writer, bytes)) {
+                            if cached.is_some_and(|bytes| write_frame(&mut writer, bytes).is_err())
+                            {
                                 return ServeExit::Lost;
                             }
                             continue;
@@ -692,7 +729,7 @@ where
                     if self.recoverable {
                         host.commit(w.key, buf.clone());
                     }
-                    if !send(&mut writer, &buf) {
+                    if write_frame(&mut writer, &buf).is_err() {
                         return ServeExit::Lost;
                     }
                 }
@@ -731,12 +768,35 @@ where
         0
     };
     while let Some(stream) = connect_with_retries(addr) {
-        match st.serve(stream) {
+        // No delay: a flushed burst leaves at once (module docs).
+        stream.set_nodelay(true).ok();
+        let exit = match stream.try_clone() {
+            Ok(read_half) => st.serve(read_half, stream),
+            Err(_) => ServeExit::Lost,
+        };
+        match exit {
             ServeExit::Lost if budget > 0 => budget -= 1,
             _ => break,
         }
     }
     st.hosts.into_iter().map(|h| h.node).collect()
+}
+
+/// Sleep schedule of the driver's non-blocking accept loops. Shards connect
+/// within tens of µs of being spawned, so the first poll comes after
+/// [`ACCEPT_POLL_MIN`]; each further one waits twice as long, up to
+/// [`ACCEPT_POLL_MAX`].
+struct Backoff(Duration);
+
+impl Backoff {
+    fn new() -> Self {
+        Backoff(ACCEPT_POLL_MIN)
+    }
+
+    fn sleep(&mut self) {
+        std::thread::sleep(self.0);
+        self.0 = (self.0 * 2).min(ACCEPT_POLL_MAX);
+    }
 }
 
 /// Wrap a transport-layer failure into the typed runtime error.
@@ -876,6 +936,7 @@ where
         let mut wire = WireMetrics::default();
         listener.set_nonblocking(true).map_err(transport)?;
         let deadline = Instant::now() + ACCEPT_TIMEOUT;
+        let mut backoff = Backoff::new();
         let mut streams: Vec<Option<TcpStream>> = (0..s_count).map(|_| None).collect();
         let mut payload = Vec::new();
         let mut accepted = 0;
@@ -913,7 +974,7 @@ where
                              ({accepted}/{s_count} shards connected)"
                         )));
                     }
-                    std::thread::sleep(Duration::from_millis(1));
+                    backoff.sleep();
                 }
                 Err(e) => return Err(transport(format_args!("accept failed: {e}"))),
             }
@@ -1017,6 +1078,7 @@ where
             return Err(transport("reconnect without a retained listener"));
         };
         let deadline = Instant::now() + ACCEPT_TIMEOUT;
+        let mut backoff = Backoff::new();
         let mut payload = Vec::new();
         loop {
             match listener.accept() {
@@ -1066,7 +1128,7 @@ where
                             ))
                         });
                     }
-                    std::thread::sleep(Duration::from_millis(1));
+                    backoff.sleep();
                 }
                 Err(e) => return Err(transport(format_args!("reconnect accept failed: {e}"))),
             }
@@ -1285,6 +1347,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::behavior::{ObserveAction, RoundAction};
+    use crate::wire::WireSize;
 
     #[test]
     fn frame_roundtrip() {
@@ -1319,6 +1383,154 @@ mod tests {
             })
         );
         assert!(payload.capacity() < MAX_FRAME_LEN, "no speculative alloc");
+    }
+
+    #[test]
+    fn oversized_payload_rejected_before_writing() {
+        let big = vec![0u8; MAX_FRAME_LEN + 1];
+        let mut wire = Vec::new();
+        assert_eq!(
+            write_frame(&mut wire, &big),
+            Err(WireError::Oversized {
+                declared: MAX_FRAME_LEN + 1,
+                max: MAX_FRAME_LEN
+            })
+        );
+        assert!(wire.is_empty(), "no byte of a refused frame is written");
+        // Exactly at the cap: written, and read back by the other side.
+        write_frame(&mut wire, &big[1..]).unwrap();
+        let mut r: &[u8] = &wire;
+        let mut payload = Vec::new();
+        read_frame(&mut r, &mut payload).unwrap();
+        assert_eq!(payload.len(), MAX_FRAME_LEN);
+    }
+
+    /// Model message of [`Echo`]: one varint.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Msg(u64);
+
+    impl WireSize for Msg {
+        fn wire_bits(&self) -> u32 {
+            64
+        }
+    }
+
+    impl FrameCodec for Msg {
+        fn encode_frame(&self, buf: &mut Vec<u8>) {
+            put_varint(buf, self.0);
+        }
+
+        fn decode_frame(buf: &mut &[u8]) -> Result<Self, WireError> {
+            get_varint(buf)
+                .map(Msg)
+                .ok_or_else(|| malformed("truncated msg"))
+        }
+    }
+
+    /// Reports every observation; checkpointable, so it also runs on the
+    /// recoverable layout.
+    #[derive(Clone)]
+    struct Echo(NodeId);
+
+    impl NodeBehavior for Echo {
+        type Up = Msg;
+        type Down = Msg;
+
+        fn id(&self) -> NodeId {
+            self.0
+        }
+
+        fn observe(&mut self, _t: u64, value: Value) -> ObserveAction<Msg> {
+            ObserveAction {
+                up: Some(Msg(value)),
+                engaged: false,
+                wake_at: None,
+            }
+        }
+
+        fn micro_round(&mut self, _: u64, _: u32, _: &[Msg], _: Option<&Msg>) -> RoundAction<Msg> {
+            RoundAction::idle()
+        }
+
+        fn checkpoint(&self) -> Option<Self> {
+            Some(self.clone())
+        }
+
+        fn rollback(&mut self, at: &Self) {
+            *self = at.clone();
+        }
+    }
+
+    /// A writer that keeps the bytes of every `write` call apart.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serve one in-memory burst of `n` observe frames on shard 0, the
+    /// frame at `stall_at` (recoverable layout only) stalled for 1 ms.
+    /// Returns the shard's writes after its `Hello`, and the framed reply
+    /// it owes to each work frame.
+    fn serve_burst(
+        n: u32,
+        recoverable: bool,
+        stall_at: Option<u32>,
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let key = (1, 0, 0);
+        let (mut input, mut owed) = (Vec::new(), Vec::new());
+        let (mut frame, mut stalled) = (Vec::new(), Vec::new());
+        let mut wire = WireMetrics::default();
+        for i in 0..n {
+            let v = 1000 + 7 * i as u64;
+            let work = Work::Observe(Some(v));
+            encode_work::<Msg>(&mut frame, recoverable, i, key, work, &mut wire);
+            if stall_at == Some(i) {
+                stalled_copy(&frame, 1, &mut stalled);
+                write_frame(&mut input, &stalled).unwrap();
+            } else {
+                write_frame(&mut input, &frame).unwrap();
+            }
+            let reply_key = (1, recoverable.then_some(0), 0);
+            encode_reply(&mut frame, i, reply_key, &Some(Msg(v)), false, None);
+            let mut reply = Vec::new();
+            write_frame(&mut reply, &frame).unwrap();
+            owed.push(reply);
+        }
+        let mut st = ShardState {
+            hosts: (0..n).map(|i| NodeHost::new(Echo(NodeId(i)))).collect(),
+            first: 0,
+            shard: 0,
+            recoverable,
+        };
+        let mut log = WriteLog::default();
+        assert!(matches!(st.serve(&input[..], &mut log), ServeExit::Lost));
+        let mut hello = Vec::new();
+        write_frame(&mut hello, &[T_HELLO, WIRE_VERSION, 0]).unwrap();
+        assert_eq!(log.0.first(), Some(&hello), "the hello leaves on its own");
+        (log.0.split_off(1), owed)
+    }
+
+    #[test]
+    fn shard_answers_a_burst_with_one_write() {
+        for recoverable in [false, true] {
+            let (writes, owed) = serve_burst(64, recoverable, None);
+            assert_eq!(writes, [owed.concat()], "recoverable={recoverable}");
+        }
+    }
+
+    #[test]
+    fn stall_flushes_the_burst_before_sleeping() {
+        let (writes, owed) = serve_burst(64, true, Some(20));
+        assert_eq!(writes, [owed[..20].concat(), owed[20..].concat()]);
     }
 
     #[test]

@@ -37,6 +37,11 @@
 //! snapshot test (`crates/net/tests/wire_golden.rs`): any drift in this
 //! layout or in a message codec shows up as a byte-level diff there.
 //!
+//! Frame boundaries are not write boundaries. Each side buffers frames and
+//! flushes only when it is about to wait (see [`crate::socket`]), so one
+//! write usually carries a whole burst, and a frame may also be split
+//! across writes. The golden snapshot pins bytes, not syscalls.
+//!
 //! # Wire-chaos injection points
 //!
 //! A chaotic socket transport ([`crate::chaos::WireChaos`] behind a

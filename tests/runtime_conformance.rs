@@ -687,6 +687,51 @@ fn socket_engine_conforms_across_strategies_and_seeds() {
     }
 }
 
+/// Waves larger than the stream buffers: at n = 4096 each of the four
+/// shards hosts 1024 nodes, so a dense observe wave spans several 8 KiB
+/// reader fills on the shard and its reply burst overflows the shard's
+/// 8 KiB writer mid-burst. The socket session must still match the
+/// sequential one at every step, the init reset included: events, answers,
+/// thresholds and the model ledger (`sync_frames` is transport accounting
+/// and left out).
+#[test]
+fn socket_waves_larger_than_stream_buffers_conform() {
+    let (n, k, seed) = (4096, 8, 17);
+    let spec = WorkloadSpec::RandomWalk {
+        n,
+        lo: 0,
+        hi: 1 << 19,
+        step_max: 256,
+        lazy_p: 0.2,
+    };
+    let builder = MonitorBuilder::new(n, k).seed(seed);
+    let mut seq = builder.clone().engine(Engine::Sequential).build();
+    let mut soc = builder.engine(Engine::Socket).build();
+    let mut feed = spec.build(seed ^ 0xfeed);
+    let mut changes: Vec<(NodeId, Value)> = Vec::new();
+    for t in 0..40 {
+        feed.fill_delta(t, &mut changes);
+        seq.update_batch(changes.iter().copied());
+        let ev_seq: Vec<TopkEvent> = seq.advance(t).to_vec();
+        soc.update_batch(changes.iter().copied());
+        let ev_soc: Vec<TopkEvent> = soc.advance(t).to_vec();
+        assert_eq!(ev_seq, ev_soc, "t={t}: event stream diverged");
+        assert_eq!(seq.topk(), soc.topk(), "t={t}: answer diverged");
+        assert_eq!(
+            seq.threshold(),
+            soc.threshold(),
+            "t={t}: threshold diverged"
+        );
+        assert_eq!(
+            model(&seq.ledger()),
+            model(&soc.ledger()),
+            "t={t}: model ledger diverged"
+        );
+    }
+    assert!(seq.metrics().resets >= 1, "the init reset ran");
+    assert!(seq.ledger().up > 0, "the protocol exchanged messages");
+}
+
 /// The ISSUE 10 tentpole pin: ε-approximate mode is a *full conformance
 /// peer* — the whole 5-runtime + 3-session matrix stays bit-identical with
 /// the band engaged, on the adversarial boundary-oscillation workload
