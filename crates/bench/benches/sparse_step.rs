@@ -24,6 +24,7 @@ use topk_core::msg::{DownMsg, UpMsg};
 use topk_core::{Monitor, MonitorConfig, NodeMachine, TopkMonitor};
 use topk_net::behavior::{NodeBehavior, ObserveAction, RoundAction, ValueFeed};
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
 use topk_streams::WorkloadSpec;
 
@@ -135,19 +136,19 @@ fn legacy_steady(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     for &n in SIZES {
         let cfg = MonitorConfig::new(n, 8);
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, 9);
-        let mut rt = SyncRuntime::new(nodes.into_iter().map(LegacyNode).collect(), coord, 8);
+        let (nodes, mut coord) = TopkMonitor::make_parts(cfg, 9);
+        let mut rt = SyncRuntime::new(nodes.into_iter().map(LegacyNode).collect(), 8);
         let mut feed = spec(n).build(5);
         let mut row = vec![0 as Value; n];
         let mut t = 0u64;
         feed.fill_step(t, &mut row);
-        rt.step(t, &row);
+        rt.step(&mut coord, t, &row);
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 t += 1;
                 feed.fill_step(t, &mut row);
-                rt.step(t, &row);
+                rt.step(&mut coord, t, &row);
                 black_box(rt.silent_steps())
             });
         });

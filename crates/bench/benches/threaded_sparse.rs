@@ -23,6 +23,7 @@ use topk_core::msg::{DownMsg, UpMsg};
 use topk_core::{Monitor, MonitorConfig, NodeMachine, ThreadedTopkMonitor, TopkMonitor};
 use topk_net::behavior::{NodeBehavior, ObserveAction, RoundAction, ValueFeed};
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::threaded::ThreadedCluster;
 use topk_streams::WorkloadSpec;
 

@@ -1,6 +1,7 @@
 //! Shared helpers for the Criterion bench suite.
 //!
-//! Each bench file covers one experiment family (see DESIGN.md §5):
+//! Each bench file covers one experiment family (the E-numbers of the
+//! `topk_sim::experiments` registry):
 //! `max_protocol` (E1/E3 wall-clock), `topk_step` (E4/E5 throughput),
 //! `comparison` (E7), `filters`, `streams`, and `end_to_end` (E4 + OPT).
 

@@ -71,9 +71,9 @@ pub struct MonitorConfig {
     pub n: usize,
     /// Number of top positions to monitor, `1 ≤ k ≤ n`.
     pub k: usize,
-    /// Protocol announcement policy (§4 / DESIGN §4.2 ablation).
+    /// Protocol announcement policy (§4; ablated by experiment E8).
     pub policy: BroadcastPolicy,
-    /// Handler faithfulness (DESIGN §4.3 ablation).
+    /// Handler faithfulness (ablated by experiment E8).
     pub handler_mode: HandlerMode,
     /// Approximation slack `ε ≥ 0` (extension, default 0 = exact).
     ///

@@ -17,7 +17,8 @@
 //! events — every `Left` (ascending id), then every `Entered` (ascending
 //! rank), then every `RankChanged` (ascending new rank). Replay does not
 //! depend on the order; fixing it makes event streams directly comparable
-//! across runs.
+//! across runs. The membership events come from one [`RankDiff`], which
+//! both a session and the sharded service (`topk-serve`) drive.
 
 use topk_net::id::{NodeId, Value};
 
@@ -172,10 +173,115 @@ impl EventReplay {
     }
 }
 
+/// The membership diff: the current members by rank, and the
+/// `Left` / `Entered` / `RankChanged` events that turn it into the next
+/// ranking. Its owner stages the next ranking best-first in
+/// [`RankDiff::next_order`] and calls [`RankDiff::commit`]; every buffer is
+/// reused, so a warmed-up diff allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct RankDiff {
+    /// Current members by rank (index 0 = rank 1 = largest value).
+    order: Vec<NodeId>,
+    /// The ranking being staged for the next commit.
+    next: Vec<NodeId>,
+    /// Scratch: `(id, rank)` of `order` / `next`, id-sorted.
+    prev_by_id: Vec<(NodeId, usize)>,
+    cur_by_id: Vec<(NodeId, usize)>,
+    /// Scratch: `Entered` / `RankChanged` events keyed by rank.
+    staged: Vec<(usize, TopkEvent)>,
+    /// O(1) membership by id, kept in lockstep with `order`.
+    member: Vec<bool>,
+}
+
+impl RankDiff {
+    /// An empty ranking over ids `0..n`.
+    pub fn new(n: usize) -> Self {
+        RankDiff {
+            member: vec![false; n],
+            ..Self::default()
+        }
+    }
+
+    /// Current members by rank (index 0 = rank 1 = largest value).
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// O(1): is `id` a current member?
+    #[inline]
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.member[id.idx()]
+    }
+
+    /// The cleared buffer to stage the next ranking in, best first.
+    pub fn next_order(&mut self) -> &mut Vec<NodeId> {
+        self.next.clear();
+        &mut self.next
+    }
+
+    /// Diff the staged ranking against the current one, append the step-`t`
+    /// membership events to `events` — every `Left` (ascending id), then
+    /// every `Entered` (ascending rank), then every `RankChanged`
+    /// (ascending new rank) — and make the staged ranking current.
+    pub fn commit(&mut self, t: u64, events: &mut Vec<TopkEvent>) {
+        fn by_id(order: &[NodeId], out: &mut Vec<(NodeId, usize)>) {
+            out.clear();
+            out.extend(order.iter().enumerate().map(|(i, &id)| (id, i + 1)));
+            out.sort_unstable_by_key(|&(id, _)| id);
+        }
+        by_id(&self.order, &mut self.prev_by_id);
+        by_id(&self.next, &mut self.cur_by_id);
+
+        // Merge the two id-sorted rank maps. Lefts go straight out
+        // (ascending id); Entered/RankChanged are staged by rank.
+        self.staged.clear();
+        let (mut p, mut c) = (0, 0);
+        loop {
+            match (self.prev_by_id.get(p), self.cur_by_id.get(c)) {
+                (Some(&(pid, from)), Some(&(cid, to))) if pid == cid => {
+                    if from != to {
+                        let e = TopkEvent::RankChanged {
+                            t,
+                            id: cid,
+                            from,
+                            to,
+                        };
+                        self.staged.push((to, e));
+                    }
+                    p += 1;
+                    c += 1;
+                }
+                (Some(&(pid, _)), Some(&(cid, _))) if pid < cid => {
+                    events.push(TopkEvent::Left { t, id: pid });
+                    self.member[pid.idx()] = false;
+                    p += 1;
+                }
+                (Some(&(pid, _)), None) => {
+                    events.push(TopkEvent::Left { t, id: pid });
+                    self.member[pid.idx()] = false;
+                    p += 1;
+                }
+                (_, Some(&(cid, rank))) => {
+                    self.staged
+                        .push((rank, TopkEvent::Entered { t, id: cid, rank }));
+                    self.member[cid.idx()] = true;
+                    c += 1;
+                }
+                (None, None) => break,
+            }
+        }
+        // Entered before RankChanged, each in ascending rank.
+        self.staged
+            .sort_unstable_by_key(|&(rank, e)| (!matches!(e, TopkEvent::Entered { .. }), rank));
+        events.extend(self.staged.iter().map(|&(_, e)| e));
+        std::mem::swap(&mut self.order, &mut self.next);
+    }
+}
+
 /// Shared change-detector behind [`Monitor::drain_events`]: remembers the
 /// last reported threshold / reset count and emits the protocol-level
 /// events ([`TopkEvent::ResetCompleted`], [`TopkEvent::ThresholdUpdated`])
-/// for whatever changed since. Both Algorithm 1 monitors embed one;
+/// for whatever changed since. [`crate::monitor::Algorithm1`] embeds one;
 /// membership and rank events are derived by the session layer, which owns
 /// the value row needed to rank members.
 ///

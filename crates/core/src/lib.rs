@@ -6,16 +6,17 @@
 //! minimizing messages. This crate implements:
 //!
 //! * [`msg`] / [`node`] / [`coordinator`] — the paper's Algorithm 1 as
-//!   communicating state machines (runnable on the sequential *and* the
-//!   threaded runtime of `topk-net`);
+//!   communicating state machines (runnable on every runtime of
+//!   `topk-net`);
 //! * [`session`] / [`events`] — the public facade: [`MonitorBuilder`] →
 //!   [`MonitorSession`], push-based ingestion with automatic dense/sparse
-//!   routing and a typed [`TopkEvent`] stream, over any [`Engine`];
-//! * [`monitor`] — the [`Monitor`] trait and [`TopkMonitor`], the
-//!   assembled algorithm;
-//! * [`cluster`] — [`ClusterTopkMonitor`], the same algorithm on a transport
-//!   engine: [`ThreadedTopkMonitor`] (OS-thread nodes, [`threaded`]) and
-//!   [`SocketTopkMonitor`] (loopback-TCP shards, [`socket`]);
+//!   routing and a typed [`TopkEvent`] stream, over any [`Engine`]
+//!   ([`MonitorBuilder::resolved_engine`] is the one engine rule);
+//! * [`monitor`] — the [`Monitor`] trait and [`Algorithm1`], the assembled
+//!   algorithm over any [`topk_net::Runtime`], with one alias per engine:
+//!   [`TopkMonitor`] (sequential), [`ThreadedTopkMonitor`] (OS-thread
+//!   nodes, [`threaded`]) and [`SocketTopkMonitor`] (loopback-TCP shards,
+//!   [`socket`]);
 //! * [`baselines`] — naive streaming, §2.1 periodic recomputation,
 //!   filter-with-poll-resolution, and Lam-et-al.-style dominance tracking;
 //! * [`opt`] — the offline optimal filter segmentation (the competitive
@@ -31,7 +32,6 @@
 
 pub mod audit;
 pub mod baselines;
-pub mod cluster;
 pub mod codec;
 pub mod config;
 pub mod coordinator;
@@ -39,7 +39,6 @@ pub mod events;
 pub mod metrics;
 pub mod monitor;
 pub mod msg;
-pub mod multik;
 pub mod node;
 pub mod opt;
 pub mod params;
@@ -49,15 +48,14 @@ pub mod threaded;
 
 pub use audit::{assert_audit_clean, audit_monitor, AuditError};
 pub use baselines::{DominanceMidpoint, FilterNaiveResolve, NaiveMonitor, PeriodicRecompute};
-pub use cluster::ClusterTopkMonitor;
 pub use config::{ApproxMode, HandlerMode, MonitorConfig};
 pub use coordinator::CoordinatorMachine;
-pub use events::{EventReplay, TopkEvent};
+pub use events::{EventReplay, RankDiff, TopkEvent};
 pub use metrics::RunMetrics;
 pub use monitor::{
-    is_eps_valid_topk, is_valid_topk, run_monitor, run_monitor_sparse, Monitor, TopkMonitor,
+    is_eps_valid_topk, is_valid_topk, run_monitor, run_monitor_sparse, Algorithm1, DynRuntime,
+    Monitor, TopkMonitor,
 };
-pub use multik::MultiKMonitor;
 pub use node::NodeMachine;
 pub use opt::{
     opt_segments, opt_updates_dp, trace_delta, window_feasible, OptCostModel, OptResult,

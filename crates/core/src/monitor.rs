@@ -1,10 +1,22 @@
 //! The [`Monitor`] trait — the public face every monitoring algorithm
 //! (Algorithm 1, the baselines, the ordered extension) implements — and
-//! [`TopkMonitor`], Algorithm 1 assembled on the sequential runtime.
+//! [`Algorithm1`], the paper's algorithm assembled over any [`Runtime`].
+//!
+//! Algorithm 1 is one coordinator state machine and `n` node state
+//! machines; what carries their messages is a parameter. [`Algorithm1<R>`]
+//! holds the coordinator and lends it to runtime `R` for every step, so
+//! the one [`Monitor`] impl below serves every engine. The engine names
+//! are aliases: [`TopkMonitor`] (the sequential runtime, here),
+//! [`crate::threaded::ThreadedTopkMonitor`] and
+//! [`crate::socket::SocketTopkMonitor`]; each alias adds only its
+//! engine-specific constructors and accessors.
 
-use topk_net::behavior::ValueFeed;
+use topk_net::behavior::{CoordinatorBehavior as _, ValueFeed};
+use topk_net::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};
+use topk_net::driver::{Cluster, Transport};
 use topk_net::id::{NodeId, Value};
 use topk_net::ledger::LedgerSnapshot;
+use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
 
 use crate::config::MonitorConfig;
@@ -12,6 +24,7 @@ use crate::coordinator::CoordinatorMachine;
 use crate::events::{EventCursor, TopkEvent};
 use crate::metrics::RunMetrics;
 use crate::node::NodeMachine;
+use crate::session::Engine;
 
 /// A continuous top-k-position monitoring algorithm.
 ///
@@ -158,38 +171,151 @@ macro_rules! row_cache_step_sparse {
     };
 }
 
-/// Algorithm 1 of the paper, assembled: `n` [`NodeMachine`]s and one
-/// [`CoordinatorMachine`] on the deterministic sequential runtime.
+/// Any engine that can carry Algorithm 1, chosen at run time.
+pub type DynRuntime = dyn Runtime<CoordinatorMachine> + Send;
+
+/// Algorithm 1 of the paper, assembled: one [`CoordinatorMachine`] and `n`
+/// [`NodeMachine`]s behind runtime `R`, which borrows the coordinator for
+/// each step.
 ///
-/// This is the *engine* type; new code should usually build a
-/// [`crate::session::MonitorSession`] via
-/// [`crate::session::MonitorBuilder`] instead of constructing engines
-/// directly — the session adds push-based ingestion, automatic dense/sparse
-/// routing, and the typed event stream on top of the identical execution.
-pub struct TopkMonitor {
-    rt: SyncRuntime<NodeMachine, CoordinatorMachine>,
+/// The runtime is the last field, so `Box<Algorithm1<R>>` coerces to
+/// `Box<Algorithm1<DynRuntime>>` — how [`crate::session::MonitorSession`]
+/// holds whichever engine it was built with. This is the *engine* type;
+/// new code should usually build a session via
+/// [`crate::session::MonitorBuilder`] instead — the session adds
+/// push-based ingestion, automatic dense/sparse routing, and the typed
+/// event stream on top of the identical execution.
+pub struct Algorithm1<R: ?Sized> {
+    coord: CoordinatorMachine,
     cfg: MonitorConfig,
+    engine: Engine,
     events: EventCursor,
+    rt: R,
 }
 
-impl TopkMonitor {
-    pub fn new(cfg: MonitorConfig, seed: u64) -> Self {
-        let (nodes, coord) = Self::make_parts(cfg, seed);
-        TopkMonitor {
-            rt: SyncRuntime::new(nodes, coord, cfg.k),
+/// Algorithm 1 on the deterministic sequential runtime.
+pub type TopkMonitor = Algorithm1<SyncRuntime<NodeMachine>>;
+
+impl<R: Runtime<CoordinatorMachine>> Algorithm1<R> {
+    /// Build the node machines and the coordinator for `(cfg, seed)` and
+    /// hand the nodes to the runtime `start` makes of them.
+    fn assemble(
+        cfg: MonitorConfig,
+        seed: u64,
+        engine: Engine,
+        start: impl FnOnce(Vec<NodeMachine>) -> R,
+    ) -> Self {
+        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
+        Algorithm1 {
+            coord,
             cfg,
+            engine,
             events: EventCursor::default(),
+            rt: start(nodes),
         }
+    }
+}
+
+impl<R: ?Sized + Runtime<CoordinatorMachine>> Algorithm1<R> {
+    /// The coordinator (tracker/threshold accessors for tests and tools).
+    pub fn coordinator(&self) -> &CoordinatorMachine {
+        &self.coord
     }
 
     /// Phase-attributed event counters of the coordinator.
     pub fn metrics(&self) -> &RunMetrics {
-        self.rt.coord().metrics()
+        self.coord.metrics()
     }
 
-    /// The coordinator (tracker/threshold accessors for tests and tools).
-    pub fn coordinator(&self) -> &CoordinatorMachine {
-        self.rt.coord()
+    /// The configuration this monitor runs.
+    pub fn config(&self) -> &MonitorConfig {
+        &self.cfg
+    }
+
+    /// The engine this monitor runs on (never [`Engine::Auto`]).
+    pub(crate) fn engine(&self) -> Engine {
+        self.engine
+    }
+
+    /// The runtime carrying the nodes.
+    pub(crate) fn runtime(&self) -> &R {
+        &self.rt
+    }
+
+    /// Steps that exchanged no message and ran no micro-round.
+    pub fn silent_steps(&self) -> u64 {
+        self.rt.silent_steps()
+    }
+
+    /// Coordinator micro-rounds executed so far (all phases) — the runtime's
+    /// round-complexity witness, counted identically on every engine;
+    /// reset-phase rounds alone are in [`RunMetrics::reset_rounds`].
+    pub fn micro_rounds_run(&self) -> u64 {
+        self.rt.micro_rounds_run()
+    }
+
+    /// Fallible form of [`Monitor::step`]: a transport failure the recovery
+    /// layer cannot mask (a dead endpoint, retries exhausted) surfaces as a
+    /// typed [`RuntimeError`] instead of a panic.
+    pub fn try_step(&mut self, t: u64, values: &[Value]) -> Result<(), RuntimeError> {
+        self.rt.try_step(&mut self.coord, t, values)
+    }
+
+    /// Fallible form of [`Monitor::step_sparse`].
+    pub fn try_step_sparse(
+        &mut self,
+        t: u64,
+        changes: &[(NodeId, Value)],
+    ) -> Result<(), RuntimeError> {
+        self.rt.try_step_sparse(&mut self.coord, t, changes)
+    }
+}
+
+impl<R: ?Sized + Runtime<CoordinatorMachine> + Send> Monitor for Algorithm1<R> {
+    fn name(&self) -> &'static str {
+        match self.engine {
+            Engine::Auto | Engine::Sequential => "topk-filter",
+            Engine::Threaded => "topk-filter-threaded",
+            Engine::Socket => "topk-filter-socket",
+        }
+    }
+
+    fn step(&mut self, t: u64, values: &[Value]) {
+        self.rt.step(&mut self.coord, t, values);
+    }
+
+    fn step_sparse(&mut self, t: u64, changes: &[(NodeId, Value)]) {
+        self.rt.step_sparse(&mut self.coord, t, changes);
+    }
+
+    fn topk(&self) -> Vec<NodeId> {
+        self.coord.topk().to_vec()
+    }
+
+    fn ledger(&self) -> LedgerSnapshot {
+        self.rt.ledger().snapshot()
+    }
+
+    fn n(&self) -> usize {
+        self.cfg.n
+    }
+
+    fn k(&self) -> usize {
+        self.cfg.k
+    }
+
+    fn drain_events(&mut self, t: u64, out: &mut Vec<TopkEvent>) {
+        self.events.drain(&self.coord, t, out);
+    }
+}
+
+impl TopkMonitor {
+    /// Algorithm 1 for `cfg` on the sequential runtime; `seed` is the
+    /// master seed of the per-node protocol RNG streams.
+    pub fn new(cfg: MonitorConfig, seed: u64) -> Self {
+        Self::assemble(cfg, seed, Engine::Sequential, |nodes| {
+            SyncRuntime::new(nodes, cfg.k)
+        })
     }
 
     /// Node states (test/debug introspection).
@@ -197,27 +323,10 @@ impl TopkMonitor {
         self.rt.nodes()
     }
 
-    /// Steps that exchanged no message.
-    pub fn silent_steps(&self) -> u64 {
-        self.rt.silent_steps()
-    }
-
-    /// Coordinator micro-rounds executed so far (all phases) — the runtime's
-    /// round-complexity witness; reset-phase rounds alone are in
-    /// [`RunMetrics::reset_rounds`].
-    pub fn micro_rounds_run(&self) -> u64 {
-        self.rt.micro_rounds_run()
-    }
-
     /// Total node `observe` calls — `O(#changed + #engaged)` per step on
     /// the sparse path, `n` per step only on the very first (init) step.
     pub fn observe_calls(&self) -> u64 {
         self.rt.observe_calls()
-    }
-
-    /// The configuration this monitor runs.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
     }
 
     /// Build the pieces for a *threaded* execution of the same algorithm:
@@ -241,37 +350,41 @@ impl TopkMonitor {
     }
 }
 
-impl Monitor for TopkMonitor {
-    fn name(&self) -> &'static str {
-        "topk-filter"
+/// The transport engines: nodes behind [`Cluster`] over transport `T`.
+impl<T: Transport<NodeMachine>> Algorithm1<Cluster<NodeMachine, T>> {
+    /// Start the node endpoints — behind a seeded fault-injection layer
+    /// when `chaos` is set. Seeds and behaviors match [`TopkMonitor::new`]
+    /// exactly, so the monitors are interchangeable twins.
+    pub(crate) fn start(
+        cfg: MonitorConfig,
+        seed: u64,
+        engine: Engine,
+        chaos: Option<ChaosPolicy>,
+    ) -> Self {
+        Self::assemble(cfg, seed, engine, |nodes| match chaos {
+            Some(policy) => Cluster::spawn_chaotic(nodes, policy),
+            None => Cluster::spawn(nodes),
+        })
     }
 
-    fn step(&mut self, t: u64, values: &[Value]) {
-        self.rt.step(t, values);
+    /// Fault-injection and recovery counters (all zero without a
+    /// [`ChaosPolicy`]). Mirrored into [`RunMetrics::recovery`] at each
+    /// committed step.
+    pub fn recovery(&self) -> &RecoveryMetrics {
+        self.rt.recovery()
     }
 
-    fn step_sparse(&mut self, t: u64, changes: &[(NodeId, Value)]) {
-        self.rt.step_sparse(t, changes);
+    /// Transport-level synchronization frames sent so far (excluded from
+    /// model cost), charged at dispatch intent: `#changed + #engaged` per
+    /// silent step, identical on every transport.
+    pub fn sync_frames(&self) -> u64 {
+        self.rt.ledger().sync_frames()
     }
 
-    fn topk(&self) -> Vec<NodeId> {
-        self.rt.topk().to_vec()
-    }
-
-    fn ledger(&self) -> LedgerSnapshot {
-        self.rt.ledger().snapshot()
-    }
-
-    fn n(&self) -> usize {
-        self.cfg.n
-    }
-
-    fn k(&self) -> usize {
-        self.cfg.k
-    }
-
-    fn drain_events(&mut self, t: u64, out: &mut Vec<TopkEvent>) {
-        self.events.drain(self.rt.coord(), t, out);
+    /// Shut down the endpoints and return the final node state machines
+    /// (for state-equality assertions against a sequential twin).
+    pub fn shutdown(self) -> Vec<NodeMachine> {
+        self.rt.shutdown()
     }
 }
 
@@ -432,6 +545,17 @@ mod tests {
         }
         assert_eq!(mon.ledger().total(), 0);
         assert_eq!(mon.topk(), vec![NodeId(0)]);
+    }
+
+    #[test]
+    fn engine_names_are_pinned() {
+        // Sim tables and the sparse-equivalence suite key on these names.
+        let cfg = MonitorConfig::new(4, 2);
+        assert_eq!(TopkMonitor::new(cfg, 1).name(), "topk-filter");
+        let threaded = crate::ThreadedTopkMonitor::new(cfg, 1);
+        assert_eq!(threaded.name(), "topk-filter-threaded");
+        let socket = crate::SocketTopkMonitor::new(cfg, 1);
+        assert_eq!(socket.name(), "topk-filter-socket");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! The paper's model is event-driven: nodes *receive* new values, and the
 //! coordinator only learns what the filters let through. The engine types
-//! ([`TopkMonitor`], [`ThreadedTopkMonitor`], [`SocketTopkMonitor`]) still
-//! expose that inverted — the caller owns a dense value row (or hand-builds
-//! delta lists) and picks a concrete runtime up front. [`MonitorSession`] restores the paper's
-//! shape:
+//! (the [`Algorithm1`] aliases [`TopkMonitor`], [`ThreadedTopkMonitor`],
+//! [`SocketTopkMonitor`]) still expose that inverted — the caller owns a
+//! dense value row (or hand-builds delta lists) and picks a concrete
+//! runtime up front. [`MonitorSession`] restores the paper's shape:
 //!
 //! ```
 //! use topk_core::session::MonitorBuilder;
@@ -47,10 +47,9 @@ use topk_net::ledger::{LedgerSnapshot, WireMetrics};
 use topk_proto::extremum::BroadcastPolicy;
 
 use crate::config::{ApproxMode, HandlerMode, MonitorConfig};
-use crate::coordinator::CoordinatorMachine;
-use crate::events::TopkEvent;
+use crate::events::{RankDiff, TopkEvent};
 use crate::metrics::RunMetrics;
-use crate::monitor::{Monitor, TopkMonitor};
+use crate::monitor::{Algorithm1, DynRuntime, Monitor, TopkMonitor};
 use crate::socket::SocketTopkMonitor;
 use crate::threaded::ThreadedTopkMonitor;
 
@@ -62,10 +61,12 @@ use crate::threaded::ThreadedTopkMonitor;
 /// behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Let the session pick among the three engines. Currently resolves to
+    /// Let the session pick among the three engines (see
+    /// [`MonitorBuilder::resolved_engine`]). Currently resolves to
     /// [`Engine::Sequential`] — the in-process runtime is the fastest at
-    /// every scale we bench — but the policy may evolve without an API
-    /// change; use an explicit variant to pin a runtime.
+    /// every scale we bench — or to [`Engine::Threaded`] under chaos, but
+    /// the policy may evolve without an API change; use an explicit
+    /// variant to pin a runtime.
     #[default]
     Auto,
     /// The deterministic in-process runtime ([`TopkMonitor`]).
@@ -79,16 +80,6 @@ pub enum Engine {
     /// whose [`RunMetrics::wire`] ledger is non-zero: frames and bytes
     /// actually written, per channel.
     Socket,
-}
-
-impl Engine {
-    /// The engine [`Engine::Auto`] currently resolves to.
-    pub fn resolve(self) -> Engine {
-        match self {
-            Engine::Auto => Engine::Sequential,
-            other => other,
-        }
-    }
 }
 
 /// Builder for [`MonitorSession`] — the single entry point of the crate.
@@ -176,9 +167,10 @@ impl MonitorBuilder {
     /// [`ChaosPolicy`]). Supported by the threaded engine (in-process frame
     /// faults) and the socket engine (the same classes plus the wire-level
     /// [`topk_net::WireChaos`] faults: torn frames, connection resets,
-    /// half-open connections, reconnect storms). [`Engine::Socket`] keeps
-    /// its choice; every other engine selection falls back to
-    /// [`Engine::Threaded`]. Committed answers, thresholds and events stay
+    /// half-open connections, reconnect storms). [`Engine::Socket`] and
+    /// [`Engine::Threaded`] keep their choice, [`Engine::Auto`] falls back
+    /// to [`Engine::Threaded`], and an explicit [`Engine::Sequential`] is
+    /// rejected (see [`Self::resolved_engine`]). Committed answers, thresholds and events stay
     /// identical to a fault-free twin; the injected faults surface in
     /// [`MonitorSession::recovery`] and the `Retransmit` ledger channel.
     pub fn chaos(mut self, policy: ChaosPolicy) -> Self {
@@ -194,11 +186,6 @@ impl MonitorBuilder {
     /// The master seed ([`Self::seed`]).
     pub fn build_seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The selected engine, unresolved ([`Self::engine`]).
-    pub fn build_engine(&self) -> Engine {
-        self.engine
     }
 
     /// The chaos policy, if any ([`Self::chaos`]).
@@ -227,6 +214,22 @@ impl MonitorBuilder {
         }
     }
 
+    /// The engine a session built from this builder runs — the one rule
+    /// mapping the `(engine, chaos)` knobs to a runtime, which
+    /// [`Self::try_build`] and the sharded serving layer both apply.
+    /// [`Engine::Auto`] resolves to [`Engine::Sequential`], or to
+    /// [`Engine::Threaded`] under chaos (faults need a transport); a
+    /// [`ChaosPolicy`] on an explicit [`Engine::Sequential`] is
+    /// [`BuildError::ChaosOnSequential`].
+    pub fn resolved_engine(&self) -> Result<Engine, BuildError> {
+        match (self.engine, self.chaos.is_some()) {
+            (Engine::Sequential, true) => Err(BuildError::ChaosOnSequential),
+            (Engine::Auto, true) => Ok(Engine::Threaded),
+            (Engine::Auto, false) => Ok(Engine::Sequential),
+            (engine, _) => Ok(engine),
+        }
+    }
+
     /// Assemble the session, or report why the knob combination is invalid.
     ///
     /// Two combinations are rejected (see [`BuildError`]): an ε-band
@@ -244,10 +247,27 @@ impl MonitorBuilder {
                 });
             }
         }
-        if self.chaos.is_some() && self.engine == Engine::Sequential {
-            return Err(BuildError::ChaosOnSequential);
-        }
-        Ok(self.assemble())
+        let engine = self.resolved_engine()?;
+        let (cfg, seed, chaos) = (self.cfg, self.seed, self.chaos);
+        let monitor: Box<Algorithm1<DynRuntime>> = match engine {
+            Engine::Threaded => Box::new(ThreadedTopkMonitor::start(cfg, seed, engine, chaos)),
+            Engine::Socket => Box::new(SocketTopkMonitor::start(cfg, seed, engine, chaos)),
+            Engine::Auto | Engine::Sequential => Box::new(TopkMonitor::new(cfg, seed)),
+        };
+        Ok(MonitorSession {
+            monitor,
+            row: vec![0; cfg.n],
+            started: false,
+            dense_pending: false,
+            pending: Vec::new(),
+            pending_sorted: true,
+            events: Vec::new(),
+            ranks: RankDiff::new(cfg.n),
+            touched_member: false,
+            prev_ledger_total: 0,
+            last_t: None,
+            feed_scratch: Vec::new(),
+        })
     }
 
     /// Assemble the session. Borrowing (not consuming) the builder makes it
@@ -261,36 +281,6 @@ impl MonitorBuilder {
         match self.try_build() {
             Ok(session) => session,
             Err(e) => panic!("invalid monitor configuration: {e}"),
-        }
-    }
-
-    fn assemble(&self) -> MonitorSession {
-        let (cfg, seed, chaos) = (self.cfg, self.seed, self.chaos);
-        let engine: Box<dyn EngineOps> = match self.engine.resolve() {
-            Engine::Socket => Box::new(SocketTopkMonitor::start(cfg, seed, chaos)),
-            Engine::Sequential if chaos.is_none() => Box::new(TopkMonitor::new(cfg, seed)),
-            // Chaos needs a transport: every other selection runs threaded.
-            _ => Box::new(ThreadedTopkMonitor::start(cfg, seed, chaos)),
-        };
-        MonitorSession {
-            engine,
-            cfg: self.cfg,
-            row: vec![0; self.cfg.n],
-            started: false,
-            dense_pending: false,
-            pending: Vec::new(),
-            pending_sorted: true,
-            events: Vec::new(),
-            order: Vec::new(),
-            order_scratch: Vec::new(),
-            prev_by_id: Vec::new(),
-            cur_by_id: Vec::new(),
-            staged_ranks: Vec::new(),
-            member_mask: vec![false; self.cfg.n],
-            touched_member: false,
-            prev_ledger_total: 0,
-            last_t: None,
-            feed_scratch: Vec::new(),
         }
     }
 }
@@ -333,46 +323,6 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// What a session needs from its engine beyond [`Monitor`] — implemented
-/// by [`TopkMonitor`] and by every [`crate::cluster::ClusterTopkMonitor`],
-/// so the session holds one boxed engine and never matches on its kind.
-pub(crate) trait EngineOps: Monitor {
-    fn kind(&self) -> Engine;
-    fn coordinator(&self) -> &CoordinatorMachine;
-    fn silent_steps(&self) -> u64;
-    fn micro_rounds_run(&self) -> u64;
-    /// Transport recovery counters (`None` without a transport).
-    fn recovery(&self) -> Option<&RecoveryMetrics> {
-        None
-    }
-    /// The physical wire ledger (`None` without a wire).
-    fn wire(&self) -> Option<&WireMetrics> {
-        None
-    }
-    /// Transport sync frames (`None` without a transport).
-    fn sync_frames(&self) -> Option<u64> {
-        None
-    }
-}
-
-impl EngineOps for TopkMonitor {
-    fn kind(&self) -> Engine {
-        Engine::Sequential
-    }
-
-    fn coordinator(&self) -> &CoordinatorMachine {
-        TopkMonitor::coordinator(self)
-    }
-
-    fn silent_steps(&self) -> u64 {
-        TopkMonitor::silent_steps(self)
-    }
-
-    fn micro_rounds_run(&self) -> u64 {
-        TopkMonitor::micro_rounds_run(self)
-    }
-}
-
 /// A running push-based monitoring session — the stable public handle over
 /// Algorithm 1 on any [`Engine`].
 ///
@@ -387,8 +337,8 @@ impl EngineOps for TopkMonitor {
 /// actually communicates is decided by the filters, exactly as in the
 /// paper, and is what [`ledger`](Self::ledger) counts.
 pub struct MonitorSession {
-    engine: Box<dyn EngineOps>,
-    cfg: MonitorConfig,
+    /// Algorithm 1 on whichever engine the builder resolved to.
+    monitor: Box<Algorithm1<DynRuntime>>,
     /// Committed value row (updated by the commit itself, so it always
     /// mirrors what the engine has seen).
     row: Vec<Value>,
@@ -403,17 +353,8 @@ pub struct MonitorSession {
     pending_sorted: bool,
     /// Reusable event buffer; `advance` returns a borrow of it.
     events: Vec<TopkEvent>,
-    /// Current members by rank (index 0 = rank 1 = largest value).
-    order: Vec<NodeId>,
-    /// Scratch: next step's order during the membership diff.
-    order_scratch: Vec<NodeId>,
-    /// Scratch: `(id, rank)` of the previous / current order, id-sorted.
-    prev_by_id: Vec<(NodeId, usize)>,
-    cur_by_id: Vec<(NodeId, usize)>,
-    /// Scratch: rank-sorted `Entered` / `RankChanged` staging.
-    staged_ranks: Vec<(usize, TopkEvent)>,
-    /// O(1) membership, kept in lockstep with `order`.
-    member_mask: Vec<bool>,
+    /// Members by rank and the membership diff.
+    ranks: RankDiff,
     /// A buffered update touched a current member since the last commit
     /// (rank events can occur without any message traffic).
     touched_member: bool,
@@ -431,7 +372,7 @@ impl MonitorSession {
     /// [`advance`](Self::advance) commits. Later updates for the same node
     /// within one step win.
     pub fn update(&mut self, id: NodeId, value: Value) {
-        assert!(id.idx() < self.cfg.n, "node {id} out of range");
+        assert!(id.idx() < self.row.len(), "node {id} out of range");
         if let Some(&(last, _)) = self.pending.last() {
             self.pending_sorted &= last < id;
         }
@@ -450,7 +391,7 @@ impl MonitorSession {
     /// dense commit route; point updates buffered in the same step are
     /// applied *on top* regardless of call order.
     pub fn update_row(&mut self, values: &[Value]) {
-        assert_eq!(values.len(), self.cfg.n, "one value per node");
+        assert_eq!(values.len(), self.row.len(), "one value per node");
         self.row.copy_from_slice(values);
         self.dense_pending = true;
         self.touched_member = true;
@@ -460,7 +401,7 @@ impl MonitorSession {
     /// generator-side adapter: any `WorkloadSpec`-built feed drives a
     /// session directly). `t` must be the step the next `advance` commits.
     pub fn ingest(&mut self, feed: &mut dyn ValueFeed, t: u64) {
-        assert_eq!(feed.n(), self.cfg.n, "feed size must match session");
+        assert_eq!(feed.n(), self.row.len(), "feed size must match session");
         let mut scratch = std::mem::take(&mut self.feed_scratch);
         feed.fill_delta(t, &mut scratch);
         self.update_batch(scratch.iter().copied());
@@ -484,15 +425,11 @@ impl MonitorSession {
         self.commit_pending();
 
         let first = !self.started;
-        if first || self.dense_pending || 2 * self.pending.len() > self.cfg.n {
+        if first || self.dense_pending || 2 * self.pending.len() > self.row.len() {
             // Dense diff (and the mandatory dense first step).
-            let row = std::mem::take(&mut self.row);
-            self.engine.step(t, &row);
-            self.row = row;
+            self.monitor.step(t, &self.row);
         } else {
-            let pending = std::mem::take(&mut self.pending);
-            self.engine.step_sparse(t, &pending);
-            self.pending = pending;
+            self.monitor.step_sparse(t, &self.pending);
         }
         self.started = true;
         self.dense_pending = false;
@@ -502,14 +439,12 @@ impl MonitorSession {
 
         // Protocol-level events straight from the monitor's cursor.
         self.events.clear();
-        let mut events = std::mem::take(&mut self.events);
-        self.engine.drain_events(t, &mut events);
-        self.events = events;
+        self.monitor.drain_events(t, &mut self.events);
 
         // Membership / rank events, derived — but only when they can have
         // changed: any membership or threshold change costs messages, and
         // silent rank shuffles require an update touching a member.
-        let total = self.engine.ledger().total();
+        let total = self.monitor.runtime().ledger().total();
         if first || total != self.prev_ledger_total || self.touched_member {
             self.derive_membership_events(t);
         }
@@ -540,85 +475,20 @@ impl MonitorSession {
         }
         debug_assert!(self.pending.windows(2).all(|w| w[0].0 < w[1].0));
         for &(id, v) in &self.pending {
-            self.touched_member |= self.member_mask[id.idx()];
+            self.touched_member |= self.ranks.contains(id);
             self.row[id.idx()] = v;
         }
     }
 
-    /// Recompute the rank order from the engine's answer and the committed
-    /// row; diff against the previous order into `Left` / `Entered` /
-    /// `RankChanged` events (ranks are 1-based by descending value, ties by
-    /// ascending id).
+    /// Rank the engine's answer by the committed row (descending value,
+    /// ties by ascending id) and diff it against the previous ranking into
+    /// `Left` / `Entered` / `RankChanged` events (ranks are 1-based).
     fn derive_membership_events(&mut self, t: u64) {
-        let members = self.engine.coordinator().topk();
-        self.order_scratch.clear();
-        self.order_scratch.extend_from_slice(members);
+        let next = self.ranks.next_order();
+        next.extend_from_slice(self.monitor.coordinator().topk());
         let row = &self.row;
-        self.order_scratch
-            .sort_by(|a, b| row[b.idx()].cmp(&row[a.idx()]).then(a.cmp(b)));
-
-        self.prev_by_id.clear();
-        self.prev_by_id
-            .extend(self.order.iter().enumerate().map(|(i, &id)| (id, i + 1)));
-        self.prev_by_id.sort_unstable_by_key(|&(id, _)| id);
-        self.cur_by_id.clear();
-        self.cur_by_id.extend(
-            self.order_scratch
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| (id, i + 1)),
-        );
-        self.cur_by_id.sort_unstable_by_key(|&(id, _)| id);
-
-        // Merge the two id-sorted rank maps. Lefts go straight out
-        // (ascending id); Entered/RankChanged are staged and emitted in
-        // rank order.
-        self.staged_ranks.clear();
-        let (mut p, mut c) = (0, 0);
-        while p < self.prev_by_id.len() || c < self.cur_by_id.len() {
-            match (self.prev_by_id.get(p), self.cur_by_id.get(c)) {
-                (Some(&(pid, _)), Some(&(cid, rank))) if pid == cid => {
-                    let (_, from) = self.prev_by_id[p];
-                    if from != rank {
-                        self.staged_ranks.push((
-                            rank,
-                            TopkEvent::RankChanged {
-                                t,
-                                id: cid,
-                                from,
-                                to: rank,
-                            },
-                        ));
-                    }
-                    p += 1;
-                    c += 1;
-                }
-                (Some(&(pid, _)), Some(&(cid, _))) if pid < cid => {
-                    self.events.push(TopkEvent::Left { t, id: pid });
-                    self.member_mask[pid.idx()] = false;
-                    p += 1;
-                }
-                (Some(&(pid, _)), None) => {
-                    self.events.push(TopkEvent::Left { t, id: pid });
-                    self.member_mask[pid.idx()] = false;
-                    p += 1;
-                }
-                (_, Some(&(cid, rank))) => {
-                    self.staged_ranks
-                        .push((rank, TopkEvent::Entered { t, id: cid, rank }));
-                    self.member_mask[cid.idx()] = true;
-                    c += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        // Entered before RankChanged, each in ascending rank.
-        self.staged_ranks
-            .sort_unstable_by_key(|&(rank, e)| (!matches!(e, TopkEvent::Entered { .. }), rank));
-        self.events
-            .extend(self.staged_ranks.iter().map(|&(_, e)| e));
-
-        std::mem::swap(&mut self.order, &mut self.order_scratch);
+        next.sort_by(|a, b| row[b.idx()].cmp(&row[a.idx()]).then(a.cmp(b)));
+        self.ranks.commit(t, &mut self.events);
     }
 
     /// Drive the session over a [`ValueFeed`] for `steps` consecutive time
@@ -627,13 +497,13 @@ impl MonitorSession {
     /// (via [`events`](Self::events)) — use the `ingest` + `advance` loop
     /// to react to every step.
     pub fn run_feed(&mut self, feed: &mut dyn ValueFeed, steps: u64) -> LedgerSnapshot {
-        let before = self.engine.ledger();
+        let before = self.ledger();
         let start = self.last_t.map_or(0, |t| t + 1);
         for t in start..start + steps {
             self.ingest(feed, t);
             self.advance(t);
         }
-        self.engine.ledger().since(&before)
+        self.ledger().since(&before)
     }
 
     // ── cheap queries ────────────────────────────────────────────────
@@ -641,19 +511,19 @@ impl MonitorSession {
     /// Current answer: top-k node ids, sorted ascending (borrowed — no
     /// allocation, unlike [`Monitor::topk`]).
     pub fn topk(&self) -> &[NodeId] {
-        self.engine.coordinator().topk()
+        self.monitor.coordinator().topk()
     }
 
     /// Current members ordered by rank (index 0 = rank 1 = largest value,
     /// ties by ascending id) — the order the session's rank events speak
     /// about.
     pub fn topk_by_rank(&self) -> &[NodeId] {
-        &self.order
+        self.ranks.order()
     }
 
     /// O(1): is `id` currently monitored as top-k?
     pub fn in_topk(&self, id: NodeId) -> bool {
-        self.member_mask[id.idx()]
+        self.ranks.contains(id)
     }
 
     /// O(1): the committed value of node `id` (what the engine has seen;
@@ -663,40 +533,33 @@ impl MonitorSession {
         self.row[id.idx()]
     }
 
-    /// The whole committed value row (`n` entries, indexed by node id).
-    /// The serving layer reads member values from here when it rebuilds a
-    /// shard's merge candidates.
-    pub fn committed_row(&self) -> &[Value] {
-        &self.row
-    }
-
     /// The shared filter threshold `M`, once initialized.
     pub fn threshold(&self) -> Option<Value> {
-        self.engine.coordinator().current_threshold()
+        self.monitor.coordinator().current_threshold()
     }
 
     /// Phase-attributed protocol counters.
     pub fn metrics(&self) -> &RunMetrics {
-        self.engine.coordinator().metrics()
+        self.monitor.metrics()
     }
 
     /// Transport fault-injection and recovery counters (`None` on the
     /// sequential engine; all-zero on a threaded or socket engine without a
     /// [`ChaosPolicy`]).
     pub fn recovery(&self) -> Option<&RecoveryMetrics> {
-        self.engine.recovery()
+        self.monitor.runtime().recovery()
     }
 
     /// The physical wire ledger (`None` on the in-process engines; the
     /// socket engine counts every frame and byte it writes, per channel).
     /// The same block is mirrored into [`RunMetrics::wire`] at each step.
     pub fn wire(&self) -> Option<&WireMetrics> {
-        self.engine.wire()
+        self.monitor.runtime().wire()
     }
 
     /// Message counters (model cost).
     pub fn ledger(&self) -> LedgerSnapshot {
-        self.engine.ledger()
+        self.monitor.ledger()
     }
 
     /// The events of the most recent [`advance`](Self::advance).
@@ -706,22 +569,22 @@ impl MonitorSession {
 
     /// The configuration this session runs.
     pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
+        self.monitor.config()
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.cfg.n
+        self.monitor.n()
     }
 
     /// Monitored positions.
     pub fn k(&self) -> usize {
-        self.cfg.k
+        self.monitor.k()
     }
 
     /// The engine this session resolved to.
     pub fn engine(&self) -> Engine {
-        self.engine.kind()
+        self.monitor.engine()
     }
 
     /// The last committed time step.
@@ -731,20 +594,20 @@ impl MonitorSession {
 
     /// Steps that exchanged no message.
     pub fn silent_steps(&self) -> u64 {
-        self.engine.silent_steps()
+        self.monitor.silent_steps()
     }
 
     /// Coordinator micro-rounds executed so far (identical accounting on
     /// both engines).
     pub fn micro_rounds_run(&self) -> u64 {
-        self.engine.micro_rounds_run()
+        self.monitor.micro_rounds_run()
     }
 
     /// Transport sync frames (`None` on the sequential engine, which has no
     /// transport layer). Charged at dispatch intent on both transports, so
     /// the threaded and socket counts are bit-identical.
     pub fn sync_frames(&self) -> Option<u64> {
-        self.engine.sync_frames()
+        self.monitor.runtime().sync_frames()
     }
 
     /// Capacity of the reusable event buffer — the zero-alloc steady-state
@@ -752,12 +615,6 @@ impl MonitorSession {
     /// once the session has warmed up).
     pub fn event_capacity(&self) -> usize {
         self.events.capacity()
-    }
-
-    /// Tear the session down, returning the underlying [`Monitor`] (joins
-    /// node threads on the threaded engine via its `Drop`).
-    pub fn into_monitor(self) -> Box<dyn Monitor> {
-        self.engine
     }
 }
 
@@ -784,7 +641,10 @@ mod tests {
         let s = b.build();
         assert_eq!(s.engine(), Engine::Sequential);
         assert_eq!((s.n(), s.k()), (10, 3));
-        assert_eq!(Engine::Auto.resolve(), Engine::Sequential);
+        assert_eq!(
+            MonitorBuilder::new(10, 3).resolved_engine(),
+            Ok(Engine::Sequential)
+        );
     }
 
     #[test]

@@ -1,52 +1,53 @@
 //! [`SocketTopkMonitor`] — Algorithm 1 on the *socket* transport: node
 //! shards behind loopback-TCP connections, every message a length-prefixed
-//! [`crate::codec`] frame (see [`topk_net::socket`]). Behavior lives in
-//! [`ClusterTopkMonitor`]; this module adds the physical side of the cost
-//! model — a [`WireMetrics`] ledger of frames and bytes actually written,
-//! mirrored into [`crate::metrics::RunMetrics::wire`] at every step.
+//! [`crate::codec`] frame (see [`topk_net::socket`]). Everything else is
+//! shared with every engine through [`Algorithm1`]; this module adds the
+//! physical side of the cost model — a [`WireMetrics`] ledger of frames
+//! and bytes actually written, mirrored into
+//! [`crate::metrics::RunMetrics::wire`] at every step.
 
-use topk_net::driver::Cluster;
+use topk_net::chaos::ChaosPolicy;
 use topk_net::ledger::WireMetrics;
-use topk_net::socket::{SocketTransport, WireTaps};
+use topk_net::socket::{SocketCluster, WireTaps};
 
-use crate::cluster::{ClusterTopkMonitor, ClusterTransport};
 use crate::config::MonitorConfig;
-use crate::monitor::TopkMonitor;
+use crate::monitor::Algorithm1;
 use crate::node::NodeMachine;
 use crate::session::Engine;
 
 /// Algorithm 1 on the socket transport.
-pub type SocketTopkMonitor = ClusterTopkMonitor<SocketTransport<NodeMachine>>;
-
-impl ClusterTransport for SocketTransport<NodeMachine> {
-    const ENGINE: Engine = Engine::Socket;
-    const NAME: &'static str = "topk-filter-socket";
-}
+pub type SocketTopkMonitor = Algorithm1<SocketCluster<NodeMachine>>;
 
 impl SocketTopkMonitor {
-    /// [`SocketTopkMonitor::new`] with per-connection byte capture armed —
-    /// [`SocketTopkMonitor::capture`] then exposes the exact wire bytes for
-    /// golden-frame snapshot tests.
-    pub fn new_captured(cfg: MonitorConfig, seed: u64) -> Self {
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
-        Self::from_cluster(Cluster::spawn_captured(nodes), coord, cfg)
+    /// Start the node shards behind loopback-TCP connections. Seeds and
+    /// behaviors match [`crate::TopkMonitor::new`] exactly.
+    pub fn new(cfg: MonitorConfig, seed: u64) -> Self {
+        Self::start(cfg, seed, Engine::Socket, None)
+    }
+
+    /// The same monitor behind a chaos-injecting transport: the in-process
+    /// fault classes of [`ChaosPolicy`] plus the wire classes of
+    /// [`topk_net::WireChaos`]. Committed answers, thresholds and events
+    /// stay identical to the fault-free twin.
+    pub fn new_chaotic(cfg: MonitorConfig, seed: u64, policy: ChaosPolicy) -> Self {
+        Self::start(cfg, seed, Engine::Socket, Some(policy))
     }
 
     /// The physical wire ledger: frames and bytes actually written to the
     /// sockets so far, per model channel plus totals.
     pub fn wire(&self) -> &WireMetrics {
-        self.cluster.wire()
+        self.runtime().wire()
     }
 
-    /// Per-connection byte captures (only on a monitor built with
-    /// [`SocketTopkMonitor::new_captured`]); valid across shutdown.
+    /// Per-connection byte captures (only on a cluster started with
+    /// [`SocketCluster::spawn_captured`]); valid across shutdown.
     pub fn capture(&self) -> Option<WireTaps> {
-        self.cluster.capture()
+        self.runtime().capture()
     }
 
     /// Number of shard connections carrying the cluster's nodes.
     pub fn shards(&self) -> usize {
-        self.cluster.shards()
+        self.runtime().shards()
     }
 }
 
@@ -54,7 +55,7 @@ impl SocketTopkMonitor {
 mod tests {
     use super::*;
     use crate::metrics::RunMetrics;
-    use crate::monitor::Monitor;
+    use crate::monitor::{Monitor, TopkMonitor};
     use topk_net::id::true_topk;
 
     #[test]

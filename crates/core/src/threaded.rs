@@ -1,19 +1,36 @@
 //! [`ThreadedTopkMonitor`] — Algorithm 1 on the *threaded* transport: one
 //! OS thread per [`NodeMachine`], frames over crossbeam channels (see
-//! [`topk_net::threaded`]). All behavior lives in [`ClusterTopkMonitor`].
+//! [`topk_net::threaded`]). Everything but the constructors is shared with
+//! every engine through [`Algorithm1`].
 
-use topk_net::threaded::ThreadTransport;
+use topk_net::chaos::ChaosPolicy;
+use topk_net::threaded::ThreadedCluster;
 
-use crate::cluster::{ClusterTopkMonitor, ClusterTransport};
+use crate::config::MonitorConfig;
+use crate::monitor::Algorithm1;
 use crate::node::NodeMachine;
 use crate::session::Engine;
 
 /// Algorithm 1 on the threaded transport.
-pub type ThreadedTopkMonitor = ClusterTopkMonitor<ThreadTransport<NodeMachine>>;
+pub type ThreadedTopkMonitor = Algorithm1<ThreadedCluster<NodeMachine>>;
 
-impl ClusterTransport for ThreadTransport<NodeMachine> {
-    const ENGINE: Engine = Engine::Threaded;
-    const NAME: &'static str = "topk-filter-threaded";
+impl ThreadedTopkMonitor {
+    /// Start one node thread per node. Seeds and behaviors match
+    /// [`crate::TopkMonitor::new`] exactly, so the monitors are
+    /// interchangeable twins.
+    pub fn new(cfg: MonitorConfig, seed: u64) -> Self {
+        Self::start(cfg, seed, Engine::Threaded, None)
+    }
+
+    /// The same monitor behind a chaos-injecting transport: every frame and
+    /// reply crosses a seeded fault layer (see [`ChaosPolicy`]). Every
+    /// *committed* step produces answers, thresholds and events identical
+    /// to the fault-free twin (pinned by the chaos arms of
+    /// `tests/runtime_conformance.rs`); only the recovery counters and the
+    /// retransmit channel record that faults happened.
+    pub fn new_chaotic(cfg: MonitorConfig, seed: u64, policy: ChaosPolicy) -> Self {
+        Self::start(cfg, seed, Engine::Threaded, Some(policy))
+    }
 }
 
 #[cfg(test)]
@@ -21,7 +38,6 @@ mod tests {
     use super::*;
     use crate::metrics::RunMetrics;
     use crate::monitor::{Monitor, TopkMonitor};
-    use crate::MonitorConfig;
     use topk_net::id::true_topk;
 
     #[test]

@@ -29,7 +29,7 @@
 //! that opts in via [`NodeBehavior::SPARSE_OBSERVE`] guarantees that
 //! `observe(t, v)` with `v` equal to the previous observation, on a node
 //! that ended the last step disengaged, is a no-op — so the runtime may
-//! skip the call entirely. [`crate::seq::SyncRuntime::step_sparse`] then
+//! skip the call entirely. [`crate::runtime::Runtime::step_sparse`] then
 //! visits only nodes whose value changed plus the persistent engaged set,
 //! for per-step cost `O(#changed + #engaged)` instead of `O(n)`, and
 //! [`ValueFeed::fill_delta`] lets generators produce only the movers.

@@ -52,13 +52,13 @@ pub use crossbeam::channel::RecvTimeoutError;
 
 use crate::behavior::{
     max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, RoundAction, RoundScope,
-    ValueFeed,
 };
 use crate::calendar::FireCalendar;
 use crate::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};
 use crate::delta::{merge_visit, DeltaRow};
 use crate::id::{NodeId, Value};
 use crate::ledger::{ChannelKind, CommLedger, LedgerSnapshot, WireMetrics};
+use crate::runtime::Runtime;
 use crate::wire::WireSize;
 
 /// Node-phase index of the step-abort control frame — past every real
@@ -597,8 +597,6 @@ pub struct Cluster<NB: NodeBehavior, T: Transport<NB>> {
     phase0: Vec<(u32, Option<Value>)>,
     ups_scratch: Vec<(NodeId, NB::Up)>,
     out: CoordOut<NB::Down>,
-    feed_row: Vec<Value>,
-    feed_changes: Vec<(NodeId, Value)>,
     steps_run: u64,
     silent_steps: u64,
     micro_rounds_run: u64,
@@ -673,8 +671,6 @@ where
             phase0: Vec::new(),
             ups_scratch: Vec::new(),
             out: CoordOut::empty(),
-            feed_row: Vec::new(),
-            feed_changes: Vec::new(),
             steps_run: 0,
             silent_steps: 0,
             micro_rounds_run: 0,
@@ -721,80 +717,6 @@ where
     /// Injected-fault and recovery counters (all zero on a clean transport).
     pub fn recovery(&self) -> &RecoveryMetrics {
         &self.link.recovery
-    }
-
-    /// Panicking wrapper of [`Cluster::try_step`].
-    pub fn step<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value])
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.try_step(coord, t, values)
-            .unwrap_or_else(|e| panic!("cluster runtime failed at t={t}: {e}"));
-    }
-
-    /// Execute one synchronous time step against `coord`.
-    ///
-    /// For [`NodeBehavior::SPARSE_OBSERVE`] behaviors the row is diffed
-    /// against the driver's cached row and only changed ∪ engaged nodes are
-    /// framed; other behaviors get the dense fan-out of every observation.
-    /// A dead endpoint, an exhausted retry budget, or a failed coordinator
-    /// restore surfaces as a typed [`RuntimeError`].
-    pub fn try_step<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        values: &[Value],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(values.len(), self.n, "one value per node");
-        if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
-            self.delta_row.diff(values);
-            self.stage_changes();
-        } else {
-            if NB::SPARSE_OBSERVE {
-                self.delta_row.prime(values);
-            }
-            stage_dense(&mut self.phase0, values);
-        }
-        self.run_step(coord, t)
-    }
-
-    /// Panicking wrapper of [`Cluster::try_step_sparse`].
-    pub fn step_sparse<CB>(&mut self, coord: &mut CB, t: u64, changes: &[(NodeId, Value)])
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        self.try_step_sparse(coord, t, changes)
-            .unwrap_or_else(|e| panic!("cluster runtime failed at t={t}: {e}"));
-    }
-
-    /// Execute one step given only the values that changed since `t − 1`
-    /// (ascending ids, at most one entry per node; repeating an unchanged
-    /// value is permitted and costs no frame). Requires
-    /// [`NodeBehavior::SPARSE_OBSERVE`]. The first step must carry all `n`
-    /// nodes. Bit-identical to the dense [`Cluster::try_step`] driven with
-    /// the corresponding full rows; validation lives in [`DeltaRow`].
-    pub fn try_step_sparse<CB>(
-        &mut self,
-        coord: &mut CB,
-        t: u64,
-        changes: &[(NodeId, Value)],
-    ) -> Result<(), RuntimeError>
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert!(
-            NB::SPARSE_OBSERVE,
-            "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
-        );
-        if self.delta_row.apply_sparse(changes) {
-            stage_dense(&mut self.phase0, self.delta_row.row());
-        } else {
-            self.stage_changes();
-        }
-        self.run_step(coord, t)
     }
 
     /// Node-phase 0 over changed ∪ engaged nodes: changed nodes get their
@@ -1088,53 +1010,6 @@ where
         self.link.abort_wave(t)
     }
 
-    /// Drive `steps` time steps from a feed (dense rows via
-    /// [`ValueFeed::fill_step`]); returns the ledger delta.
-    pub fn run_feed<CB>(
-        &mut self,
-        coord: &mut CB,
-        feed: &mut dyn ValueFeed,
-        start_t: u64,
-        steps: u64,
-    ) -> LedgerSnapshot
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(feed.n(), self.n);
-        let before = self.link.ledger.snapshot();
-        let mut row = std::mem::take(&mut self.feed_row);
-        row.resize(self.n, 0);
-        for t in start_t..start_t + steps {
-            feed.fill_step(t, &mut row);
-            self.step(coord, t, &row);
-        }
-        self.feed_row = row;
-        self.link.ledger.snapshot().since(&before)
-    }
-
-    /// Delta-driven counterpart of [`Cluster::run_feed`] via
-    /// [`ValueFeed::fill_delta`]. Requires [`NodeBehavior::SPARSE_OBSERVE`].
-    pub fn run_feed_sparse<CB>(
-        &mut self,
-        coord: &mut CB,
-        feed: &mut dyn ValueFeed,
-        start_t: u64,
-        steps: u64,
-    ) -> LedgerSnapshot
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        assert_eq!(feed.n(), self.n);
-        let before = self.link.ledger.snapshot();
-        let mut changes = std::mem::take(&mut self.feed_changes);
-        for t in start_t..start_t + steps {
-            feed.fill_delta(t, &mut changes);
-            self.step_sparse(coord, t, &changes);
-        }
-        self.feed_changes = changes;
-        self.link.ledger.snapshot().since(&before)
-    }
-
     /// Shut the endpoints down and return the final behaviors in id order
     /// (those of panicked endpoints are skipped).
     pub fn shutdown(self) -> Vec<NB> {
@@ -1144,6 +1019,73 @@ where
     /// Give up the transport itself (transport-specific teardown).
     pub(crate) fn into_transport(self) -> T {
         self.link.transport
+    }
+}
+
+impl<NB, T, CB> Runtime<CB> for Cluster<NB, T>
+where
+    NB: NodeBehavior + 'static,
+    T: Transport<NB>,
+    CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+{
+    /// Frames only changed ∪ engaged nodes for `SPARSE_OBSERVE` behaviors.
+    /// A dead endpoint, an exhausted retry budget, or a failed coordinator
+    /// restore surfaces as a typed [`RuntimeError`].
+    fn try_step(&mut self, coord: &mut CB, t: u64, values: &[Value]) -> Result<(), RuntimeError> {
+        assert_eq!(values.len(), self.n, "one value per node");
+        if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
+            self.delta_row.diff(values);
+            self.stage_changes();
+        } else {
+            if NB::SPARSE_OBSERVE {
+                self.delta_row.prime(values);
+            }
+            stage_dense(&mut self.phase0, values);
+        }
+        self.run_step(coord, t)
+    }
+
+    /// Repeating an unchanged value costs no frame.
+    fn try_step_sparse(
+        &mut self,
+        coord: &mut CB,
+        t: u64,
+        changes: &[(NodeId, Value)],
+    ) -> Result<(), RuntimeError> {
+        assert!(
+            NB::SPARSE_OBSERVE,
+            "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
+        );
+        if self.delta_row.apply_sparse(changes) {
+            stage_dense(&mut self.phase0, self.delta_row.row());
+        } else {
+            self.stage_changes();
+        }
+        self.run_step(coord, t)
+    }
+
+    fn ledger(&self) -> &CommLedger {
+        &self.link.ledger
+    }
+
+    fn silent_steps(&self) -> u64 {
+        self.silent_steps
+    }
+
+    fn micro_rounds_run(&self) -> u64 {
+        self.micro_rounds_run
+    }
+
+    fn recovery(&self) -> Option<&RecoveryMetrics> {
+        Some(&self.link.recovery)
+    }
+
+    fn wire(&self) -> Option<&WireMetrics> {
+        self.link.transport.wire()
+    }
+
+    fn sync_frames(&self) -> Option<u64> {
+        Some(self.link.ledger.sync_frames())
     }
 }
 

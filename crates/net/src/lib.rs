@@ -19,9 +19,11 @@
 //!   delta-driven entry points;
 //! * [`calendar`] — the fire-round calendar bookkeeping shared by every
 //!   engine (protocol rounds visit only the round's scheduled firers);
+//! * [`runtime`] — the [`Runtime`] trait, the one step surface of every
+//!   engine: each owns the nodes and borrows the coordinator per step;
 //! * [`seq`] — the deterministic sequential runtime: the conformance
 //!   reference every other engine is pinned against, and the runtime of
-//!   all experiments;
+//!   all experiments; a direct-call loop over the borrowed coordinator;
 //! * [`driver`] — the one step driver behind both transport engines:
 //!   dense/sparse routing, the round visit rule, the attempt loop, reply
 //!   collection and the crash-recovery state machine, over a small
@@ -32,8 +34,6 @@
 //!   sockets, length-prefixed frames, and a physical wire ledger
 //!   ([`WireMetrics`]) alongside the model ledger;
 //! * [`trace`] — dense observation traces, replay and CSV I/O;
-//! * [`events`] — bounded message tracing for transcripts and fine-grained
-//!   ordering assertions;
 //! * [`chaos`] — seeded, deterministic fault injection for the threaded
 //!   and socket runtimes (including the wire-level [`WireChaos`] classes),
 //!   plus the recovery observability types ([`RecoveryMetrics`],
@@ -46,10 +46,10 @@ pub mod calendar;
 pub mod chaos;
 pub mod delta;
 pub mod driver;
-pub mod events;
 pub mod id;
 pub mod ledger;
 pub mod rng;
+pub mod runtime;
 pub mod seq;
 pub mod socket;
 pub mod threaded;
@@ -63,9 +63,9 @@ pub use calendar::FireCalendar;
 pub use chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError, WireChaos};
 pub use delta::DeltaRow;
 pub use driver::{Cluster, Transport};
-pub use events::{Event, EventLog};
 pub use id::{midpoint_floor, true_ranking, true_topk, MinEntry, NodeId, RankEntry, Value};
 pub use ledger::{ChannelKind, CommLedger, LedgerSnapshot, WireMetrics};
+pub use runtime::Runtime;
 pub use seq::SyncRuntime;
 pub use socket::{FrameCodec, SocketCluster, SocketTransport, WireError, WireTaps};
 pub use threaded::{ThreadTransport, ThreadedCluster};

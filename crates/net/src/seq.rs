@@ -6,12 +6,15 @@
 //! engines' driver ([`crate::driver::Cluster`]): one definition of which
 //! nodes a round polls.
 //!
-//! Drives one [`CoordinatorBehavior`] and `n` [`NodeBehavior`]s through the
-//! synchronous micro-round schedule (see [`crate::behavior`]), charging every
-//! model message to an internal [`CommLedger`]. Node visit order is always
-//! ascending node id, and per-node RNG streams are owned by the node state
-//! machines, so a run is a pure function of `(behaviors, values)` — the
-//! transport engines produce the identical ledger.
+//! Drives `n` [`NodeBehavior`]s and the [`CoordinatorBehavior`] lent to each
+//! step through the synchronous micro-round schedule (see
+//! [`crate::behavior`]), charging every model message to an internal
+//! [`CommLedger`]. Like every [`Runtime`], it owns the nodes and borrows the
+//! coordinator, so the caller keeps the coordinator's state between steps.
+//! Node visit order is always ascending node id, and per-node RNG streams
+//! are owned by the node state machines, so a run is a pure function of
+//! `(behaviors, values)` — the transport engines produce the identical
+//! ledger.
 //!
 //! # Sparsity
 //!
@@ -27,10 +30,10 @@
 //!   which case the same narrow visit applies — broadcasts stay fully
 //!   charged to the ledger either way.
 //! * **Across steps** (opt-in via [`NodeBehavior::SPARSE_OBSERVE`]):
-//!   [`SyncRuntime::step_sparse`] accepts only the *changed* `(id, value)`
+//!   [`Runtime::step_sparse`] accepts only the *changed* `(id, value)`
 //!   pairs and visits changed ∪ engaged nodes in node-phase 0, so a silent
 //!   step costs `O(#changed + #engaged)` instead of `O(n)`. The dense
-//!   [`SyncRuntime::step`] transparently becomes a diff against a cached
+//!   [`Runtime::step`] transparently becomes a diff against a cached
 //!   value row for opted-in behaviors, so every existing monitor benefits
 //!   without code changes.
 //! * **Within a protocol episode** (opt-in via
@@ -48,22 +51,20 @@
 
 use std::convert::Infallible;
 
-use crate::behavior::{max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, ValueFeed};
+use crate::behavior::{max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior};
 use crate::calendar::FireCalendar;
+use crate::chaos::RuntimeError;
 use crate::delta::{merge_visit, DeltaRow};
 use crate::driver::visit_round;
 use crate::id::{NodeId, Value};
 use crate::ledger::{ChannelKind, CommLedger};
+use crate::runtime::Runtime;
 use crate::wire::WireSize;
 
-/// Sequential synchronous runtime over `n` node behaviors and a coordinator.
-pub struct SyncRuntime<NB, CB>
-where
-    NB: NodeBehavior,
-    CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-{
+/// Sequential synchronous runtime over `n` node behaviors; the coordinator
+/// is lent to each step.
+pub struct SyncRuntime<NB: NodeBehavior> {
     nodes: Vec<NB>,
-    coord: CB,
     ledger: CommLedger,
     /// Sorted indices of currently engaged nodes — persists across steps.
     engaged_idx: Vec<u32>,
@@ -92,14 +93,10 @@ where
     micro_polls: u64,
 }
 
-impl<NB, CB> SyncRuntime<NB, CB>
-where
-    NB: NodeBehavior,
-    CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-{
+impl<NB: NodeBehavior> SyncRuntime<NB> {
     /// `guard_k` only sizes the runaway-protocol guard; pass the monitored
     /// `k` (or any upper bound).
-    pub fn new(nodes: Vec<NB>, coord: CB, guard_k: usize) -> Self {
+    pub fn new(nodes: Vec<NB>, guard_k: usize) -> Self {
         let n = nodes.len();
         assert!(n > 0, "need at least one node");
         for (i, node) in nodes.iter().enumerate() {
@@ -111,7 +108,6 @@ where
         }
         SyncRuntime {
             nodes,
-            coord,
             ledger: CommLedger::new(),
             engaged_idx: Vec::new(),
             engaged_next: Vec::new(),
@@ -135,14 +131,6 @@ where
     #[inline]
     pub fn n(&self) -> usize {
         self.nodes.len()
-    }
-
-    pub fn coord(&self) -> &CB {
-        &self.coord
-    }
-
-    pub fn coord_mut(&mut self) -> &mut CB {
-        &mut self.coord
     }
 
     pub fn nodes(&self) -> &[NB] {
@@ -186,81 +174,42 @@ where
         &self.engaged_idx
     }
 
-    /// The coordinator's current top-k answer (sorted ascending).
-    pub fn topk(&self) -> &[NodeId] {
-        self.coord.topk()
-    }
-
-    /// Execute one synchronous time step with the given observations.
-    ///
-    /// For behaviors that opt into [`NodeBehavior::SPARSE_OBSERVE`] this is
-    /// a thin wrapper: the row is diffed against the cached previous row and
-    /// only changed/engaged nodes are visited. Other behaviors get the
-    /// classic dense visit of every node.
-    pub fn step(&mut self, t: u64, values: &[Value]) {
-        assert_eq!(values.len(), self.nodes.len(), "one value per node");
-        if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
-            let mut dr = std::mem::take(&mut self.delta_row);
-            dr.diff(values);
-            self.step_visits(t, dr.last_delta(), dr.row());
-            self.delta_row = dr;
-        } else {
-            if NB::SPARSE_OBSERVE {
-                self.delta_row.prime(values);
-            }
-            self.step_dense(t, values);
-        }
-    }
-
-    /// Execute one step given only the values that changed since `t − 1`
-    /// (ascending ids, at most one entry per node; repeating an unchanged
-    /// value is permitted and costs nothing — entries are filtered against
-    /// the cached row). Requires [`NodeBehavior::SPARSE_OBSERVE`]. The
-    /// first step must carry all `n` nodes (there is no previous row yet).
-    ///
-    /// Produces bit-identical ledgers, answers, and node/RNG state to the
-    /// dense [`SyncRuntime::step`] driven with the corresponding full rows.
-    /// Validation and filtering live in [`DeltaRow`], shared with the
-    /// transport driver. (The sorted-ids check is a hard release assert: a
-    /// malformed list would silently corrupt protocol state.)
-    pub fn step_sparse(&mut self, t: u64, changes: &[(NodeId, Value)]) {
-        assert!(
-            NB::SPARSE_OBSERVE,
-            "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
-        );
-        let mut dr = std::mem::take(&mut self.delta_row);
-        if dr.apply_sparse(changes) {
-            self.step_dense(t, dr.row());
-        } else {
-            self.step_visits(t, dr.last_delta(), dr.row());
-        }
-        self.delta_row = dr;
-    }
-
     /// Node-phase 0 over every node (the legacy dense visit), then the
     /// micro-round schedule.
-    fn step_dense(&mut self, t: u64, values: &[Value]) {
+    fn step_dense<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value])
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        coord.begin_step(t);
         let any_engaged = self.observe_phase(t, values.iter().copied().enumerate());
-        self.finish_step(t, any_engaged);
+        self.finish_step(coord, t, any_engaged);
     }
 
     /// Node-phase 0 over changed ∪ engaged nodes only, then the micro-round
     /// schedule. `row` is the current full value row (already reflecting
     /// the changes) — engaged-but-unchanged nodes observe from it.
-    fn step_visits(&mut self, t: u64, changes: &[(NodeId, Value)], row: &[Value]) {
+    fn step_visits<CB>(
+        &mut self,
+        coord: &mut CB,
+        t: u64,
+        changes: &[(NodeId, Value)],
+        row: &[Value],
+    ) where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
         let mut visit = std::mem::take(&mut self.visit);
         visit.clear();
         merge_visit(changes, &self.engaged_idx, |i, _| visit.push(i));
+        coord.begin_step(t);
         let any_engaged =
             self.observe_phase(t, visit.iter().map(|&i| (i as usize, row[i as usize])));
         self.visit = visit;
-        self.finish_step(t, any_engaged);
+        self.finish_step(coord, t, any_engaged);
     }
 
     /// Observe `(node, value)` pairs as node-phase 0; returns whether any
     /// node engaged.
     fn observe_phase(&mut self, t: u64, visits: impl Iterator<Item = (usize, Value)>) -> bool {
-        self.coord.begin_step(t);
         self.ups.clear();
         let mut any_engaged = false;
         let mut next = std::mem::take(&mut self.engaged_next);
@@ -282,8 +231,11 @@ where
     }
 
     /// Silent-step fast path plus the coordinator micro-round loop.
-    fn finish_step(&mut self, t: u64, any_engaged: bool) {
-        if !any_engaged && self.ups.is_empty() && self.coord.try_skip_silent_step(t) {
+    fn finish_step<CB>(&mut self, coord: &mut CB, t: u64, any_engaged: bool)
+    where
+        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+    {
+        if !any_engaged && self.ups.is_empty() && coord.try_skip_silent_step(t) {
             self.steps_run += 1;
             self.silent_steps += 1;
             return;
@@ -294,7 +246,7 @@ where
             let mut out = std::mem::take(&mut self.out);
             let mut ups = std::mem::take(&mut self.ups);
             out.clear();
-            self.coord.micro_round(t, m, &mut ups, &mut out);
+            coord.micro_round(t, m, &mut ups, &mut out);
             ups.clear();
             self.ups = ups;
             for (_, d) in &out.unicasts {
@@ -303,7 +255,7 @@ where
             for b in &out.broadcasts {
                 self.ledger.count(ChannelKind::Broadcast, b.wire_bits());
             }
-            if out.is_empty() && self.coord.step_done() {
+            if out.is_empty() && coord.step_done() {
                 self.out = out;
                 break;
             }
@@ -357,43 +309,60 @@ where
         );
         self.engaged_next = std::mem::replace(&mut self.engaged_idx, next);
     }
+}
 
-    /// Run `steps` consecutive time steps pulled from a [`ValueFeed`],
-    /// starting at time `start_t`. Returns the ledger snapshot delta.
-    pub fn run_feed(
-        &mut self,
-        feed: &mut dyn ValueFeed,
-        start_t: u64,
-        steps: u64,
-    ) -> crate::ledger::LedgerSnapshot {
-        assert_eq!(feed.n(), self.nodes.len());
-        let before = self.ledger.snapshot();
-        let mut row = vec![0 as Value; self.nodes.len()];
-        for dt in 0..steps {
-            let t = start_t + dt;
-            feed.fill_step(t, &mut row);
-            self.step(t, &row);
+impl<NB, CB> Runtime<CB> for SyncRuntime<NB>
+where
+    NB: NodeBehavior,
+    CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
+{
+    fn try_step(&mut self, coord: &mut CB, t: u64, values: &[Value]) -> Result<(), RuntimeError> {
+        assert_eq!(values.len(), self.nodes.len(), "one value per node");
+        if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
+            let mut dr = std::mem::take(&mut self.delta_row);
+            dr.diff(values);
+            self.step_visits(coord, t, dr.last_delta(), dr.row());
+            self.delta_row = dr;
+        } else {
+            if NB::SPARSE_OBSERVE {
+                self.delta_row.prime(values);
+            }
+            self.step_dense(coord, t, values);
         }
-        self.ledger.snapshot().since(&before)
+        Ok(())
     }
 
-    /// Delta-driven counterpart of [`SyncRuntime::run_feed`]: pulls change
-    /// lists via [`ValueFeed::fill_delta`] and steps sparsely. Requires
-    /// [`NodeBehavior::SPARSE_OBSERVE`].
-    pub fn run_feed_sparse(
+    /// The sorted-ids check in [`DeltaRow`] is a hard release assert: a
+    /// malformed list would silently corrupt protocol state.
+    fn try_step_sparse(
         &mut self,
-        feed: &mut dyn ValueFeed,
-        start_t: u64,
-        steps: u64,
-    ) -> crate::ledger::LedgerSnapshot {
-        assert_eq!(feed.n(), self.nodes.len());
-        let before = self.ledger.snapshot();
-        let mut changes: Vec<(NodeId, Value)> = Vec::new();
-        for dt in 0..steps {
-            let t = start_t + dt;
-            feed.fill_delta(t, &mut changes);
-            self.step_sparse(t, &changes);
+        coord: &mut CB,
+        t: u64,
+        changes: &[(NodeId, Value)],
+    ) -> Result<(), RuntimeError> {
+        assert!(
+            NB::SPARSE_OBSERVE,
+            "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
+        );
+        let mut dr = std::mem::take(&mut self.delta_row);
+        if dr.apply_sparse(changes) {
+            self.step_dense(coord, t, dr.row());
+        } else {
+            self.step_visits(coord, t, dr.last_delta(), dr.row());
         }
-        self.ledger.snapshot().since(&before)
+        self.delta_row = dr;
+        Ok(())
+    }
+
+    fn ledger(&self) -> &CommLedger {
+        &self.ledger
+    }
+
+    fn silent_steps(&self) -> u64 {
+        self.silent_steps
+    }
+
+    fn micro_rounds_run(&self) -> u64 {
+        self.micro_rounds_run
     }
 }

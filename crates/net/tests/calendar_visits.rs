@@ -19,6 +19,7 @@ use topk_net::behavior::{
     CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction, RoundScope,
 };
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
 use topk_net::threaded::ThreadedCluster;
 use topk_net::wire::WireSize;
@@ -270,18 +271,18 @@ fn check_scoped_run(h: &Harness, coord: &ScriptCoord, tag: &str) {
 #[test]
 fn seq_scheduled_node_skips_rounds_and_replays_broadcasts() {
     let mut h = harness(N);
-    let coord = ScriptCoord {
+    let mut coord = ScriptCoord {
         rounds: 6,
         cur: 0,
         script: scoped_script(),
         ups_by_round: Vec::new(),
     };
-    let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), coord, 4);
-    rt.step(0, &values());
+    let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), 4);
+    rt.step(&mut coord, 0, &values());
     // 3 broadcasts charged in full regardless of narrowed delivery.
     assert_eq!(rt.ledger().broadcast(), 3);
     assert_eq!(rt.ledger().up(), 1 + 3, "scheduled report + echoes");
-    check_scoped_run(&h, rt.coord(), "seq");
+    check_scoped_run(&h, &coord, "seq");
 }
 
 #[test]
@@ -323,16 +324,16 @@ fn fanout_round_catches_scheduled_nodes_up_early() {
     ];
     let run_seq = |script: Vec<Option<(u64, RoundScope)>>| {
         let mut h = harness(N);
-        let coord = ScriptCoord {
+        let mut coord = ScriptCoord {
             rounds: 6,
             cur: 0,
             script,
             ups_by_round: Vec::new(),
         };
-        let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), coord, 4);
-        rt.step(0, &values());
+        let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), 4);
+        rt.step(&mut coord, 0, &values());
         let counts = h.poll_counts();
-        (h, counts, rt.coord().ups_by_round.clone())
+        (h, counts, coord.ups_by_round)
     };
     let (h, polls, ups) = run_seq(script.clone());
     // Scheduled node: the fan-out poll (phase 3) + its fire phase (5).
@@ -368,19 +369,19 @@ fn fanout_round_catches_scheduled_nodes_up_early() {
 #[test]
 fn schedules_do_not_survive_the_step() {
     let mut h = harness(N);
-    let coord = ScriptCoord {
+    let mut coord = ScriptCoord {
         rounds: 3,
         cur: 0,
         script: vec![None, None, None],
         ups_by_round: Vec::new(),
     };
-    let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), coord, 4);
+    let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), 4);
     let mut v = vec![0; N];
     v[1] = 30; // wake phase far beyond the step's 3 rounds
-    rt.step(0, &v);
+    rt.step(&mut coord, 0, &v);
     assert_eq!(h.poll_counts()[1], 0, "never due within the step");
     // Next step: all idle — and no stale calendar entry fires.
-    rt.step(1, &[0; N]);
+    rt.step(&mut coord, 1, &[0; N]);
     assert_eq!(h.poll_counts()[1], 0);
     assert_eq!(rt.ledger().up(), 0);
 }

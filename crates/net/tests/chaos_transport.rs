@@ -13,6 +13,7 @@ use std::sync::Arc;
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction};
 use topk_net::chaos::{ChaosPolicy, RuntimeError};
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::threaded::ThreadedCluster;
 use topk_net::wire::WireSize;
 

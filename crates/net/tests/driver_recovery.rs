@@ -11,6 +11,7 @@ use topk_net::behavior::{CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAct
 use topk_net::chaos::{ChaosPolicy, RuntimeError};
 use topk_net::driver::{Cluster, FrameKey, RecvTimeoutError, Reply, Transport, Work, ABORT_M};
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::wire::WireSize;
 
 #[derive(Debug, Clone, Copy)]

@@ -10,6 +10,7 @@ use topk_net::behavior::{
     CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction, RoundScope,
 };
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
 use topk_net::threaded::ThreadedCluster;
 use topk_net::wire::WireSize;
@@ -142,9 +143,9 @@ const EXPECTED_POLLS: [u64; N] = [3, 1, 1, 3, 1, 2];
 
 #[test]
 fn sequential_runtime_narrows_scoped_broadcast_rounds() {
-    let (nodes, counters, coord) = parts();
-    let mut rt = SyncRuntime::new(nodes, coord, 4);
-    rt.step(0, &VALUES);
+    let (nodes, counters, mut coord) = parts();
+    let mut rt = SyncRuntime::new(nodes, 4);
+    rt.step(&mut coord, 0, &VALUES);
     let polls: Vec<u64> = counters.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     assert_eq!(
         polls, EXPECTED_POLLS,

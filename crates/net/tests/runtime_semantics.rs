@@ -5,6 +5,7 @@
 
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction};
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
 use topk_net::threaded::ThreadedCluster;
 use topk_net::wire::WireSize;
@@ -156,7 +157,7 @@ fn nodes(
 #[test]
 fn silent_step_skips_and_costs_nothing() {
     let (ns, polls) = nodes(8, 100, 2);
-    let coord = ScriptCoord {
+    let mut coord = ScriptCoord {
         rounds_per_step: 3,
         cur_round: 0,
         bcast_at: None,
@@ -164,8 +165,8 @@ fn silent_step_skips_and_costs_nothing() {
         ups_seen: 0,
         skip_when_silent: true,
     };
-    let mut rt = SyncRuntime::new(ns, coord, 1);
-    rt.step(0, &[1, 2, 3, 4, 5, 6, 7, 8]); // all below threshold
+    let mut rt = SyncRuntime::new(ns, 1);
+    rt.step(&mut coord, 0, &[1, 2, 3, 4, 5, 6, 7, 8]); // all below threshold
     assert_eq!(rt.ledger().total(), 0);
     assert_eq!(rt.silent_steps(), 1);
     assert_eq!(polls.load(std::sync::atomic::Ordering::Relaxed), 0);
@@ -174,7 +175,7 @@ fn silent_step_skips_and_costs_nothing() {
 #[test]
 fn engaged_nodes_are_polled_without_broadcast() {
     let (ns, polls) = nodes(4, 100, 2);
-    let coord = ScriptCoord {
+    let mut coord = ScriptCoord {
         rounds_per_step: 3,
         cur_round: 0,
         bcast_at: None,
@@ -182,9 +183,9 @@ fn engaged_nodes_are_polled_without_broadcast() {
         ups_seen: 0,
         skip_when_silent: true,
     };
-    let mut rt = SyncRuntime::new(ns, coord, 1);
+    let mut rt = SyncRuntime::new(ns, 1);
     // Node 2 fires: observe up + 2 echo rounds = 3 ups; only node 2 polled.
-    rt.step(0, &[0, 0, 500, 0]);
+    rt.step(&mut coord, 0, &[0, 0, 500, 0]);
     assert_eq!(rt.ledger().up(), 3);
     assert_eq!(rt.ledger().broadcast(), 0);
     // Polled exactly twice (its two echo rounds) — the others never.
@@ -194,7 +195,7 @@ fn engaged_nodes_are_polled_without_broadcast() {
 #[test]
 fn broadcast_reaches_every_node() {
     let (ns, polls) = nodes(5, u64::MAX, 0);
-    let coord = ScriptCoord {
+    let mut coord = ScriptCoord {
         rounds_per_step: 2,
         cur_round: 0,
         bcast_at: Some(0),
@@ -202,8 +203,8 @@ fn broadcast_reaches_every_node() {
         ups_seen: 0,
         skip_when_silent: false, // force the rounds to run
     };
-    let mut rt = SyncRuntime::new(ns, coord, 1);
-    rt.step(0, &[0; 5]);
+    let mut rt = SyncRuntime::new(ns, 1);
+    rt.step(&mut coord, 0, &[0; 5]);
     assert_eq!(rt.ledger().broadcast(), 1);
     // All 5 polled at the broadcast round; round 2 has no out and no
     // engagement, so nobody is polled again.
@@ -213,7 +214,7 @@ fn broadcast_reaches_every_node() {
 #[test]
 fn unicast_is_delivered_and_charged() {
     let (ns, polls) = nodes(4, u64::MAX, 0);
-    let coord = ScriptCoord {
+    let mut coord = ScriptCoord {
         rounds_per_step: 2,
         cur_round: 0,
         bcast_at: None,
@@ -221,8 +222,8 @@ fn unicast_is_delivered_and_charged() {
         ups_seen: 0,
         skip_when_silent: false,
     };
-    let mut rt = SyncRuntime::new(ns, coord, 1);
-    rt.step(0, &[0; 4]);
+    let mut rt = SyncRuntime::new(ns, 1);
+    rt.step(&mut coord, 0, &[0; 4]);
     // One down (the ping), one up (the reply).
     assert_eq!(rt.ledger().down(), 1);
     assert_eq!(rt.ledger().up(), 1);
@@ -259,13 +260,13 @@ fn ups_are_delivered_sorted_by_node_id() {
         }
     }
     let (ns, _polls) = nodes(6, 10, 0);
-    let coord = OrderCheckCoord {
+    let mut coord = OrderCheckCoord {
         done: false,
         seen: Vec::new(),
     };
-    let mut rt = SyncRuntime::new(ns, coord, 1);
-    rt.step(0, &[50, 60, 5, 70, 5, 80]); // nodes 0,1,3,5 fire
-    assert_eq!(rt.coord().seen, vec![0, 1, 3, 5]);
+    let mut rt = SyncRuntime::new(ns, 1);
+    rt.step(&mut coord, 0, &[50, 60, 5, 70, 5, 80]); // nodes 0,1,3,5 fire
+    assert_eq!(coord.seen, vec![0, 1, 3, 5]);
 }
 
 #[test]
@@ -292,8 +293,8 @@ fn runaway_coordinator_is_caught() {
         }
     }
     let (ns, _p) = nodes(2, 0, 0);
-    let mut rt = SyncRuntime::new(ns, NeverDone, 1);
-    rt.step(0, &[1, 2]);
+    let mut rt = SyncRuntime::new(ns, 1);
+    rt.step(&mut NeverDone, 0, &[1, 2]);
 }
 
 #[test]
@@ -314,9 +315,10 @@ fn threaded_matches_sequential_for_mock_protocol() {
         vec![0, 0, 0, 0, 0, 0],
         vec![99, 98, 97, 51, 50, 49],
     ];
-    let mut seq = SyncRuntime::new(mk_nodes(), mk_coord(), 1);
+    let mut seq_coord = mk_coord();
+    let mut seq = SyncRuntime::new(mk_nodes(), 1);
     for (t, row) in steps.iter().enumerate() {
-        seq.step(t as u64, row);
+        seq.step(&mut seq_coord, t as u64, row);
     }
     let mut coord = mk_coord();
     let mut cluster = ThreadedCluster::spawn(mk_nodes());
@@ -327,6 +329,6 @@ fn threaded_matches_sequential_for_mock_protocol() {
     let b = cluster.ledger().snapshot();
     assert_eq!((a.up, a.down, a.broadcast), (b.up, b.down, b.broadcast));
     assert_eq!(a.total_bits(), b.total_bits());
-    assert_eq!(seq.coord().ups_seen, coord.ups_seen);
+    assert_eq!(seq_coord.ups_seen, coord.ups_seen);
     drop(cluster);
 }

@@ -13,6 +13,7 @@ use std::time::Duration;
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction};
 use topk_net::chaos::{ChaosPolicy, RuntimeError};
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::socket::{FrameCodec, SocketCluster, WireError};
 use topk_net::wire::{get_varint, put_varint, WireSize};
 

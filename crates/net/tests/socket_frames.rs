@@ -30,6 +30,7 @@ use topk_net::behavior::{
 };
 use topk_net::id::{NodeId, Value};
 use topk_net::ledger::WireMetrics;
+use topk_net::runtime::Runtime;
 use topk_net::socket::{
     read_frame, write_frame, FrameCodec, SocketCluster, WireError, FRAME_PREFIX_LEN, MAX_FRAME_LEN,
 };

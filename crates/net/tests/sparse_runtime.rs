@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction};
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
 use topk_net::wire::WireSize;
 
@@ -187,21 +188,19 @@ fn rt(
     n: usize,
     threshold: Value,
 ) -> (
-    SyncRuntime<CountingNode<LevelNode>, SinkCoord>,
+    SyncRuntime<CountingNode<LevelNode>>,
+    SinkCoord,
     Arc<AtomicU64>,
     Arc<AtomicU64>,
 ) {
     let (nodes, observes, polls) = counted_nodes(n, threshold, 0);
     (
-        SyncRuntime::new(
-            nodes,
-            SinkCoord {
-                rounds_per_step: 3,
-                cur_round: 0,
-                skip_silent: true,
-            },
-            1,
-        ),
+        SyncRuntime::new(nodes, 1),
+        SinkCoord {
+            rounds_per_step: 3,
+            cur_round: 0,
+            skip_silent: true,
+        },
         observes,
         polls,
     )
@@ -209,13 +208,13 @@ fn rt(
 
 #[test]
 fn silent_step_performs_zero_observe_calls() {
-    let (mut rt, observes, polls) = rt(64, 1_000);
+    let (mut rt, mut coord, observes, polls) = rt(64, 1_000);
     let row: Vec<Value> = (1..=64).collect();
-    rt.step(0, &row);
+    rt.step(&mut coord, 0, &row);
     assert_eq!(observes.load(Ordering::Relaxed), 64, "first step is dense");
     // Identical row again: the diffing wrapper must visit *nobody*.
-    rt.step(1, &row);
-    rt.step(2, &row);
+    rt.step(&mut coord, 1, &row);
+    rt.step(&mut coord, 2, &row);
     assert_eq!(
         observes.load(Ordering::Relaxed),
         64,
@@ -230,16 +229,16 @@ fn silent_step_performs_zero_observe_calls() {
 
 #[test]
 fn dense_step_visits_only_changed_nodes() {
-    let (mut rt, observes, _polls) = rt(100, u64::MAX);
+    let (mut rt, mut coord, observes, _polls) = rt(100, u64::MAX);
     let mut row: Vec<Value> = vec![5; 100];
-    rt.step(0, &row);
+    rt.step(&mut coord, 0, &row);
     let after_init = observes.load(Ordering::Relaxed);
     assert_eq!(after_init, 100);
     // Change 3 values; only those three observe calls may happen.
     row[7] = 6;
     row[42] = 9;
     row[99] = 1;
-    rt.step(1, &row);
+    rt.step(&mut coord, 1, &row);
     assert_eq!(observes.load(Ordering::Relaxed), after_init + 3);
 }
 
@@ -255,29 +254,23 @@ fn step_sparse_matches_dense_step_exactly() {
     ];
 
     let (dense_nodes, _, _) = counted_nodes(6, 100, 2);
-    let mut dense = SyncRuntime::new(
-        dense_nodes,
-        SinkCoord {
-            rounds_per_step: 3,
-            cur_round: 0,
-            skip_silent: false,
-        },
-        1,
-    );
+    let mut dense = SyncRuntime::new(dense_nodes, 1);
+    let mut dense_coord = SinkCoord {
+        rounds_per_step: 3,
+        cur_round: 0,
+        skip_silent: false,
+    };
     for (t, row) in steps.iter().enumerate() {
-        dense.step(t as u64, row);
+        dense.step(&mut dense_coord, t as u64, row);
     }
 
     let (sparse_nodes, sparse_obs, _) = counted_nodes(6, 100, 2);
-    let mut sparse = SyncRuntime::new(
-        sparse_nodes,
-        SinkCoord {
-            rounds_per_step: 3,
-            cur_round: 0,
-            skip_silent: false,
-        },
-        1,
-    );
+    let mut sparse = SyncRuntime::new(sparse_nodes, 1);
+    let mut sparse_coord = SinkCoord {
+        rounds_per_step: 3,
+        cur_round: 0,
+        skip_silent: false,
+    };
     let mut prev: Option<Vec<Value>> = None;
     for (t, row) in steps.iter().enumerate() {
         let changes: Vec<(NodeId, Value)> = match &prev {
@@ -294,7 +287,7 @@ fn step_sparse_matches_dense_step_exactly() {
                 .map(|(i, (&v, _))| (NodeId(i as u32), v))
                 .collect(),
         };
-        sparse.step_sparse(t as u64, &changes);
+        sparse.step_sparse(&mut sparse_coord, t as u64, &changes);
         prev = Some(row.clone());
     }
 
@@ -316,19 +309,16 @@ fn engaged_nodes_are_revisited_without_changes() {
     // the engaged set must carry it through silent rounds via the index
     // list (not a Vec<bool> scan).
     let (nodes, _obs, polls) = counted_nodes(8, 100, 2);
-    let mut rt = SyncRuntime::new(
-        nodes,
-        SinkCoord {
-            rounds_per_step: 3,
-            cur_round: 0,
-            skip_silent: true,
-        },
-        1,
-    );
+    let mut rt = SyncRuntime::new(nodes, 1);
+    let mut coord = SinkCoord {
+        rounds_per_step: 3,
+        cur_round: 0,
+        skip_silent: true,
+    };
     let mut row: Vec<Value> = vec![1; 8];
-    rt.step(0, &row);
+    rt.step(&mut coord, 0, &row);
     row[3] = 500; // trigger node 3: 1 report + 2 echo rounds
-    rt.step(1, &row);
+    rt.step(&mut coord, 1, &row);
     assert_eq!(rt.ledger().up(), 3);
     // Only node 3 was ever polled in micro-rounds (its two echo rounds).
     assert_eq!(polls.load(Ordering::Relaxed), 2);
@@ -337,6 +327,7 @@ fn engaged_nodes_are_revisited_without_changes() {
 
 #[test]
 fn run_feed_sparse_matches_run_feed() {
+    use topk_net::behavior::ValueFeed;
     use topk_net::trace::{TraceMatrix, TraceReplay};
     let trace = TraceMatrix::from_rows(&[
         vec![1, 2, 3, 4],
@@ -348,21 +339,31 @@ fn run_feed_sparse_matches_run_feed() {
 
     let mk_rt = || {
         let (nodes, _, _) = counted_nodes(4, 100, 1);
-        SyncRuntime::new(
-            nodes,
-            SinkCoord {
-                rounds_per_step: 3,
-                cur_round: 0,
-                skip_silent: true,
-            },
-            1,
-        )
+        let coord = SinkCoord {
+            rounds_per_step: 3,
+            cur_round: 0,
+            skip_silent: true,
+        };
+        (SyncRuntime::new(nodes, 1), coord)
     };
 
-    let mut dense = mk_rt();
-    let d = dense.run_feed(&mut TraceReplay::new(trace.clone()), 0, 5);
-    let mut sparse = mk_rt();
-    let s = sparse.run_feed_sparse(&mut TraceReplay::new(trace), 0, 5);
+    // The same feed driven as dense rows and as change-lists.
+    let (mut dense, mut dense_coord) = mk_rt();
+    let mut feed = TraceReplay::new(trace.clone());
+    let mut row = vec![0; 4];
+    for t in 0..5 {
+        feed.fill_step(t, &mut row);
+        dense.step(&mut dense_coord, t, &row);
+    }
+    let d = dense.ledger().snapshot();
+    let (mut sparse, mut sparse_coord) = mk_rt();
+    let mut feed = TraceReplay::new(trace);
+    let mut changes = Vec::new();
+    for t in 0..5 {
+        feed.fill_delta(t, &mut changes);
+        sparse.step_sparse(&mut sparse_coord, t, &changes);
+    }
+    let s = sparse.ledger().snapshot();
 
     assert_eq!((d.up, d.down, d.broadcast), (s.up, s.down, s.broadcast));
     assert_eq!(d.total_bits(), s.total_bits());
@@ -376,14 +377,11 @@ fn run_feed_sparse_matches_run_feed() {
 #[should_panic(expected = "first sparse step must provide a value for every node")]
 fn first_sparse_step_requires_full_coverage() {
     let (nodes, _, _) = counted_nodes(4, 100, 0);
-    let mut rt = SyncRuntime::new(
-        nodes,
-        SinkCoord {
-            rounds_per_step: 3,
-            cur_round: 0,
-            skip_silent: true,
-        },
-        1,
-    );
-    rt.step_sparse(0, &[(NodeId(1), 5)]);
+    let mut rt = SyncRuntime::new(nodes, 1);
+    let mut coord = SinkCoord {
+        rounds_per_step: 3,
+        cur_round: 0,
+        skip_silent: true,
+    };
+    rt.step_sparse(&mut coord, 0, &[(NodeId(1), 5)]);
 }

@@ -20,6 +20,7 @@ use topk_net::behavior::{
     CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction, RoundScope,
 };
 use topk_net::id::{NodeId, Value};
+use topk_net::runtime::Runtime;
 use topk_net::socket::{FrameCodec, SocketCluster, WireError};
 use topk_net::wire::{get_varint, put_varint, WireSize};
 

@@ -18,7 +18,7 @@
 //! [`EventReplay`]: topk_core::EventReplay
 
 use topk_core::session::{Engine, MonitorBuilder};
-use topk_core::{RunMetrics, TopkEvent};
+use topk_core::{RankDiff, RunMetrics, TopkEvent};
 use topk_net::chaos::{ChaosPolicy, RecoveryMetrics};
 use topk_net::id::{NodeId, Value};
 use topk_net::ledger::{LedgerSnapshot, WireMetrics};
@@ -134,15 +134,20 @@ impl ServeBuilder {
         self.k
     }
 
-    /// Requested shard count (before clamping and empty-shard skipping).
-    pub fn requested_shards(&self) -> usize {
-        self.shards
-    }
-
     /// Assemble the service: hash keys to shards, spawn one worker (and
     /// session) per non-empty shard. Borrowing the builder keeps it a
     /// reusable template, like [`MonitorBuilder::build`].
+    ///
+    /// # Panics
+    ///
+    /// On a knob combination [`MonitorBuilder::try_build`] rejects (chaos
+    /// on an explicit [`Engine::Sequential`]), with
+    /// [`MonitorBuilder::build`]'s message, before any worker is spawned.
     pub fn build(&self) -> TopkService {
+        let engine = self
+            .template
+            .resolved_engine()
+            .unwrap_or_else(|e| panic!("invalid monitor configuration: {e}"));
         let keys = self.keys;
         let k = self.k;
         let requested = self.shards.min(keys);
@@ -181,14 +186,6 @@ impl ServeBuilder {
             shard_keys[h].push(NodeId(key as u32));
         }
 
-        let engine = match (
-            self.template.build_chaos(),
-            self.template.build_engine().resolve(),
-        ) {
-            (Some(_), Engine::Socket) => Engine::Socket,
-            (Some(_), _) => Engine::Threaded,
-            (None, resolved) => resolved,
-        };
         let shards: Vec<ShardHandle> = shard_keys
             .into_iter()
             .enumerate()
@@ -221,12 +218,7 @@ impl ServeBuilder {
             merge: ShardMerge::new(k, keys as u64)
                 .with_tolerance(self.template.config().approx.epsilon()),
             events: Vec::new(),
-            order: Vec::new(),
-            order_scratch: Vec::new(),
-            prev_by_id: Vec::new(),
-            cur_by_id: Vec::new(),
-            staged_ranks: Vec::new(),
-            member_mask: vec![false; keys],
+            ranks: RankDiff::new(keys),
             topk_sorted: Vec::new(),
             bar: None,
             last_t: None,
@@ -270,15 +262,8 @@ pub struct TopkService {
     merge: ShardMerge,
     /// Reusable global event buffer; `advance` returns a borrow of it.
     events: Vec<TopkEvent>,
-    /// Merged members by rank (index 0 = rank 1).
-    order: Vec<NodeId>,
-    order_scratch: Vec<NodeId>,
-    /// Scratch: `(id, rank)` maps, id-sorted, for the membership diff.
-    prev_by_id: Vec<(NodeId, usize)>,
-    cur_by_id: Vec<(NodeId, usize)>,
-    staged_ranks: Vec<(usize, TopkEvent)>,
-    /// O(1) global membership.
-    member_mask: Vec<bool>,
+    /// Merged members by rank and the membership diff.
+    ranks: RankDiff,
     /// Members sorted ascending — the `topk()` view.
     topk_sorted: Vec<NodeId>,
     /// Exact global (k+1)-th-best value after the last merge.
@@ -360,69 +345,12 @@ impl TopkService {
             self.bar = bar;
         }
 
-        self.order_scratch.clear();
-        self.order_scratch
-            .extend(self.merge.ranking().iter().map(|r| r.id));
+        let next = self.ranks.next_order();
+        next.extend(self.merge.ranking().iter().map(|r| r.id));
+        self.ranks.commit(t, &mut self.events);
 
-        self.prev_by_id.clear();
-        self.prev_by_id
-            .extend(self.order.iter().enumerate().map(|(i, &id)| (id, i + 1)));
-        self.prev_by_id.sort_unstable_by_key(|&(id, _)| id);
-        self.cur_by_id.clear();
-        self.cur_by_id.extend(
-            self.order_scratch
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| (id, i + 1)),
-        );
-        self.cur_by_id.sort_unstable_by_key(|&(id, _)| id);
-
-        self.staged_ranks.clear();
-        let (mut p, mut c) = (0, 0);
-        while p < self.prev_by_id.len() || c < self.cur_by_id.len() {
-            match (self.prev_by_id.get(p), self.cur_by_id.get(c)) {
-                (Some(&(pid, from)), Some(&(cid, rank))) if pid == cid => {
-                    if from != rank {
-                        self.staged_ranks.push((
-                            rank,
-                            TopkEvent::RankChanged {
-                                t,
-                                id: cid,
-                                from,
-                                to: rank,
-                            },
-                        ));
-                    }
-                    p += 1;
-                    c += 1;
-                }
-                (Some(&(pid, _)), Some(&(cid, _))) if pid < cid => {
-                    self.events.push(TopkEvent::Left { t, id: pid });
-                    self.member_mask[pid.idx()] = false;
-                    p += 1;
-                }
-                (Some(&(pid, _)), None) => {
-                    self.events.push(TopkEvent::Left { t, id: pid });
-                    self.member_mask[pid.idx()] = false;
-                    p += 1;
-                }
-                (_, Some(&(cid, rank))) => {
-                    self.staged_ranks
-                        .push((rank, TopkEvent::Entered { t, id: cid, rank }));
-                    self.member_mask[cid.idx()] = true;
-                    c += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        self.staged_ranks
-            .sort_unstable_by_key(|&(rank, e)| (!matches!(e, TopkEvent::Entered { .. }), rank));
-        self.events
-            .extend(self.staged_ranks.iter().map(|&(_, e)| e));
-
-        std::mem::swap(&mut self.order, &mut self.order_scratch);
         self.topk_sorted.clear();
-        self.topk_sorted.extend_from_slice(&self.order);
+        self.topk_sorted.extend_from_slice(self.ranks.order());
         self.topk_sorted.sort_unstable();
     }
 
@@ -436,7 +364,7 @@ impl TopkService {
     /// Global members ordered by rank (index 0 = rank 1 = largest value,
     /// ties by ascending key) — the order the service's events speak about.
     pub fn topk_by_rank(&self) -> &[NodeId] {
-        &self.order
+        self.ranks.order()
     }
 
     /// The merged global ranking with committed values, best-first.
@@ -446,7 +374,7 @@ impl TopkService {
 
     /// O(1): is `key` currently in the global top-k?
     pub fn in_topk(&self, key: NodeId) -> bool {
-        self.member_mask[key.idx()]
+        self.ranks.contains(key)
     }
 
     /// The exact global `(k+1)`-th-best committed value — the serving
@@ -549,8 +477,8 @@ impl TopkService {
         self.k
     }
 
-    /// The engine every shard session runs (chaos falls back to
-    /// [`Engine::Threaded`] exactly like [`MonitorBuilder::build`]).
+    /// The engine every shard session runs, resolved by
+    /// [`MonitorBuilder::resolved_engine`] like a single session's.
     pub fn engine(&self) -> Engine {
         self.engine
     }

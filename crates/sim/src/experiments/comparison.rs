@@ -113,8 +113,8 @@ pub fn e7_algorithm_comparison(cfg: &ExpCfg) -> Vec<Table> {
     vec![table]
 }
 
-/// E8 — ablations of our two documented implementation choices
-/// (DESIGN.md §4.2/§4.3): broadcast policy and handler faithfulness.
+/// E8 — ablations of our two documented implementation choices: broadcast
+/// policy ([`BroadcastPolicy`]) and handler faithfulness ([`HandlerMode`]).
 pub fn e8_ablations(cfg: &ExpCfg) -> Vec<Table> {
     let n = if cfg.quick { 48 } else { 128 };
     let k = 4;

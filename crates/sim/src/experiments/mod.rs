@@ -1,5 +1,5 @@
 //! The experiment registry: every quantitative claim of the paper mapped to
-//! a regenerating function (see DESIGN.md §5 for the index).
+//! a regenerating function. The list below is the index.
 //!
 //! * E1–E3, E11 — §4 protocol theorems (Thm 4.2 bound + whp tail, Thm 4.3
 //!   lower bound, Lemma 4.1 per-rank probabilities);

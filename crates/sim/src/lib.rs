@@ -2,7 +2,7 @@
 //! reproduction
 //!
 //! The paper is a theory paper: its "evaluation" is a set of theorems. This
-//! crate regenerates an empirical validation for each of them (DESIGN.md §5
+//! crate regenerates an empirical validation for each of them ([`experiments`]
 //! maps claim → experiment):
 //!
 //! * [`scenario`] — (workload × algorithm × k) runs with OPT and the

@@ -3,7 +3,7 @@
 //! by the application domain").
 //!
 //! No public dataset accompanies the paper; these generators are the
-//! documented synthetic substitution (DESIGN.md §6): what matters for the
+//! documented synthetic substitution: what matters for the
 //! algorithm is (a) step-to-step similarity and (b) the size of the k/k+1
 //! gap, both of which these models exhibit with realistic shapes.
 

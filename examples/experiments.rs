@@ -1,4 +1,5 @@
-//! Regenerate the full experimental evaluation (E1–E14; DESIGN.md §5).
+//! Regenerate the full experimental evaluation (E1–E14, indexed in
+//! `crates/sim/src/experiments/mod.rs`).
 //!
 //! Usage:
 //!   cargo run --release --example experiments            # all, full size

@@ -43,10 +43,15 @@
 //! [`MonitorBuilder`](core::MonitorBuilder) carries every knob (`n`, `k`,
 //! slack, ε, [`HandlerMode`](core::HandlerMode), seed) plus an
 //! [`Engine`](core::Engine) choice — `Sequential`, `Threaded`, `Socket`,
-//! or `Auto` — replacing the per-runtime pick between the dense/sparse
-//! drives of [`TopkMonitor`](core::TopkMonitor),
+//! or `Auto`, resolved by the one rule
+//! [`MonitorBuilder::resolved_engine`](core::MonitorBuilder::resolved_engine)
+//! — replacing the per-runtime pick between the dense/sparse drives of
+//! [`TopkMonitor`](core::TopkMonitor),
 //! [`ThreadedTopkMonitor`](core::ThreadedTopkMonitor), and
-//! [`SocketTopkMonitor`](core::SocketTopkMonitor). Every engine is
+//! [`SocketTopkMonitor`](core::SocketTopkMonitor). Those three are
+//! aliases of one monitor, [`Algorithm1`](core::Algorithm1), which holds
+//! the coordinator and lends it to its [`Runtime`](net::Runtime) every
+//! step. Every engine is
 //! bit-identical in everything the model observes (answers, ledgers, node
 //! state, RNG streams; pinned by `tests/runtime_conformance.rs`); the
 //! socket engine additionally meters the *physical* side — frames and
@@ -90,11 +95,11 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`net`] | system model: ids, ledgers, wire sizes, sequential (sparse delta-driven) + threaded + loopback-TCP socket runtimes |
+//! | [`net`] | system model: ids, ledgers, wire sizes, the [`Runtime`](net::Runtime) trait and its sequential (sparse delta-driven) + threaded + loopback-TCP socket implementations |
 //! | [`proto`] | Algorithm 2 (randomized max/min protocols), baselines, closed forms |
 //! | [`filters`] | filter intervals, Lemma 2.2 validity, `T±` tracking |
 //! | [`streams`] | seeded synthetic workloads ([`WorkloadSpec`](streams::WorkloadSpec)), delta generation ([`ValueFeed::fill_delta`](net::behavior::ValueFeed::fill_delta)) |
-//! | [`core`] | Algorithm 1 (dense + sparse stepping), online baselines, offline OPT |
+//! | [`core`] | the session facade, Algorithm 1 as one monitor over any runtime (dense + sparse stepping), online baselines, offline OPT |
 //! | [`ordered`] | §5 ordered-top-k extension, exact S-way shard merge ([`ShardMerge`](ordered::ShardMerge)) |
 //! | [`serve`] | sharded serving layer: [`ServeBuilder`](serve::ServeBuilder) hashes millions of keys across concurrent shard sessions behind one ingest front door |
 //! | [`sim`] | experiment harness E1–E14, statistics, tables |

@@ -5,6 +5,7 @@
 
 use topk_monitoring::net::behavior::CoordinatorBehavior;
 use topk_monitoring::net::threaded::ThreadedCluster;
+use topk_monitoring::net::Runtime;
 use topk_monitoring::prelude::*;
 
 fn run_both(n: usize, k: usize, steps: usize, seed: u64, spec: &WorkloadSpec) {
