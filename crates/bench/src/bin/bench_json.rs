@@ -7,11 +7,6 @@
 //! * `results/BENCH_sparse.json` — steady-state silent-step cost (mirrors
 //!   `benches/sparse_step.rs`): µs/step for the delta-driven loop and the
 //!   generator alone;
-//! * `results/BENCH_wire.json` — socket-runtime wire cost (mirrors
-//!   `benches/socket_wire.rs`): µs/step plus the exact bytes/step,
-//!   frames/step, and framing-overhead share written to the loopback-TCP
-//!   connections under a churny boundary workload. The byte counts are
-//!   deterministic — any drift is a protocol change, not noise;
 //! * `results/BENCH_serve.json` — serving-layer scaling (mirrors
 //!   `benches/serve_throughput.rs` at 10M keys): updates/sec and merged
 //!   advance µs per shard count against a single-session baseline, plus
@@ -33,7 +28,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use topk_core::session::{Engine, MonitorBuilder};
-use topk_core::{Monitor, MonitorConfig, SocketTopkMonitor, TopkMonitor};
+use topk_core::{Monitor, MonitorConfig, TopkMonitor};
 use topk_net::behavior::ValueFeed;
 use topk_net::id::{NodeId, Value};
 use topk_serve::ServeBuilder;
@@ -57,24 +52,6 @@ struct SparsePoint {
     movers_per_step: usize,
     step_us_median: f64,
     generator_us_median: f64,
-}
-
-#[derive(Serialize)]
-struct WirePoint {
-    n: usize,
-    k: usize,
-    shards: usize,
-    steps: u64,
-    step_us_median: f64,
-    /// Deterministic for fixed (workload, seed): bytes written to the
-    /// sockets per step, framing prefix included.
-    bytes_per_step: f64,
-    frames_per_step: f64,
-    bytes_total: u64,
-    frames_total: u64,
-    /// Share of `bytes_total` that is framing (length prefixes, tags,
-    /// handshakes) rather than model-ledger payload.
-    overhead_fraction: f64,
 }
 
 #[derive(Serialize)]
@@ -138,13 +115,6 @@ struct SparseReport {
     suite: String,
     runs_per_point: usize,
     points: Vec<SparsePoint>,
-}
-
-#[derive(Serialize)]
-struct WireReport {
-    suite: String,
-    runs_per_point: usize,
-    points: Vec<WirePoint>,
 }
 
 #[derive(Serialize)]
@@ -244,60 +214,6 @@ fn measure_sparse(runs: usize) -> Vec<SparsePoint> {
             movers_per_step: n / 100,
             step_us_median: median(step_us),
             generator_us_median: median(gen_us),
-        });
-    }
-    points
-}
-
-fn measure_wire(runs: usize) -> Vec<WirePoint> {
-    let mut points = Vec::new();
-    for &n in &[64usize, 256] {
-        let k = 4;
-        let spec = WorkloadSpec::BoundaryCross {
-            n,
-            base: 1_000,
-            spread: 200,
-            amplitude: 150,
-            period: 4,
-        };
-        let steps_per_run = 100u64;
-        let mut step_us = Vec::new();
-        let mut last = None;
-        for _ in 0..runs {
-            let mut mon = SocketTopkMonitor::new(MonitorConfig::new(n, k), 9);
-            let mut feed = spec.build(5);
-            let mut row = vec![0 as Value; n];
-            feed.fill_step(0, &mut row);
-            mon.step(0, &row);
-            let bytes_before = mon.wire().bytes_total;
-            let frames_before = mon.wire().frames_total;
-            // Generate the timed steps' inputs before the clock starts.
-            let rows: Vec<Vec<Value>> = (1..=steps_per_run)
-                .map(|t| {
-                    feed.fill_step(t, &mut row);
-                    row.clone()
-                })
-                .collect();
-            let t0 = Instant::now();
-            for (t, row) in (1..=steps_per_run).zip(&rows) {
-                mon.step(t, row);
-            }
-            step_us.push(t0.elapsed().as_secs_f64() * 1e6 / steps_per_run as f64);
-            last = Some((mon, bytes_before, frames_before));
-        }
-        let (mon, bytes_before, frames_before) = last.unwrap();
-        let w = mon.wire();
-        points.push(WirePoint {
-            n,
-            k,
-            shards: mon.shards(),
-            steps: steps_per_run,
-            step_us_median: median(step_us),
-            bytes_per_step: (w.bytes_total - bytes_before) as f64 / steps_per_run as f64,
-            frames_per_step: (w.frames_total - frames_before) as f64 / steps_per_run as f64,
-            bytes_total: w.bytes_total,
-            frames_total: w.frames_total,
-            overhead_fraction: w.overhead_bytes() as f64 / w.bytes_total as f64,
         });
     }
     points
@@ -492,15 +408,6 @@ fn main() {
             suite: "sparse_steady_state".into(),
             runs_per_point: runs,
             points: measure_sparse(runs),
-        },
-    );
-    write(
-        &dir,
-        "BENCH_wire.json",
-        &WireReport {
-            suite: "socket_wire_churn".into(),
-            runs_per_point: runs,
-            points: measure_wire(runs),
         },
     );
     write(

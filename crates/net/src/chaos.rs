@@ -22,7 +22,9 @@
 //!
 //! Faults are **seeded and deterministic**: every decision is a pure
 //! function of `(policy seed, fault class, t, run, m, node)`, computed as
-//! one draw from a [`CounterRng`] substream. The schedule therefore does
+//! one draw from a [`CounterRng`] substream. The driver rolls once per
+//! endpoint and wave, with the endpoint's first node as `node`: per node on
+//! the threaded runtime, per shard on the socket runtime. The schedule therefore does
 //! not depend on thread timing, and two runs with the same policy inject
 //! the same faults at the same frame coordinates (wall-clock-dependent
 //! *recovery* counters — retries, redelivered frames — may still differ,

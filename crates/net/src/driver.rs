@@ -8,9 +8,11 @@
 //! [`FireCalendar`] skip plus broadcast-log replay, [`RoundScope`]
 //! narrowing), charges `sync_frames` at dispatch intent and every model
 //! message to its [`CommLedger`], and runs the recovery state machine. A
-//! [`Transport`] only carries frames: [`crate::threaded`] moves them over
-//! crossbeam channels to one thread per node, [`crate::socket`] writes them
-//! as length-prefixed bytes over loopback TCP to node shards.
+//! [`Transport`] only carries frames, one per endpoint and wave:
+//! [`crate::threaded`] moves them over crossbeam channels to one thread per
+//! node, [`crate::socket`] writes them as length-prefixed bytes over
+//! loopback TCP to node shards, one frame holding every polled node of the
+//! shard.
 //!
 //! Node-phase 0 frames only changed ∪ engaged nodes for behaviors that opt
 //! into [`NodeBehavior::SPARSE_OBSERVE`] (an engaged node whose value did
@@ -21,21 +23,24 @@
 //!
 //! # Recovery state machine
 //!
-//! A [`ChaosPolicy`] arms seeded faults at dispatch: a frame's *first*
-//! delivery may be dropped, duplicated, delayed past its wave, or stalled;
-//! a reply may be lost; the coordinator may crash between micro-rounds; and
-//! a wire transport adds its own classes through [`Transport::wire_fault`].
-//! Recovery works in layers:
+//! A [`ChaosPolicy`] arms seeded faults at dispatch, rolled once per
+//! endpoint and wave, keyed by `(t, run, m, first node of the endpoint)`:
+//! an endpoint frame's *first* delivery may be dropped, duplicated, delayed
+//! past its wave, or stalled; its reply frame may be lost; the coordinator
+//! may crash between micro-rounds; and a wire transport adds its own
+//! classes through [`Transport::wire_fault`]. Recovery works in layers:
 //!
 //! * **Idempotent re-delivery** — every work frame carries the key
 //!   `(t, run, m)`. The node side (`NodeHost`) processes each key at most
-//!   once: a stale key is ignored, a repeated key re-sends the cached reply.
+//!   once per node: a stale key is ignored, a repeated key re-sends the
+//!   node's cached reply.
 //! * **Reply deadlines with bounded retry** — [`Cluster`] collects each wave
-//!   under the policy's deadline and re-sends outstanding frames (charged
-//!   to [`ChannelKind::Retransmit`]) up to `max_retries` times before a
-//!   typed [`RuntimeError::ReplyTimeout`]. A clean transport waits
-//!   [`MAX_IDLE_TICKS`] × [`RECV_TICK_MS`] (30 s) of silence instead, so a
-//!   wedged node fails typed rather than blocking forever.
+//!   under the policy's deadline and re-sends the frames of endpoints that
+//!   still owe replies (charged to [`ChannelKind::Retransmit`]) up to
+//!   `max_retries` times before a typed [`RuntimeError::ReplyTimeout`]. A
+//!   clean transport waits [`MAX_IDLE_TICKS`] × [`RECV_TICK_MS`] (30 s) of
+//!   silence instead, so a wedged node fails typed rather than blocking
+//!   forever.
 //! * **Whole-step re-run** — an injected coordinator crash restores the
 //!   last committed snapshot, rolls the model ledger back, fences the dead
 //!   attempt with an abort wave (one abort and one ack per endpoint), and
@@ -47,8 +52,6 @@
 
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
-
-pub use crossbeam::channel::RecvTimeoutError;
 
 use crate::behavior::{
     max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, RoundAction, RoundScope,
@@ -90,14 +93,20 @@ pub enum Work<'a, D> {
     },
 }
 
-/// A node's answer to one work frame, echoing its key. An abort ack is a
-/// reply at `m == ABORT_M` from the endpoint's first node.
+/// Origin and key of one reply frame. Its node entries land in the
+/// caller's buffer; an abort ack is a frame keyed `(t, run, ABORT_M)` with
+/// no entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplyHead {
+    /// The endpoint that sent the frame.
+    pub e: usize,
+    pub key: FrameKey,
+}
+
+/// One node's entry of a reply frame.
 #[derive(Debug, Clone)]
 pub struct Reply<U> {
     pub id: NodeId,
-    pub t: u64,
-    pub run: u32,
-    pub m: u32,
     pub up: Option<U>,
     pub engaged: bool,
     /// Fire-round calendar entry (see [`RoundAction::wake_at`]).
@@ -108,13 +117,16 @@ pub struct Reply<U> {
 
 /// What carries frames between a [`Cluster`] and its nodes.
 ///
-/// Nodes live in *endpoints* — the transport's fault domains (one thread per
-/// node, or one shard connection per node range). The driver decides what
-/// to send, when to re-send and which faults to inject; the transport
-/// encodes, moves and receives. Every method that touches a dead endpoint
-/// returns [`RuntimeError::NodeDown`] instead of panicking.
+/// Nodes live in *endpoints*: the transport's fault domains (one thread per
+/// node, or one shard connection per node range). The unit of transfer is
+/// one endpoint's part of one wave: the driver stages every visited node's
+/// work into its endpoint's frame, then seals and sends each endpoint's
+/// frame once, and each endpoint answers with one reply frame. The driver
+/// decides what to send, when to re-send and which faults to inject; the
+/// transport encodes, moves and receives. Every method that touches a dead
+/// endpoint returns [`RuntimeError::NodeDown`] instead of panicking.
 pub trait Transport<NB: NodeBehavior>: Sized {
-    /// A retained copy of one encoded work frame, kept for re-send.
+    /// A retained copy of one endpoint's sealed wave, kept for re-send.
     type Frame;
 
     /// Start the endpoints for `nodes` (dense, id-ordered). `chaos`
@@ -125,37 +137,48 @@ pub trait Transport<NB: NodeBehavior>: Sized {
     fn endpoints(&self) -> usize;
     /// The endpoint hosting node `i`.
     fn endpoint_of(&self, i: u32) -> usize;
-    /// The first node of endpoint `e` (error attribution, abort acks).
+    /// The first node of endpoint `e` (fault rolls, error attribution).
     fn first_node(&self, e: usize) -> NodeId;
     /// Whether endpoint `e`'s thread has exited.
     fn is_dead(&self, e: usize) -> bool;
-    /// Encode one work frame for node `i` into the staging slot.
-    fn encode(&mut self, i: u32, key: FrameKey, work: Work<'_, NB::Down>);
-    /// A re-sendable copy of the staged frame.
-    fn keep(&self) -> Self::Frame;
-    /// First delivery of the staged frame to node `i`; `stall_ms > 0` makes
-    /// the node sleep before processing it. May consume the staged frame,
-    /// so the driver calls [`Transport::keep`] first.
-    fn send(&mut self, i: u32, stall_ms: u32) -> Result<(), RuntimeError>;
-    /// Re-send a kept frame to node `i` (off-model traffic).
-    fn resend(&mut self, i: u32, frame: &Self::Frame) -> Result<(), RuntimeError>;
+    /// Add node `i`'s work to its endpoint's staged wave. A wave stages
+    /// its nodes in ascending id order.
+    fn stage(&mut self, i: u32, work: Work<'_, NB::Down>);
+    /// Close endpoint `e`'s staged wave under `key`, ready to send; the
+    /// next [`Transport::stage`] for `e` starts a new wave.
+    fn seal(&mut self, e: usize, key: FrameKey);
+    /// A re-sendable copy of endpoint `e`'s sealed wave.
+    fn keep(&self, e: usize) -> Self::Frame;
+    /// First delivery of endpoint `e`'s sealed wave; `stall_ms > 0` makes
+    /// the endpoint sleep before processing it. May consume the sealed
+    /// wave, so the driver calls [`Transport::keep`] first.
+    fn send(&mut self, e: usize, stall_ms: u32) -> Result<(), RuntimeError>;
+    /// Re-send a kept wave to endpoint `e` (off-model traffic).
+    fn resend(&mut self, e: usize, frame: &Self::Frame) -> Result<(), RuntimeError>;
     /// Push buffered frames out.
     fn flush(&mut self) -> Result<(), RuntimeError> {
         Ok(())
     }
-    /// Wait up to `timeout` for one reply.
-    fn recv(&mut self, timeout: Duration) -> Result<Reply<NB::Up>, RecvTimeoutError>;
+    /// Wait up to `timeout` for one reply frame from an endpoint `e` with
+    /// `owed[e] > 0`, clearing `into` and filling it with the frame's node
+    /// entries. `Ok(None)` means nothing arrived in time.
+    fn recv(
+        &mut self,
+        owed: &[u32],
+        timeout: Duration,
+        into: &mut Vec<Reply<NB::Up>>,
+    ) -> Result<Option<ReplyHead>, RuntimeError>;
     /// Charge a received reply's payload bytes to `kind` (wire transports).
     fn charge_reply(&mut self, _kind: ChannelKind, _up_bytes: u64) {}
     /// Send the abort of attempt `(t, run)` to endpoint `e`.
     fn send_abort(&mut self, e: usize, t: u64, run: u32) -> Result<(), RuntimeError>;
-    /// Wire-level fault hook, called before (`sent == false`) and after the
-    /// staged frame's first delivery. Returns `true` when the fault severed
-    /// the connection and the transport has already reconnected and
-    /// re-delivered the frame.
+    /// Wire-level fault hook, called before (`sent == false`) and after
+    /// endpoint `e`'s first delivery of its sealed wave. Returns `true`
+    /// when the fault severed the connection and the transport has already
+    /// reconnected and re-delivered the wave.
     fn wire_fault(
         &mut self,
-        _i: u32,
+        _e: usize,
         _key: FrameKey,
         _sent: bool,
         _policy: &ChaosPolicy,
@@ -387,18 +410,44 @@ struct Link<NB: NodeBehavior, T: Transport<NB>> {
     /// Per-node "reply outstanding" flags of the in-flight wave.
     pending: Vec<bool>,
     pending_count: usize,
-    /// Reply-drop already injected for (this wave, node) — at most one per
-    /// wave so retries converge.
+    /// Per-endpoint count of outstanding node replies.
+    owed: Vec<u32>,
+    /// Endpoints staged in the current wave, in staging order.
+    staged: Vec<usize>,
+    /// Reply-drop already injected for (this wave, endpoint) — at most one
+    /// per wave so retries converge.
     reply_dropped: Vec<bool>,
-    /// Frames of the in-flight wave, kept for re-send (chaos only).
-    wave: Vec<(u32, T::Frame)>,
-    /// Delay-injected frames awaiting their late (stale) flush.
-    delayed: Vec<(u32, T::Frame)>,
+    /// Endpoint waves of the in-flight wave, kept for re-send (chaos only).
+    wave: Vec<(usize, T::Frame)>,
+    /// Delay-injected endpoint waves awaiting their late (stale) flush.
+    delayed: Vec<(usize, T::Frame)>,
+    /// Node entries of the reply frame being processed.
+    replies: Vec<Reply<NB::Up>>,
     _nodes: PhantomData<fn() -> NB>,
 }
 
 impl<NB: NodeBehavior, T: Transport<NB>> Link<NB, T> {
-    /// Start a wave: flush delay-injected frames of earlier waves (their
+    fn new(transport: T, n: usize, chaos: Option<ChaosPolicy>) -> Self {
+        let endpoints = transport.endpoints();
+        Link {
+            transport,
+            ledger: CommLedger::new(),
+            chaos,
+            recovery: RecoveryMetrics::default(),
+            run: 0,
+            pending: vec![false; n],
+            pending_count: 0,
+            owed: vec![0; endpoints],
+            staged: Vec::new(),
+            reply_dropped: vec![false; endpoints],
+            wave: Vec::new(),
+            delayed: Vec::new(),
+            replies: Vec::new(),
+            _nodes: PhantomData,
+        }
+    }
+
+    /// Start a wave: flush delay-injected waves of earlier rounds (their
     /// keys are stale by now, so nodes ignore them — pure reorder noise) and
     /// reset the per-wave fault latches.
     fn begin_wave(&mut self) -> Result<(), RuntimeError> {
@@ -409,8 +458,8 @@ impl<NB: NodeBehavior, T: Transport<NB>> Link<NB, T> {
         }
         let mut delayed = std::mem::take(&mut self.delayed);
         let mut res = Ok(());
-        for (i, frame) in &delayed {
-            res = self.transport.resend(*i, frame);
+        for (e, frame) in &delayed {
+            res = self.transport.resend(*e, frame);
             if res.is_err() {
                 break;
             }
@@ -427,61 +476,80 @@ impl<NB: NodeBehavior, T: Transport<NB>> Link<NB, T> {
         Ok(())
     }
 
-    /// Frame node `i` for the current wave. The sync frame is charged at
-    /// send *intent*, so `sync_frames` matches a fault-free twin even when
-    /// the delivery is suppressed; everything the fault layer adds is
-    /// charged to [`ChannelKind::Retransmit`].
-    fn dispatch(
-        &mut self,
-        i: u32,
-        key: FrameKey,
-        work: Work<'_, NB::Down>,
-    ) -> Result<(), RuntimeError> {
+    /// Stage node `i`'s work into its endpoint's frame of the current
+    /// wave. The sync frame is charged at send *intent*, so `sync_frames`
+    /// counts node visits and matches a fault-free twin even when a
+    /// delivery is suppressed.
+    fn stage(&mut self, i: u32, work: Work<'_, NB::Down>) {
         debug_assert!(!self.pending[i as usize], "node framed twice in a wave");
         self.pending[i as usize] = true;
         self.pending_count += 1;
         self.ledger.count_sync();
-        self.transport.encode(i, key, work);
+        let e = self.transport.endpoint_of(i);
+        if self.owed[e] == 0 {
+            self.staged.push(e);
+        }
+        self.owed[e] += 1;
+        self.transport.stage(i, work);
+    }
+
+    /// Seal and deliver every endpoint frame of the staged wave, then push
+    /// them out.
+    fn send_wave(&mut self, key: FrameKey) -> Result<(), RuntimeError> {
+        let mut staged = std::mem::take(&mut self.staged);
+        let res = staged.iter().try_for_each(|&e| self.dispatch(e, key));
+        staged.clear();
+        self.staged = staged;
+        res?;
+        self.transport.flush()
+    }
+
+    /// Deliver endpoint `e`'s sealed wave. Faults roll once per
+    /// `(t, run, m, first node of e)`; everything the fault layer adds is
+    /// charged to [`ChannelKind::Retransmit`].
+    fn dispatch(&mut self, e: usize, key: FrameKey) -> Result<(), RuntimeError> {
+        self.transport.seal(e, key);
         let Some(p) = self.chaos else {
-            return self.transport.send(i, 0);
+            return self.transport.send(e, 0);
         };
         let (t, run, m) = key;
-        self.wave.push((i, self.transport.keep()));
-        if p.drop_frame(t, run, m, i) {
+        let node = self.transport.first_node(e).0;
+        self.wave.push((e, self.transport.keep(e)));
+        if p.drop_frame(t, run, m, node) {
             self.recovery.injected_drops += 1;
             return Ok(());
         }
-        if p.delay_frame(t, run, m, i) {
+        if p.delay_frame(t, run, m, node) {
             // Held back past this wave: the retry path completes the wave,
             // and the late copy is flushed (and deduped) later.
             self.recovery.injected_delays += 1;
-            self.delayed.push((i, self.transport.keep()));
+            self.delayed.push((e, self.transport.keep(e)));
             return Ok(());
         }
         if self
             .transport
-            .wire_fault(i, key, false, &p, &mut self.recovery)?
+            .wire_fault(e, key, false, &p, &mut self.recovery)?
         {
             self.note_redelivery();
             return Ok(());
         }
-        let stall = if p.stall_frame(t, run, m, i) {
+        let stall = if p.stall_frame(t, run, m, node) {
             self.recovery.injected_stalls += 1;
             p.stall_ms
         } else {
             0
         };
-        if p.duplicate_frame(t, run, m, i) {
+        if p.duplicate_frame(t, run, m, node) {
             self.recovery.injected_dups += 1;
             if let Some((_, frame)) = self.wave.last() {
-                self.transport.resend(i, frame)?;
+                self.transport.resend(e, frame)?;
             }
             self.ledger.count(ChannelKind::Retransmit, 0);
         }
-        self.transport.send(i, stall)?;
+        self.transport.send(e, stall)?;
         if self
             .transport
-            .wire_fault(i, key, true, &p, &mut self.recovery)?
+            .wire_fault(e, key, true, &p, &mut self.recovery)?
         {
             self.note_redelivery();
         }
@@ -493,12 +561,12 @@ impl<NB: NodeBehavior, T: Transport<NB>> Link<NB, T> {
         self.recovery.redelivered_frames += 1;
     }
 
-    /// Re-send every outstanding frame of the in-flight wave.
+    /// Re-send the wave of every endpoint that still owes replies.
     fn resend_pending(&mut self) -> Result<(), RuntimeError> {
         let mut resent = 0;
-        for (i, frame) in &self.wave {
-            if self.pending[*i as usize] {
-                self.transport.resend(*i, frame)?;
+        for (e, frame) in &self.wave {
+            if self.owed[*e] > 0 {
+                self.transport.resend(*e, frame)?;
                 self.ledger.count(ChannelKind::Retransmit, 0);
                 resent += 1;
             }
@@ -508,19 +576,26 @@ impl<NB: NodeBehavior, T: Transport<NB>> Link<NB, T> {
         Ok(())
     }
 
-    /// A reply that matches no outstanding frame: count and charge it.
-    fn discard(&mut self, up_bytes: u64) {
-        self.recovery.stale_replies += 1;
-        self.transport
-            .charge_reply(ChannelKind::Retransmit, up_bytes);
+    /// Charge the entries of the reply frame in hand to `kind`.
+    fn charge_replies(&mut self, kind: ChannelKind) {
+        for rep in self.replies.drain(..) {
+            self.transport.charge_reply(kind, rep.up_bytes);
+        }
     }
 
-    fn dead_pending(&self) -> Option<NodeId> {
-        (0..self.pending.len())
-            .find(|&i| {
-                self.pending[i] && self.transport.is_dead(self.transport.endpoint_of(i as u32))
+    /// A reply frame that matches no outstanding wave: count and charge it.
+    fn discard(&mut self) {
+        self.recovery.stale_replies += 1;
+        self.charge_replies(ChannelKind::Retransmit);
+    }
+
+    /// A dead endpoint that still owes replies, named by its first node.
+    fn dead_owed(&self) -> Option<RuntimeError> {
+        (0..self.owed.len())
+            .find(|&e| self.owed[e] > 0 && self.transport.is_dead(e))
+            .map(|e| RuntimeError::NodeDown {
+                id: self.transport.first_node(e),
             })
-            .map(|i| NodeId(i as u32))
     }
 
     /// Fence attempt `(t, run)` on every endpoint: send the aborts, then
@@ -533,38 +608,35 @@ impl<NB: NodeBehavior, T: Transport<NB>> Link<NB, T> {
         self.pending.fill(false);
         self.pending_count = 0;
         let run = self.run;
-        let mut owed = vec![true; self.transport.endpoints()];
-        let mut waiting = owed.len();
+        // Each endpoint owes one ack.
+        self.owed.fill(1);
+        let mut waiting = self.owed.len();
         let tick = Duration::from_millis(p.deadline_ms.max(1));
         let mut attempts: u32 = 0;
         loop {
-            for (e, _) in owed.iter().enumerate().filter(|(_, o)| **o) {
-                self.transport.send_abort(e, t, run)?;
-                self.ledger.count(ChannelKind::Retransmit, 0);
+            for e in 0..self.owed.len() {
+                if self.owed[e] > 0 {
+                    self.transport.send_abort(e, t, run)?;
+                    self.ledger.count(ChannelKind::Retransmit, 0);
+                }
             }
             self.transport.flush()?;
-            loop {
-                if waiting == 0 {
-                    return Ok(());
-                }
-                match self.transport.recv(tick) {
-                    Ok(rep) => {
-                        let e = self.transport.endpoint_of(rep.id.0);
-                        if rep.t == t && rep.run == run && rep.m == ABORT_M && owed[e] {
-                            owed[e] = false;
-                            waiting -= 1;
-                        } else {
-                            self.discard(rep.up_bytes);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::AllNodesDown),
+            while waiting > 0 {
+                let Some(head) = self.transport.recv(&self.owed, tick, &mut self.replies)? else {
+                    break;
+                };
+                if head.key == (t, run, ABORT_M) && self.owed[head.e] > 0 {
+                    self.owed[head.e] = 0;
+                    waiting -= 1;
+                } else {
+                    self.discard();
                 }
             }
-            if let Some(e) = (0..owed.len()).find(|&e| owed[e] && self.transport.is_dead(e)) {
-                return Err(RuntimeError::NodeDown {
-                    id: self.transport.first_node(e),
-                });
+            if waiting == 0 {
+                return Ok(());
+            }
+            if let Some(e) = self.dead_owed() {
+                return Err(e);
             }
             attempts += 1;
             if attempts > p.max_retries.saturating_mul(4) {
@@ -646,19 +718,7 @@ where
         }
         let transport = start(nodes, chaos).unwrap_or_else(|e| panic!("cluster setup failed: {e}"));
         Cluster {
-            link: Link {
-                transport,
-                ledger: CommLedger::new(),
-                chaos,
-                recovery: RecoveryMetrics::default(),
-                run: 0,
-                pending: vec![false; n],
-                pending_count: 0,
-                reply_dropped: vec![false; n],
-                wave: Vec::new(),
-                delayed: Vec::new(),
-                _nodes: PhantomData,
-            },
+            link: Link::new(transport, n, chaos),
             n,
             engaged_idx: Vec::new(),
             engaged_scratch: Vec::new(),
@@ -795,11 +855,10 @@ where
     {
         coord.begin_step(t);
         self.link.begin_wave()?;
-        let key = (t, self.link.run, 0);
         for &(i, value) in &self.phase0 {
-            self.link.dispatch(i, key, Work::Observe(value))?;
+            self.link.stage(i, Work::Observe(value));
         }
-        self.link.transport.flush()?;
+        self.link.send_wave((t, self.link.run, 0))?;
         self.collect(t, 0, ups)?;
 
         if self.engaged_idx.is_empty()
@@ -854,7 +913,6 @@ where
         out: &mut CoordOut<NB::Down>,
     ) -> Result<(), RuntimeError> {
         self.link.begin_wave()?;
-        let key = (t, self.link.run, m);
         let link = &mut self.link;
         visit_round(
             self.n,
@@ -869,20 +927,21 @@ where
                     bcasts: p.bcasts,
                     ucast: p.ucast,
                 };
-                link.dispatch(p.i, key, work)
+                link.stage(p.i, work);
+                Ok::<(), RuntimeError>(())
             },
         )?;
-        self.link.transport.flush()
+        self.link.send_wave((t, self.link.run, m))
     }
 
     /// Collect the in-flight wave's replies into `ups` (sorted by node id),
     /// charging `Some` payloads, rebuilding the engaged list and resolving
-    /// calendar entries. Replies are matched against the key
-    /// `(t, run, phase)`: stale or duplicate arrivals are discarded. On a
-    /// chaotic transport each deadline re-sends the outstanding frames, up
-    /// to the policy's retry budget; a clean transport gives up after
-    /// [`MAX_IDLE_TICKS`] silent ticks. A dead endpoint surfaces as
-    /// [`RuntimeError::NodeDown`].
+    /// calendar entries. Reply frames are matched against the key
+    /// `(t, run, phase)` and the endpoints that still owe replies: stale or
+    /// duplicate frames are discarded. On a chaotic transport each deadline
+    /// re-sends the outstanding endpoint waves, up to the policy's retry
+    /// budget; a clean transport gives up after [`MAX_IDLE_TICKS`] silent
+    /// ticks. A dead endpoint surfaces as [`RuntimeError::NodeDown`].
     fn collect(
         &mut self,
         t: u64,
@@ -901,44 +960,11 @@ where
             if link.pending_count == 0 {
                 break Ok(());
             }
-            match link.transport.recv(tick) {
-                Ok(rep) => {
-                    idle = 0;
-                    let idx = rep.id.idx();
-                    if rep.t != t || rep.run != link.run || rep.m != phase || !link.pending[idx] {
-                        link.discard(rep.up_bytes);
-                        continue;
-                    }
-                    if let Some(p) = link.chaos {
-                        if !link.reply_dropped[idx] && p.drop_reply(t, link.run, phase, rep.id.0) {
-                            // Lost after it arrived: charge it off-model and
-                            // wait for the re-send to answer from the cache.
-                            link.reply_dropped[idx] = true;
-                            link.recovery.injected_reply_drops += 1;
-                            link.transport
-                                .charge_reply(ChannelKind::Retransmit, rep.up_bytes);
-                            continue;
-                        }
-                    }
-                    link.pending[idx] = false;
-                    link.pending_count -= 1;
-                    self.calendar.note_reply(
-                        rep.id.0,
-                        rep.engaged,
-                        rep.wake_at,
-                        phase,
-                        log_len,
-                        &mut next,
-                    );
-                    if let Some(up) = rep.up {
-                        link.transport.charge_reply(ChannelKind::Up, rep.up_bytes);
-                        link.ledger.count(ChannelKind::Up, up.wire_bits());
-                        ups.push((rep.id, up));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(id) = link.dead_pending() {
-                        break Err(RuntimeError::NodeDown { id });
+            let head = match link.transport.recv(&link.owed, tick, &mut link.replies) {
+                Ok(Some(head)) => head,
+                Ok(None) => {
+                    if let Some(e) = link.dead_owed() {
+                        break Err(e);
                     }
                     let exhausted = match link.chaos {
                         Some(p) => {
@@ -963,8 +989,50 @@ where
                         }
                         link.recovery.retries += 1;
                     }
+                    continue;
                 }
-                Err(RecvTimeoutError::Disconnected) => break Err(RuntimeError::AllNodesDown),
+                Err(e) => break Err(e),
+            };
+            idle = 0;
+            let e = head.e;
+            if head.key != (t, link.run, phase) || link.owed[e] == 0 {
+                link.discard();
+                continue;
+            }
+            if let Some(p) = link.chaos {
+                let node = link.transport.first_node(e).0;
+                if !link.reply_dropped[e] && p.drop_reply(t, link.run, phase, node) {
+                    // Lost after it arrived: charge it off-model and wait
+                    // for the re-send to answer from the reply caches.
+                    link.reply_dropped[e] = true;
+                    link.recovery.injected_reply_drops += 1;
+                    link.charge_replies(ChannelKind::Retransmit);
+                    continue;
+                }
+            }
+            for rep in link.replies.drain(..) {
+                let idx = rep.id.idx();
+                if link.pending.get(idx) != Some(&true) {
+                    link.transport
+                        .charge_reply(ChannelKind::Retransmit, rep.up_bytes);
+                    continue;
+                }
+                link.pending[idx] = false;
+                link.pending_count -= 1;
+                link.owed[e] -= 1;
+                self.calendar.note_reply(
+                    rep.id.0,
+                    rep.engaged,
+                    rep.wake_at,
+                    phase,
+                    log_len,
+                    &mut next,
+                );
+                if let Some(up) = rep.up {
+                    link.transport.charge_reply(ChannelKind::Up, rep.up_bytes);
+                    link.ledger.count(ChannelKind::Up, up.wire_bits());
+                    ups.push((rep.id, up));
+                }
             }
         };
         match result {

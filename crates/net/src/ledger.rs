@@ -102,9 +102,10 @@ impl LedgerSnapshot {
 ///
 /// The model ledger counts *messages* and their `wire_bits()` size budget;
 /// this block counts what actually crossed a socket: every framed copy of a
-/// model message (a broadcast framed to ten visited nodes is ten wire
-/// copies here, still one model broadcast) and every byte written in either
-/// direction, length prefixes and frame headers included. The
+/// model message (a broadcast framed to the shards of the visited nodes is
+/// one wire copy per shard frame here, still one model broadcast) and every
+/// byte written in either direction, length prefixes and frame headers
+/// included. The
 /// [`FireCalendar`](crate::calendar::FireCalendar) skip rule and
 /// [`RoundScope`](crate::behavior::RoundScope) narrowing therefore show up
 /// directly in `broadcast_frames`/`bytes_total`, not just in simulated
@@ -115,7 +116,7 @@ impl LedgerSnapshot {
 /// [`CoordinatorBehavior::note_wire`](crate::behavior::CoordinatorBehavior::note_wire).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireMetrics {
-    /// On-wire copies of model up-messages (one per reply frame carrying a
+    /// On-wire copies of model up-messages (one per reply entry carrying a
     /// payload).
     pub up_frames: u64,
     /// Encoded payload bytes of those up-messages.
@@ -124,8 +125,9 @@ pub struct WireMetrics {
     pub down_frames: u64,
     /// Encoded payload bytes of those unicasts.
     pub down_bytes: u64,
-    /// On-wire *copies* of model broadcasts: one per visited node per
-    /// broadcast (the model ledger still charges each broadcast once).
+    /// On-wire *copies* of model broadcasts: one per work frame that
+    /// carries the broadcast (the model ledger still charges each broadcast
+    /// once).
     pub broadcast_frames: u64,
     /// Encoded payload bytes of those broadcast copies.
     pub broadcast_bytes: u64,

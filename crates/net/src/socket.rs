@@ -1,5 +1,5 @@
-//! Socket transport: node shards live behind loopback-TCP connections and
-//! every message travels as a length-prefixed frame.
+//! Socket transport: node shards live behind loopback-TCP connections, and
+//! each shard gets one length-prefixed work frame per wave.
 //!
 //! The step driver — visit rule, ledger accounting, fault injection and the
 //! recovery state machine — is [`crate::driver::Cluster`]; [`SocketCluster`]
@@ -9,21 +9,48 @@
 //! range of node behaviors and one persistent connection. A shard
 //! identifies itself with a version-checked `Hello` frame (accept order is
 //! nondeterministic; the handshake makes stream identity deterministic).
-//! Per work frame the shard runs the behavior and encodes one `Reply`
-//! frame; replies are buffered and flushed when the shard is about to wait.
-//! Per-shard reader threads funnel replies into one channel. Each shard is
-//! one endpoint of the driver, so an abort wave sends one abort per shard.
 //!
-//! # Flush rule
+//! Each shard is one endpoint of the driver. Per wave it receives one work
+//! frame that carries the key once, the round's broadcasts once, and one
+//! entry per polled node; it runs the nodes in id order and answers with
+//! one reply frame holding one entry per node. A wave too large for
+//! [`MAX_FRAME_LEN`] is split across frames, the last one marked. The
+//! driver reads the shard sockets itself, on its own thread, and only those
+//! of shards that still owe it replies. An abort wave sends one abort per
+//! shard.
 //!
-//! A side flushes only when it is about to wait. The driver buffers a whole
-//! wave and flushes once per shard before it collects the replies; a shard
-//! buffers its replies and flushes when its reader does not already hold
-//! the next whole frame (the read may block) or before an injected stall.
-//! A burst of work frames is therefore answered by one write, not one per
-//! frame, while `TCP_NODELAY` lets that write leave at once. Neither side
-//! ever waits on a peer that is still holding bytes for it, so coalescing
-//! cannot deadlock, and it changes no byte on the wire.
+//! # Why neither side can block the other
+//!
+//! Both sides use blocking sockets, so the rules below are what keeps every
+//! wait finite.
+//!
+//! 1. **A shard answers a wave only after reading all of it.** It holds the
+//!    replies to a split wave until it has read the frame marked last, and
+//!    it writes an abort's ack after reading the abort. It flushes only when
+//!    it is about to wait for input (its read buffer holds no whole frame)
+//!    or before an injected stall, so a shard never waits to read while it
+//!    still holds replies.
+//! 2. **The driver writes a whole wave before it reads**, re-sends and
+//!    injected duplicates included, and flushes each shard's bytes in one
+//!    go. A write that makes no progress within one tick returns, and the
+//!    driver then reads that shard's socket into its receive buffer before
+//!    it tries again. So the driver never stays blocked on a shard that is
+//!    itself blocked writing to the driver: taking in the shard's bytes
+//!    frees it to read on.
+//! 3. **The driver reads only from shards that owe it replies.** A shard
+//!    owes replies only once the driver has flushed the whole wave (or
+//!    abort) to it, so by rule 1 the shard is working toward its reply or
+//!    writing it. A read waits at most one tick; then the driver checks
+//!    for dead shards and, on a chaotic transport, re-sends.
+//!
+//! On a clean transport a shard never writes while the driver writes to
+//! it: by rule 1 it is still reading the wave. Split waves change nothing,
+//! since the parts of one wave go out back to back. Traffic that can
+//! overlap — a shard answering a duplicate or a re-send from its reply
+//! cache, a stalled shard answering late, the acks of an abort wave — is
+//! what rule 2's drain is for. Bytes taken in early stay in the receive
+//! buffer until [`Transport::recv`] reaches them, where stale frames are
+//! discarded by key.
 //!
 //! Because the frames are real bytes, the visit rule's skips are
 //! measurable as bytes *not* written, tallied in [`WireMetrics`] — the
@@ -33,37 +60,40 @@
 //! # Frame format
 //!
 //! See [`crate::wire`] for the byte-level layout (4-byte little-endian
-//! length prefix, tag byte, LEB128 varint fields, version byte in `Hello`).
-//! Model payloads are embedded through [`FrameCodec`], whose
-//! implementations delegate to the concrete message codec (e.g.
-//! `topk-core`'s `codec.rs`). The clean layout is pinned byte for byte by
-//! `crates/net/tests/wire_golden.rs`; a chaotic transport switches to a
-//! recoverable layout whose work frames and replies carry the `(t, run, m)`
-//! key and a stall slot.
+//! length prefix, tag byte, LEB128 varint fields, version byte in `Hello`,
+//! the wave and reply entries). Model payloads are embedded through
+//! [`FrameCodec`], whose implementations delegate to the concrete message
+//! codec (e.g. `topk-core`'s `codec.rs`). The clean layout is pinned byte
+//! for byte by `crates/net/tests/wire_golden.rs`; a chaotic transport
+//! switches to a recoverable layout whose work frames carry a stall slot
+//! and whose work and reply frames carry the whole `(t, run, m)` key.
 //!
 //! # Wire faults
 //!
 //! On top of the driver's in-process classes, [`WireChaos`] attacks the
 //! connection itself ([`Transport::wire_fault`]): a **torn** frame (half the
 //! payload, then a sever), a connection **reset** before the write, a
-//! **half-open** connection (frame delivered, severed before the reply), and
+//! **half-open** connection (wave delivered, severed before the reply), and
 //! a **reconnect storm** of junk connections racing the shard's real
-//! re-handshake. A severed shard reconnects to the retained listener and
-//! re-sends its `Hello` (version and shard id are validated, junk is
-//! skipped); the frame is then re-delivered and deduped by its key. All
-//! faulty traffic is charged to [`ChannelKind::Retransmit`] in both
-//! ledgers.
+//! re-handshake. Like every fault, each rolls once per shard and wave. A
+//! severed shard reconnects to the retained listener and re-sends its
+//! `Hello` (version and shard id are validated, junk is skipped); the wave
+//! is then re-delivered and each node dedups it by its key. All faulty
+//! traffic is charged to [`ChannelKind::Retransmit`] in both ledgers.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::behavior::NodeBehavior;
 use crate::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError, WireChaos};
-use crate::driver::{Admit, Cluster, FrameKey, NodeHost, Reply, Transport, Work, ABORT_M};
+use crate::driver::{
+    Admit, Cluster, FrameKey, NodeHost, Reply, ReplyHead, Transport, Work, ABORT_M, MAX_IDLE_TICKS,
+    RECV_TICK_MS,
+};
 use crate::id::{NodeId, Value};
 use crate::ledger::{ChannelKind, WireMetrics};
 use crate::wire::{get_varint, put_varint};
@@ -76,14 +106,18 @@ pub const FRAME_PREFIX_LEN: usize = 4;
 
 /// Upper bound on a declared payload length. A prefix above this is
 /// rejected *before* any allocation — a torn or hostile stream cannot make
-/// the reader balloon.
+/// the reader balloon — and a wave that would exceed it is split.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Transport wire-format version, carried in every `Hello` frame.
-pub const WIRE_VERSION: u8 = 0x01;
+pub const WIRE_VERSION: u8 = 0x02;
 
 /// Upper bound on shard connections (one per node below that).
 const MAX_SHARDS: usize = 4;
+
+/// Initial size of the driver's receive buffer per shard (the size of the
+/// `BufReader` it replaced). It grows only when a frame needs more.
+const RECV_BUF_LEN: usize = 8 * 1024;
 
 /// How long `spawn` waits for all shards to connect and say hello.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -99,9 +133,10 @@ const SHARD_RECONNECT_BUDGET: u32 = 256;
 
 // Transport frame tags (distinct namespace from the model-message codec).
 const T_HELLO: u8 = 0x01;
-const T_OBSERVE: u8 = 0x10;
-const T_OBSERVE_CACHED: u8 = 0x11;
-const T_ROUND: u8 = 0x12;
+/// The last (usually the only) work frame of a shard's wave.
+const T_WAVE: u8 = 0x10;
+/// A work frame with more of its wave to follow.
+const T_WAVE_MORE: u8 = 0x11;
 const T_ABORT: u8 = 0x1e;
 const T_HALT: u8 = 0x1f;
 const T_REPLY: u8 = 0x20;
@@ -110,6 +145,9 @@ const T_REPLY: u8 = 0x20;
 const F_UP: u8 = 0b001;
 const F_ENGAGED: u8 = 0b010;
 const F_WAKE: u8 = 0b100;
+
+/// Longest varint of a `u32` (an entry's id delta).
+const MAX_U32_VARINT: usize = 5;
 
 /// Typed failure of the socket framing layer. The reader never panics on a
 /// torn stream: truncated prefixes, oversized declared lengths and
@@ -334,10 +372,326 @@ fn tap_extend(tap: &Arc<Mutex<Vec<u8>>>, payload: &[u8]) {
     g.extend_from_slice(payload);
 }
 
-/// Decode one reply frame. `with_run` selects the chaos-mode layout, whose
-/// replies echo the `run` component of the `(t, run, m)` idempotency key;
-/// the clean layout (golden-snapshot bytes) has no such field.
-fn decode_reply<U: FrameCodec>(payload: &[u8], with_run: bool) -> Result<Reply<U>, WireError> {
+/// Append bytes that are already framed to a tap.
+fn tap_raw(tap: &Arc<Mutex<Vec<u8>>>, framed: &[u8]) {
+    // See `WireTaps::total_bytes` — recover, don't propagate, tap poison.
+    tap.lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .extend_from_slice(framed);
+}
+
+/// Start a frame at the end of `out`: a placeholder length prefix and the
+/// tag. Returns the prefix offset for [`close_frame`].
+fn open_frame(out: &mut Vec<u8>, tag: u8) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
+    out.push(tag);
+    at
+}
+
+/// Patch the length prefix of the frame opened at `at`.
+fn close_frame(out: &mut [u8], at: usize) {
+    let len = (out.len() - at - FRAME_PREFIX_LEN) as u32;
+    out[at..at + FRAME_PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The payloads of back-to-back length-prefixed frames this side encoded.
+fn payloads(mut framed: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (prefix, rest) = framed.split_first_chunk::<FRAME_PREFIX_LEN>()?;
+        let (payload, rest) = rest.split_at(u32::from_le_bytes(*prefix) as usize);
+        framed = rest;
+        Some(payload)
+    })
+}
+
+/// A node's staged entry in its shard's wave.
+enum Entry {
+    /// Node-phase 0: a new value, or `None` for the cached one.
+    Observe { id: u32, value: Option<Value> },
+    /// Node-phase `m ≥ 1`: how many of the wave's trailing broadcasts the
+    /// node gets, and its encoded unicast as a range of [`Wave::ucasts`].
+    Round {
+        id: u32,
+        suffix: u32,
+        ucast: Option<(u32, u32)>,
+    },
+}
+
+/// One shard's part of the wave being staged, and its sealed frames.
+#[derive(Default)]
+struct Wave {
+    /// The longest broadcast suffix any staged node needs, encoded once.
+    /// Every node's broadcasts are a suffix of the same log, so the
+    /// longest one holds all the others.
+    bcasts: Vec<u8>,
+    /// Encoded length of each broadcast in `bcasts`.
+    bcast_lens: Vec<u32>,
+    entries: Vec<Entry>,
+    ucasts: Vec<u8>,
+    /// The sealed wave: its work frames, length-prefixed, back to back.
+    sealed: Vec<u8>,
+}
+
+impl Wave {
+    fn stage<D: FrameCodec>(&mut self, id: u32, work: Work<'_, D>) {
+        let entry = match work {
+            Work::Observe(value) => Entry::Observe { id, value },
+            Work::Round { bcasts, ucast } => {
+                if bcasts.len() > self.bcast_lens.len() {
+                    self.bcasts.clear();
+                    self.bcast_lens.clear();
+                    for b in bcasts {
+                        let at = self.bcasts.len();
+                        b.encode_frame(&mut self.bcasts);
+                        self.bcast_lens.push((self.bcasts.len() - at) as u32);
+                    }
+                }
+                let ucast = ucast.map(|d| {
+                    let at = self.ucasts.len() as u32;
+                    d.encode_frame(&mut self.ucasts);
+                    (at, self.ucasts.len() as u32)
+                });
+                Entry::Round {
+                    id,
+                    suffix: bcasts.len() as u32,
+                    ucast,
+                }
+            }
+        };
+        self.entries.push(entry);
+    }
+
+    /// Encode the staged wave under `key` into `sealed` as work frames whose
+    /// payloads stay within `cap`, then clear the staging. A frame that
+    /// would exceed `cap` is closed as [`T_WAVE_MORE`] and the next one
+    /// repeats the header and broadcasts; the last frame is [`T_WAVE`].
+    /// Every embedded model payload is charged to `wire` as one copy.
+    fn seal(&mut self, recoverable: bool, key: FrameKey, cap: usize, wire: &mut WireMetrics) {
+        let (t, run, m) = key;
+        let nb = self.bcast_lens.len() as u32;
+        let (bcasts, bcast_lens) = (&self.bcasts, &self.bcast_lens);
+        let open = |out: &mut Vec<u8>, wire: &mut WireMetrics| {
+            let at = open_frame(out, T_WAVE_MORE);
+            if recoverable {
+                put_varint(out, 0); // stall slot, patched by `stalled_copy`
+            }
+            put_varint(out, t);
+            if recoverable {
+                put_varint(out, run as u64);
+            }
+            put_varint(out, m as u64);
+            put_varint(out, nb as u64);
+            out.extend_from_slice(bcasts);
+            for &len in bcast_lens {
+                wire.count(ChannelKind::Broadcast, len as u64);
+            }
+            (at, out.len())
+        };
+        let out = &mut self.sealed;
+        out.clear();
+        let (mut at, mut body) = open(out, wire);
+        let mut prev = 0;
+        for entry in &self.entries {
+            let mark = out.len();
+            put_entry(out, entry, prev, nb, &self.ucasts);
+            if out.len() - at - FRAME_PREFIX_LEN > cap && mark > body {
+                out.truncate(mark);
+                close_frame(out, at);
+                (at, body) = open(out, wire);
+                put_entry(out, entry, 0, nb, &self.ucasts);
+            }
+            prev = match *entry {
+                Entry::Observe { id, .. } => id,
+                Entry::Round { id, ucast, .. } => {
+                    if let Some((a, b)) = ucast {
+                        wire.count(ChannelKind::Down, (b - a) as u64);
+                    }
+                    id
+                }
+            };
+        }
+        out[at + FRAME_PREFIX_LEN] = T_WAVE;
+        close_frame(out, at);
+        self.bcasts.clear();
+        self.bcast_lens.clear();
+        self.entries.clear();
+        self.ucasts.clear();
+    }
+}
+
+/// Append one node entry: the id delta from `prev` with a flag in its low
+/// bit (cached observe, or a unicast follows), then the value, or the
+/// node's start offset into the frame's `nb` broadcasts and its unicast.
+fn put_entry(out: &mut Vec<u8>, entry: &Entry, prev: u32, nb: u32, ucasts: &[u8]) {
+    match *entry {
+        Entry::Observe { id, value } => {
+            put_varint(
+                out,
+                (u64::from(id - prev) << 1) | u64::from(value.is_none()),
+            );
+            if let Some(v) = value {
+                put_varint(out, v);
+            }
+        }
+        Entry::Round { id, suffix, ucast } => {
+            put_varint(
+                out,
+                (u64::from(id - prev) << 1) | u64::from(ucast.is_some()),
+            );
+            put_varint(out, u64::from(nb - suffix));
+            if let Some((a, b)) = ucast {
+                out.extend_from_slice(&ucasts[a as usize..b as usize]);
+            }
+        }
+    }
+}
+
+/// Copy a sealed recoverable wave with its first frame's stall slot set.
+/// The canonical copy carries `varint(0)` (one byte) directly after the
+/// first tag, so the copy re-frames that frame and keeps every other byte.
+fn stalled_copy(sealed: &[u8], stall_ms: u32, out: &mut Vec<u8>) {
+    let first = payloads(sealed).next().expect("a sealed wave has a frame");
+    debug_assert!(first.len() >= 2, "work frame has tag + stall slot");
+    out.clear();
+    let at = open_frame(out, first[0]);
+    put_varint(out, stall_ms as u64);
+    out.extend_from_slice(&first[2..]);
+    close_frame(out, at);
+    out.extend_from_slice(&sealed[FRAME_PREFIX_LEN + first.len()..]);
+}
+
+/// One decoded node entry of a work frame.
+struct WorkEntry<D> {
+    id: u32,
+    /// Node-phase 0: the new value, or `None` for the cached one.
+    value: Option<Value>,
+    /// Node-phase `m ≥ 1`: where the node's broadcasts start.
+    from: usize,
+    ucast: Option<D>,
+}
+
+/// Decode a work frame after its tag — the inverse of [`Wave::seal`] — into
+/// its stall slot and key, its broadcasts and its node entries, whose ids
+/// must fall in `ids`. The frame is decoded in full before any node runs,
+/// so a torn or garbage payload can never half-apply.
+fn decode_wave<D: FrameCodec>(
+    mut rd: &[u8],
+    recoverable: bool,
+    ids: Range<u32>,
+    bcasts: &mut Vec<D>,
+    entries: &mut Vec<WorkEntry<D>>,
+) -> Result<(u32, FrameKey), WireError> {
+    let stall_ms = if recoverable {
+        need_u32(&mut rd, "stall")?
+    } else {
+        0
+    };
+    let t = need_varint(&mut rd, "t")?;
+    let run = if recoverable {
+        need_u32(&mut rd, "run")?
+    } else {
+        0
+    };
+    let m = need_u32(&mut rd, "m")?;
+    let nb = need_varint(&mut rd, "bcast count")?;
+    if nb > rd.len() as u64 {
+        return Err(malformed("bcast count exceeds payload")); // each ≥ 1 byte
+    }
+    bcasts.clear();
+    for _ in 0..nb {
+        bcasts.push(D::decode_frame(&mut rd)?);
+    }
+    entries.clear();
+    let mut prev = 0u32;
+    while !rd.is_empty() {
+        let head = need_varint(&mut rd, "entry head")?;
+        let id = u32::try_from(head >> 1)
+            .ok()
+            .and_then(|delta| prev.checked_add(delta))
+            .filter(|id| ids.contains(id))
+            .ok_or_else(|| malformed("entry for a node outside the shard"))?;
+        prev = id;
+        let flag = head & 1 == 1;
+        entries.push(if m == 0 {
+            WorkEntry {
+                id,
+                value: if flag {
+                    None
+                } else {
+                    Some(need_varint(&mut rd, "value")?)
+                },
+                from: 0,
+                ucast: None,
+            }
+        } else {
+            let from = need_varint(&mut rd, "bcast offset")?;
+            if from > nb {
+                return Err(malformed("bcast offset exceeds bcast count"));
+            }
+            WorkEntry {
+                id,
+                value: None,
+                from: from as usize,
+                ucast: if flag {
+                    Some(D::decode_frame(&mut rd)?)
+                } else {
+                    None
+                },
+            }
+        });
+    }
+    Ok((stall_ms, (t, run, m)))
+}
+
+/// Open a reply frame keyed `(t, run, m)` at the end of `out`; `run` is
+/// written on the recoverable layout only. Returns the prefix offset.
+fn open_reply(out: &mut Vec<u8>, recoverable: bool, (t, run, m): FrameKey) -> usize {
+    let at = open_frame(out, T_REPLY);
+    put_varint(out, t);
+    if recoverable {
+        put_varint(out, run as u64);
+    }
+    put_varint(out, m as u64);
+    at
+}
+
+/// Encode a reply entry's body, everything after its id delta: the flags,
+/// then `up` and `wake_at` if present.
+fn put_reply_body<U: FrameCodec>(
+    out: &mut Vec<u8>,
+    up: &Option<U>,
+    engaged: bool,
+    wake_at: Option<u32>,
+) {
+    let mut flags = 0u8;
+    if up.is_some() {
+        flags |= F_UP;
+    }
+    if engaged {
+        flags |= F_ENGAGED;
+    }
+    if wake_at.is_some() {
+        flags |= F_WAKE;
+    }
+    out.push(flags);
+    if let Some(u) = up {
+        u.encode_frame(out);
+    }
+    if let Some(w) = wake_at {
+        put_varint(out, w as u64);
+    }
+}
+
+/// Decode one reply frame into `into` (cleared first) and return its key.
+/// `with_run` selects the recoverable layout; node ids must fall in `ids`.
+fn decode_replies<U: FrameCodec>(
+    payload: &[u8],
+    with_run: bool,
+    ids: Range<u32>,
+    into: &mut Vec<Reply<U>>,
+) -> Result<FrameKey, WireError> {
+    into.clear();
     let mut rd: &[u8] = payload;
     match take_u8(&mut rd) {
         Some(T_REPLY) => {}
@@ -351,36 +705,38 @@ fn decode_reply<U: FrameCodec>(payload: &[u8], with_run: bool) -> Result<Reply<U
         0
     };
     let m = need_u32(&mut rd, "reply m")?;
-    let id = need_u32(&mut rd, "reply node")?;
-    let flags = take_u8(&mut rd).ok_or_else(|| malformed("missing reply flags"))?;
-    if flags & !(F_UP | F_ENGAGED | F_WAKE) != 0 {
-        return Err(malformed(format!("unknown reply flags {flags:#b}")));
+    let mut prev = 0u32;
+    while !rd.is_empty() {
+        let id = prev
+            .checked_add(need_u32(&mut rd, "reply node")?)
+            .filter(|id| ids.contains(id))
+            .ok_or_else(|| malformed("reply for a node outside the shard"))?;
+        prev = id;
+        let flags = take_u8(&mut rd).ok_or_else(|| malformed("missing reply flags"))?;
+        if flags & !(F_UP | F_ENGAGED | F_WAKE) != 0 {
+            return Err(malformed(format!("unknown reply flags {flags:#b}")));
+        }
+        let (up, up_bytes) = if flags & F_UP != 0 {
+            let before = rd.len();
+            let u = U::decode_frame(&mut rd)?;
+            (Some(u), (before - rd.len()) as u64)
+        } else {
+            (None, 0)
+        };
+        let wake_at = if flags & F_WAKE != 0 {
+            Some(need_u32(&mut rd, "reply wake phase")?)
+        } else {
+            None
+        };
+        into.push(Reply {
+            id: NodeId(id),
+            up,
+            engaged: flags & F_ENGAGED != 0,
+            wake_at,
+            up_bytes,
+        });
     }
-    let (up, up_bytes) = if flags & F_UP != 0 {
-        let before = rd.len();
-        let u = U::decode_frame(&mut rd)?;
-        (Some(u), (before - rd.len()) as u64)
-    } else {
-        (None, 0)
-    };
-    let wake_at = if flags & F_WAKE != 0 {
-        Some(need_u32(&mut rd, "reply wake phase")?)
-    } else {
-        None
-    };
-    if !rd.is_empty() {
-        return Err(malformed("trailing bytes after reply"));
-    }
-    Ok(Reply {
-        id: NodeId(id),
-        t,
-        run,
-        m,
-        up,
-        engaged: flags & F_ENGAGED != 0,
-        wake_at,
-        up_bytes,
-    })
+    Ok((t, run, m))
 }
 
 fn decode_hello(payload: &[u8]) -> Result<u32, WireError> {
@@ -400,139 +756,6 @@ fn decode_hello(payload: &[u8]) -> Result<u32, WireError> {
         return Err(malformed("trailing bytes after hello"));
     }
     Ok(shard)
-}
-
-/// Encode one work frame for node `i` into `buf`. `recoverable` selects the
-/// chaos-mode layout: a stall-milliseconds slot directly after the tag
-/// (zero on the canonical copy — see [`stalled_copy`]) and the attempt
-/// number after `t`, completing the on-wire `(t, run, m)` key. The clean
-/// layout is byte-identical to the golden snapshot. Every embedded model
-/// payload is charged to `wire` as one on-wire copy.
-fn encode_work<D: FrameCodec>(
-    buf: &mut Vec<u8>,
-    recoverable: bool,
-    i: u32,
-    (t, run, m): FrameKey,
-    work: Work<'_, D>,
-    wire: &mut WireMetrics,
-) {
-    buf.clear();
-    buf.push(match work {
-        Work::Observe(Some(_)) => T_OBSERVE,
-        Work::Observe(None) => T_OBSERVE_CACHED,
-        Work::Round { .. } => T_ROUND,
-    });
-    if recoverable {
-        put_varint(buf, 0); // stall slot, patched by `stalled_copy`
-    }
-    put_varint(buf, t);
-    if recoverable {
-        put_varint(buf, run as u64);
-    }
-    match work {
-        Work::Observe(value) => {
-            put_varint(buf, i as u64);
-            if let Some(v) = value {
-                put_varint(buf, v);
-            }
-        }
-        Work::Round { bcasts, ucast } => {
-            put_varint(buf, m as u64);
-            put_varint(buf, i as u64);
-            put_varint(buf, bcasts.len() as u64);
-            for b in bcasts {
-                let at = buf.len();
-                b.encode_frame(buf);
-                wire.count(ChannelKind::Broadcast, (buf.len() - at) as u64);
-            }
-            match ucast {
-                Some(d) => {
-                    buf.push(1);
-                    let at = buf.len();
-                    d.encode_frame(buf);
-                    wire.count(ChannelKind::Down, (buf.len() - at) as u64);
-                }
-                None => buf.push(0),
-            }
-        }
-    }
-}
-
-/// Re-encode a canonical chaos-mode work frame with its stall slot set.
-/// The canonical copy always carries `varint(0)` (one byte) directly after
-/// the tag, so the patch is a copy with that byte replaced.
-fn stalled_copy(payload: &[u8], stall_ms: u32, out: &mut Vec<u8>) {
-    debug_assert!(payload.len() >= 2, "work frame has tag + stall slot");
-    out.clear();
-    out.push(payload[0]);
-    put_varint(out, stall_ms as u64);
-    out.extend_from_slice(&payload[2..]);
-}
-
-/// Encode a reply frame. `key` is `(t, run, m)`; `run: Some(r)` selects the
-/// chaos-mode layout that echoes the attempt number (see [`decode_reply`]).
-fn encode_reply<U: FrameCodec>(
-    buf: &mut Vec<u8>,
-    i: u32,
-    key: (u64, Option<u32>, u32),
-    up: &Option<U>,
-    engaged: bool,
-    wake_at: Option<u32>,
-) {
-    let (t, run, m) = key;
-    buf.clear();
-    buf.push(T_REPLY);
-    put_varint(buf, t);
-    if let Some(r) = run {
-        put_varint(buf, r as u64);
-    }
-    put_varint(buf, m as u64);
-    put_varint(buf, i as u64);
-    let mut flags = 0u8;
-    if up.is_some() {
-        flags |= F_UP;
-    }
-    if engaged {
-        flags |= F_ENGAGED;
-    }
-    if wake_at.is_some() {
-        flags |= F_WAKE;
-    }
-    buf.push(flags);
-    if let Some(u) = up {
-        u.encode_frame(buf);
-    }
-    if let Some(w) = wake_at {
-        put_varint(buf, w as u64);
-    }
-}
-
-/// Driver reader thread: drain one shard connection, decoding replies (with
-/// their frame size on the wire) into the shared channel. Exits on clean
-/// close, torn frame, or a dropped receiver — the driver detects the dead
-/// shard via its thread handle.
-fn reader_main<U: FrameCodec + Send + 'static>(
-    stream: TcpStream,
-    tx: Sender<(Reply<U>, u64)>,
-    tap: Option<Arc<Mutex<Vec<u8>>>>,
-    with_run: bool,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut payload = Vec::new();
-    while read_frame(&mut reader, &mut payload).is_ok() {
-        if let Some(t) = &tap {
-            tap_extend(t, &payload);
-        }
-        let Ok(rep) = decode_reply::<U>(&payload, with_run) else {
-            break;
-        };
-        if tx
-            .send((rep, (FRAME_PREFIX_LEN + payload.len()) as u64))
-            .is_err()
-        {
-            break;
-        }
-    }
 }
 
 /// Bounded connect loop for the shard side: the driver's listener is
@@ -562,69 +785,9 @@ enum ServeExit {
     Lost,
 }
 
-/// One decoded work frame (its broadcasts land in the caller's buffer).
-struct WorkIn<D> {
-    stall_ms: u32,
-    key: FrameKey,
-    node: u32,
-    value: Option<Value>,
-    ucast: Option<D>,
-}
-
-/// Decode the body of a work frame after its tag — the inverse of
-/// [`encode_work`]. The input is decoded fully before any state is
-/// touched, so a torn or garbage payload can never half-apply.
-fn decode_work<D: FrameCodec>(
-    tag: u8,
-    rd: &mut &[u8],
-    recoverable: bool,
-    bcasts: &mut Vec<D>,
-) -> Result<WorkIn<D>, WireError> {
-    let stall_ms = if recoverable {
-        need_u32(rd, "stall")?
-    } else {
-        0
-    };
-    let t = need_varint(rd, "t")?;
-    let run = if recoverable { need_u32(rd, "run")? } else { 0 };
-    let m = if tag == T_ROUND {
-        need_u32(rd, "m")?
-    } else {
-        0
-    };
-    let node = need_u32(rd, "node")?;
-    let value = if tag == T_OBSERVE {
-        Some(need_varint(rd, "value")?)
-    } else {
-        None
-    };
-    let mut ucast = None;
-    if tag == T_ROUND {
-        let n_bcasts = need_varint(rd, "bcast count")?;
-        if n_bcasts > rd.len() as u64 {
-            return Err(malformed("bcast count exceeds payload")); // each ≥ 1 byte
-        }
-        bcasts.clear();
-        for _ in 0..n_bcasts {
-            bcasts.push(D::decode_frame(rd)?);
-        }
-        ucast = match take_u8(rd) {
-            Some(0) => None,
-            Some(1) => Some(D::decode_frame(rd)?),
-            _ => return Err(malformed("bad unicast flag")),
-        };
-    }
-    Ok(WorkIn {
-        stall_ms,
-        key: (t, run, m),
-        node,
-        value,
-        ucast,
-    })
-}
-
 /// Node-range state a shard keeps across reconnects: one [`NodeHost`] per
-/// node, whose reply cache holds the encoded reply bytes.
+/// node, whose reply cache holds the encoded body of the node's last reply
+/// entry.
 struct ShardState<NB: NodeBehavior> {
     hosts: Vec<NodeHost<NB, Vec<u8>>>,
     first: u32,
@@ -640,9 +803,9 @@ where
 {
     /// Serve one connection until halt or loss. Work frames arrive on
     /// `read_half`; the hello handshake and every reply are buffered on
-    /// `write_half` and leave when the shard is about to wait (see
-    /// [`next_frame`]). Node state lives in `self` and survives the
-    /// connection.
+    /// `write_half`, a wave's replies only once its last frame is read, and
+    /// leave when the shard is about to wait (see [`next_frame`]). Node
+    /// state lives in `self` and survives the connection.
     fn serve(&mut self, read_half: impl Read, write_half: impl Write) -> ServeExit {
         let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(write_half);
@@ -651,8 +814,12 @@ where
         if write_frame(&mut writer, &buf).is_err() {
             return ServeExit::Lost;
         }
+        let ids = self.first..self.first + self.hosts.len() as u32;
         let mut payload = Vec::new();
         let mut bcasts: Vec<NB::Down> = Vec::new();
+        let mut entries: Vec<WorkEntry<NB::Down>> = Vec::new();
+        // Reply frames of the wave being served, held until its last frame.
+        let mut held = Vec::new();
         loop {
             if next_frame(&mut reader, &mut writer, &mut payload).is_err() {
                 return ServeExit::Lost;
@@ -673,68 +840,93 @@ where
                     for h in &mut self.hosts {
                         h.abort(t, run);
                     }
-                    // One ack per shard, keyed like a reply at ABORT_M.
-                    encode_reply::<NB::Up>(
-                        &mut buf,
-                        self.first,
-                        (t, Some(run), ABORT_M),
-                        &None,
-                        false,
-                        None,
-                    );
-                    if write_frame(&mut writer, &buf).is_err() {
+                    // One ack per shard: a reply frame at ABORT_M, no entries.
+                    buf.clear();
+                    let at = open_reply(&mut buf, true, (t, run, ABORT_M));
+                    close_frame(&mut buf, at);
+                    if writer.write_all(&buf).is_err() {
                         return ServeExit::Lost;
                     }
                 }
-                T_OBSERVE | T_OBSERVE_CACHED | T_ROUND => {
-                    let Ok(w) = decode_work(tag, &mut rd, self.recoverable, &mut bcasts) else {
+                T_WAVE | T_WAVE_MORE => {
+                    let rec = self.recoverable;
+                    let decoded = decode_wave(rd, rec, ids.clone(), &mut bcasts, &mut entries);
+                    let Ok((stall_ms, key)) = decoded else {
                         return ServeExit::Lost;
                     };
-                    let Some(host) = (w.node as usize)
-                        .checked_sub(self.first as usize)
-                        .and_then(|idx| self.hosts.get_mut(idx))
-                    else {
-                        return ServeExit::Lost;
-                    };
-                    if w.stall_ms > 0 {
+                    if stall_ms > 0 {
                         // About to wait: the replies so far leave first.
                         if writer.flush().is_err() {
                             return ServeExit::Lost;
                         }
-                        std::thread::sleep(Duration::from_millis(w.stall_ms as u64));
+                        std::thread::sleep(Duration::from_millis(stall_ms as u64));
                     }
-                    match host.admit(w.key, self.recoverable) {
-                        Admit::Stale => continue,
-                        Admit::Repeat(cached) => {
-                            if cached.is_some_and(|bytes| write_frame(&mut writer, bytes).is_err())
-                            {
-                                return ServeExit::Lost;
-                            }
-                            continue;
+                    self.answer(key, &bcasts, &entries, &mut held, &mut buf);
+                    if tag == T_WAVE {
+                        if writer.write_all(&held).is_err() {
+                            return ServeExit::Lost;
                         }
-                        Admit::Run => {}
-                    }
-                    let work = if tag == T_ROUND {
-                        Work::Round {
-                            bcasts: &bcasts,
-                            ucast: w.ucast.as_ref(),
-                        }
-                    } else {
-                        Work::Observe(w.value)
-                    };
-                    let a = host.run(w.key, work);
-                    let (t, run, m) = w.key;
-                    let key = (t, self.recoverable.then_some(run), m);
-                    encode_reply(&mut buf, w.node, key, &a.up, a.engaged, a.wake_at);
-                    if self.recoverable {
-                        host.commit(w.key, buf.clone());
-                    }
-                    if write_frame(&mut writer, &buf).is_err() {
-                        return ServeExit::Lost;
+                        held.clear();
                     }
                 }
                 _ => return ServeExit::Lost,
             }
+        }
+    }
+
+    /// Run the decoded entries of one work frame in order and append their
+    /// replies to `held` as reply frames keyed like it, each within
+    /// [`MAX_FRAME_LEN`]. A stale entry gets no reply, a repeated one the
+    /// cached reply, and a frame left without entries is dropped.
+    fn answer(
+        &mut self,
+        key: FrameKey,
+        bcasts: &[NB::Down],
+        entries: &[WorkEntry<NB::Down>],
+        held: &mut Vec<u8>,
+        body: &mut Vec<u8>,
+    ) {
+        let rec = self.recoverable;
+        let mut at = open_reply(held, rec, key);
+        let mut head_end = held.len();
+        let mut prev = 0;
+        for w in entries {
+            let host = &mut self.hosts[(w.id - self.first) as usize];
+            body.clear();
+            match host.admit(key, rec) {
+                Admit::Stale | Admit::Repeat(None) => continue,
+                Admit::Repeat(Some(cached)) => body.extend_from_slice(cached),
+                Admit::Run => {
+                    let work = if key.2 == 0 {
+                        Work::Observe(w.value)
+                    } else {
+                        Work::Round {
+                            bcasts: &bcasts[w.from..],
+                            ucast: w.ucast.as_ref(),
+                        }
+                    };
+                    let a = host.run(key, work);
+                    put_reply_body(body, &a.up, a.engaged, a.wake_at);
+                    if rec {
+                        host.commit(key, body.clone());
+                    }
+                }
+            }
+            let len = held.len() - at - FRAME_PREFIX_LEN;
+            if len + MAX_U32_VARINT + body.len() > MAX_FRAME_LEN && held.len() > head_end {
+                close_frame(held, at);
+                at = open_reply(held, rec, key);
+                head_end = held.len();
+                prev = 0;
+            }
+            put_varint(held, u64::from(w.id - prev));
+            held.extend_from_slice(body);
+            prev = w.id;
+        }
+        if held.len() == head_end {
+            held.truncate(at);
+        } else {
+            close_frame(held, at);
         }
     }
 }
@@ -806,92 +998,236 @@ fn transport(what: impl std::fmt::Display) -> RuntimeError {
     }
 }
 
-/// The driver side of the shard connections: one buffered writer per shard
-/// (`None` while severed, awaiting reconnect), the wire ledger, and the
+/// Whether an I/O error is a socket timeout (the tick passed).
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// Reply bytes read from one shard but not yet taken. Frames are assembled
+/// here, so a read that times out mid-frame loses no bytes.
+struct Inbox {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Inbox {
+    fn new() -> Self {
+        Inbox {
+            buf: vec![0; RECV_BUF_LEN],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        (self.start, self.end) = (0, 0);
+    }
+
+    /// Payload range of the next frame, once it has fully arrived. A
+    /// declared length above [`MAX_FRAME_LEN`] is refused.
+    fn next_frame(&self) -> Result<Option<Range<usize>>, WireError> {
+        let held = &self.buf[self.start..self.end];
+        let Some(prefix) = held.first_chunk::<FRAME_PREFIX_LEN>() else {
+            return Ok(None);
+        };
+        let declared = u32::from_le_bytes(*prefix) as usize;
+        if declared > MAX_FRAME_LEN {
+            return Err(WireError::Oversized {
+                declared,
+                max: MAX_FRAME_LEN,
+            });
+        }
+        let from = self.start + FRAME_PREFIX_LEN;
+        Ok((held.len() - FRAME_PREFIX_LEN >= declared).then_some(from..from + declared))
+    }
+
+    /// Drop everything before `to`, the end of a taken frame.
+    fn consume(&mut self, to: usize) {
+        self.start = to;
+        if self.start == self.end {
+            self.clear();
+        }
+    }
+
+    /// One read from `r`. Room is made first: held bytes move to the front
+    /// when the next frame would not fit behind them, and the buffer grows
+    /// only for a frame larger than it, or when it is full of whole frames.
+    fn fill(&mut self, mut r: &TcpStream) -> io::Result<usize> {
+        let need = self.buf[self.start..self.end]
+            .first_chunk::<FRAME_PREFIX_LEN>()
+            .map_or(FRAME_PREFIX_LEN, |p| {
+                FRAME_PREFIX_LEN + (u32::from_le_bytes(*p) as usize).min(MAX_FRAME_LEN)
+            });
+        if self.end == self.buf.len() || self.start + need > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            let want = if self.end == self.buf.len() {
+                2 * self.buf.len()
+            } else {
+                need
+            };
+            if want > self.buf.len() {
+                self.buf.resize(want, 0);
+            }
+        }
+        let k = r.read(&mut self.buf[self.end..])?;
+        self.end += k;
+        Ok(k)
+    }
+}
+
+/// The driver's side of one shard connection.
+struct ShardConn {
+    /// The connection (`None` while severed, awaiting reconnect). Its read
+    /// and write timeouts are one tick.
+    stream: Option<TcpStream>,
+    /// Framed bytes queued for the next flush.
+    out: Vec<u8>,
+    inbox: Inbox,
+}
+
+impl ShardConn {
+    fn new(stream: TcpStream) -> Self {
+        ShardConn {
+            stream: Some(stream),
+            out: Vec::new(),
+            inbox: Inbox::new(),
+        }
+    }
+
+    /// Write the queued bytes (see [`write_draining`]). The queue is empty
+    /// afterwards, also on an error.
+    fn flush(&mut self) -> io::Result<()> {
+        let res = match &self.stream {
+            _ if self.out.is_empty() => Ok(()),
+            None => Err(io::ErrorKind::NotConnected.into()),
+            Some(stream) => write_draining(stream, &self.out, &mut self.inbox),
+        };
+        self.out.clear();
+        res
+    }
+}
+
+/// Write all of `out` to a shard. A write that makes no progress for a tick
+/// means the shard is not reading: it may be blocked writing replies to the
+/// driver, so its socket is read into `inbox` before the next try (rule 2
+/// of the module docs).
+fn write_draining(stream: &TcpStream, out: &[u8], inbox: &mut Inbox) -> io::Result<()> {
+    let mut w = stream;
+    let mut at = 0;
+    let mut stalls = 0;
+    while at < out.len() {
+        match w.write(&out[at..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(k) => (at, stalls) = (at + k, 0),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) && stalls < MAX_IDLE_TICKS => {
+                stalls += 1;
+                match inbox.fill(stream) {
+                    Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                    Ok(_) => {}
+                    Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The driver side of the shard connections, the wire ledger, and the
 /// optional byte captures.
 struct Conns {
-    writers: Vec<Option<BufWriter<TcpStream>>>,
+    shards: Vec<ShardConn>,
     wire: WireMetrics,
     taps: Option<WireTaps>,
 }
 
 impl Conns {
-    /// Write one frame (physical charge + tap + length prefix).
-    fn write(&mut self, s: usize, payload: &[u8]) -> Result<(), WireError> {
-        let Some(w) = self.writers[s].as_mut() else {
-            return Err(WireError::Io(io::ErrorKind::NotConnected));
-        };
-        write_frame(w, payload)?;
-        self.wire.frames_total += 1;
-        self.wire.bytes_total += (FRAME_PREFIX_LEN + payload.len()) as u64;
+    /// Queue back-to-back framed bytes for shard `s` (physical charge +
+    /// tap). Nothing is written before [`Conns::flush`].
+    fn queue(&mut self, s: usize, framed: &[u8]) {
+        self.wire.frames_total += payloads(framed).count() as u64;
+        self.wire.bytes_total += framed.len() as u64;
         if let Some(taps) = &self.taps {
-            tap_extend(&taps.to_shard[s], payload);
+            tap_raw(&taps.to_shard[s], framed);
         }
-        Ok(())
+        self.shards[s].out.extend_from_slice(framed);
     }
 
-    /// Write a duplicate/re-sent frame, charging its payload bytes to
+    /// Queue duplicate or re-sent frames, charging each payload to
     /// [`ChannelKind::Retransmit`] so the model split stays clean.
-    fn write_retransmit(&mut self, s: usize, payload: &[u8]) -> Result<(), WireError> {
-        self.wire
-            .count(ChannelKind::Retransmit, payload.len() as u64);
-        self.write(s, payload)
-    }
-
-    /// Write a deliberately torn frame: a full-length prefix followed by
-    /// only half the payload. Write errors are ignored — the connection is
-    /// about to be severed anyway. The bytes that did leave are charged as
-    /// retransmit overhead.
-    fn write_torn(&mut self, s: usize, payload: &[u8]) {
-        let keep = payload.len() / 2;
-        if let Some(w) = self.writers[s].as_mut() {
-            let prefix = (payload.len() as u32).to_le_bytes();
-            let _ = w.write_all(&prefix);
-            let _ = w.write_all(&payload[..keep]);
-            let _ = w.flush();
+    fn queue_retransmit(&mut self, s: usize, framed: &[u8]) {
+        for p in payloads(framed) {
+            self.wire.count(ChannelKind::Retransmit, p.len() as u64);
         }
-        self.wire.frames_total += 1;
-        self.wire.bytes_total += (FRAME_PREFIX_LEN + keep) as u64;
-        self.wire.count(ChannelKind::Retransmit, keep as u64);
+        self.queue(s, framed);
     }
 
     fn flush(&mut self, s: usize) -> io::Result<()> {
-        self.writers[s].as_mut().map_or(Ok(()), |w| w.flush())
+        self.shards[s].flush()
     }
 
-    /// Tear down shard `s`'s connection from the driver side. `shutdown`
-    /// (not just drop) because the reader thread holds a dup of the fd —
-    /// both halves must die so the old reader exits and the shard sees
-    /// EOF/reset and reconnects.
-    fn sever(&mut self, s: usize) {
-        if let Some(mut w) = self.writers[s].take() {
-            let _ = w.flush();
-            let _ = w.get_ref().shutdown(Shutdown::Both);
+    /// Write a deliberately torn frame: the first frame's full-length
+    /// prefix followed by only half its payload. Write errors are ignored —
+    /// the connection is about to be severed anyway. The bytes that did
+    /// leave are charged as retransmit overhead.
+    fn write_torn(&mut self, s: usize, sealed: &[u8]) {
+        let keep = payloads(sealed).next().map_or(0, |p| p.len() / 2);
+        let torn = &sealed[..FRAME_PREFIX_LEN + keep];
+        self.wire.frames_total += 1;
+        self.wire.bytes_total += torn.len() as u64;
+        self.wire.count(ChannelKind::Retransmit, keep as u64);
+        if let Some(taps) = &self.taps {
+            tap_raw(&taps.to_shard[s], torn);
         }
+        self.shards[s].out.extend_from_slice(torn);
+        let _ = self.flush(s);
+    }
+
+    /// Tear down shard `s`'s connection from the driver side so the shard
+    /// sees EOF or a reset and reconnects. Queued and received bytes of the
+    /// old connection are dropped.
+    fn sever(&mut self, s: usize) {
+        let c = &mut self.shards[s];
+        if let Some(stream) = c.stream.take() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        c.out.clear();
+        c.inbox.clear();
     }
 }
 
-/// Loopback-TCP connections to node shards, plus the shard and reader
-/// threads behind them.
+/// Give a shard socket the driver's tick as its read and write timeout.
+fn set_tick(stream: &TcpStream, tick: Duration) -> io::Result<()> {
+    stream.set_read_timeout(Some(tick))?;
+    stream.set_write_timeout(Some(tick))
+}
+
+/// Loopback-TCP connections to node shards, plus the shard threads behind
+/// them. The driver thread does all of the reading and writing.
 pub struct SocketTransport<NB: NodeBehavior> {
     conns: Conns,
+    /// The staged wave of each shard.
+    waves: Vec<Wave>,
     shard_handles: Vec<JoinHandle<Vec<NB>>>,
-    reader_handles: Vec<JoinHandle<()>>,
-    from_shards: Receiver<(Reply<NB::Up>, u64)>,
-    /// Kept on a chaotic transport so reconnect readers can clone it (`None`
-    /// on a clean one, where reader exit must surface as `Disconnected`).
-    reply_tx: Option<Sender<(Reply<NB::Up>, u64)>>,
     /// Retained (nonblocking) on a chaotic transport to accept reconnects.
     listener: Option<TcpListener>,
     /// The listener's loopback address (reconnect storms self-connect).
     addr: SocketAddr,
     /// Node id → owning shard index.
     shard_of: Vec<u32>,
-    /// First node id per shard.
-    shard_first: Vec<u32>,
+    /// `(first id, len)` per shard.
+    ranges: Vec<(u32, u32)>,
     recoverable: bool,
-    /// The staged (canonical) work frame.
-    frame_buf: Vec<u8>,
+    /// Read and write timeout of every shard socket.
+    tick: Duration,
     /// Scratch for stalled copies and abort frames.
     scratch: Vec<u8>,
 }
@@ -916,6 +1252,7 @@ where
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(transport)?;
         let addr = listener.local_addr().map_err(transport)?;
         let recoverable = chaos.is_some();
+        let tick = Duration::from_millis(chaos.map_or(RECV_TICK_MS, |p| p.deadline_ms.max(1)));
 
         let mut chunks: Vec<Vec<NB>> = Vec::with_capacity(s_count);
         for &(first, _) in ranges.iter().rev() {
@@ -963,7 +1300,7 @@ where
                     if let Some(taps) = &taps {
                         tap_extend(&taps.from_shard[shard], &payload);
                     }
-                    stream.set_read_timeout(None).map_err(transport)?;
+                    set_tick(&stream, tick).map_err(transport)?;
                     streams[shard] = Some(stream);
                     accepted += 1;
                 }
@@ -980,52 +1317,34 @@ where
             }
         }
 
-        let (tx, rx) = unbounded();
-        let mut writers = Vec::with_capacity(s_count);
-        let mut reader_handles = Vec::with_capacity(s_count);
-        for (s, slot) in streams.into_iter().enumerate() {
+        let mut shards = Vec::with_capacity(s_count);
+        for slot in streams {
             let Some(stream) = slot else {
                 return Err(transport("shard stream missing after accept"));
             };
-            let read_half = stream.try_clone().map_err(transport)?;
-            let tap = taps.as_ref().map(|t| t.from_shard[s].clone());
-            let tx = tx.clone();
-            reader_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("topk-shard-rx-{s}"))
-                    .spawn(move || reader_main::<NB::Up>(read_half, tx, tap, recoverable))
-                    .expect("spawn reader thread"),
-            );
-            writers.push(Some(BufWriter::new(stream)));
+            shards.push(ShardConn::new(stream));
         }
-
         let mut shard_of = vec![0u32; n];
         for (s, &(first, len)) in ranges.iter().enumerate() {
             shard_of[first as usize..(first + len) as usize].fill(s as u32);
         }
         Ok(SocketTransport {
-            conns: Conns {
-                writers,
-                wire,
-                taps,
-            },
+            conns: Conns { shards, wire, taps },
+            waves: (0..s_count).map(|_| Wave::default()).collect(),
             shard_handles,
-            reader_handles,
-            from_shards: rx,
-            reply_tx: recoverable.then(|| tx.clone()),
             listener: recoverable.then_some(listener),
             addr,
             shard_of,
-            shard_first: ranges.iter().map(|&(first, _)| first).collect(),
+            ranges,
             recoverable,
-            frame_buf: Vec::new(),
+            tick,
             scratch: Vec::new(),
         })
     }
 
     /// Number of shard connections.
     pub fn shards(&self) -> usize {
-        self.shard_first.len()
+        self.ranges.len()
     }
 
     /// Handles to the per-connection byte captures (only when built with
@@ -1034,24 +1353,85 @@ where
         self.conns.taps.clone()
     }
 
-    fn down(&self, i: u32) -> RuntimeError {
-        RuntimeError::NodeDown { id: NodeId(i) }
+    fn down(&self, s: usize) -> RuntimeError {
+        RuntimeError::NodeDown {
+            id: NodeId(self.ranges[s].0),
+        }
+    }
+
+    /// The payload range of shard `s`'s next whole reply frame. With `read`,
+    /// reads the socket until one completes or a tick passes without a
+    /// byte; without it, looks at the receive buffer only. EOF or a read
+    /// error is the shard's [`RuntimeError::NodeDown`].
+    fn reply_frame(&mut self, s: usize, read: bool) -> Result<Option<Range<usize>>, RuntimeError> {
+        let c = &mut self.conns.shards[s];
+        loop {
+            match c.inbox.next_frame() {
+                Ok(Some(range)) => return Ok(Some(range)),
+                Ok(None) if !read => return Ok(None),
+                Ok(None) => {}
+                Err(e) => return Err(undecodable(s, e)),
+            }
+            let Some(stream) = c.stream.as_ref() else {
+                return Err(RuntimeError::NodeDown {
+                    id: NodeId(self.ranges[s].0),
+                });
+            };
+            match c.inbox.fill(stream) {
+                Ok(0) => {
+                    return Err(RuntimeError::NodeDown {
+                        id: NodeId(self.ranges[s].0),
+                    })
+                }
+                Ok(_) => {}
+                Err(e) if is_timeout(&e) => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    return Err(RuntimeError::NodeDown {
+                        id: NodeId(self.ranges[s].0),
+                    })
+                }
+            }
+        }
+    }
+
+    /// Take shard `s`'s reply frame at `range` out of its receive buffer:
+    /// charge it to the wire ledger and the tap in one place, and decode its
+    /// entries into `into`.
+    fn take_reply(
+        &mut self,
+        s: usize,
+        range: Range<usize>,
+        into: &mut Vec<Reply<NB::Up>>,
+    ) -> Result<ReplyHead, RuntimeError> {
+        let c = &mut self.conns.shards[s];
+        let payload = &c.inbox.buf[range.clone()];
+        self.conns.wire.frames_total += 1;
+        self.conns.wire.bytes_total += (FRAME_PREFIX_LEN + payload.len()) as u64;
+        if let Some(taps) = &self.conns.taps {
+            tap_extend(&taps.from_shard[s], payload);
+        }
+        let (first, len) = self.ranges[s];
+        let decoded = decode_replies(payload, self.recoverable, first..first + len, into);
+        c.inbox.consume(range.end);
+        decoded
+            .map(|key| ReplyHead { e: s, key })
+            .map_err(|e| undecodable(s, e))
     }
 
     /// Sever shard `s`'s connection, optionally inject a reconnect storm
     /// (junk connections racing the shard's real reconnect), accept the
-    /// shard's re-handshake, and re-deliver the staged frame. The shard
-    /// dedups by `(t, run, m)` if the original actually made it through.
+    /// shard's re-handshake, and re-deliver the sealed wave. Each node
+    /// dedups it by `(t, run, m)` if the original actually made it through.
     fn sever_and_redeliver(
         &mut self,
-        i: u32,
+        s: usize,
         (t, run, m): FrameKey,
         policy: &ChaosPolicy,
         recovery: &mut RecoveryMetrics,
     ) -> Result<(), RuntimeError> {
-        let s = self.shard_of[i as usize] as usize;
         self.conns.sever(s);
-        if WireChaos::new(*policy).reconnect_storm(t, run, m, i) {
+        if WireChaos::new(*policy).reconnect_storm(t, run, m, self.ranges[s].0) {
             // Junk connections that never send a Hello; the accept loop
             // must skip them and still find the real shard.
             recovery.injected_storms += 1;
@@ -1063,16 +1443,14 @@ where
         }
         self.accept_reconnect(s)?;
         recovery.reconnects += 1;
-        self.conns
-            .write_retransmit(s, &self.frame_buf)
-            .map_err(|_| self.down(i))?;
-        self.conns.flush(s).map_err(|_| self.down(i))
+        self.conns.queue_retransmit(s, &self.waves[s].sealed);
+        self.conns.flush(s).map_err(|_| self.down(s))
     }
 
     /// Accept shard `s`'s reconnect on the retained listener: validate the
-    /// re-sent `Hello` (version + shard id must match the original), spawn
-    /// a fresh reader for the new connection, and restore the writer. Junk
-    /// connections (storms, stale handshakes) are discarded.
+    /// re-sent `Hello` (version + shard id must match the original) and
+    /// swap the new connection in. Junk connections (storms, stale
+    /// handshakes) are discarded.
     fn accept_reconnect(&mut self, s: usize) -> Result<(), RuntimeError> {
         let Some(listener) = self.listener.as_ref() else {
             return Err(transport("reconnect without a retained listener"));
@@ -1095,33 +1473,22 @@ where
                     // Wrong shard id or version skew: not our shard's
                     // re-handshake — drop it.
                     if decode_hello(&payload).ok() != Some(s as u32)
-                        || stream.set_read_timeout(None).is_err()
+                        || set_tick(&stream, self.tick).is_err()
                     {
                         continue;
                     }
-                    let read_half = stream.try_clone().map_err(transport)?;
-                    let Some(tx) = self.reply_tx.clone() else {
-                        return Err(transport("reconnect without a retained reply channel"));
-                    };
-                    let tap = self.conns.taps.as_ref().map(|t| t.from_shard[s].clone());
-                    if let Some(tap) = &tap {
-                        tap_extend(tap, &payload);
+                    if let Some(taps) = &self.conns.taps {
+                        tap_extend(&taps.from_shard[s], &payload);
                     }
-                    self.reader_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("topk-shard-rx-{s}r"))
-                            .spawn(move || reader_main::<NB::Up>(read_half, tx, tap, true))
-                            .expect("spawn reader thread"),
-                    );
-                    self.conns.writers[s] = Some(BufWriter::new(stream));
+                    let c = &mut self.conns.shards[s];
+                    c.stream = Some(stream);
+                    c.inbox.clear();
                     return Ok(());
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
                         return Err(if self.shard_handles[s].is_finished() {
-                            RuntimeError::NodeDown {
-                                id: NodeId(self.shard_first[s]),
-                            }
+                            self.down(s)
                         } else {
                             transport(format_args!(
                                 "shard {s} did not reconnect within {ACCEPT_TIMEOUT:?}"
@@ -1136,15 +1503,25 @@ where
     }
 }
 
+/// A reply frame shard `s` sent that the driver cannot decode.
+fn undecodable(s: usize, e: WireError) -> RuntimeError {
+    transport(format_args!(
+        "shard {s} sent an undecodable reply frame: {e}"
+    ))
+}
+
 impl<NB: NodeBehavior> SocketTransport<NB> {
-    /// Halt every shard and join all threads, returning the shards'
+    /// Halt every shard and join the shard threads, returning their
     /// behaviors in id order (panicked shards are skipped).
     fn halt_and_join(&mut self) -> Vec<NB> {
-        for s in 0..self.conns.writers.len() {
-            let _ = self.conns.write(s, &[T_HALT]);
+        let halt = [1, 0, 0, 0, T_HALT];
+        for s in 0..self.conns.shards.len() {
+            self.conns.queue(s, &halt);
             let _ = self.conns.flush(s);
         }
-        self.conns.writers.clear();
+        // Closing the connections also frees a shard still blocked writing
+        // replies that nobody will read.
+        self.conns.shards.clear();
         // Dropping the listener unblocks any shard still trying to
         // reconnect (its connect loop fails fast).
         self.listener = None;
@@ -1153,9 +1530,6 @@ impl<NB: NodeBehavior> SocketTransport<NB> {
             if let Ok(mut chunk) = h.join() {
                 nodes.append(&mut chunk);
             }
-        }
-        for h in self.reader_handles.drain(..) {
-            let _ = h.join();
         }
         nodes
     }
@@ -1182,7 +1556,7 @@ where
     }
 
     fn endpoints(&self) -> usize {
-        self.shard_first.len()
+        self.ranges.len()
     }
 
     fn endpoint_of(&self, i: u32) -> usize {
@@ -1190,54 +1564,73 @@ where
     }
 
     fn first_node(&self, e: usize) -> NodeId {
-        NodeId(self.shard_first[e])
+        NodeId(self.ranges[e].0)
     }
 
     fn is_dead(&self, e: usize) -> bool {
         self.shard_handles[e].is_finished()
     }
 
-    fn encode(&mut self, i: u32, key: FrameKey, work: Work<'_, NB::Down>) {
+    fn stage(&mut self, i: u32, work: Work<'_, NB::Down>) {
+        self.waves[self.shard_of[i as usize] as usize].stage(i, work);
+    }
+
+    fn seal(&mut self, e: usize, key: FrameKey) {
         let wire = &mut self.conns.wire;
-        encode_work(&mut self.frame_buf, self.recoverable, i, key, work, wire);
+        self.waves[e].seal(self.recoverable, key, MAX_FRAME_LEN, wire);
     }
 
-    fn keep(&self) -> Vec<u8> {
-        self.frame_buf.clone()
+    fn keep(&self, e: usize) -> Vec<u8> {
+        self.waves[e].sealed.clone()
     }
 
-    fn send(&mut self, i: u32, stall_ms: u32) -> Result<(), RuntimeError> {
-        let s = self.shard_of[i as usize] as usize;
-        let res = if stall_ms > 0 {
-            stalled_copy(&self.frame_buf, stall_ms, &mut self.scratch);
-            self.conns.write(s, &self.scratch)
+    fn send(&mut self, e: usize, stall_ms: u32) -> Result<(), RuntimeError> {
+        if stall_ms > 0 {
+            stalled_copy(&self.waves[e].sealed, stall_ms, &mut self.scratch);
+            self.conns.queue(e, &self.scratch);
         } else {
-            self.conns.write(s, &self.frame_buf)
-        };
-        res.map_err(|_| self.down(i))
-    }
-
-    fn resend(&mut self, i: u32, frame: &Vec<u8>) -> Result<(), RuntimeError> {
-        let s = self.shard_of[i as usize] as usize;
-        self.conns
-            .write_retransmit(s, frame)
-            .map_err(|_| self.down(i))
-    }
-
-    fn flush(&mut self) -> Result<(), RuntimeError> {
-        for s in 0..self.conns.writers.len() {
-            self.conns.flush(s).map_err(|_| RuntimeError::NodeDown {
-                id: NodeId(self.shard_first[s]),
-            })?;
+            self.conns.queue(e, &self.waves[e].sealed);
         }
         Ok(())
     }
 
-    fn recv(&mut self, timeout: Duration) -> Result<Reply<NB::Up>, RecvTimeoutError> {
-        let (rep, frame_bytes) = self.from_shards.recv_timeout(timeout)?;
-        self.conns.wire.frames_total += 1;
-        self.conns.wire.bytes_total += frame_bytes;
-        Ok(rep)
+    fn resend(&mut self, e: usize, frame: &Vec<u8>) -> Result<(), RuntimeError> {
+        self.conns.queue_retransmit(e, frame);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), RuntimeError> {
+        for s in 0..self.conns.shards.len() {
+            self.conns.flush(s).map_err(|_| self.down(s))?;
+        }
+        Ok(())
+    }
+
+    /// Takes a frame already in a receive buffer first; otherwise reads the
+    /// owing shards in turn, each until a frame completes or a tick passes
+    /// without a byte.
+    fn recv(
+        &mut self,
+        owed: &[u32],
+        timeout: Duration,
+        into: &mut Vec<Reply<NB::Up>>,
+    ) -> Result<Option<ReplyHead>, RuntimeError> {
+        if timeout != self.tick {
+            for c in &self.conns.shards {
+                if let Some(stream) = &c.stream {
+                    set_tick(stream, timeout).map_err(transport)?;
+                }
+            }
+            self.tick = timeout;
+        }
+        for read in [false, true] {
+            for s in (0..owed.len()).filter(|&s| owed[s] > 0) {
+                if let Some(range) = self.reply_frame(s, read)? {
+                    return self.take_reply(s, range, into).map(Some);
+                }
+            }
+        }
+        Ok(None)
     }
 
     fn charge_reply(&mut self, kind: ChannelKind, up_bytes: u64) {
@@ -1246,23 +1639,21 @@ where
 
     fn send_abort(&mut self, e: usize, t: u64, run: u32) -> Result<(), RuntimeError> {
         self.scratch.clear();
-        self.scratch.push(T_ABORT);
+        let at = open_frame(&mut self.scratch, T_ABORT);
         put_varint(&mut self.scratch, t);
         put_varint(&mut self.scratch, run as u64);
-        self.conns
-            .write_retransmit(e, &self.scratch)
-            .map_err(|_| RuntimeError::NodeDown {
-                id: NodeId(self.shard_first[e]),
-            })
+        close_frame(&mut self.scratch, at);
+        self.conns.queue_retransmit(e, &self.scratch);
+        Ok(())
     }
 
-    /// Before the first write: a connection reset (the frame dies with the
-    /// connection) or a torn frame (half of it hits the wire, then the cut).
-    /// After it: a half-open connection (the frame made it out, the reply
-    /// path dies). Each severs, reconnects and re-delivers.
+    /// Before the first write: a connection reset (the wave dies with the
+    /// connection) or a torn frame (half of its first frame hits the wire,
+    /// then the cut). After it: a half-open connection (the wave made it
+    /// out, the reply path dies). Each severs, reconnects and re-delivers.
     fn wire_fault(
         &mut self,
-        i: u32,
+        e: usize,
         key: FrameKey,
         sent: bool,
         policy: &ChaosPolicy,
@@ -1270,22 +1661,22 @@ where
     ) -> Result<bool, RuntimeError> {
         let (t, run, m) = key;
         let w = WireChaos::new(*policy);
-        let s = self.shard_of[i as usize] as usize;
+        let node = self.ranges[e].0;
         if sent {
-            if !w.half_open(t, run, m, i) {
+            if !w.half_open(t, run, m, node) {
                 return Ok(false);
             }
             recovery.injected_half_opens += 1;
-            self.conns.flush(s).map_err(|_| self.down(i))?;
-        } else if w.conn_reset(t, run, m, i) {
+            self.conns.flush(e).map_err(|_| self.down(e))?;
+        } else if w.conn_reset(t, run, m, node) {
             recovery.injected_conn_resets += 1;
-        } else if w.torn_frame(t, run, m, i) {
+        } else if w.torn_frame(t, run, m, node) {
             recovery.injected_torn_frames += 1;
-            self.conns.write_torn(s, &self.frame_buf);
+            self.conns.write_torn(e, &self.waves[e].sealed);
         } else {
             return Ok(false);
         }
-        self.sever_and_redeliver(i, key, policy, recovery)?;
+        self.sever_and_redeliver(e, key, policy, recovery)?;
         Ok(true)
     }
 
@@ -1349,6 +1740,8 @@ mod tests {
     use super::*;
     use crate::behavior::{ObserveAction, RoundAction};
     use crate::wire::WireSize;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn frame_roundtrip() {
@@ -1476,61 +1869,249 @@ mod tests {
         }
     }
 
-    /// Serve one in-memory burst of `n` observe frames on shard 0, the
-    /// frame at `stall_at` (recoverable layout only) stalled for 1 ms.
-    /// Returns the shard's writes after its `Hello`, and the framed reply
-    /// it owes to each work frame.
-    fn serve_burst(
-        n: u32,
-        recoverable: bool,
-        stall_at: Option<u32>,
-    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let key = (1, 0, 0);
-        let (mut input, mut owed) = (Vec::new(), Vec::new());
-        let (mut frame, mut stalled) = (Vec::new(), Vec::new());
-        let mut wire = WireMetrics::default();
-        for i in 0..n {
-            let v = 1000 + 7 * i as u64;
-            let work = Work::Observe(Some(v));
-            encode_work::<Msg>(&mut frame, recoverable, i, key, work, &mut wire);
-            if stall_at == Some(i) {
-                stalled_copy(&frame, 1, &mut stalled);
-                write_frame(&mut input, &stalled).unwrap();
-            } else {
-                write_frame(&mut input, &frame).unwrap();
-            }
-            let reply_key = (1, recoverable.then_some(0), 0);
-            encode_reply(&mut frame, i, reply_key, &Some(Msg(v)), false, None);
-            let mut reply = Vec::new();
-            write_frame(&mut reply, &frame).unwrap();
-            owed.push(reply);
+    /// The framed reply a shard owes to one node-phase-0 wave of `echoed`
+    /// values (node `i` reports `values[i]`), as a stream slice.
+    fn owed_reply(values: &[u64], recoverable: bool, key: FrameKey) -> Vec<u8> {
+        let mut out = Vec::new();
+        let at = open_reply(&mut out, recoverable, key);
+        let mut body = Vec::new();
+        for (i, &v) in values.iter().enumerate() {
+            put_varint(&mut out, u64::from(i > 0));
+            body.clear();
+            put_reply_body(&mut body, &Some(Msg(v)), false, None);
+            out.extend_from_slice(&body);
         }
-        let mut st = ShardState {
+        close_frame(&mut out, at);
+        out
+    }
+
+    /// Seal one node-phase-0 wave of `values` for nodes `0..` at `t`, its
+    /// payloads kept within `cap`.
+    fn sealed_wave(values: &[u64], recoverable: bool, t: u64, cap: usize) -> Vec<u8> {
+        let mut w = Wave::default();
+        for (i, &v) in values.iter().enumerate() {
+            w.stage::<Msg>(i as u32, Work::Observe(Some(v)));
+        }
+        w.seal(recoverable, (t, 0, 0), cap, &mut WireMetrics::default());
+        w.sealed
+    }
+
+    fn echo_shard(n: u32, recoverable: bool) -> ShardState<Echo> {
+        ShardState {
             hosts: (0..n).map(|i| NodeHost::new(Echo(NodeId(i)))).collect(),
             first: 0,
             shard: 0,
             recoverable,
-        };
-        let mut log = WriteLog::default();
-        assert!(matches!(st.serve(&input[..], &mut log), ServeExit::Lost));
+        }
+    }
+
+    fn hello() -> Vec<u8> {
         let mut hello = Vec::new();
         write_frame(&mut hello, &[T_HELLO, WIRE_VERSION, 0]).unwrap();
-        assert_eq!(log.0.first(), Some(&hello), "the hello leaves on its own");
+        hello
+    }
+
+    /// Serve a burst of one-frame waves on shard 0, wave `stall_at`
+    /// (recoverable layout only) stalled for 1 ms. Returns the shard's
+    /// writes after its `Hello`, and the framed reply it owes each wave.
+    fn serve_burst(
+        waves: u64,
+        recoverable: bool,
+        stall_at: Option<u64>,
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let values: Vec<u64> = (0..64).map(|i| 1000 + 7 * i).collect();
+        let (mut input, mut owed, mut stalled) = (Vec::new(), Vec::new(), Vec::new());
+        for t in 0..waves {
+            let sealed = sealed_wave(&values, recoverable, t, MAX_FRAME_LEN);
+            if stall_at == Some(t) {
+                stalled_copy(&sealed, 1, &mut stalled);
+                input.extend_from_slice(&stalled);
+            } else {
+                input.extend_from_slice(&sealed);
+            }
+            owed.push(owed_reply(&values, recoverable, (t, 0, 0)));
+        }
+        let mut st = echo_shard(64, recoverable);
+        let mut log = WriteLog::default();
+        assert!(matches!(st.serve(&input[..], &mut log), ServeExit::Lost));
+        assert_eq!(log.0.first(), Some(&hello()), "the hello leaves on its own");
         (log.0.split_off(1), owed)
     }
 
     #[test]
     fn shard_answers_a_burst_with_one_write() {
         for recoverable in [false, true] {
-            let (writes, owed) = serve_burst(64, recoverable, None);
+            let (writes, owed) = serve_burst(4, recoverable, None);
             assert_eq!(writes, [owed.concat()], "recoverable={recoverable}");
         }
     }
 
     #[test]
     fn stall_flushes_the_burst_before_sleeping() {
-        let (writes, owed) = serve_burst(64, true, Some(20));
-        assert_eq!(writes, [owed[..20].concat(), owed[20..].concat()]);
+        let (writes, owed) = serve_burst(4, true, Some(2));
+        assert_eq!(writes, [owed[..2].concat(), owed[2..].concat()]);
+    }
+
+    /// What a shard did, in order: bytes it read or wrote.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Io {
+        Read(usize),
+        Write(Vec<u8>),
+    }
+
+    /// In-memory halves that log every read and write into one shared
+    /// list; the read half hands out one frame per `read` call.
+    struct LogRead(Rc<RefCell<Vec<Io>>>, Vec<Vec<u8>>);
+    struct LogWrite(Rc<RefCell<Vec<Io>>>);
+
+    impl Read for LogRead {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(frame) = (!self.1.is_empty()).then(|| self.1.remove(0)) else {
+                return Ok(0);
+            };
+            buf[..frame.len()].copy_from_slice(&frame);
+            self.0.borrow_mut().push(Io::Read(frame.len()));
+            Ok(frame.len())
+        }
+    }
+
+    impl Write for LogWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().push(Io::Write(buf.to_vec()));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn split_wave_is_answered_with_one_write_after_its_last_frame() {
+        let values: Vec<u64> = (0..30).map(|i| 5000 + i).collect();
+        // A 4-byte header plus ten 3-byte observe entries per frame splits
+        // the wave into three frames.
+        let sealed = sealed_wave(&values, false, 9, 34);
+        let frames: Vec<Vec<u8>> = payloads(&sealed)
+            .map(|p| {
+                let mut f = Vec::new();
+                write_frame(&mut f, p).unwrap();
+                f
+            })
+            .collect();
+        assert_eq!(frames.len(), 3, "the wave is split across 3 frames");
+        assert_eq!(frames.concat(), sealed);
+        assert!(frames[..2]
+            .iter()
+            .all(|f| f[FRAME_PREFIX_LEN] == T_WAVE_MORE));
+        assert_eq!(frames[2][FRAME_PREFIX_LEN], T_WAVE);
+        let lens: Vec<usize> = frames.iter().map(Vec::len).collect();
+
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut st = echo_shard(30, false);
+        let exit = st.serve(LogRead(log.clone(), frames), LogWrite(log.clone()));
+        assert!(matches!(exit, ServeExit::Lost));
+
+        // One reply frame per work frame, written together at the end.
+        let mut replies = Vec::new();
+        for chunk in values.chunks(10) {
+            let base = chunk[0] - 5000;
+            let mut reply = Vec::new();
+            let at = open_reply(&mut reply, false, (9, 0, 0));
+            for (j, &v) in chunk.iter().enumerate() {
+                put_varint(&mut reply, if j == 0 { base } else { 1 });
+                put_reply_body(&mut reply, &Some(Msg(v)), false, None);
+            }
+            close_frame(&mut reply, at);
+            replies.extend_from_slice(&reply);
+        }
+        assert_eq!(
+            *log.borrow(),
+            [
+                Io::Write(hello()),
+                Io::Read(lens[0]),
+                Io::Read(lens[1]),
+                Io::Read(lens[2]),
+                Io::Write(replies),
+            ],
+            "no write before the third frame is read, then exactly one"
+        );
+    }
+
+    #[test]
+    fn wave_over_the_cap_goes_out_as_frames_within_it() {
+        // 120k observes of 9-byte values: ~1.3 MB of entries on one shard.
+        let values: Vec<u64> = (0..120_000).map(|i| u64::MAX - i).collect();
+        let sealed = sealed_wave(&values, true, 3, MAX_FRAME_LEN);
+        let frames: Vec<&[u8]> = payloads(&sealed).collect();
+        assert!(frames.len() >= 2, "the wave needs more than one frame");
+        assert!(frames.iter().all(|p| p.len() <= MAX_FRAME_LEN));
+        let (last, more) = frames.split_last().unwrap();
+        assert!(more.iter().all(|p| p[0] == T_WAVE_MORE));
+        assert_eq!(last[0], T_WAVE);
+        // Every frame decodes on its own, and together they carry every
+        // entry once, in order.
+        let mut seen = Vec::new();
+        let (mut bcasts, mut entries) = (Vec::<Msg>::new(), Vec::new());
+        for p in frames {
+            let ids = 0..values.len() as u32;
+            let head = decode_wave(&p[1..], true, ids, &mut bcasts, &mut entries).unwrap();
+            assert_eq!(head, (0, (3, 0, 0)));
+            seen.extend(entries.iter().map(|e| (e.id, e.value)));
+        }
+        let want: Vec<_> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (i as u32, Some(v)))
+            .collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn wave_entries_roundtrip_with_broadcast_offsets_and_unicasts() {
+        // Node 4 is a calendar replay that needs all three broadcasts; the
+        // others get the round's last one, and node 6 a unicast too.
+        let log = [Msg(11), Msg(22), Msg(33)];
+        let mut w = Wave::default();
+        let mut wire = WireMetrics::default();
+        w.stage(
+            2,
+            Work::Round {
+                bcasts: &log[2..],
+                ucast: None,
+            },
+        );
+        w.stage(
+            4,
+            Work::Round {
+                bcasts: &log[..],
+                ucast: None,
+            },
+        );
+        w.stage(
+            6,
+            Work::Round {
+                bcasts: &log[2..],
+                ucast: Some(&Msg(99)),
+            },
+        );
+        w.seal(false, (5, 0, 2), MAX_FRAME_LEN, &mut wire);
+        let frame = payloads(&w.sealed).next().unwrap();
+        assert_eq!(frame[0], T_WAVE);
+        let (mut bcasts, mut entries) = (Vec::new(), Vec::new());
+        let head = decode_wave::<Msg>(&frame[1..], false, 0..8, &mut bcasts, &mut entries);
+        assert_eq!(head, Ok((0, (5, 0, 2))));
+        assert_eq!(
+            bcasts, log,
+            "the broadcasts go out once, for the longest suffix"
+        );
+        let got: Vec<_> = entries
+            .iter()
+            .map(|e| (e.id, e.from, e.ucast.clone()))
+            .collect();
+        assert_eq!(got, [(2, 2, None), (4, 0, None), (6, 2, Some(Msg(99)))]);
+        assert_eq!(wire.broadcast_frames, 3, "one copy per broadcast per frame");
+        assert_eq!((wire.down_frames, wire.down_bytes), (1, 1));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! channel. Each thread hosts its node in a `NodeHost`, which caches the
 //! last observed value (for value-less cached observes) and, on a chaotic
 //! transport, the `(t, run, m)` cursor, reply cache and step checkpoint.
-//! Every node thread is its own endpoint, so an abort wave sends one abort
-//! per node.
+//! Every node thread is its own endpoint: an endpoint wave is one node's
+//! work, faults roll per node, and an abort wave sends one abort per node.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
@@ -18,7 +18,9 @@ use std::time::Duration;
 
 use crate::behavior::{NodeBehavior, RoundAction};
 use crate::chaos::{ChaosPolicy, RuntimeError};
-use crate::driver::{Admit, Cluster, FrameKey, NodeHost, Reply, Transport, Work, ABORT_M};
+use crate::driver::{
+    Admit, Cluster, FrameKey, NodeHost, Reply, ReplyHead, Transport, Work, ABORT_M,
+};
 use crate::id::{NodeId, Value};
 
 /// The step driver over node threads.
@@ -50,12 +52,20 @@ enum NodeFrame<D> {
     Halt,
 }
 
+/// A node thread's answer to a work frame, or (`act: None`) its abort ack.
+struct Answer<U> {
+    id: NodeId,
+    key: FrameKey,
+    act: Option<RoundAction<U>>,
+}
+
 /// Channels to one thread per node.
 pub struct ThreadTransport<NB: NodeBehavior> {
     to_nodes: Vec<Sender<NodeFrame<NB::Down>>>,
-    from_nodes: Receiver<Reply<NB::Up>>,
+    from_nodes: Receiver<Answer<NB::Up>>,
     handles: Vec<JoinHandle<NB>>,
-    staged: Option<WorkFrame<NB::Down>>,
+    /// The staged work frame of each node (= endpoint).
+    staged: Vec<Option<WorkFrame<NB::Down>>>,
 }
 
 impl<NB: NodeBehavior> ThreadTransport<NB> {
@@ -92,11 +102,12 @@ impl<NB: NodeBehavior + 'static> Transport<NB> for ThreadTransport<NB> {
             to_nodes.push(tx);
             handles.push(handle);
         }
+        let staged = (0..handles.len()).map(|_| None).collect();
         Ok(ThreadTransport {
             to_nodes,
             from_nodes: reply_rx,
             handles,
-            staged: None,
+            staged,
         })
     }
 
@@ -116,7 +127,7 @@ impl<NB: NodeBehavior + 'static> Transport<NB> for ThreadTransport<NB> {
         self.handles[e].is_finished()
     }
 
-    fn encode(&mut self, _i: u32, key: FrameKey, work: Work<'_, NB::Down>) {
+    fn stage(&mut self, i: u32, work: Work<'_, NB::Down>) {
         let payload = match work {
             Work::Observe(value) => Payload::Observe(value),
             Work::Round { bcasts, ucast } => Payload::Round {
@@ -124,29 +135,58 @@ impl<NB: NodeBehavior + 'static> Transport<NB> for ThreadTransport<NB> {
                 ucast: ucast.cloned(),
             },
         };
-        self.staged = Some(WorkFrame {
-            key,
+        self.staged[i as usize] = Some(WorkFrame {
+            key: (0, 0, 0),
             stall_ms: 0,
             payload,
         });
     }
 
-    fn keep(&self) -> WorkFrame<NB::Down> {
-        self.staged.clone().expect("a staged frame")
+    fn seal(&mut self, e: usize, key: FrameKey) {
+        if let Some(frame) = self.staged[e].as_mut() {
+            frame.key = key;
+        }
     }
 
-    fn send(&mut self, i: u32, stall_ms: u32) -> Result<(), RuntimeError> {
-        let mut frame = self.staged.take().expect("a staged frame");
+    fn keep(&self, e: usize) -> WorkFrame<NB::Down> {
+        self.staged[e].clone().expect("a staged frame")
+    }
+
+    fn send(&mut self, e: usize, stall_ms: u32) -> Result<(), RuntimeError> {
+        let mut frame = self.staged[e].take().expect("a staged frame");
         frame.stall_ms = stall_ms;
-        self.post(i as usize, NodeFrame::Work(frame))
+        self.post(e, NodeFrame::Work(frame))
     }
 
-    fn resend(&mut self, i: u32, frame: &WorkFrame<NB::Down>) -> Result<(), RuntimeError> {
-        self.post(i as usize, NodeFrame::Work(frame.clone()))
+    fn resend(&mut self, e: usize, frame: &WorkFrame<NB::Down>) -> Result<(), RuntimeError> {
+        self.post(e, NodeFrame::Work(frame.clone()))
     }
 
-    fn recv(&mut self, timeout: Duration) -> Result<Reply<NB::Up>, RecvTimeoutError> {
-        self.from_nodes.recv_timeout(timeout)
+    fn recv(
+        &mut self,
+        _owed: &[u32],
+        timeout: Duration,
+        into: &mut Vec<Reply<NB::Up>>,
+    ) -> Result<Option<ReplyHead>, RuntimeError> {
+        into.clear();
+        let a = match self.from_nodes.recv_timeout(timeout) {
+            Ok(a) => a,
+            Err(RecvTimeoutError::Timeout) => return Ok(None),
+            Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::AllNodesDown),
+        };
+        if let Some(act) = a.act {
+            into.push(Reply {
+                id: a.id,
+                up: act.up,
+                engaged: act.engaged,
+                wake_at: act.wake_at,
+                up_bytes: 0,
+            });
+        }
+        Ok(Some(ReplyHead {
+            e: a.id.idx(),
+            key: a.key,
+        }))
     }
 
     fn send_abort(&mut self, e: usize, t: u64, run: u32) -> Result<(), RuntimeError> {
@@ -175,22 +215,13 @@ impl<NB: NodeBehavior> Drop for ThreadTransport<NB> {
 fn node_main<NB: NodeBehavior>(
     node: NB,
     rx: Receiver<NodeFrame<NB::Down>>,
-    reply: Sender<Reply<NB::Up>>,
+    reply: Sender<Answer<NB::Up>>,
     recoverable: bool,
 ) -> NB {
     let mut host: NodeHost<NB, RoundAction<NB::Up>> = NodeHost::new(node);
     let id = host.node.id();
-    let send = |(t, run, m): FrameKey, a: RoundAction<NB::Up>| {
-        let _ = reply.send(Reply {
-            id,
-            t,
-            run,
-            m,
-            up: a.up,
-            engaged: a.engaged,
-            wake_at: a.wake_at,
-            up_bytes: 0,
-        });
+    let send = |key: FrameKey, act: Option<RoundAction<NB::Up>>| {
+        let _ = reply.send(Answer { id, key, act });
     };
     while let Ok(frame) = rx.recv() {
         match frame {
@@ -202,7 +233,7 @@ fn node_main<NB: NodeBehavior>(
                     Admit::Stale => continue,
                     Admit::Repeat(cached) => {
                         if let Some(a) = cached {
-                            send(w.key, a.clone());
+                            send(w.key, Some(a.clone()));
                         }
                         continue;
                     }
@@ -219,12 +250,12 @@ fn node_main<NB: NodeBehavior>(
                 if recoverable {
                     host.commit(w.key, act.clone());
                 }
-                send(w.key, act);
+                send(w.key, Some(act));
             }
             NodeFrame::Abort { t, run } => {
                 host.abort(t, run);
                 // Always ack — abort re-delivery must re-ack.
-                send((t, run, ABORT_M), RoundAction::idle());
+                send((t, run, ABORT_M), None);
             }
             NodeFrame::Halt => break,
         }

@@ -24,14 +24,49 @@
 //!   above [`crate::socket::MAX_FRAME_LEN`] (1 MiB) is rejected before any
 //!   allocation.
 //! * The first payload byte is a frame tag; transport tags (`Hello`,
-//!   `Observe`, `Round`, `Reply`, `Halt`) live in [`crate::socket`], while
+//!   `Wave`, `Reply`, `Abort`, `Halt`) live in [`crate::socket`], while
 //!   embedded model messages carry their own codec tags via
 //!   [`crate::socket::FrameCodec`].
 //! * The `Hello` handshake frame carries a version byte
-//!   ([`crate::socket::WIRE_VERSION`], currently `0x01`) directly after its
+//!   ([`crate::socket::WIRE_VERSION`], currently `0x02`) directly after its
 //!   tag; a version mismatch aborts the connection before any work frame.
 //! * All multi-byte integers inside payloads are [`put_varint`] varints —
 //!   the length prefix is the only fixed-width field.
+//!
+//! ## Waves and replies (version `0x02`)
+//!
+//! The unit of the wire is one shard and one wave: each shard gets one work
+//! frame per coordinator round (node-phase `m`), holding every node of the
+//! shard that the visit rule polls, and answers with one reply frame.
+//! Fields in brackets exist on the recoverable layout only.
+//!
+//! ```text
+//! work   tag [stall] t [run] m  nb  bcast × nb  entry …
+//!        tag  0x10 = the wave's last (usually only) frame
+//!             0x11 = more frames of this wave follow
+//!        entry, m = 0:  varint(Δid << 1 | cached)  [value unless cached]
+//!        entry, m ≥ 1:  varint(Δid << 1 | unicast)  offset  [unicast]
+//! reply  0x20 t [run] m  entry …
+//!        entry:         varint(Δid)  flags  [up]  [wake_at]
+//! ```
+//!
+//! * The key `(t, run, m)` is written once per frame.
+//! * The broadcasts come once per frame: the longest suffix of the step's
+//!   broadcast log that any polled node of the shard needs. Each entry
+//!   names its node by the id delta from the previous entry of the frame
+//!   (the first from 0); entries run until the end of the payload.
+//! * A round entry's `offset` is where the node's broadcasts start among
+//!   the frame's `nb`. Every node gets the round's own broadcasts, and a
+//!   node that the fire-round calendar skipped also gets the ones it
+//!   missed, so offsets differ within one frame.
+//! * Reply flags: `0b001` = `up` follows, `0b010` = engaged, `0b100` =
+//!   `wake_at` follows. Nodes whose frame was stale get no entry, and a
+//!   reply with no entries is not sent; an abort's ack is a reply at
+//!   `m = u32::MAX` with no entries.
+//! * A wave whose frame would exceed `MAX_FRAME_LEN` is split across
+//!   frames that each repeat the header and broadcasts, all but the last
+//!   tagged `0x11`. A shard writes nothing for a wave before it has read
+//!   its last frame; its replies may be split the same way.
 //!
 //! The exact bytes of a fixed-seed run are pinned by the golden-frame
 //! snapshot test (`crates/net/tests/wire_golden.rs`): any drift in this
@@ -46,28 +81,28 @@
 //!
 //! A chaotic socket transport ([`crate::chaos::WireChaos`] behind a
 //! [`crate::chaos::ChaosPolicy`]) attacks exactly this layout, at the
-//! driver's frame-write path:
+//! driver's frame-write path, once per shard and wave:
 //!
-//! * **Torn frame** — the full length prefix followed by only half the
-//!   payload, then the connection is severed; the shard's `read_frame`
-//!   observes the mid-frame EOF as a typed [`crate::socket::WireError`]
-//!   and reconnects (this is the fault the decode-never-panics proptests
-//!   were written for).
-//! * **Connection reset** — the stream dies *before* the frame is
+//! * **Torn frame** — the first frame's full length prefix followed by
+//!   only half its payload, then the connection is severed; the shard's
+//!   `read_frame` observes the mid-frame EOF as a typed
+//!   [`crate::socket::WireError`] and reconnects (this is the fault the
+//!   decode-never-panics proptests were written for).
+//! * **Connection reset** — the stream dies *before* the wave is
 //!   written; the re-delivered copy after the re-handshake is the first
 //!   delivery.
-//! * **Half-open connection** — the frame is written and flushed, then
+//! * **Half-open connection** — the wave is written and flushed, then
 //!   the connection is severed before the reply can travel back; the
-//!   re-delivered copy is answered from the shard's reply cache.
+//!   re-delivered copy is answered from the nodes' reply caches.
 //! * **Reconnect storm** — junk connections race the shard's real
 //!   reconnect; the `Hello` handshake (version + shard id) is what lets
 //!   the driver tell them apart.
 //!
-//! Chaotic transports use a *recoverable* frame layout: work frames gain a
-//! stall-slot varint after the tag and a `run` (attempt number) varint
-//! after `t`, and replies echo `(t, run, m)` so re-deliveries dedup on the
-//! idempotency key. Clean-transport bytes are unchanged — the golden
-//! snapshot pins the layout above, not the chaos variant.
+//! Chaotic transports use the *recoverable* layout: work frames gain a
+//! stall-slot varint after the tag (set only on the first frame of a
+//! stalled copy) and a `run` (attempt number) varint after `t`, and
+//! replies echo `(t, run, m)` so re-deliveries dedup on the idempotency
+//! key. The golden snapshot pins the clean layout, not the chaos variant.
 
 use bytes::{Buf, BufMut};
 

@@ -2,14 +2,15 @@
 //! fake [`Transport`] whose `recv` times out instantly. On real transports
 //! these counters (retries, re-sent frames, stale replies) depend on wall
 //! clock; here the script decides exactly which reply is late or lost, so
-//! the counts are exact.
+//! the counts are exact. The fake hosts one node per endpoint, like the
+//! threaded transport.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction};
 use topk_net::chaos::{ChaosPolicy, RuntimeError};
-use topk_net::driver::{Cluster, FrameKey, RecvTimeoutError, Reply, Transport, Work, ABORT_M};
+use topk_net::driver::{Cluster, FrameKey, Reply, ReplyHead, Transport, Work, ABORT_M};
 use topk_net::id::{NodeId, Value};
 use topk_net::runtime::Runtime;
 use topk_net::wire::WireSize;
@@ -72,21 +73,9 @@ struct FakeTransport {
     nodes: Vec<ScriptedNode>,
     script: Script,
     staged: (u32, FrameKey),
-    queue: VecDeque<Reply<Msg>>,
+    /// Reply frames in arrival order: the node and the key it echoes.
+    queue: VecDeque<(u32, FrameKey)>,
     lost: bool,
-}
-
-fn reply((t, run, m): FrameKey, i: u32) -> Reply<Msg> {
-    Reply {
-        id: NodeId(i),
-        t,
-        run,
-        m,
-        up: None,
-        engaged: false,
-        wake_at: None,
-        up_bytes: 0,
-    }
 }
 
 impl FakeTransport {
@@ -100,9 +89,9 @@ impl FakeTransport {
         }
         let (t, run, m) = key;
         if self.script.echo_older_run && run > 0 && m == 0 {
-            self.queue.push_back(reply((t, run - 1, m), i));
+            self.queue.push_back((i, (t, run - 1, m)));
         }
-        self.queue.push_back(reply(key, i));
+        self.queue.push_back((i, key));
     }
 }
 
@@ -135,30 +124,52 @@ impl Transport<ScriptedNode> for FakeTransport {
         false
     }
 
-    fn encode(&mut self, i: u32, key: FrameKey, _work: Work<'_, Msg>) {
-        self.staged = (i, key);
+    fn stage(&mut self, i: u32, _work: Work<'_, Msg>) {
+        self.staged.0 = i;
     }
 
-    fn keep(&self) -> (u32, FrameKey) {
+    fn seal(&mut self, _e: usize, key: FrameKey) {
+        self.staged.1 = key;
+    }
+
+    fn keep(&self, _e: usize) -> (u32, FrameKey) {
         self.staged
     }
 
-    fn send(&mut self, i: u32, _stall_ms: u32) -> Result<(), RuntimeError> {
-        self.deliver(i, self.staged.1, true);
+    fn send(&mut self, e: usize, _stall_ms: u32) -> Result<(), RuntimeError> {
+        self.deliver(e as u32, self.staged.1, true);
         Ok(())
     }
 
-    fn resend(&mut self, i: u32, frame: &(u32, FrameKey)) -> Result<(), RuntimeError> {
-        self.deliver(i, frame.1, false);
+    fn resend(&mut self, e: usize, frame: &(u32, FrameKey)) -> Result<(), RuntimeError> {
+        self.deliver(e as u32, frame.1, false);
         Ok(())
     }
 
-    fn recv(&mut self, _timeout: Duration) -> Result<Reply<Msg>, RecvTimeoutError> {
-        self.queue.pop_front().ok_or(RecvTimeoutError::Timeout)
+    fn recv(
+        &mut self,
+        _owed: &[u32],
+        _timeout: Duration,
+        into: &mut Vec<Reply<Msg>>,
+    ) -> Result<Option<ReplyHead>, RuntimeError> {
+        into.clear();
+        let Some((i, key)) = self.queue.pop_front() else {
+            return Ok(None);
+        };
+        if key.2 != ABORT_M {
+            into.push(Reply {
+                id: NodeId(i),
+                up: None,
+                engaged: false,
+                wake_at: None,
+                up_bytes: 0,
+            });
+        }
+        Ok(Some(ReplyHead { e: i as usize, key }))
     }
 
     fn send_abort(&mut self, e: usize, t: u64, run: u32) -> Result<(), RuntimeError> {
-        self.queue.push_back(reply((t, run, ABORT_M), e as u32));
+        self.queue.push_back((e as u32, (t, run, ABORT_M)));
         Ok(())
     }
 

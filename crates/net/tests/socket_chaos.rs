@@ -2,9 +2,11 @@
 //! instrumented mock behaviors: a shard thread that dies mid-step surfaces
 //! as a typed [`RuntimeError::NodeDown`] — never a hung receive, never a
 //! driver panic — on both the clean and the chaotic transport, dropping the
-//! cluster afterwards still joins every surviving thread, and a poisoned
-//! capture-tap mutex (a panicking holder) is recovered instead of
-//! propagated, so byte capture keeps working after the panic.
+//! cluster afterwards still joins every surviving thread, a reply frame the
+//! driver cannot decode is a typed [`RuntimeError::Transport`] on the step
+//! it arrives, and a poisoned capture-tap mutex (a panicking holder) is
+//! recovered instead of propagated, so byte capture keeps working after the
+//! panic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,6 +38,10 @@ fn with_watchdog<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send +
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Msg(u64);
 
+/// The one value [`Msg`]'s codec mis-encodes, as an overlong varint that no
+/// decoder accepts.
+const GARBLED: u64 = 0xbad;
+
 impl WireSize for Msg {
     fn wire_bits(&self) -> u32 {
         16
@@ -44,7 +50,12 @@ impl WireSize for Msg {
 
 impl FrameCodec for Msg {
     fn encode_frame(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.0);
+        if self.0 == GARBLED {
+            buf.extend_from_slice(&[0x80; 10]);
+            buf.push(0x01);
+        } else {
+            put_varint(buf, self.0);
+        }
     }
 
     fn decode_frame(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -199,6 +210,34 @@ fn dead_shard_is_typed_error_under_chaos_too() {
             .try_step(&mut coord, 1, &[1, 2, 3, 666])
             .expect_err("node 3 panicked its shard");
         assert_eq!(err, RuntimeError::NodeDown { id: NodeId(3) });
+        drop(cluster);
+    });
+}
+
+/// A reply frame the driver cannot decode — here a node's report whose
+/// codec wrote an overlong varint — fails the step it arrives on with a
+/// typed `Transport` error naming the shard, instead of leaving the driver
+/// to wait out the idle timeout for a reply that was already read.
+#[test]
+fn undecodable_reply_is_a_typed_transport_error() {
+    with_watchdog(5, || {
+        let mut cluster = SocketCluster::spawn(fragile_nodes(4, u64::MAX));
+        let mut coord = SinkCoord { cur_round: 0 };
+        cluster
+            .try_step(&mut coord, 0, &[1, 2, 3, 4])
+            .expect("healthy step");
+
+        // Node 3 reports the garbled value; shard 3 answers with it.
+        let err = cluster
+            .try_step(&mut coord, 1, &[1, 2, 3, GARBLED])
+            .expect_err("the reply frame cannot be decoded");
+        let RuntimeError::Transport { what } = &err else {
+            panic!("expected a transport error, got {err:?}");
+        };
+        assert!(
+            what.contains("shard 3"),
+            "the error names the shard: {what}"
+        );
         drop(cluster);
     });
 }

@@ -1,11 +1,13 @@
 //! The socket transport's byte accounting and torn-stream robustness.
 //!
 //! Byte side (socket twin of `threaded_frames.rs` / `calendar_visits.rs`):
-//! on a silent step the bytes written are O(#changed + #engaged) — an
-//! unchanged row writes *zero* bytes — a `RoundScope`-narrowed broadcast
-//! round frames only the scoped nodes, and a `FireCalendar`-scheduled node
-//! is framed exactly once, at its fire phase, with the broadcasts it
-//! skipped replayed inside that one frame. All of this is asserted on
+//! each shard gets at most one work frame per wave and answers with one
+//! reply frame. On a silent step the bytes written are
+//! O(#changed + #engaged) — an unchanged row writes *zero* bytes — a
+//! `RoundScope`-narrowed broadcast round frames only the shards of the
+//! scoped nodes, and a `FireCalendar`-scheduled node is polled exactly
+//! once, at its fire phase, with the broadcasts it skipped replayed inside
+//! that one frame. All of this is asserted on
 //! [`topk_net::ledger::WireMetrics`], i.e. on real bytes, not on simulated
 //! frame counts.
 //!
@@ -269,8 +271,9 @@ fn counts(v: &[Arc<AtomicU64>]) -> Vec<u64> {
 }
 
 /// Silent steps write bytes O(#changed), not O(n): after a dense init an
-/// unchanged row writes zero frames *and zero bytes*, and a 3-mover row
-/// writes exactly 3 work frames plus their 3 replies.
+/// unchanged row writes zero frames *and zero bytes*, and a row with three
+/// movers on three shards writes exactly 3 work frames plus their 3
+/// replies.
 #[test]
 fn silent_step_bytes_are_o_changed() {
     with_watchdog(60, || {
@@ -281,8 +284,8 @@ fn silent_step_bytes_are_o_changed() {
         let after_init = *h.cluster.wire();
         assert_eq!(
             after_init.frames_total,
-            h.cluster.shards() as u64 + 2 * n as u64,
-            "init: one hello per shard + one observe and one reply per node"
+            3 * h.cluster.shards() as u64,
+            "init: one hello, one work frame and one reply per shard"
         );
 
         // Unchanged rows: zero bytes cross the sockets.
@@ -290,8 +293,9 @@ fn silent_step_bytes_are_o_changed() {
         h.cluster.step(&mut h.coord, 2, &row);
         assert_eq!(*h.cluster.wire(), after_init, "silence is byte-free");
 
-        // Three movers (values above the calendar-script range, below the
-        // report threshold): exactly 3 observe frames + 3 replies.
+        // Three movers on shards 0, 2 and 3 (values above the
+        // calendar-script range, below the report threshold): exactly 3
+        // work frames + 3 replies.
         row[7] = 60;
         row[42] = 90;
         row[63] = 51;
@@ -346,7 +350,7 @@ fn engaged_node_bytes_are_o_engaged() {
 }
 
 /// `RoundScope` narrowing on the wire: a `RoundScope::All` broadcast costs
-/// n broadcast copies (full fan-out), while the same broadcast under
+/// one broadcast copy per shard (full fan-out), while the same broadcast under
 /// `RoundScope::Engaged` with nobody engaged writes zero node frames — the
 /// scope rule is measured in bytes, not simulated counts.
 #[test]
@@ -365,11 +369,13 @@ fn round_scope_narrowing_measured_in_bytes() {
         let before = *h.cluster.wire();
         assert_eq!(before.broadcast_frames, 0);
 
-        // Full fan-out: n round frames, n replies, n broadcast copies.
+        // Full fan-out: one work frame, one reply and one broadcast copy
+        // per shard.
         h.cluster.step(&mut h.coord, 2, &row);
         let w = *h.cluster.wire();
-        assert_eq!(w.frames_total - before.frames_total, 2 * n as u64);
-        assert_eq!(w.broadcast_frames, n as u64, "one broadcast copy per node");
+        let shards = h.cluster.shards() as u64;
+        assert_eq!(w.frames_total - before.frames_total, 2 * shards);
+        assert_eq!(w.broadcast_frames, shards, "one broadcast copy per shard");
         assert_eq!(h.cluster.ledger().broadcast(), 1, "model charges once");
 
         // Engaged-scoped broadcast with nobody engaged: zero node frames —
@@ -501,7 +507,7 @@ fn wire_overhead_split_is_exact() {
         let w: WireMetrics = *h.cluster.wire();
         assert!(w.model_bytes() <= w.bytes_total);
         assert_eq!(w.overhead_bytes(), w.bytes_total - w.model_bytes());
-        assert!(w.up_frames > 0 && w.broadcast_frames == n as u64);
+        assert!(w.up_frames > 0 && w.broadcast_frames == h.cluster.shards() as u64);
     });
 }
 

@@ -13,6 +13,11 @@
 //! candidate refresh + S-way re-merge (the slot handoff swaps buffers, the
 //! merge reuses its aggregator, the event derivation reuses its scratch).
 //!
+//! So does the socket engine, on both ends of its loopback connections:
+//! steady-state silent steps with most keys moving allocate nothing on the
+//! driver thread or on any shard thread (the staged waves, send queues,
+//! receive buffers, decode scratch and held replies are all reused).
+//!
 //! The whole suite is one `#[test]` on purpose: Rust test binaries run
 //! tests on concurrent threads, and a second test's allocations would
 //! bleed into the counter (the counting allocator is process-global, so
@@ -174,4 +179,50 @@ fn silent_steps_and_batched_resets_allocate_nothing_after_warmup() {
     );
     assert_eq!(svc.event_capacity(), cap, "event buffer must stop growing");
     assert_eq!(svc.topk().len(), 6);
+
+    // --- Socket engine: silent steps with ~80% of keys moving. ---
+    // The `socket-256` shape: 256 keys on 4 loopback shards. The top 8 sit
+    // far above the rest, and every move stays inside its filter, so each
+    // step frames ~205 changed keys and the protocol stays silent.
+    let (n, k) = (256usize, 8usize);
+    let base = |i: usize| {
+        if i < k {
+            1_000_000 + i as u64 * 10_000
+        } else {
+            10_000 + i as u64 * 100
+        }
+    };
+    let mut session = MonitorBuilder::new(n, k)
+        .seed(11)
+        .engine(Engine::Socket)
+        .build();
+    let mut changes: Vec<(NodeId, Value)> = Vec::with_capacity(n);
+    let mut socket_step = |session: &mut MonitorSession, t: u64| {
+        changes.clear();
+        changes.extend(
+            (0..n)
+                .filter(|i| !(*i as u64 + t).is_multiple_of(5))
+                .map(|i| (NodeId(i as u32), base(i) + (t % 4) * 7)),
+        );
+        session.update_batch(changes.iter().copied());
+        session.advance(t).len()
+    };
+    for t in 0..100 {
+        socket_step(&mut session, t);
+    }
+    let messages = session.ledger().total();
+    let before = allocs();
+    for t in 100..2100 {
+        assert_eq!(socket_step(&mut session, t), 0, "t={t}: no events");
+    }
+    let counted = allocs() - before;
+    assert_eq!(
+        session.ledger().total(),
+        messages,
+        "the counted socket steps must be protocol-silent"
+    );
+    assert_eq!(
+        counted, 0,
+        "steady-state socket steps must perform zero allocations on every thread"
+    );
 }
