@@ -1366,27 +1366,22 @@ where
     fn reply_frame(&mut self, s: usize, read: bool) -> Result<Option<Range<usize>>, RuntimeError> {
         let c = &mut self.conns.shards[s];
         loop {
-            match c.inbox.next_frame() {
-                Ok(Some(range)) => return Ok(Some(range)),
-                Ok(None) if !read => return Ok(None),
-                Ok(None) => {}
-                Err(e) => return Err(undecodable(s, e)),
+            if let Some(range) = c.inbox.next_frame().map_err(|e| undecodable(s, e))? {
+                return Ok(Some(range));
             }
-            let Some(stream) = c.stream.as_ref() else {
-                return Err(RuntimeError::NodeDown {
-                    id: NodeId(self.ranges[s].0),
-                });
+            if !read {
+                return Ok(None);
+            }
+            let got = match &c.stream {
+                Some(stream) => c.inbox.fill(stream),
+                None => Err(io::ErrorKind::NotConnected.into()),
             };
-            match c.inbox.fill(stream) {
-                Ok(0) => {
-                    return Err(RuntimeError::NodeDown {
-                        id: NodeId(self.ranges[s].0),
-                    })
-                }
-                Ok(_) => {}
+            match got {
+                Ok(k) if k > 0 => {}
                 Err(e) if is_timeout(&e) => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
+                // EOF or a read error: the shard is gone.
+                _ => {
                     return Err(RuntimeError::NodeDown {
                         id: NodeId(self.ranges[s].0),
                     })
@@ -1869,17 +1864,14 @@ mod tests {
         }
     }
 
-    /// The framed reply a shard owes to one node-phase-0 wave of `echoed`
-    /// values (node `i` reports `values[i]`), as a stream slice.
-    fn owed_reply(values: &[u64], recoverable: bool, key: FrameKey) -> Vec<u8> {
+    /// The framed reply a shard owes to one node-phase-0 wave in which
+    /// nodes `first..` report `values` back.
+    fn owed_reply(first: u64, values: &[u64], recoverable: bool, key: FrameKey) -> Vec<u8> {
         let mut out = Vec::new();
         let at = open_reply(&mut out, recoverable, key);
-        let mut body = Vec::new();
         for (i, &v) in values.iter().enumerate() {
-            put_varint(&mut out, u64::from(i > 0));
-            body.clear();
-            put_reply_body(&mut body, &Some(Msg(v)), false, None);
-            out.extend_from_slice(&body);
+            put_varint(&mut out, if i == 0 { first } else { 1 });
+            put_reply_body(&mut out, &Some(Msg(v)), false, None);
         }
         close_frame(&mut out, at);
         out
@@ -1929,7 +1921,7 @@ mod tests {
             } else {
                 input.extend_from_slice(&sealed);
             }
-            owed.push(owed_reply(&values, recoverable, (t, 0, 0)));
+            owed.push(owed_reply(0, &values, recoverable, (t, 0, 0)));
         }
         let mut st = echo_shard(64, recoverable);
         let mut log = WriteLog::default();
@@ -2013,18 +2005,9 @@ mod tests {
         assert!(matches!(exit, ServeExit::Lost));
 
         // One reply frame per work frame, written together at the end.
-        let mut replies = Vec::new();
-        for chunk in values.chunks(10) {
-            let base = chunk[0] - 5000;
-            let mut reply = Vec::new();
-            let at = open_reply(&mut reply, false, (9, 0, 0));
-            for (j, &v) in chunk.iter().enumerate() {
-                put_varint(&mut reply, if j == 0 { base } else { 1 });
-                put_reply_body(&mut reply, &Some(Msg(v)), false, None);
-            }
-            close_frame(&mut reply, at);
-            replies.extend_from_slice(&reply);
-        }
+        let replies: Vec<u8> = (0..3)
+            .flat_map(|c| owed_reply(10 * c, &values[10 * c as usize..][..10], false, (9, 0, 0)))
+            .collect();
         assert_eq!(
             *log.borrow(),
             [
