@@ -1056,7 +1056,7 @@ impl Inbox {
     /// One read from `r`. Room is made first: held bytes move to the front
     /// when the next frame would not fit behind them, and the buffer grows
     /// only for a frame larger than it, or when it is full of whole frames.
-    fn fill(&mut self, mut r: &TcpStream) -> io::Result<usize> {
+    fn fill(&mut self, mut r: impl Read) -> io::Result<usize> {
         let need = self.buf[self.start..self.end]
             .first_chunk::<FRAME_PREFIX_LEN>()
             .map_or(FRAME_PREFIX_LEN, |p| {
@@ -2095,6 +2095,51 @@ mod tests {
         assert_eq!(got, [(2, 2, None), (4, 0, None), (6, 2, Some(Msg(99)))]);
         assert_eq!(wire.broadcast_frames, 3, "one copy per broadcast per frame");
         assert_eq!((wire.down_frames, wire.down_bytes), (1, 1));
+    }
+
+    /// A reader that hands out `chunks` one per call, timing out before
+    /// each.
+    struct Trickle(Vec<Vec<u8>>, bool);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let Some(chunk) = (!self.0.is_empty()).then(|| self.0.remove(0)) else {
+                return Ok(0);
+            };
+            let k = chunk.len().min(buf.len());
+            buf[..k].copy_from_slice(&chunk[..k]);
+            if k < chunk.len() {
+                self.0.insert(0, chunk[k..].to_vec());
+            }
+            Ok(k)
+        }
+    }
+
+    #[test]
+    fn inbox_assembles_frames_across_timeouts_and_grows_only_for_a_larger_one() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &[7; 100]).unwrap();
+        write_frame(&mut stream, &[9; 20_000]).unwrap();
+        let mut r = Trickle(stream.chunks(3000).map(<[u8]>::to_vec).collect(), false);
+        let mut inbox = Inbox::new();
+        let mut frames = Vec::new();
+        while frames.len() < 2 {
+            if let Some(range) = inbox.next_frame().unwrap() {
+                frames.push(inbox.buf[range.clone()].to_vec());
+                inbox.consume(range.end);
+                continue;
+            }
+            match inbox.fill(&mut r) {
+                Ok(k) => assert!(k > 0, "the stream ended early"),
+                Err(e) => assert!(is_timeout(&e)),
+            }
+        }
+        assert_eq!(frames, [vec![7; 100], vec![9; 20_000]]);
+        assert_eq!(inbox.buf.len(), FRAME_PREFIX_LEN + 20_000);
     }
 
     #[test]

@@ -169,8 +169,8 @@ fn fragile_nodes(n: usize, poison: Value) -> Vec<FragileNode> {
 
 /// A shard thread that panics mid-step surfaces as `Err(NodeDown)` on the
 /// clean socket transport — a typed error, not a hung `recv_timeout` loop —
-/// and dropping the cluster afterwards joins every surviving shard and
-/// reader thread instead of wedging on the dead one.
+/// and dropping the cluster afterwards joins every surviving shard thread
+/// instead of wedging on the dead one.
 #[test]
 fn dead_shard_becomes_typed_error_and_drop_joins() {
     with_watchdog(60, || {
@@ -243,10 +243,10 @@ fn undecodable_reply_is_a_typed_transport_error() {
 }
 
 /// Regression for the tap-poisoning panic path: a thread that panics while
-/// holding a capture-tap mutex must not take the driver down with it. Both
-/// the driver's write tap and the reader's read tap recover the poison
-/// (`into_inner`), so stepping continues and `total_bytes` still sees every
-/// byte, including those captured after the panic.
+/// holding a capture-tap mutex must not take the driver down with it. The
+/// driver's write and read taps both recover the poison (`into_inner`), so
+/// stepping continues and `total_bytes` still sees every byte, including
+/// those captured after the panic.
 #[test]
 fn poisoned_capture_tap_is_recovered_not_propagated() {
     with_watchdog(60, || {
@@ -271,7 +271,7 @@ fn poisoned_capture_tap_is_recovered_not_propagated() {
             .expect_err("the poisoner must panic");
         }
 
-        // The driver and the readers keep appending through the poison …
+        // The driver keeps appending to both taps through the poison …
         cluster
             .try_step(&mut coord, 1, &[4, 3, 2, 1])
             .expect("stepping through a poisoned tap");

@@ -687,13 +687,13 @@ fn socket_engine_conforms_across_strategies_and_seeds() {
     }
 }
 
-/// Waves larger than the stream buffers: at n = 4096 each of the four
-/// shards hosts 1024 nodes, so a dense observe wave spans several 8 KiB
-/// reader fills on the shard and its reply burst overflows the shard's
-/// 8 KiB writer mid-burst. The socket session must still match the
-/// sequential one at every step, the init reset included: events, answers,
-/// thresholds and the model ledger (`sync_frames` is transport accounting
-/// and left out).
+/// Large waves: at n = 4096 each of the four shards hosts 1024 nodes, so a
+/// dense wave packs 1024 entries into each shard's frame and the shard
+/// answers all of them in one reply frame. (Waves above `MAX_FRAME_LEN`,
+/// which split, are pinned by the `socket.rs` unit tests.) The socket
+/// session must still match the sequential one at every step, the init
+/// reset included: events, answers, thresholds and the model ledger
+/// (`sync_frames` is transport accounting and left out).
 #[test]
 fn socket_waves_larger_than_stream_buffers_conform() {
     let (n, k, seed) = (4096, 8, 17);
