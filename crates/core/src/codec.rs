@@ -28,7 +28,7 @@ const T_HANDLER_START_MAX: u8 = 0x14;
 const T_HANDLER_ANN: u8 = 0x15;
 const T_MIDPOINT: u8 = 0x16;
 const T_RESET_START: u8 = 0x17;
-const T_RESET_WINNER: u8 = 0x18;
+// 0x18 retired (`ResetWinner`, the reset winner rank) — never reuse
 // 0x19 retired (legacy reset announce) — never reuse
 const T_RESET_DONE: u8 = 0x1a;
 const T_RESET_BAR: u8 = 0x1b;
@@ -118,18 +118,14 @@ pub fn encode_down(msg: &DownMsg, buf: &mut impl BufMut) {
             put_varint(buf, m);
         }
         DownMsg::ResetStart => buf.put_u8(T_RESET_START),
-        DownMsg::ResetWinner { rank, report } => {
-            buf.put_u8(T_RESET_WINNER);
-            put_varint(buf, rank as u64);
-            put_report(buf, report);
-        }
         DownMsg::ResetBar(r) => {
             buf.put_u8(T_RESET_BAR);
             put_report(buf, r);
         }
-        DownMsg::ResetDone { threshold } => {
+        DownMsg::ResetDone { threshold, cut } => {
             buf.put_u8(T_RESET_DONE);
             put_varint(buf, threshold);
+            put_report(buf, cut);
         }
     }
 }
@@ -153,17 +149,10 @@ pub fn decode_down(buf: &mut impl Buf) -> Result<DownMsg, DecodeError> {
             get_varint(buf).ok_or_else(|| DecodeError("truncated band threshold".into()))?,
         ),
         T_RESET_START => DownMsg::ResetStart,
-        T_RESET_WINNER => {
-            let rank = get_varint(buf).ok_or_else(|| DecodeError("truncated rank".into()))?;
-            let rank = u32::try_from(rank).map_err(|_| DecodeError("rank overflow".into()))?;
-            DownMsg::ResetWinner {
-                rank,
-                report: get_report(buf)?,
-            }
-        }
         T_RESET_BAR => DownMsg::ResetBar(get_report(buf)?),
         T_RESET_DONE => DownMsg::ResetDone {
             threshold: get_varint(buf).ok_or_else(|| DecodeError("truncated threshold".into()))?,
+            cut: get_report(buf)?,
         },
         other => return Err(DecodeError(format!("unknown down tag {other:#x}"))),
     })
@@ -196,9 +185,9 @@ impl FrameCodec for DownMsg {
 
 /// Coordinator state at a committed step boundary — everything a restarted
 /// coordinator needs to resume monitoring, and nothing more. Per-step phase
-/// machinery (aggregators, winner buffers) is deliberately absent: snapshots
-/// are taken only between steps, where the phase is `Done` and all scratch
-/// state is dead. The recovery counters of [`RunMetrics`] are likewise
+/// machinery (the aggregators) is deliberately absent: snapshots are taken
+/// only between steps, where the phase is `Done` and all scratch state is
+/// dead. The recovery counters of [`RunMetrics`] are likewise
 /// excluded — they belong to the live transport, not the committed protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoordSnapshot {
@@ -369,12 +358,11 @@ fn sample_messages(id: topk_net::id::NodeId, v: u64) -> (Vec<UpMsg>, Vec<DownMsg
             DownMsg::Midpoint(v),
             DownMsg::Band(v),
             DownMsg::ResetStart,
-            DownMsg::ResetWinner {
-                rank: id.0.max(1),
-                report: r,
-            },
             DownMsg::ResetBar(r),
-            DownMsg::ResetDone { threshold: v },
+            DownMsg::ResetDone {
+                threshold: v,
+                cut: r,
+            },
         ],
     )
 }
@@ -435,8 +423,11 @@ mod tests {
 
     #[test]
     fn retired_reset_announce_tag_is_rejected() {
-        // 0x19 carried a report; a well-formed payload must still fail.
+        // 0x19 carried a report, 0x18 a rank varint plus a report; a
+        // well-formed payload under either tag must still fail.
         let mut frame: &[u8] = &[0x19, 0x03, 0x09];
+        assert!(decode_down(&mut frame).is_err());
+        let mut frame: &[u8] = &[0x18, 0x02, 0x03, 0x09];
         assert!(decode_down(&mut frame).is_err());
     }
 
@@ -553,7 +544,7 @@ mod tests {
         }
 
         #[test]
-        fn decode_never_panics_on_truncation(id in 0u32..=u32::MAX, v in 0u64..=u64::MAX, which in 0u8..11, cut in 0usize..16) {
+        fn decode_never_panics_on_truncation(id in 0u32..=u32::MAX, v in 0u64..=u64::MAX, which in 0u8..10, cut in 0usize..16) {
             let r = Report { id: NodeId(id), value: v };
             let m = match which {
                 0 => DownMsg::ViolMinAnnounce(r),
@@ -563,10 +554,9 @@ mod tests {
                 4 => DownMsg::HandlerAnnounce(r),
                 5 => DownMsg::Midpoint(v),
                 6 => DownMsg::ResetStart,
-                7 => DownMsg::ResetWinner { rank: id.max(1), report: r },
-                8 => DownMsg::ResetBar(r),
-                9 => DownMsg::Band(v),
-                _ => DownMsg::ResetDone { threshold: v },
+                7 => DownMsg::ResetBar(r),
+                8 => DownMsg::Band(v),
+                _ => DownMsg::ResetDone { threshold: v, cut: r },
             };
             let mut buf = BytesMut::new();
             encode_down(&m, &mut buf);
@@ -597,7 +587,7 @@ mod tests {
         }
 
         #[test]
-        fn down_roundtrip(id in 0u32..=u32::MAX, v in 0u64..=u64::MAX, rank in 1u32..=u32::MAX, which in 0u8..11) {
+        fn down_roundtrip(id in 0u32..=u32::MAX, v in 0u64..=u64::MAX, which in 0u8..10) {
             let r = Report { id: NodeId(id), value: v };
             let m = match which {
                 0 => DownMsg::ViolMinAnnounce(r),
@@ -607,10 +597,9 @@ mod tests {
                 4 => DownMsg::HandlerAnnounce(r),
                 5 => DownMsg::Midpoint(v),
                 6 => DownMsg::ResetStart,
-                7 => DownMsg::ResetWinner { rank, report: r },
-                8 => DownMsg::ResetBar(r),
-                9 => DownMsg::Band(v),
-                _ => DownMsg::ResetDone { threshold: v },
+                7 => DownMsg::ResetBar(r),
+                8 => DownMsg::Band(v),
+                _ => DownMsg::ResetDone { threshold: v, cut: r },
             };
             let mut buf = BytesMut::new();
             encode_down(&m, &mut buf);

@@ -17,13 +17,15 @@
 //!    joins one MAXIMUMPROTOCOL(n)-style sampling schedule; the coordinator
 //!    keeps the running top-`k+1` candidate set ([`KSelectAggregator`]) and
 //!    broadcasts the current `(k+1)`-th best as the deactivation bar
-//!    (`ResetBar`), then announces the `k+1` winners rank by rank and
-//!    concludes with the threshold broadcast. `⌈log₂(n/(k+1))⌉ + k + 3`
+//!    (`ResetBar`). Once the probability-1 round has reported, the
+//!    candidate set is the exact top-`k+1`, and one `ResetDone` broadcast
+//!    concludes: the new threshold plus the `(k+1)`-th best report, which
+//!    every node beats iff it is in the new top-k. `⌈log₂(n/(k+1))⌉ + 2`
 //!    coordinator rounds (the sampling schedule starts at `(k+1)/n`) and
 //!    `O(k·log(n/k) + log n)` expected up-messages, against the
 //!    pseudocode's `k+1` sequential MAXIMUMPROTOCOL(n) searches at
 //!    `(k+1)·(⌈log₂n⌉+1) + 1` rounds. Both are Las Vegas-exact, so they
-//!    select the same winners; the searches stay as the proto-level
+//!    select the same top-`k+1`; the searches stay as the proto-level
 //!    reference `topk_proto::runner::select_topk`, pinned equal to the
 //!    sweep by `kselect_matches_iterated_selection_exactly`. Round counts
 //!    are pinned by `crates/core/tests/reset_rounds.rs` via
@@ -66,8 +68,7 @@ enum Phase {
         carried_min: u64,
     },
     /// FILTERRESET: single k-select sweep (the coordinator-owned `ks_agg`),
-    /// then rank-by-rank winner announcements (`reset_announced` = winners
-    /// broadcast so far).
+    /// concluded by one `ResetDone` broadcast.
     Reset { start_m: u32 },
 }
 
@@ -84,8 +85,6 @@ pub struct CoordinatorMachine {
     /// candidate buffer (zero-allocation reset discipline — pinned by
     /// `tests/alloc_discipline.rs`).
     ks_agg: KSelectAggregator,
-    /// Winners announced so far in the reset conclusion.
-    reset_announced: usize,
     metrics: RunMetrics,
     initialized: bool,
     l_min: u32,
@@ -112,7 +111,6 @@ impl CoordinatorMachine {
             last_threshold: None,
             phase: Phase::Done,
             ks_agg: KSelectAggregator::new(cfg.k + 1, cfg.n as u64),
-            reset_announced: 0,
             metrics: RunMetrics::default(),
             initialized: cfg.is_degenerate(),
             l_min,
@@ -141,26 +139,33 @@ impl CoordinatorMachine {
         out.broadcasts.push(DownMsg::ResetStart);
         self.metrics.reset_bcast += 1;
         self.metrics.reset_rounds += 1;
-        self.reset_announced = 0;
         self.ks_agg.clear();
         self.phase = Phase::Reset { start_m: m + 1 };
     }
 
-    /// Lines 40–41: derive the new epoch from the sweep's `k+1` winners
+    /// Lines 40–41: derive the new epoch from the sweep's exact top-`k+1`
     /// (best-first), update the answer and tracker in place (the answer
-    /// buffer is reused across resets), and emit `ResetDone`.
+    /// buffer is reused across resets), and emit `ResetDone` with the
+    /// `(k+1)`-th best as the membership cut.
     fn conclude_reset(&mut self, t: u64, out: &mut CoordOut<DownMsg>) {
         let k = self.cfg.k;
         let winners = self.ks_agg.winners();
+        assert_eq!(
+            winners.len(),
+            k + 1,
+            "n > k nodes guarantee k+1 reset winners"
+        );
         let kth = winners[k - 1];
-        let k1 = winners[k];
-        let thresh = midpoint_floor(kth.value, k1.value);
+        let cut = winners[k];
+        let thresh = midpoint_floor(kth.value, cut.value);
         self.topk_ids.clear();
         self.topk_ids.extend(winners[..k].iter().map(|w| w.id));
         self.topk_ids.sort_unstable();
-        self.tracker = Some(GapTracker::start_epoch(t, kth.value, k1.value));
-        out.broadcasts
-            .push(DownMsg::ResetDone { threshold: thresh });
+        self.tracker = Some(GapTracker::start_epoch(t, kth.value, cut.value));
+        out.broadcasts.push(DownMsg::ResetDone {
+            threshold: thresh,
+            cut,
+        });
         self.last_threshold = Some(thresh);
         self.metrics.reset_bcast += 1;
         self.initialized = true;
@@ -418,32 +423,9 @@ impl CoordinatorBehavior for CoordinatorMachine {
                         self.metrics.reset_bcast += 1;
                     }
                 } else {
-                    // r ≥ l_ks: the probability-1 round's reports arrived
-                    // at r == l_ks, so the top-(k+1) is exact. Announce winners
-                    // rank by rank (one broadcast per round — the model's
-                    // per-round bandwidth discipline), then conclude.
-                    let winners = self.ks_agg.winners();
-                    let k = self.cfg.k;
-                    assert_eq!(
-                        winners.len(),
-                        k + 1,
-                        "n > k nodes guarantee k+1 reset winners"
-                    );
-                    let idx = self.reset_announced;
-                    if idx <= k {
-                        // Only the self-identified winner reacts (nodes
-                        // never restart on winner announcements), so the
-                        // round is scoped to engaged ∪ winner.
-                        out.broadcasts.push(DownMsg::ResetWinner {
-                            rank: (idx + 1) as u32,
-                            report: winners[idx],
-                        });
-                        out.scope = RoundScope::EngagedPlus(winners[idx].id);
-                        self.reset_announced += 1;
-                        self.metrics.reset_bcast += 1;
-                    } else {
-                        self.conclude_reset(t, out);
-                    }
+                    // r == l_ks: the probability-1 round's reports arrived,
+                    // so the top-(k+1) is exact and one broadcast concludes.
+                    self.conclude_reset(t, out);
                 }
             }
         }
@@ -519,7 +501,6 @@ impl CoordinatorBehavior for CoordinatorMachine {
         self.metrics.wire = live_wire;
         self.phase = Phase::Done;
         self.ks_agg.clear();
-        self.reset_announced = 0;
         true
     }
 

@@ -37,12 +37,13 @@ pub struct RunMetrics {
     pub resets: u64,
     /// Up-messages inside resets (including initialization).
     pub reset_up: u64,
-    /// Broadcasts inside resets: start, per-round announcements, winner
-    /// announcements, final threshold (including initialization).
+    /// Broadcasts inside resets: start, per-round bar announcements, and
+    /// the concluding threshold-and-cut broadcast (including
+    /// initialization).
     pub reset_bcast: u64,
     /// Coordinator micro-rounds spent inside resets (including the round
     /// that broadcasts `ResetStart` and the `t = 0` initialization). This is
-    /// the FILTERRESET *round* complexity — `⌈log₂(n/(k+1))⌉ + k + 3` per
+    /// the FILTERRESET *round* complexity — `⌈log₂(n/(k+1))⌉ + 2` per
     /// k-select reset, against the pseudocode's `(k+1)·(⌈log₂n⌉+1) + 1`
     /// for `k+1` sequential maximum searches — counted
     /// identically on every runtime (it lives in the coordinator, not the

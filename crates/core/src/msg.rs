@@ -5,8 +5,9 @@
 //! (enforced by the [`WireSize`] impls; see `topk-net::wire`).
 //!
 //! All coordinator emissions are *broadcasts* — Algorithm 1 never needs a
-//! unicast (membership is conveyed by winner announcements whose addressee
-//! self-identifies). A correctness test pins `ledger.down == 0`.
+//! unicast (a reset conveys membership by broadcasting the `(k+1)`-th best
+//! report, against which every node places itself). A correctness test
+//! pins `ledger.down == 0`.
 
 use topk_net::id::Value;
 use topk_net::wire::{varint_bits, Report, WireSize};
@@ -66,16 +67,16 @@ pub enum DownMsg {
     Band(Value),
     /// Begin FILTERRESET (line 37): every node joins the k-select sweep.
     ResetStart,
-    /// The sweep's winner of rank `rank` (1-based); the named node stops
-    /// participating and, if `rank ≤ k`, will be in the new top-k.
-    ResetWinner { rank: u32, report: Report },
     /// The current `(k+1)`-th best report — the deactivation bar of the
     /// k-select sweep. A participant that cannot beat it is provably
     /// outside the new top-`k+1` and withdraws.
     ResetBar(Report),
-    /// End of FILTERRESET (line 41): new threshold `M`; each node's
-    /// membership is "was announced with rank ≤ k during this reset".
-    ResetDone { threshold: Value },
+    /// End of FILTERRESET (line 41): new threshold `M` and the sweep's
+    /// `(k+1)`-th best report `cut`. A node is in the new top-k iff its own
+    /// report beats `cut` in the order the sweep selected with
+    /// ([`MaxOrder`](topk_proto::extremum::MaxOrder): higher value, ties to
+    /// the lower id), so boundary ties split exactly as the answer does.
+    ResetDone { threshold: Value, cut: Report },
 }
 
 impl WireSize for DownMsg {
@@ -87,8 +88,7 @@ impl WireSize for DownMsg {
             | DownMsg::ResetBar(r) => r.wire_bits(),
             DownMsg::HandlerStartMin | DownMsg::HandlerStartMax | DownMsg::ResetStart => 0,
             DownMsg::Midpoint(m) | DownMsg::Band(m) => varint_bits(m),
-            DownMsg::ResetWinner { rank, report } => varint_bits(rank as u64) + report.wire_bits(),
-            DownMsg::ResetDone { threshold } => varint_bits(threshold),
+            DownMsg::ResetDone { threshold, cut } => varint_bits(threshold) + cut.wire_bits(),
         }
     }
 }
@@ -122,12 +122,11 @@ mod tests {
             DownMsg::Midpoint(v),
             DownMsg::Band(v),
             DownMsg::ResetStart,
-            DownMsg::ResetWinner {
-                rank: n - 1,
-                report: r,
-            },
             DownMsg::ResetBar(r),
-            DownMsg::ResetDone { threshold: v },
+            DownMsg::ResetDone {
+                threshold: v,
+                cut: r,
+            },
         ];
         let budget = budget_bits(n as usize, v);
         for m in msgs_up {

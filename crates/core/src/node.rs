@@ -26,7 +26,7 @@
 //! The seed node embedded a `MonitorConfig` copy, a boxed-enum episode
 //! (`Participant` per protocol), and a ~136-byte ChaCha RNG — ~300 bytes
 //! per node. The episode is now three packed fields (`flags` kind/bits,
-//! `aux` fire-phase-or-rank, the implicit report `(id, value)`), the
+//! `aux` fire phase, the implicit report `(id, value)`), the
 //! config is one shared `Arc<NodeParams>`, and the RNG a two-word
 //! counter-based splitmix64 substream ([`CounterRng`]) — the whole machine
 //! fits in a cache line (`size_of` pinned below), which is what makes the
@@ -54,8 +54,6 @@ const KIND_RESET: u8 = 5;
 const KIND_MASK: u8 = 0b0000_0111;
 /// Participant still live: `aux` holds the absolute fire phase.
 const ACTIVE: u8 = 0b0000_1000;
-/// Reset winner: `aux` holds the announced 1-based rank.
-const SELECTED: u8 = 0b0001_0000;
 /// Filter membership side.
 const IN_TOPK: u8 = 0b0010_0000;
 /// Filter assigned (before the `t = 0` reset completes nothing violates).
@@ -71,9 +69,7 @@ pub struct NodeMachine {
     filter_m: Value,
     rng: CounterRng,
     id: NodeId,
-    /// `ACTIVE` ⇒ scheduled fire phase; `SELECTED` ⇒ reset winner rank.
-    /// The two are mutually exclusive (a selected node's participant is
-    /// done), which is what lets them share the word.
+    /// Scheduled fire phase (meaningful while `ACTIVE`).
     aux: u32,
     flags: u8,
 }
@@ -139,7 +135,7 @@ impl NodeMachine {
             _ => &self.params.dist_reset,
         };
         let r = dist.sample(&mut self.rng);
-        self.flags = (self.flags & !(KIND_MASK | SELECTED)) | kind | ACTIVE;
+        self.flags = (self.flags & !KIND_MASK) | kind | ACTIVE;
         self.aux = phase_now + r;
     }
 
@@ -229,31 +225,20 @@ impl NodeMachine {
                 if self.flags & FILTER_OK != 0 {
                     self.filter_m = new_m;
                 }
-                self.flags &= !(KIND_MASK | ACTIVE | SELECTED);
+                self.flags &= !(KIND_MASK | ACTIVE);
             }
             DownMsg::ResetStart => {
                 self.start_episode(KIND_RESET, m);
             }
-            DownMsg::ResetWinner { rank, report } => {
-                if self.kind() != KIND_RESET {
-                    // A node can only miss reset state if it joined late —
-                    // impossible in the synchronous model; ignore defensively.
-                    return;
-                }
-                // The sweep already selected every winner; non-winners
-                // just stay quiet.
-                if report.id == self.id {
-                    self.flags = (self.flags & !ACTIVE) | SELECTED;
-                    self.aux = rank;
-                }
-            }
-            DownMsg::ResetDone { threshold } => {
-                let selected_topk =
-                    self.flags & SELECTED != 0 && self.aux as usize <= self.params.k as usize;
+            DownMsg::ResetDone { threshold, cut } => {
+                // The top-k are exactly the reports that beat the sweep's
+                // (k+1)-th best in the order it selected with, ties
+                // included.
+                let in_topk = MaxOrder::better(self.my_report(), cut);
                 self.filter_m = threshold;
-                self.flags &= !(KIND_MASK | ACTIVE | SELECTED | IN_TOPK);
+                self.flags &= !(KIND_MASK | ACTIVE | IN_TOPK);
                 self.flags |= FILTER_OK;
-                if selected_topk {
+                if in_topk {
                     self.flags |= IN_TOPK;
                 }
             }
@@ -370,6 +355,18 @@ mod tests {
         assert!(node.threshold().is_none());
     }
 
+    /// The `ResetDone` of a reset whose `(k+1)`-th best is node `id` at
+    /// `value`.
+    fn done(threshold: Value, id: u32, value: Value) -> DownMsg {
+        DownMsg::ResetDone {
+            threshold,
+            cut: Report {
+                id: NodeId(id),
+                value,
+            },
+        }
+    }
+
     #[test]
     fn reset_flow_assigns_membership() {
         let mut node = node(2, 4, 2, 7);
@@ -378,37 +375,41 @@ mod tests {
         let act = node.micro_round(0, 1, &[DownMsg::ResetStart], None);
         // It may or may not send in round 0 — but it must be live.
         assert!(act.engaged || act.up.is_some());
-        // It wins rank 2.
-        let win = DownMsg::ResetWinner {
-            rank: 2,
-            report: Report {
-                id: NodeId(2),
-                value: 50,
-            },
-        };
-        let act = node.micro_round(0, 2, &[win], None);
-        assert!(act.up.is_none() && !act.engaged, "selected nodes go quiet");
-        // Done: threshold 40, rank 2 ≤ k=2 ⇒ in top-k.
-        node.micro_round(0, 3, &[DownMsg::ResetDone { threshold: 40 }], None);
+        // Done: threshold 40, and the node beats the cut (node 3 at 30) ⇒
+        // in top-k.
+        let act = node.micro_round(0, 2, &[done(40, 3, 30)], None);
+        assert!(act.up.is_none() && !act.engaged, "the reset is over");
         assert!(node.in_topk());
         assert_eq!(node.threshold(), Some(40));
     }
 
     #[test]
     fn rank_beyond_k_is_not_topk() {
+        // k = 1 and the node is the cut itself (rank k+1 = 2).
         let mut node = node(1, 4, 1, 3);
         node.observe(0, 10);
         node.micro_round(0, 1, &[DownMsg::ResetStart], None);
-        let win = DownMsg::ResetWinner {
-            rank: 2,
-            report: Report {
-                id: NodeId(1),
-                value: 10,
-            },
-        };
-        node.micro_round(0, 2, &[win], None);
-        node.micro_round(0, 3, &[DownMsg::ResetDone { threshold: 15 }], None);
+        node.micro_round(0, 2, &[done(15, 1, 10)], None);
         assert!(!node.in_topk());
+    }
+
+    /// A boundary tie `v_k = v_{k+1} = M`: four nodes at 50 and k = 2, so
+    /// the cut is node 2 and the threshold 50. Membership splits the tie by
+    /// id exactly as the answer does (nodes 0 and 1 in, 2 and 3 out), which
+    /// neither a `v > M` nor a `v ≥ M` rule can do.
+    #[test]
+    fn reset_splits_a_boundary_tie_like_the_answer() {
+        let members: Vec<bool> = (0..4)
+            .map(|id| {
+                let mut node = node(id, 4, 2, 1);
+                node.observe(0, 50);
+                node.micro_round(0, 1, &[DownMsg::ResetStart], None);
+                node.micro_round(0, 2, &[done(50, 2, 50)], None);
+                assert_eq!(node.threshold(), Some(50));
+                node.in_topk()
+            })
+            .collect();
+        assert_eq!(members, [true, true, false, false]);
     }
 
     #[test]
@@ -416,19 +417,7 @@ mod tests {
         let mut node = node(0, 8, 4, 5);
         node.observe(0, 100);
         node.micro_round(0, 1, &[DownMsg::ResetStart], None);
-        node.micro_round(
-            0,
-            2,
-            &[DownMsg::ResetWinner {
-                rank: 1,
-                report: Report {
-                    id: NodeId(0),
-                    value: 100,
-                },
-            }],
-            None,
-        );
-        node.micro_round(0, 3, &[DownMsg::ResetDone { threshold: 60 }], None);
+        node.micro_round(0, 2, &[done(60, 5, 20)], None);
         assert!(node.in_topk());
         // At the threshold: fine. Above: fine. Below: violation episode.
         assert!(node.observe(1, 60).up.is_none());
@@ -448,22 +437,8 @@ mod tests {
         let mut node = node(3, 8, 4, 5);
         node.observe(0, 10);
         node.micro_round(0, 1, &[DownMsg::ResetStart], None);
-        // Someone else wins every announced rank; node is never selected.
-        for rank in 1..=4 {
-            node.micro_round(
-                0,
-                1 + rank,
-                &[DownMsg::ResetWinner {
-                    rank,
-                    report: Report {
-                        id: NodeId(7),
-                        value: 1000 - rank as u64,
-                    },
-                }],
-                None,
-            );
-        }
-        node.micro_round(0, 9, &[DownMsg::ResetDone { threshold: 60 }], None);
+        // The cut (node 7 at 55) beats the node.
+        node.micro_round(0, 2, &[done(60, 7, 55)], None);
         assert!(!node.in_topk());
         assert!(
             node.observe(1, 60).up.is_none(),
@@ -483,19 +458,7 @@ mod tests {
         let mut node = node(0, 16, 1, 11);
         node.observe(0, 100);
         node.micro_round(0, 1, &[DownMsg::ResetStart], None);
-        node.micro_round(
-            0,
-            2,
-            &[DownMsg::ResetWinner {
-                rank: 1,
-                report: Report {
-                    id: NodeId(0),
-                    value: 100,
-                },
-            }],
-            None,
-        );
-        node.micro_round(0, 3, &[DownMsg::ResetDone { threshold: 50 }], None);
+        node.micro_round(0, 2, &[done(50, 3, 20)], None);
         let draws_before = node.rng_draws();
         // Violate: value drops below 50. k=1 ⇒ bound 1 ⇒ sends immediately.
         let act = node.observe(1, 10);
@@ -519,19 +482,7 @@ mod tests {
         let mut node = node(0, 4, 2, 13);
         node.observe(0, 80);
         node.micro_round(0, 1, &[DownMsg::ResetStart], None);
-        node.micro_round(
-            0,
-            2,
-            &[DownMsg::ResetWinner {
-                rank: 1,
-                report: Report {
-                    id: NodeId(0),
-                    value: 80,
-                },
-            }],
-            None,
-        );
-        node.micro_round(0, 3, &[DownMsg::ResetDone { threshold: 50 }], None);
+        node.micro_round(0, 2, &[done(50, 1, 20)], None);
         assert!(node.in_topk());
         node.micro_round(1, 1, &[DownMsg::Midpoint(70)], None);
         assert!(node.in_topk(), "midpoint must not change membership");
@@ -548,21 +499,7 @@ mod tests {
             let mut node = node(id, 4, 2, seed);
             node.observe(0, if in_top { 100 } else { 10 });
             node.micro_round(0, 1, &[DownMsg::ResetStart], None);
-            if in_top {
-                node.micro_round(
-                    0,
-                    2,
-                    &[DownMsg::ResetWinner {
-                        rank: 1,
-                        report: Report {
-                            id: NodeId(id),
-                            value: 100,
-                        },
-                    }],
-                    None,
-                );
-            }
-            node.micro_round(0, 5, &[DownMsg::ResetDone { threshold: 50 }], None);
+            node.micro_round(0, 2, &[done(50, 3, 40)], None);
             node
         };
         let mut top = mk(0, true, 1);

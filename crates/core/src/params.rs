@@ -5,8 +5,8 @@
 //! cipher RNG) in every node, putting each node at ~300 bytes — at
 //! n = 10⁶ that is cache traffic, construction time, and memory for data
 //! that is identical across the fleet. All nodes of one monitor now share
-//! a single `Arc<NodeParams>` carrying the few fields the node side reads
-//! (`n`, `k`, `slack`) plus the three precomputed fire-round distributions
+//! a single `Arc<NodeParams>` carrying the two fields the node side reads
+//! (`n`, `slack`) plus the three precomputed fire-round distributions
 //! of the protocol bounds Algorithm 1 ever hands a node:
 //!
 //! * `k` — violation/handler MINIMUMPROTOCOL(k);
@@ -30,8 +30,6 @@ use crate::config::MonitorConfig;
 pub struct NodeParams {
     /// Number of nodes.
     pub n: u32,
-    /// Monitored positions.
-    pub k: u32,
     /// Approximation slack `ε` (see [`MonitorConfig::slack`]).
     pub slack: u64,
     /// Fire-round schedule of MINIMUMPROTOCOL(k) (violation + handler).
@@ -49,7 +47,6 @@ impl NodeParams {
         let k = cfg.k as u64;
         Arc::new(NodeParams {
             n: cfg.n as u32,
-            k: cfg.k as u32,
             slack: cfg.slack,
             dist_min: FireDist::for_bound(k.max(1)),
             dist_max: FireDist::for_bound((n - k).max(1)),

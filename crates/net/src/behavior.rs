@@ -174,10 +174,8 @@ pub trait NodeBehavior: Send {
 /// broadcasts would provably change no observable state and draw no
 /// randomness. Algorithm 1's running-extremum / k-select-bar announcements
 /// qualify (only live protocol participants react, and live ⟺ engaged);
-/// its start/winner/threshold signals do not (they re-activate or re-filter
-/// arbitrary nodes) — except the batched reset's winner announcements,
-/// which concern exactly one self-identified addressee
-/// ([`RoundScope::EngagedPlus`]).
+/// its start/threshold signals do not (they re-activate or re-filter
+/// arbitrary nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoundScope {
     /// Deliver to every node — the default, always safe.
@@ -186,9 +184,6 @@ pub enum RoundScope {
     /// Deliver only to engaged nodes (and unicast addressees): every other
     /// node is contractually a no-op for this round's broadcasts.
     Engaged,
-    /// [`RoundScope::Engaged`] plus one named node that must receive the
-    /// round even if disengaged (e.g. the winner of a selection round).
-    EngagedPlus(NodeId),
 }
 
 /// Everything the coordinator emits at the end of one micro-round.
@@ -312,7 +307,10 @@ pub trait CoordinatorBehavior {
 }
 
 /// Hard upper bound on micro-rounds per time step — a bug detector, far above
-/// any legitimate schedule (`(k+2)` protocol phases of `log n` rounds each).
+/// any legitimate schedule. Algorithm 1 runs at most three protocol phases
+/// per step (violation window, handler, reset sweep) of at most
+/// `⌈log₂n⌉ + 2` rounds each, whatever `k`; the bound clears that at every
+/// `k ≥ 1`, and a larger `k` only adds headroom.
 pub fn max_micro_rounds(n: usize, k: usize) -> u32 {
     let l = crate::rng::log2_ceil(n.max(2) as u64) + 2;
     (k as u32 + 4) * l + 64

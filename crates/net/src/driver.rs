@@ -224,10 +224,10 @@ pub(crate) struct Poll<'a, D> {
 /// `poll` runs once per visited node in ascending id order.
 ///
 /// A [`RoundScope::All`] broadcast reaches every node; otherwise only
-/// engaged nodes, the calendar entries due at `m`, unicast addressees and
-/// the [`RoundScope::EngagedPlus`] addressee are visited (skipped nodes are
-/// contractual no-ops). A scheduled node receives every broadcast since its
-/// last poll, replayed from the log; everyone else gets this round's.
+/// engaged nodes, the calendar entries due at `m` and unicast addressees
+/// are visited (skipped nodes are contractual no-ops). A scheduled node
+/// receives every broadcast since its last poll, replayed from the log;
+/// everyone else gets this round's.
 #[allow(clippy::too_many_arguments)] // the visit state is split across both runtimes' fields
 pub(crate) fn visit_round<D: Clone, E>(
     n: usize,
@@ -247,11 +247,6 @@ pub(crate) fn visit_round<D: Clone, E>(
         "at most one unicast per node per round"
     );
     let full_fanout = !out.broadcasts.is_empty() && out.scope == RoundScope::All;
-    // A scoped extra addressee matters only when something is broadcast.
-    let extra = match out.scope {
-        RoundScope::EngagedPlus(id) if !out.broadcasts.is_empty() => Some(id.0),
-        _ => None,
-    };
     let round_start = log.len();
     log.extend(out.broadcasts.iter().cloned());
     let log: &[D] = log;
@@ -279,7 +274,7 @@ pub(crate) fn visit_round<D: Clone, E>(
         for i in 0..n as u32 {
             one(cal, i)?;
         }
-    } else if unicasts.is_empty() && extra.is_none() && !cal.has_due(m) {
+    } else if unicasts.is_empty() && !cal.has_due(m) {
         // Silent or engaged-scoped round with no scheduled firer due.
         for &i in engaged {
             one(cal, i)?;
@@ -289,7 +284,6 @@ pub(crate) fn visit_round<D: Clone, E>(
         visit.extend_from_slice(engaged);
         cal.due_into(m, visit);
         visit.extend(unicasts.iter().map(|(id, _)| id.0));
-        visit.extend(extra);
         visit.sort_unstable();
         visit.dedup();
         for &i in visit.iter() {

@@ -1,5 +1,5 @@
 //! Delivery-scope contract ([`RoundScope`]): a scoped broadcast round polls
-//! only engaged nodes (plus any named addressee) on **both** runtimes,
+//! only the nodes engaged at that round on **both** runtimes,
 //! while the ledger charges every broadcast in full regardless of scope —
 //! scoping is transport, never model cost.
 
@@ -120,26 +120,22 @@ fn parts() -> (Vec<ScopeNode>, Vec<Arc<AtomicU64>>, ScriptCoord) {
         })
         .collect();
     let coord = ScriptCoord {
-        // Round 0: unscoped broadcast (everyone). Round 1: engaged-scoped.
-        // Round 2: engaged plus node 5 (disengaged throughout).
-        script: vec![
-            RoundScope::All,
-            RoundScope::Engaged,
-            RoundScope::EngagedPlus(NodeId(5)),
-        ],
+        // Round 0: unscoped broadcast (everyone). Rounds 1 and 2:
+        // engaged-scoped.
+        script: vec![RoundScope::All, RoundScope::Engaged, RoundScope::Engaged],
         done: false,
     };
     (nodes, counters, coord)
 }
 
-/// Nodes 0 and 3 engage for 3 rounds; the rest stay disengaged.
-const VALUES: [Value; N] = [3, 0, 0, 3, 0, 0];
+/// Node 0 engages for 3 rounds and node 3 for 2; the rest stay disengaged.
+const VALUES: [Value; N] = [3, 0, 0, 2, 0, 0];
 
 /// Expected per-node `micro_round` polls for the script above:
-/// * All-round polls everyone once;
-/// * Engaged-round polls only 0 and 3;
-/// * EngagedPlus(5)-round polls 0, 3, and 5.
-const EXPECTED_POLLS: [u64; N] = [3, 1, 1, 3, 1, 2];
+/// * the All round polls everyone once;
+/// * the first Engaged round polls 0 and 3, after which 3 disengages;
+/// * the second Engaged round polls only 0.
+const EXPECTED_POLLS: [u64; N] = [3, 1, 1, 2, 1, 1];
 
 #[test]
 fn sequential_runtime_narrows_scoped_broadcast_rounds() {
@@ -167,11 +163,11 @@ fn threaded_runtime_narrows_scoped_broadcast_rounds_identically() {
         "threaded visit sets must follow the scope"
     );
     assert_eq!(cluster.ledger().broadcast(), 3);
-    // Frames mirror the narrowed visits: n observes + (n) + (2) + (3).
+    // Frames mirror the narrowed visits: n observes + (n) + (2) + (1).
     assert_eq!(
         cluster.ledger().sync_frames(),
-        (N + N + 2 + 3) as u64,
-        "scoped rounds frame only engaged ∪ addressee"
+        (N + N + 2 + 1) as u64,
+        "scoped rounds frame only the engaged nodes"
     );
     cluster.shutdown();
 }

@@ -46,7 +46,7 @@ pub fn lemma41_send_probability_bound(rank_i: u64, n_bound: u64) -> f64 {
 /// doubling. It still improves on `c` sequential maximum searches
 /// (`c·(2·log₂N + 1)`, see [`expected_up_msgs_bound`]) by the `log c`
 /// factor on messages and — the point of batching — by running in
-/// `O(log N + c)` rounds instead of `c·O(log N)`. Measurements sit at
+/// `⌈log₂(N/c)⌉ + 1` rounds instead of `c·O(log N)`. Measurements sit at
 /// roughly half this bound (`tests/message_bounds.rs` pins both sides).
 pub fn kselect_up_msgs_bound(count: u64, n_bound: u64) -> f64 {
     assert!(count >= 1 && n_bound >= 1);
@@ -76,14 +76,14 @@ pub fn band_halvings_bound(delta: u64, eps: u64) -> f64 {
 /// Messages the exact rule pays where one ε-band hit pays a single
 /// broadcast: the batched `FILTERRESET` cost bound — the k-select
 /// up-message bound ([`kselect_up_msgs_bound`] with `c = k + 1`) plus one
-/// broadcast per reset round (`⌈log₂(n/(k+1))⌉ + k + 3`, the round bound
+/// broadcast per reset round (`⌈log₂(n/(k+1))⌉ + 2`, the round count
 /// pinned by `crates/core/tests/reset_rounds.rs`). The per-hit competitive
 /// advantage of approximate mode on an oscillation trace is this quantity
 /// over 1; `tests/competitive_bounds.rs` pins the measured ratio against
 /// it.
 pub fn band_hit_savings_bound(k: u64, n: u64) -> f64 {
     assert!(k >= 1 && n > k);
-    let rounds = topk_net::rng::log2_ceil(n / (k + 1)) as f64 + k as f64 + 3.0;
+    let rounds = topk_net::rng::log2_ceil(n / (k + 1)) as f64 + 2.0;
     kselect_up_msgs_bound(k + 1, n) + rounds
 }
 

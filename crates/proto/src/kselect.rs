@@ -1,4 +1,4 @@
-//! Batched k-select — all top-`c` values in **one** `O(log n + c)`-round
+//! Batched k-select — all top-`c` values in **one** `⌈log₂(n/c)⌉ + 1`-round
 //! sweep of the Algorithm 2 sampling machinery, instead of `c` sequential
 //! maximum searches.
 //!
@@ -39,7 +39,7 @@
 //! Inside Algorithm 1 this replaces FILTERRESET's `k+1` sequential
 //! MAXIMUMPROTOCOL(n) iterations (`(k+1)·(⌈log₂n⌉+1)` rounds,
 //! `(k+1)·(2·log₂n + 1)` expected messages) with one
-//! `⌈log₂(n/(k+1))⌉ + k + O(1)`-round protocol — see `topk-core`'s
+//! `⌈log₂(n/(k+1))⌉ + 2`-round protocol — see `topk-core`'s
 //! coordinator.
 
 use std::marker::PhantomData;

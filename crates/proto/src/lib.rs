@@ -7,7 +7,7 @@
 //! analysis quantities.
 //!
 //! * [`extremum`] — driver-agnostic participant/aggregator state machines;
-//! * [`kselect`] — batched top-`c` selection in one `O(log N + c)`-round
+//! * [`kselect`] — batched top-`c` selection in one `⌈log₂(N/c)⌉ + 1`-round
 //!   sweep (the engine behind the batched FILTERRESET);
 //! * [`runner`] — standalone fixed-time executions with message accounting;
 //! * [`baselines`] — sequential threshold probing (Theorem 4.3), poll-all,

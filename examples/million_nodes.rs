@@ -5,7 +5,7 @@
 //! movers and routes each commit to the sparse execution path, so the
 //! steady-state cost per step is O(#movers), independent of `n`, and the
 //! one-time init FILTERRESET runs the batched k-select sweep —
-//! `⌈log₂(n/(k+1))⌉ + k + 3` coordinator rounds instead of the
+//! `⌈log₂(n/(k+1))⌉ + 2` coordinator rounds instead of the
 //! pseudocode's `(k+1)·(⌈log₂n⌉+1) + 1`. The example times the init step,
 //! then drives the steady state.
 //!
@@ -38,7 +38,7 @@ fn main() {
     let init_events = session.advance(0).len();
     let init = t0.elapsed();
     println!(
-        "  init via batched reset (⌈log₂(n/(k+1))⌉+k+3 = {} rounds): {init:.2?}, \
+        "  init via batched reset (⌈log₂(n/(k+1))⌉+2 = {} rounds): {init:.2?}, \
          {} messages, {init_events} events",
         session.metrics().reset_rounds,
         session.ledger().total()

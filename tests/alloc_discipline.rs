@@ -1,10 +1,10 @@
 //! Allocation discipline of the sequential engine, pinned by a counting
 //! global allocator: after warm-up, steady-state silent steps allocate
 //! **nothing**, and — the fire-round-calendar/flat-node guarantee — a full
-//! batched FILTERRESET (violation window, handler, k-select sweep, winner
-//! rounds, epoch bookkeeping) allocates nothing either. Every buffer the
-//! reset touches (runtime `ups`/visit/calendar/broadcast-log scratch, the
-//! coordinator's k-select candidate set, winner and answer buffers) is
+//! batched FILTERRESET (violation window, handler, k-select sweep, the
+//! concluding broadcast, epoch bookkeeping) allocates nothing either. Every
+//! buffer the reset touches (runtime `ups`/visit/calendar/broadcast-log
+//! scratch, the coordinator's k-select candidate set and answer buffer) is
 //! owned and reused.
 //!
 //! The serving layer inherits the discipline: a sharded [`TopkService`]
@@ -113,7 +113,7 @@ fn silent_steps_and_batched_resets_allocate_nothing_after_warmup() {
     // --- Full batched resets: warm up the reset path, then count. ---
     // Each order flip kills the gap certificate and forces one reset; a few
     // warm-up flips let every protocol-phase buffer (ups scratch, calendar
-    // buckets, broadcast log, k-select candidates, winner/answer vectors)
+    // buckets, broadcast log, k-select candidates, answer vector)
     // reach its high-water capacity.
     let rows = [row(n, false), row(n, true)];
     let mut flip = 1usize;

@@ -151,7 +151,7 @@ fn affine_delta_shift_preserves_behaviour_shape() {
 /// auditor runs after every step and the `step_done` probe proves no
 /// `Phase::Reset` ever survives its step.
 #[test]
-fn mid_reset_glitches_recover_under_both_strategies() {
+fn mid_reset_glitches_recover() {
     let n = 8;
     // t=2: total order flip → reset; inject a boundary tie right at the
     // flip. t=3: recovery step with another injected near-boundary value.

@@ -23,7 +23,8 @@
 use proptest::prelude::*;
 
 use topk_monitoring::core::RunMetrics;
-use topk_monitoring::net::id::midpoint_floor;
+use topk_monitoring::net::behavior::emit_dense;
+use topk_monitoring::net::id::{midpoint_floor, true_topk};
 use topk_monitoring::prelude::*;
 
 /// Model-observable ledger tuple (sync frames excluded — they are transport
@@ -384,7 +385,7 @@ fn assert_chaos_conformant(
 }
 
 #[test]
-fn chaos_seeds_and_strategies_conform_to_fault_free_twin() {
+fn chaos_seeds_conform_to_fault_free_twin() {
     // Six rotating fault seeds on a reset-heavy boundary churn: every
     // committed step bit-identical to the twin.
     let spec = WorkloadSpec::BoundaryCross {
@@ -412,7 +413,7 @@ fn chaos_without_restarts_is_frame_identical() {
 }
 
 #[test]
-fn socket_chaos_seeds_and_strategies_conform_to_fault_free_twin() {
+fn socket_chaos_seeds_conform_to_fault_free_twin() {
     // The wire-level tentpole pin: six wire-fault seeds on
     // `Engine::Socket`. Every frame crosses a real loopback
     // socket through the seeded [`WireChaos`] layer — torn frames,
@@ -566,7 +567,7 @@ fn random_walk_400_steps_conformant() {
 }
 
 #[test]
-fn boundary_churn_strategies_agree() {
+fn boundary_churn_resets_conform() {
     // Periodic boundary crossings force regular resets.
     let spec = WorkloadSpec::BoundaryCross {
         n: 10,
@@ -582,7 +583,7 @@ fn boundary_churn_strategies_agree() {
 }
 
 #[test]
-fn rotating_max_strategies_agree() {
+fn rotating_max_resets_conform() {
     let spec = WorkloadSpec::RotatingMax {
         n: 8,
         base: 100,
@@ -601,7 +602,7 @@ fn sparse_walk_400_steps_conformant() {
 /// answers, thresholds, events, model ledgers and RNG tails against the
 /// sequential twin for ≥ 3 seeds.
 #[test]
-fn socket_engine_conforms_across_strategies_and_seeds() {
+fn socket_engine_conforms_across_seeds() {
     let spec = WorkloadSpec::BoundaryCross {
         n: 10,
         base: 100,
@@ -687,30 +688,23 @@ fn socket_engine_conforms_across_strategies_and_seeds() {
     }
 }
 
-/// Large waves: at n = 4096 each of the four shards hosts 1024 nodes, so a
-/// dense wave packs 1024 entries into each shard's frame and the shard
-/// answers all of them in one reply frame. (Waves above `MAX_FRAME_LEN`,
-/// which split, are pinned by the `socket.rs` unit tests.) The socket
-/// session must still match the sequential one at every step, the init
-/// reset included: events, answers, thresholds and the model ledger
-/// (`sync_frames` is transport accounting and left out).
-#[test]
-fn socket_waves_larger_than_stream_buffers_conform() {
-    let (n, k, seed) = (4096, 8, 17);
-    let spec = WorkloadSpec::RandomWalk {
-        n,
-        lo: 0,
-        hi: 1 << 19,
-        step_max: 256,
-        lazy_p: 0.2,
-    };
+/// Drive a socket session and a sequential twin over `steps` update
+/// batches from `fill`, asserting at every step the same events, answers,
+/// thresholds and model ledger (`sync_frames` is transport accounting and
+/// left out). Returns the sequential session for further checks.
+fn assert_socket_session_conforms(
+    n: usize,
+    k: usize,
+    seed: u64,
+    steps: u64,
+    mut fill: impl FnMut(u64, &mut Vec<(NodeId, Value)>),
+) -> MonitorSession {
     let builder = MonitorBuilder::new(n, k).seed(seed);
     let mut seq = builder.clone().engine(Engine::Sequential).build();
     let mut soc = builder.engine(Engine::Socket).build();
-    let mut feed = spec.build(seed ^ 0xfeed);
     let mut changes: Vec<(NodeId, Value)> = Vec::new();
-    for t in 0..40 {
-        feed.fill_delta(t, &mut changes);
+    for t in 0..steps {
+        fill(t, &mut changes);
         seq.update_batch(changes.iter().copied());
         let ev_seq: Vec<TopkEvent> = seq.advance(t).to_vec();
         soc.update_batch(changes.iter().copied());
@@ -728,8 +722,47 @@ fn socket_waves_larger_than_stream_buffers_conform() {
             "t={t}: model ledger diverged"
         );
     }
+    seq
+}
+
+/// Large waves: at n = 4096 each of the four shards hosts 1024 nodes, so a
+/// dense wave packs 1024 entries into each shard's frame and the shard
+/// answers all of them in one reply frame. (Waves above `MAX_FRAME_LEN`,
+/// which split, are pinned by the `socket.rs` unit tests.) The socket
+/// session must still match the sequential one at every step, the init
+/// reset included.
+#[test]
+fn socket_waves_larger_than_stream_buffers_conform() {
+    let (n, k, seed) = (4096, 8, 17);
+    let spec = WorkloadSpec::RandomWalk {
+        n,
+        lo: 0,
+        hi: 1 << 19,
+        step_max: 256,
+        lazy_p: 0.2,
+    };
+    let mut feed = spec.build(seed ^ 0xfeed);
+    let seq =
+        assert_socket_session_conforms(n, k, seed, 40, |t, changes| feed.fill_delta(t, changes));
     assert!(seq.metrics().resets >= 1, "the init reset ran");
     assert!(seq.ledger().up > 0, "the protocol exchanged messages");
+}
+
+/// A large `k`. The socket and threaded engines size their micro-round
+/// guard without knowing `k`, so a reset whose round count grows with `k`
+/// trips it. At n = 4096, k = 2047 the socket session must match the
+/// sequential one through the init reset, a silent step, a forced reset
+/// (the whole order flips at t = 2) and a step after it.
+#[test]
+fn socket_engine_conforms_at_large_k() {
+    let (n, k) = (4096usize, 2047usize);
+    let ascending: Vec<Value> = (0..n as u64).map(|i| 1_000 + 10 * i).collect();
+    let descending: Vec<Value> = ascending.iter().rev().copied().collect();
+    let seq = assert_socket_session_conforms(n, k, 29, 4, |t, changes| {
+        emit_dense(changes, if t < 2 { &ascending } else { &descending })
+    });
+    assert_eq!(seq.topk(), true_topk(&descending, k), "wrong answer");
+    assert_eq!(seq.metrics().resets, 1, "the flip forced one reset");
 }
 
 /// The ISSUE 10 tentpole pin: ε-approximate mode is a *full conformance
