@@ -1,24 +1,19 @@
-//! Chaos-soak artifact: run a runtime engine behind a seeded
+//! Chaos-soak artifact: run the socket engine behind a seeded
 //! fault-injecting transport over a reset-storm workload, hard-assert
 //! bit-identity with a fault-free sequential twin at every committed step,
-//! and write the [`RecoveryMetrics`] (plus ledger and wall clock) as JSON so
-//! CI archives one recovery trajectory per commit next to the
-//! `BENCH_*.json` perf artifacts:
+//! and write the [`RecoveryMetrics`] (plus ledger, wire ledger and wall
+//! clock) as JSON to `results/CHAOS_SOCKET_<seed>.json`, so CI archives one
+//! recovery trajectory per commit next to the `BENCH_*.json` perf
+//! artifacts. The policy covers the frame fault classes (drop, dup, delay,
+//! stall, reply-drop, coordinator crash-restart) and the wire-level ones
+//! ([`topk_net::WireChaos`]: torn frames, connection resets, half-open
+//! connections, reconnect storms), all rolled per shard.
 //!
-//! * default (threaded engine): `results/CHAOS_<seed>.json` — the
-//!   in-process fault classes (drop, dup, delay, stall, reply-drop,
-//!   coordinator crash-restart);
-//! * `CHAOS_ENGINE=socket`: `results/CHAOS_SOCKET_<seed>.json` — the same
-//!   classes plus the wire-level ones ([`topk_net::WireChaos`]: torn
-//!   frames, connection resets, half-open connections, reconnect storms)
-//!   on real loopback-TCP frames, with the physical wire ledger in the
-//!   artifact.
-//!
-//! Usage: `CHAOS_SEED=<u64> [CHAOS_ENGINE=socket] cargo run --release -p
-//! topk-bench --bin chaos_soak [out_dir]` (defaults: seed 101, threaded,
-//! `results/`). The binary *fails* (panics) if any committed step diverges
-//! from the twin or if a headline fault class never fired — an artifact is
-//! only produced by a soak that actually proved recovery.
+//! Usage: `CHAOS_SEED=<u64> cargo run --release -p topk-bench --bin
+//! chaos_soak [out_dir]` (defaults: seed 101, `results/`). The binary
+//! *fails* (panics) if any committed step diverges from the twin or if a
+//! headline fault class never fired — an artifact is only produced by a
+//! soak that actually proved recovery.
 
 use std::time::Instant;
 
@@ -40,8 +35,8 @@ struct ChaosArm {
     recovery: RecoveryMetrics,
     retransmit_frames: u64,
     model_messages: u64,
-    /// Physical wire ledger (socket engine only; `None` on threaded).
-    wire: Option<WireMetrics>,
+    /// Physical wire ledger.
+    wire: WireMetrics,
     wall_ms: f64,
 }
 
@@ -57,7 +52,7 @@ struct ChaosReport {
     injected_total: u64,
 }
 
-fn run_arm(engine: Engine, policy: ChaosPolicy, n: usize, k: usize) -> ChaosArm {
+fn run_arm(policy: ChaosPolicy, n: usize, k: usize) -> ChaosArm {
     let steps = 300u64;
     let spec = WorkloadSpec::BoundaryCross {
         n,
@@ -77,7 +72,7 @@ fn run_arm(engine: Engine, policy: ChaosPolicy, n: usize, k: usize) -> ChaosArm 
     ));
     let mut chaotic = MonitorBuilder::new(n, k)
         .seed(47)
-        .engine(engine)
+        .engine(Engine::Socket)
         .chaos(policy)
         .build();
     let mut twin = MonitorBuilder::new(n, k)
@@ -117,7 +112,7 @@ fn run_arm(engine: Engine, policy: ChaosPolicy, n: usize, k: usize) -> ChaosArm 
         recovery,
         retransmit_frames: l.retransmit,
         model_messages: l.up + l.down + l.broadcast,
-        wire: chaotic.wire().copied(),
+        wire: *chaotic.wire().expect("the socket engine meters its wire"),
         wall_ms,
     }
 }
@@ -128,10 +123,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(101);
-    let engine = match std::env::var("CHAOS_ENGINE").as_deref() {
-        Ok("socket") | Ok("Socket") => Engine::Socket,
-        _ => Engine::Threaded,
-    };
     let (n, k) = (10, 2);
     let policy = ChaosPolicy::from_seed(chaos_seed);
 
@@ -139,7 +130,7 @@ fn main() {
     // `tests/chaos_soak.rs` derives its second seed.
     let arms: Vec<ChaosArm> = [policy, ChaosPolicy::from_seed(chaos_seed ^ 0x5eed)]
         .into_iter()
-        .map(|p| run_arm(engine, p, n, k))
+        .map(|p| run_arm(p, n, k))
         .collect();
 
     // Coverage gate: the artifact only exists if the soak actually soaked.
@@ -149,30 +140,23 @@ fn main() {
     assert!(sum(|r| r.injected_stalls) > 0, "no stalls injected");
     assert!(sum(|r| r.restarts) > 0, "no coordinator restarts injected");
     assert!(arms.iter().all(|a| a.resets >= 3), "storm did not storm");
-    if matches!(engine, Engine::Socket) {
-        // The wire classes must all have fired, every severed connection
-        // must have re-handshook, and the dedup layer must have absorbed
-        // re-delivered frames.
-        assert!(sum(|r| r.injected_torn_frames) > 0, "no torn frames");
-        assert!(sum(|r| r.injected_conn_resets) > 0, "no connection resets");
-        assert!(sum(|r| r.injected_half_opens) > 0, "no half-opens");
-        assert!(sum(|r| r.reconnects) > 0, "no reconnects");
-        assert!(sum(|r| r.redelivered_frames) > 0, "no re-deliveries");
-        assert!(
-            arms.iter()
-                .all(|a| a.wire.is_some_and(|w| w.retransmit_bytes > 0)),
-            "faulty wire traffic must land on the retransmit channel"
-        );
-    }
+    // The wire classes must all have fired, every severed connection must
+    // have re-handshook, and the dedup layer must have absorbed re-delivered
+    // frames.
+    assert!(sum(|r| r.injected_torn_frames) > 0, "no torn frames");
+    assert!(sum(|r| r.injected_conn_resets) > 0, "no connection resets");
+    assert!(sum(|r| r.injected_half_opens) > 0, "no half-opens");
+    assert!(sum(|r| r.reconnects) > 0, "no reconnects");
+    assert!(sum(|r| r.redelivered_frames) > 0, "no re-deliveries");
+    assert!(
+        arms.iter().all(|a| a.wire.retransmit_bytes > 0),
+        "faulty wire traffic must land on the retransmit channel"
+    );
     let injected_total = arms.iter().map(|a| a.recovery.injected_total()).sum();
 
-    let (engine_name, stem) = match engine {
-        Engine::Socket => ("socket", format!("CHAOS_SOCKET_{chaos_seed}")),
-        _ => ("threaded", format!("CHAOS_{chaos_seed}")),
-    };
     let report = ChaosReport {
         suite: "chaos_soak".into(),
-        engine: engine_name.into(),
+        engine: "socket".into(),
         chaos_seed,
         policy,
         n,
@@ -181,8 +165,8 @@ fn main() {
         injected_total,
     };
     std::fs::create_dir_all(&dir).expect("create output dir");
-    let path = format!("{dir}/{stem}.json");
+    let path = format!("{dir}/CHAOS_SOCKET_{chaos_seed}.json");
     let json = serde_json::to_string_pretty(&report).expect("serialize");
     std::fs::write(&path, json + "\n").expect("write json");
-    println!("wrote {path} (engine={engine_name}, injected_total={injected_total})");
+    println!("wrote {path} (engine=socket, injected_total={injected_total})");
 }

@@ -295,7 +295,7 @@ impl CoordinatorBehavior for CoordinatorMachine {
                     let vmax = max_agg.result();
                     match (vmin, vmax) {
                         (None, None) => {
-                            // Silent step (threaded path without skip).
+                            // Silent step (transport path without skip).
                             self.phase = Phase::Done;
                         }
                         (Some(mn), Some(mx)) if self.cfg.handler_mode == HandlerMode::Tight => {

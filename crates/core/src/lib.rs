@@ -14,9 +14,8 @@
 //!   ([`MonitorBuilder::resolved_engine`] is the one engine rule);
 //! * [`monitor`] — the [`Monitor`] trait and [`Algorithm1`], the assembled
 //!   algorithm over any [`topk_net::Runtime`], with one alias per engine:
-//!   [`TopkMonitor`] (sequential), [`ThreadedTopkMonitor`] (OS-thread
-//!   nodes, [`threaded`]) and [`SocketTopkMonitor`] (loopback-TCP shards,
-//!   [`socket`]);
+//!   [`TopkMonitor`] (sequential) and [`SocketTopkMonitor`] (loopback-TCP
+//!   shards, [`socket`]);
 //! * [`baselines`] — naive streaming, §2.1 periodic recomputation,
 //!   filter-with-poll-resolution, and Lam-et-al.-style dominance tracking;
 //! * [`opt`] — the offline optimal filter segmentation (the competitive
@@ -44,7 +43,6 @@ pub mod opt;
 pub mod params;
 pub mod session;
 pub mod socket;
-pub mod threaded;
 
 pub use audit::{assert_audit_clean, audit_monitor, AuditError};
 pub use baselines::{DominanceMidpoint, FilterNaiveResolve, NaiveMonitor, PeriodicRecompute};
@@ -63,5 +61,4 @@ pub use opt::{
 pub use params::NodeParams;
 pub use session::{BuildError, Engine, MonitorBuilder, MonitorSession};
 pub use socket::SocketTopkMonitor;
-pub use threaded::ThreadedTopkMonitor;
 pub use topk_net::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};

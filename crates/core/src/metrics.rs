@@ -61,7 +61,7 @@ pub struct RunMetrics {
     /// re-centered boundary once, scoped like a midpoint update).
     pub band_bcast: u64,
     /// Transport fault-injection and recovery counters (all zero except on
-    /// a chaos-enabled threaded runtime). Not part of the model cost and
+    /// a chaos-enabled socket runtime). Not part of the model cost and
     /// excluded from the phase totals; the committed protocol counters
     /// above stay comparable to a fault-free twin by zeroing this block
     /// (`RunMetrics { recovery: Default::default(), ..m }`).

@@ -6,8 +6,7 @@
 //! machines; what carries their messages is a parameter. [`Algorithm1<R>`]
 //! holds the coordinator and lends it to runtime `R` for every step, so
 //! the one [`Monitor`] impl below serves every engine. The engine names
-//! are aliases: [`TopkMonitor`] (the sequential runtime, here),
-//! [`crate::threaded::ThreadedTopkMonitor`] and
+//! are aliases: [`TopkMonitor`] (the sequential runtime, here) and
 //! [`crate::socket::SocketTopkMonitor`]; each alias adds only its
 //! engine-specific constructors and accessors.
 
@@ -275,7 +274,6 @@ impl<R: ?Sized + Runtime<CoordinatorMachine> + Send> Monitor for Algorithm1<R> {
     fn name(&self) -> &'static str {
         match self.engine {
             Engine::Auto | Engine::Sequential => "topk-filter",
-            Engine::Threaded => "topk-filter-threaded",
             Engine::Socket => "topk-filter-socket",
         }
     }
@@ -329,9 +327,9 @@ impl TopkMonitor {
         self.rt.observe_calls()
     }
 
-    /// Build the pieces for a *threaded* execution of the same algorithm:
-    /// `(nodes, coordinator)` with identical seeds/behavior — used by the
-    /// threaded-equivalence test and the `threaded_cluster` example. All
+    /// The pieces of Algorithm 1 for `(cfg, seed)`: `(nodes, coordinator)`
+    /// with the seeds and behaviors every engine starts from, for
+    /// harnesses that drive a raw runtime (the `sparse_step` bench). All
     /// nodes share one [`crate::params::NodeParams`] block (flat layout).
     pub fn make_parts(cfg: MonitorConfig, seed: u64) -> (Vec<NodeMachine>, CoordinatorMachine) {
         let params = crate::params::NodeParams::shared(&cfg);
@@ -350,7 +348,7 @@ impl TopkMonitor {
     }
 }
 
-/// The transport engines: nodes behind [`Cluster`] over transport `T`.
+/// The transport engine: nodes behind [`Cluster`] over transport `T`.
 impl<T: Transport<NodeMachine>> Algorithm1<Cluster<NodeMachine, T>> {
     /// Start the node endpoints — behind a seeded fault-injection layer
     /// when `chaos` is set. Seeds and behaviors match [`TopkMonitor::new`]
@@ -552,8 +550,6 @@ mod tests {
         // Sim tables and the sparse-equivalence suite key on these names.
         let cfg = MonitorConfig::new(4, 2);
         assert_eq!(TopkMonitor::new(cfg, 1).name(), "topk-filter");
-        let threaded = crate::ThreadedTopkMonitor::new(cfg, 1);
-        assert_eq!(threaded.name(), "topk-filter-threaded");
         let socket = crate::SocketTopkMonitor::new(cfg, 1);
         assert_eq!(socket.name(), "topk-filter-socket");
     }

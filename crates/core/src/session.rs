@@ -3,8 +3,8 @@
 //!
 //! The paper's model is event-driven: nodes *receive* new values, and the
 //! coordinator only learns what the filters let through. The engine types
-//! (the [`Algorithm1`] aliases [`TopkMonitor`], [`ThreadedTopkMonitor`],
-//! [`SocketTopkMonitor`]) still expose that inverted — the caller owns a
+//! (the [`Algorithm1`] aliases [`TopkMonitor`] and [`SocketTopkMonitor`])
+//! still expose that inverted — the caller owns a
 //! dense value row (or hand-builds delta lists) and picks a concrete
 //! runtime up front. [`MonitorSession`] restores the paper's shape:
 //!
@@ -21,8 +21,8 @@
 //!
 //! * **One builder.** [`MonitorBuilder`] carries every knob (`n`, `k`,
 //!   slack, ε, [`HandlerMode`], [`BroadcastPolicy`], seed, chaos)
-//!   plus an [`Engine`] choice, replacing the four-way constructor pick
-//!   (`TopkMonitor` vs `ThreadedTopkMonitor`, dense vs sparse driving).
+//!   plus an [`Engine`] choice, replacing the constructor pick
+//!   (`TopkMonitor` vs `SocketTopkMonitor`, dense vs sparse driving).
 //! * **One ingest surface.** [`MonitorSession::update`] /
 //!   [`MonitorSession::update_batch`] buffer observations; nothing reaches
 //!   the monitor until [`MonitorSession::advance`] commits the time step.
@@ -51,7 +51,6 @@ use crate::events::{RankDiff, TopkEvent};
 use crate::metrics::RunMetrics;
 use crate::monitor::{Algorithm1, DynRuntime, Monitor, TopkMonitor};
 use crate::socket::SocketTopkMonitor;
-use crate::threaded::ThreadedTopkMonitor;
 
 /// Which runtime executes the protocol under a [`MonitorSession`].
 ///
@@ -61,20 +60,16 @@ use crate::threaded::ThreadedTopkMonitor;
 /// behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Let the session pick among the three engines (see
+    /// Let the session pick between the two engines (see
     /// [`MonitorBuilder::resolved_engine`]). Currently resolves to
     /// [`Engine::Sequential`] — the in-process runtime is the fastest at
-    /// every scale we bench — or to [`Engine::Threaded`] under chaos, but
+    /// every scale we bench — or to [`Engine::Socket`] under chaos, but
     /// the policy may evolve without an API change; use an explicit
     /// variant to pin a runtime.
     #[default]
     Auto,
     /// The deterministic in-process runtime ([`TopkMonitor`]).
     Sequential,
-    /// One OS thread per node, crossbeam-channel frames
-    /// ([`ThreadedTopkMonitor`]) — the "real deployment" shape without
-    /// leaving the process.
-    Threaded,
     /// Node shards behind loopback-TCP sockets, every message a
     /// length-prefixed wire frame ([`SocketTopkMonitor`]). The only engine
     /// whose [`RunMetrics::wire`] ledger is non-zero: frames and bytes
@@ -164,13 +159,14 @@ impl MonitorBuilder {
     }
 
     /// Run the transport through a seeded fault-injection layer (see
-    /// [`ChaosPolicy`]). Supported by the threaded engine (in-process frame
-    /// faults) and the socket engine (the same classes plus the wire-level
-    /// [`topk_net::WireChaos`] faults: torn frames, connection resets,
-    /// half-open connections, reconnect storms). [`Engine::Socket`] and
-    /// [`Engine::Threaded`] keep their choice, [`Engine::Auto`] falls back
-    /// to [`Engine::Threaded`], and an explicit [`Engine::Sequential`] is
-    /// rejected (see [`Self::resolved_engine`]). Committed answers, thresholds and events stay
+    /// [`ChaosPolicy`]). Supported by the socket engine: frame faults
+    /// (drop, duplicate, delay, stall, reply loss, coordinator crash) plus
+    /// the wire-level [`topk_net::WireChaos`] faults (torn frames,
+    /// connection resets, half-open connections, reconnect storms), rolled
+    /// per shard. [`Engine::Socket`] keeps its choice, [`Engine::Auto`]
+    /// falls back to [`Engine::Socket`], and an explicit
+    /// [`Engine::Sequential`] is rejected (see [`Self::resolved_engine`]).
+    /// Committed answers, thresholds and events stay
     /// identical to a fault-free twin; the injected faults surface in
     /// [`MonitorSession::recovery`] and the `Retransmit` ledger channel.
     pub fn chaos(mut self, policy: ChaosPolicy) -> Self {
@@ -218,13 +214,13 @@ impl MonitorBuilder {
     /// mapping the `(engine, chaos)` knobs to a runtime, which
     /// [`Self::try_build`] and the sharded serving layer both apply.
     /// [`Engine::Auto`] resolves to [`Engine::Sequential`], or to
-    /// [`Engine::Threaded`] under chaos (faults need a transport); a
+    /// [`Engine::Socket`] under chaos (faults need a transport); a
     /// [`ChaosPolicy`] on an explicit [`Engine::Sequential`] is
     /// [`BuildError::ChaosOnSequential`].
     pub fn resolved_engine(&self) -> Result<Engine, BuildError> {
         match (self.engine, self.chaos.is_some()) {
             (Engine::Sequential, true) => Err(BuildError::ChaosOnSequential),
-            (Engine::Auto, true) => Ok(Engine::Threaded),
+            (Engine::Auto, true) => Ok(Engine::Socket),
             (Engine::Auto, false) => Ok(Engine::Sequential),
             (engine, _) => Ok(engine),
         }
@@ -250,7 +246,6 @@ impl MonitorBuilder {
         let engine = self.resolved_engine()?;
         let (cfg, seed, chaos) = (self.cfg, self.seed, self.chaos);
         let monitor: Box<Algorithm1<DynRuntime>> = match engine {
-            Engine::Threaded => Box::new(ThreadedTopkMonitor::start(cfg, seed, engine, chaos)),
             Engine::Socket => Box::new(SocketTopkMonitor::start(cfg, seed, engine, chaos)),
             Engine::Auto | Engine::Sequential => Box::new(TopkMonitor::new(cfg, seed)),
         };
@@ -298,9 +293,9 @@ pub enum BuildError {
     SlackExceedsEpsilon { slack: u64, epsilon: u64 },
     /// A [`ChaosPolicy`] was combined with an explicitly selected
     /// [`Engine::Sequential`]: the sequential runtime has no transport
-    /// layer to inject faults into. Pick [`Engine::Threaded`],
-    /// [`Engine::Socket`], or leave [`Engine::Auto`] (which falls back to
-    /// the threaded runtime under chaos).
+    /// layer to inject faults into. Pick [`Engine::Socket`], or leave
+    /// [`Engine::Auto`] (which falls back to the socket runtime under
+    /// chaos).
     ChaosOnSequential,
 }
 
@@ -544,7 +539,7 @@ impl MonitorSession {
     }
 
     /// Transport fault-injection and recovery counters (`None` on the
-    /// sequential engine; all-zero on a threaded or socket engine without a
+    /// sequential engine; all-zero on a socket engine without a
     /// [`ChaosPolicy`]).
     pub fn recovery(&self) -> Option<&RecoveryMetrics> {
         self.monitor.runtime().recovery()
@@ -604,8 +599,8 @@ impl MonitorSession {
     }
 
     /// Transport sync frames (`None` on the sequential engine, which has no
-    /// transport layer). Charged at dispatch intent on both transports, so
-    /// the threaded and socket counts are bit-identical.
+    /// transport layer). Charged at dispatch intent, so the count follows
+    /// the visit rule and no fault short of a coordinator restart moves it.
     pub fn sync_frames(&self) -> Option<u64> {
         self.monitor.runtime().sync_frames()
     }
@@ -699,9 +694,9 @@ mod tests {
             Ok(_) => panic!("chaos on explicit Sequential must be rejected"),
         };
         assert_eq!(err, BuildError::ChaosOnSequential);
-        // Engine::Auto keeps the documented fallback to Threaded.
+        // Engine::Auto keeps the documented fallback to Socket.
         let s = MonitorBuilder::new(4, 1).chaos(policy).try_build().unwrap();
-        assert_eq!(s.engine(), Engine::Threaded);
+        assert_eq!(s.engine(), Engine::Socket);
     }
 
     #[test]
@@ -846,14 +841,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_engine_is_bit_identical() {
+    fn socket_engine_is_bit_identical() {
         let mut seq = MonitorBuilder::new(8, 3)
             .seed(11)
             .engine(Engine::Sequential)
             .build();
-        let mut thr = MonitorBuilder::new(8, 3)
+        let mut soc = MonitorBuilder::new(8, 3)
             .seed(11)
-            .engine(Engine::Threaded)
+            .engine(Engine::Socket)
             .build();
         let rows: [&[u64]; 4] = [
             &[5, 80, 20, 70, 10, 60, 30, 40],
@@ -863,18 +858,18 @@ mod tests {
         ];
         for (t, row) in rows.iter().enumerate() {
             seq.update_row(row);
-            thr.update_row(row);
+            soc.update_row(row);
             let (a, b) = (
                 drain_to_vec(seq.advance(t as u64)),
-                drain_to_vec(thr.advance(t as u64)),
+                drain_to_vec(soc.advance(t as u64)),
             );
             assert_eq!(a, b, "t={t}: event streams diverged");
-            assert_eq!(seq.topk(), thr.topk());
+            assert_eq!(seq.topk(), soc.topk());
         }
-        assert_eq!(seq.ledger().total(), thr.ledger().total());
-        assert_eq!(seq.micro_rounds_run(), thr.micro_rounds_run());
+        assert_eq!(seq.ledger().total(), soc.ledger().total());
+        assert_eq!(seq.micro_rounds_run(), soc.micro_rounds_run());
         assert!(seq.sync_frames().is_none());
-        assert!(thr.sync_frames().is_some());
+        assert!(soc.sync_frames().is_some());
         assert_eq!(
             seq.topk().to_vec(),
             true_topk(rows[3], 3),

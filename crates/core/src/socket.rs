@@ -89,19 +89,53 @@ mod tests {
     }
 
     #[test]
+    fn chaotic_monitor_commits_fault_free_answers() {
+        let cfg = MonitorConfig::new(10, 3);
+        let mut chaotic = SocketTopkMonitor::new_chaotic(cfg, 42, ChaosPolicy::from_seed(7));
+        let mut twin = TopkMonitor::new(cfg, 42);
+        let mut row: Vec<u64> = (1..=10).map(|v| v * 50).collect();
+        for t in 0..40 {
+            // Churn around the top-k boundary to force protocol traffic.
+            row[(t % 10) as usize] = 100 + (t * 37) % 400;
+            chaotic.step(t, &row);
+            twin.step(t, &row);
+            assert_eq!(chaotic.topk(), twin.topk(), "t={t}");
+            assert_eq!(
+                chaotic.coordinator().current_threshold(),
+                twin.coordinator().current_threshold(),
+                "t={t}"
+            );
+        }
+        assert!(
+            chaotic.recovery().injected_total() > 0,
+            "a from_seed policy over 40 churn steps must inject faults: {:?}",
+            chaotic.recovery()
+        );
+        // Committed protocol counters match the twin exactly; only the
+        // recovery and wire blocks record the faults and the bytes.
+        let scrubbed = RunMetrics {
+            recovery: Default::default(),
+            wire: Default::default(),
+            ..*chaotic.metrics()
+        };
+        assert_eq!(scrubbed, *twin.metrics());
+        assert_eq!(chaotic.metrics().recovery, *chaotic.recovery());
+    }
+
+    #[test]
     fn constant_rows_write_no_bytes_after_init() {
         let cfg = MonitorConfig::new(64, 4);
         let mut soc = SocketTopkMonitor::new(cfg, 7);
         let row: Vec<u64> = (1..=64).map(|v| v * 100).collect();
         soc.step(0, &row);
-        let after_init = soc.wire().bytes_total;
+        let after_init = (soc.wire().bytes_total, soc.sync_frames());
         for t in 1..50 {
             soc.step(t, &row);
         }
         assert_eq!(
-            soc.wire().bytes_total,
+            (soc.wire().bytes_total, soc.sync_frames()),
             after_init,
-            "constant rows must write zero bytes after init"
+            "constant rows must cost zero bytes and zero frames after init"
         );
         assert_eq!(soc.silent_steps(), 49);
     }

@@ -1,4 +1,4 @@
-//! Behavior traits shared by the sequential simulator and the threaded
+//! Behavior traits shared by the sequential simulator and the socket
 //! runtime.
 //!
 //! The paper's model is synchronous: at each time step every node observes a

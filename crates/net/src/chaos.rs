@@ -1,18 +1,18 @@
-//! Seeded fault injection for the threaded and socket runtimes — the chaos
-//! half of the transport's recovery story (the recovery half is the step
-//! driver, [`crate::driver::Cluster`]).
+//! Seeded fault injection for the socket runtime — the chaos half of the
+//! transport's recovery story (the recovery half is the step driver,
+//! [`crate::driver::Cluster`]).
 //!
 //! The paper's model assumes a *perfect* synchronous transport: every frame
 //! delivered exactly once, instantly. A [`ChaosPolicy`] breaks that promise
 //! on purpose — dropping, duplicating, delaying (and thereby reordering)
-//! frames, dropping replies, stalling node threads past the reply deadline,
+//! frames, dropping replies, stalling node shards past the reply deadline,
 //! and crash-restarting the coordinator mid-step — so the recovery
 //! machinery (reply deadlines with bounded retry, idempotent `(t, run, m)`
 //! frame re-delivery, whole-step re-run, coordinator snapshot/restore) can
 //! be exercised and pinned.
 //!
-//! On the socket runtime the same policy additionally drives a
-//! [`WireChaos`] layer that attacks the TCP connection itself: torn
+//! The same policy additionally drives a [`WireChaos`] layer that attacks
+//! the TCP connection itself: torn
 //! (truncated) frames, mid-stream connection resets, half-open connections
 //! (frame delivered, connection severed before the reply can travel), and
 //! reconnect storms (spurious extra connections raced against the real
@@ -23,9 +23,9 @@
 //! Faults are **seeded and deterministic**: every decision is a pure
 //! function of `(policy seed, fault class, t, run, m, node)`, computed as
 //! one draw from a [`CounterRng`] substream. The driver rolls once per
-//! endpoint and wave, with the endpoint's first node as `node`: per node on
-//! the threaded runtime, per shard on the socket runtime. The schedule therefore does
-//! not depend on thread timing, and two runs with the same policy inject
+//! endpoint and wave, with the endpoint's first node as `node`, so on the
+//! socket runtime faults roll per shard. The schedule therefore does not
+//! depend on thread timing, and two runs with the same policy inject
 //! the same faults at the same frame coordinates (wall-clock-dependent
 //! *recovery* counters — retries, redelivered frames — may still differ,
 //! which is why tests pin injected-fault counters and committed outcomes,
@@ -52,7 +52,7 @@ const CLASS_DELAY: u64 = 3;
 const CLASS_STALL: u64 = 4;
 const CLASS_REPLY_DROP: u64 = 5;
 const CLASS_CRASH: u64 = 6;
-// Wire-level classes (socket runtime only; the threaded runtime has no wire).
+// Wire-level classes (attack the socket connection itself).
 const CLASS_TORN: u64 = 7;
 const CLASS_RESET: u64 = 8;
 const CLASS_HALF_OPEN: u64 = 9;
@@ -61,7 +61,7 @@ const CLASS_STORM: u64 = 10;
 /// The coordinator "node" index for crash decisions (no real node owns it).
 const COORD: u32 = u32::MAX;
 
-/// A seeded, deterministic fault-injection schedule for the threaded
+/// A seeded, deterministic fault-injection schedule for the socket
 /// runtime. All rates are per-mille per frame (or per coordinator round for
 /// [`ChaosPolicy::crash_coordinator`]); `0` disables the class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -76,7 +76,7 @@ pub struct ChaosPolicy {
     /// newer-keyed frames (reorder) and is deduped; the wave recovers by
     /// resend.
     pub delay_permille: u16,
-    /// P(node thread stalls [`ChaosPolicy::stall_ms`] before processing).
+    /// P(node shard stalls [`ChaosPolicy::stall_ms`] before processing).
     pub stall_permille: u16,
     /// P(a node's reply is lost on the driver side).
     pub reply_drop_permille: u16,
@@ -174,9 +174,7 @@ impl ChaosPolicy {
         self
     }
 
-    /// Override the wire-fault rates (builder style). These only take
-    /// effect on the socket runtime; the threaded runtime has no wire and
-    /// ignores them.
+    /// Override the wire-fault rates (builder style).
     pub fn with_wire_rates(mut self, torn: u16, reset: u16, half_open: u16, storm: u16) -> Self {
         self.torn_permille = torn;
         self.reset_permille = reset;
@@ -391,16 +389,16 @@ impl RecoveryMetrics {
     }
 }
 
-/// Typed failure of the threaded or socket runtime (a panicked node
-/// thread, a reply deadline exhausted beyond the retry budget, a failed
-/// restart, or a broken socket transport) — surfaced instead of an
-/// `unwrap` panic or a hung `recv` in the driver.
+/// Typed failure of the socket runtime (a dead node shard, a reply
+/// deadline exhausted beyond the retry budget, a failed restart, or a
+/// broken socket transport) — surfaced instead of an `unwrap` panic or a
+/// hung `recv` in the driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// A node thread died (panicked or its channel closed).
+    /// A node shard died (its thread panicked or its connection closed).
+    /// `id` is the shard's first node, not necessarily the node that
+    /// failed.
     NodeDown { id: NodeId },
-    /// Every node thread is gone.
-    AllNodesDown,
     /// A wave could not complete within the retry budget.
     ReplyTimeout { t: u64, m: u32, waiting: usize },
     /// Coordinator snapshot restore failed during crash recovery.
@@ -413,8 +411,9 @@ pub enum RuntimeError {
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeError::NodeDown { id } => write!(f, "node thread {id} is down"),
-            RuntimeError::AllNodesDown => write!(f, "all node threads are down"),
+            RuntimeError::NodeDown { id } => {
+                write!(f, "the node shard whose first node is {id} is down")
+            }
             RuntimeError::ReplyTimeout { t, m, waiting } => write!(
                 f,
                 "reply deadline exhausted at t={t} phase {m} ({waiting} nodes unresponsive)"
@@ -526,7 +525,23 @@ mod tests {
     #[test]
     fn runtime_error_displays() {
         let e = RuntimeError::NodeDown { id: NodeId(3) };
-        assert!(e.to_string().contains("n3"));
-        assert!(RuntimeError::AllNodesDown.to_string().contains("all node"));
+        assert_eq!(
+            e.to_string(),
+            "the node shard whose first node is n3 is down"
+        );
+        let e = RuntimeError::ReplyTimeout {
+            t: 7,
+            m: 2,
+            waiting: 1,
+        };
+        assert!(e.to_string().contains("t=7 phase 2"), "{e}");
+        let e = RuntimeError::RecoveryFailed {
+            reason: "no snapshot",
+        };
+        assert!(e.to_string().contains("no snapshot"), "{e}");
+        let e = RuntimeError::Transport {
+            what: "accept".into(),
+        };
+        assert!(e.to_string().contains("accept"), "{e}");
     }
 }

@@ -1,4 +1,4 @@
-//! The one step driver behind the threaded and socket engines.
+//! The step driver of the transport engine.
 //!
 //! The paper's model is `n` nodes, one coordinator and synchronous rounds
 //! with every message charged; Algorithm 1 does not care what carries a
@@ -9,10 +9,9 @@
 //! narrowing), charges `sync_frames` at dispatch intent and every model
 //! message to its [`CommLedger`], and runs the recovery state machine. A
 //! [`Transport`] only carries frames, one per endpoint and wave:
-//! [`crate::threaded`] moves them over crossbeam channels to one thread per
-//! node, [`crate::socket`] writes them as length-prefixed bytes over
-//! loopback TCP to node shards, one frame holding every polled node of the
-//! shard.
+//! [`crate::socket`] writes them as length-prefixed bytes over loopback TCP
+//! to node shards, one frame holding every polled node of the shard. Tests
+//! plug scripted fakes in through the same trait.
 //!
 //! Node-phase 0 frames only changed ∪ engaged nodes for behaviors that opt
 //! into [`NodeBehavior::SPARSE_OBSERVE`] (an engaged node whose value did
@@ -117,9 +116,9 @@ pub struct Reply<U> {
 
 /// What carries frames between a [`Cluster`] and its nodes.
 ///
-/// Nodes live in *endpoints*: the transport's fault domains (one thread per
-/// node, or one shard connection per node range). The unit of transfer is
-/// one endpoint's part of one wave: the driver stages every visited node's
+/// Nodes live in *endpoints*: the transport's fault domains (on the socket
+/// transport, one shard connection per node range). The unit of transfer
+/// is one endpoint's part of one wave: the driver stages every visited node's
 /// work into its endpoint's frame, then seals and sends each endpoint's
 /// frame once, and each endpoint answers with one reply frame. The driver
 /// decides what to send, when to re-send and which faults to inject; the
@@ -139,7 +138,7 @@ pub trait Transport<NB: NodeBehavior>: Sized {
     fn endpoint_of(&self, i: u32) -> usize;
     /// The first node of endpoint `e` (fault rolls, error attribution).
     fn first_node(&self, e: usize) -> NodeId;
-    /// Whether endpoint `e`'s thread has exited.
+    /// Whether endpoint `e`'s host (a shard thread) has exited.
     fn is_dead(&self, e: usize) -> bool;
     /// Add node `i`'s work to its endpoint's staged wave. A wave stages
     /// its nodes in ascending id order.
@@ -304,10 +303,9 @@ pub(crate) enum Admit<'a, R> {
 }
 
 /// The node-side endpoint of the recovery state machine, one per hosted
-/// node, shared by the threaded node threads and the socket shards: the
-/// cached observation (for value-less observes), the `(t, run, m)` cursor,
-/// the cached reply `R`, and the step-start checkpoint an abort rolls back
-/// to.
+/// node, kept by the socket shards: the cached observation (for value-less
+/// observes), the `(t, run, m)` cursor, the cached reply `R`, and the
+/// step-start checkpoint an abort rolls back to.
 pub(crate) struct NodeHost<NB: NodeBehavior, R> {
     pub node: NB,
     last: Value,

@@ -7,7 +7,7 @@
 //! payloads, so experiments can report both the theorem quantities (Theorem
 //! 4.2 counts node→coordinator messages only) and total communication.
 //!
-//! The threaded runtime additionally tracks *sync frames*: transport-level
+//! The transport runtime additionally tracks *sync frames*: transport-level
 //! round acknowledgements that emulate the synchronous model's free
 //! observation of silence. They are never part of the model cost. With the
 //! delta-driven transport a silent step frames only changed ∪ engaged
@@ -259,7 +259,7 @@ impl CommLedger {
         }
     }
 
-    /// Record one transport-level synchronization frame (threaded runtime
+    /// Record one transport-level synchronization frame (transport runtime
     /// only; excluded from model cost).
     #[inline]
     pub fn count_sync(&mut self) {

@@ -24,19 +24,17 @@
 //! * [`seq`] — the deterministic sequential runtime: the conformance
 //!   reference every other engine is pinned against, and the runtime of
 //!   all experiments; a direct-call loop over the borrowed coordinator;
-//! * [`driver`] — the one step driver behind both transport engines:
-//!   dense/sparse routing, the round visit rule, the attempt loop, reply
-//!   collection and the crash-recovery state machine, over a small
-//!   [`Transport`] trait;
-//! * [`threaded`] — the OS-thread + crossbeam-channel transport (the
-//!   "real" distributed execution, ledger-equivalent to [`seq`]);
+//! * [`driver`] — the step driver of the transport engine: dense/sparse
+//!   routing, the round visit rule, the attempt loop, reply collection and
+//!   the crash-recovery state machine, over a small [`Transport`] trait;
 //! * [`socket`] — the loopback-TCP transport: node shards behind real
 //!   sockets, length-prefixed frames, and a physical wire ledger
-//!   ([`WireMetrics`]) alongside the model ledger;
+//!   ([`WireMetrics`]) alongside the model ledger — the distributed
+//!   execution, ledger-equivalent to [`seq`];
 //! * [`trace`] — dense observation traces, replay and CSV I/O;
-//! * [`chaos`] — seeded, deterministic fault injection for the threaded
-//!   and socket runtimes (including the wire-level [`WireChaos`] classes),
-//!   plus the recovery observability types ([`RecoveryMetrics`],
+//! * [`chaos`] — seeded, deterministic fault injection for the socket
+//!   runtime (the in-process classes plus the wire-level [`WireChaos`]
+//!   ones), plus the recovery observability types ([`RecoveryMetrics`],
 //!   [`RuntimeError`]).
 
 #![forbid(unsafe_code)]
@@ -52,7 +50,6 @@ pub mod rng;
 pub mod runtime;
 pub mod seq;
 pub mod socket;
-pub mod threaded;
 pub mod trace;
 pub mod wire;
 
@@ -68,5 +65,4 @@ pub use ledger::{ChannelKind, CommLedger, LedgerSnapshot, WireMetrics};
 pub use runtime::Runtime;
 pub use seq::SyncRuntime;
 pub use socket::{FrameCodec, SocketCluster, SocketTransport, WireError, WireTaps};
-pub use threaded::{ThreadTransport, ThreadedCluster};
 pub use trace::{TraceMatrix, TraceReplay};

@@ -1,7 +1,7 @@
 //! Deterministic randomness plumbing.
 //!
 //! Experiments must be exactly reproducible from a single master seed, and
-//! the sequential simulator and the threaded runtime must draw *identical*
+//! the sequential simulator and the socket runtime must draw *identical*
 //! coin-flip sequences. Both follow from giving every stream owner its own
 //! independent substream derived from the master seed by SplitMix64 mixing:
 //! within one node the draw order is fully determined by the protocol

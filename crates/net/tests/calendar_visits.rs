@@ -8,9 +8,11 @@
 //!   time it is polled (at the wake phase, or earlier in a full-fanout
 //!   round);
 //! * every-round engaged nodes keep the classic per-round delivery;
-//! * the sequential and threaded runtimes poll the same nodes the same
+//! * the sequential and socket runtimes poll the same nodes the same
 //!   number of times and deliver identical broadcast sequences, and the
 //!   model ledger is unaffected by scheduling.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -21,20 +23,12 @@ use topk_net::behavior::{
 use topk_net::id::{NodeId, Value};
 use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
-use topk_net::threaded::ThreadedCluster;
-use topk_net::wire::WireSize;
+use topk_net::socket::SocketCluster;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Msg(u64);
+use common::{with_watchdog, Msg};
 
 /// Per-node record of `(phase, broadcast payloads delivered at that poll)`.
 type DeliveryLog = Arc<Mutex<Vec<(u32, Vec<u64>)>>>;
-
-impl WireSize for Msg {
-    fn wire_bits(&self) -> u32 {
-        16
-    }
-}
 
 /// Scripted node. The observed value selects the episode:
 /// * `0` — stay idle;
@@ -286,27 +280,29 @@ fn seq_scheduled_node_skips_rounds_and_replays_broadcasts() {
 }
 
 #[test]
-fn threaded_scheduled_node_skips_rounds_and_replays_broadcasts() {
-    let mut h = harness(N);
-    let mut coord = ScriptCoord {
-        rounds: 6,
-        cur: 0,
-        script: scoped_script(),
-        ups_by_round: Vec::new(),
-    };
-    let mut cluster = ThreadedCluster::spawn(std::mem::take(&mut h.nodes));
-    cluster.step(&mut coord, 0, &values());
-    assert_eq!(cluster.ledger().broadcast(), 3);
-    assert_eq!(cluster.ledger().up(), 1 + 3);
-    // Frames mirror the narrowed visits: n observes + node 6's rounds
-    // 1..=3 + node 1's single fire-phase frame.
-    assert_eq!(
-        cluster.ledger().sync_frames(),
-        (N + 3 + 1) as u64,
-        "threaded frames follow the calendar visit rule"
-    );
-    cluster.shutdown();
-    check_scoped_run(&h, &coord, "threaded");
+fn socket_scheduled_node_skips_rounds_and_replays_broadcasts() {
+    with_watchdog(60, || {
+        let mut h = harness(N);
+        let mut coord = ScriptCoord {
+            rounds: 6,
+            cur: 0,
+            script: scoped_script(),
+            ups_by_round: Vec::new(),
+        };
+        let mut cluster = SocketCluster::spawn(std::mem::take(&mut h.nodes));
+        cluster.step(&mut coord, 0, &values());
+        assert_eq!(cluster.ledger().broadcast(), 3);
+        assert_eq!(cluster.ledger().up(), 1 + 3);
+        // Frames mirror the narrowed visits: n observes + node 6's rounds
+        // 1..=3 + node 1's single fire-phase frame.
+        assert_eq!(
+            cluster.ledger().sync_frames(),
+            (N + 3 + 1) as u64,
+            "socket frames follow the calendar visit rule"
+        );
+        cluster.shutdown();
+        check_scoped_run(&h, &coord, "socket");
+    });
 }
 
 /// A full-fanout round before the wake phase polls the scheduled node
@@ -347,20 +343,23 @@ fn fanout_round_catches_scheduled_nodes_up_early() {
     );
     assert_eq!(ups.last(), Some(&(5, vec![1u32])));
 
-    // The threaded runtime delivers the identical sequences.
-    let mut h2 = harness(N);
-    let mut coord = ScriptCoord {
-        rounds: 6,
-        cur: 0,
-        script,
-        ups_by_round: Vec::new(),
-    };
-    let mut cluster = ThreadedCluster::spawn(std::mem::take(&mut h2.nodes));
-    cluster.step(&mut coord, 0, &values());
-    cluster.shutdown();
-    assert_eq!(h2.poll_counts(), polls, "threaded visit counts match seq");
+    // The socket runtime delivers the identical sequences.
+    let (h2, ups2) = with_watchdog(60, move || {
+        let mut h2 = harness(N);
+        let mut coord = ScriptCoord {
+            rounds: 6,
+            cur: 0,
+            script,
+            ups_by_round: Vec::new(),
+        };
+        let mut cluster = SocketCluster::spawn(std::mem::take(&mut h2.nodes));
+        cluster.step(&mut coord, 0, &values());
+        cluster.shutdown();
+        (h2, coord.ups_by_round)
+    });
+    assert_eq!(h2.poll_counts(), polls, "socket visit counts match seq");
     assert_eq!(h2.deliveries_of(1), h.deliveries_of(1));
-    assert_eq!(coord.ups_by_round, ups);
+    assert_eq!(ups2, ups);
 }
 
 /// Leftover schedules die with the step: a node whose wake phase lies

@@ -2,8 +2,8 @@
 //! fake [`Transport`] whose `recv` times out instantly. On real transports
 //! these counters (retries, re-sent frames, stale replies) depend on wall
 //! clock; here the script decides exactly which reply is late or lost, so
-//! the counts are exact. The fake hosts one node per endpoint, like the
-//! threaded transport.
+//! the counts are exact. The fake hosts one node per endpoint, where the
+//! socket transport hosts a node range per shard.
 
 use std::collections::VecDeque;
 use std::time::Duration;

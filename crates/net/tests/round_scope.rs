@@ -3,6 +3,8 @@
 //! while the ledger charges every broadcast in full regardless of scope —
 //! scoping is transport, never model cost.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -12,21 +14,13 @@ use topk_net::behavior::{
 use topk_net::id::{NodeId, Value};
 use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
-use topk_net::threaded::ThreadedCluster;
-use topk_net::wire::WireSize;
+use topk_net::socket::SocketCluster;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Msg(u64);
-
-impl WireSize for Msg {
-    fn wire_bits(&self) -> u32 {
-        16
-    }
-}
+use common::{with_watchdog, Msg};
 
 /// Node that engages for `value` micro-rounds when observing `value > 0`
-/// and tallies every `micro_round` poll (Arc so the count survives node
-/// threads).
+/// and tallies every `micro_round` poll (Arc so the count survives the
+/// shard threads).
 struct ScopeNode {
     id: NodeId,
     engaged_rounds: u32,
@@ -153,21 +147,23 @@ fn sequential_runtime_narrows_scoped_broadcast_rounds() {
 }
 
 #[test]
-fn threaded_runtime_narrows_scoped_broadcast_rounds_identically() {
-    let (nodes, counters, mut coord) = parts();
-    let mut cluster = ThreadedCluster::spawn(nodes);
-    cluster.step(&mut coord, 0, &VALUES);
-    let polls: Vec<u64> = counters.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-    assert_eq!(
-        polls, EXPECTED_POLLS,
-        "threaded visit sets must follow the scope"
-    );
-    assert_eq!(cluster.ledger().broadcast(), 3);
-    // Frames mirror the narrowed visits: n observes + (n) + (2) + (1).
-    assert_eq!(
-        cluster.ledger().sync_frames(),
-        (N + N + 2 + 1) as u64,
-        "scoped rounds frame only the engaged nodes"
-    );
-    cluster.shutdown();
+fn socket_runtime_narrows_scoped_broadcast_rounds_identically() {
+    with_watchdog(60, || {
+        let (nodes, counters, mut coord) = parts();
+        let mut cluster = SocketCluster::spawn(nodes);
+        cluster.step(&mut coord, 0, &VALUES);
+        let polls: Vec<u64> = counters.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(
+            polls, EXPECTED_POLLS,
+            "socket visit sets must follow the scope"
+        );
+        assert_eq!(cluster.ledger().broadcast(), 3);
+        // Frames mirror the narrowed visits: n observes + (n) + (2) + (1).
+        assert_eq!(
+            cluster.ledger().sync_frames(),
+            (N + N + 2 + 1) as u64,
+            "scoped rounds frame only the engaged nodes"
+        );
+        cluster.shutdown();
+    });
 }

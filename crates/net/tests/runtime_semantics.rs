@@ -1,24 +1,17 @@
 //! Unit tests of the runtime semantics themselves, using mock behaviors:
 //! the visit rule (engaged ∪ addressed ∪ broadcast), message accounting
 //! placement, silent-step skipping, the micro-round guard, and
-//! sequential/threaded agreement for arbitrary mock protocols.
+//! sequential/socket agreement for arbitrary mock protocols.
+
+mod common;
 
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction};
 use topk_net::id::{NodeId, Value};
 use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
-use topk_net::threaded::ThreadedCluster;
-use topk_net::wire::WireSize;
+use topk_net::socket::SocketCluster;
 
-/// Trivial payload with fixed wire size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Msg(u64);
-
-impl WireSize for Msg {
-    fn wire_bits(&self) -> u32 {
-        16
-    }
-}
+use common::{with_watchdog, Msg};
 
 /// Mock node: echoes for `echo_rounds` micro-rounds after observing a value
 /// above `threshold`; counts how often it was polled.
@@ -298,7 +291,7 @@ fn runaway_coordinator_is_caught() {
 }
 
 #[test]
-fn threaded_matches_sequential_for_mock_protocol() {
+fn socket_matches_sequential_for_mock_protocol() {
     let mk_nodes = || nodes(6, 50, 3).0;
     let mk_coord = || ScriptCoord {
         rounds_per_step: 5,
@@ -320,15 +313,16 @@ fn threaded_matches_sequential_for_mock_protocol() {
     for (t, row) in steps.iter().enumerate() {
         seq.step(&mut seq_coord, t as u64, row);
     }
-    let mut coord = mk_coord();
-    let mut cluster = ThreadedCluster::spawn(mk_nodes());
-    for (t, row) in steps.iter().enumerate() {
-        cluster.step(&mut coord, t as u64, row);
-    }
+    let (b, ups_seen) = with_watchdog(60, move || {
+        let mut coord = mk_coord();
+        let mut cluster = SocketCluster::spawn(mk_nodes());
+        for (t, row) in steps.iter().enumerate() {
+            cluster.step(&mut coord, t as u64, row);
+        }
+        (cluster.ledger().snapshot(), coord.ups_seen)
+    });
     let a = seq.ledger().snapshot();
-    let b = cluster.ledger().snapshot();
     assert_eq!((a.up, a.down, a.broadcast), (b.up, b.down, b.broadcast));
     assert_eq!(a.total_bits(), b.total_bits());
-    assert_eq!(seq_coord.ups_seen, coord.ups_seen);
-    drop(cluster);
+    assert_eq!(seq_coord.ups_seen, ups_seen);
 }

@@ -1,81 +1,50 @@
-//! Failure-path semantics of the socket runtime, pinned against
-//! instrumented mock behaviors: a shard thread that dies mid-step surfaces
-//! as a typed [`RuntimeError::NodeDown`] — never a hung receive, never a
-//! driver panic — on both the clean and the chaotic transport, dropping the
-//! cluster afterwards still joins every surviving thread, a reply frame the
-//! driver cannot decode is a typed [`RuntimeError::Transport`] on the step
-//! it arrives, and a poisoned capture-tap mutex (a panicking holder) is
-//! recovered instead of propagated, so byte capture keeps working after the
-//! panic.
+//! Failure-path and chaos semantics of the socket runtime, pinned against
+//! instrumented mock behaviors:
+//!
+//! * a shard thread that dies mid-step surfaces as a typed
+//!   [`RuntimeError::NodeDown`] naming the shard's first node — never a
+//!   hung receive, never a driver panic — on both the clean and the
+//!   chaotic transport, and dropping the cluster afterwards still joins
+//!   every surviving thread;
+//! * a reply frame the driver cannot decode is a typed
+//!   [`RuntimeError::Transport`] on the step it arrives;
+//! * a poisoned capture-tap mutex (a panicking holder) is recovered instead
+//!   of propagated, so byte capture keeps working after the panic;
+//! * the idempotent re-delivery layer applies each frame's effects exactly
+//!   once no matter how often the chaos layer duplicates or re-sends it,
+//!   dropped frames and replies are recovered by retransmission without
+//!   touching the model ledger, and a [`ChaosPolicy`]'s fault pattern is a
+//!   pure function of its seed.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction};
 use topk_net::chaos::{ChaosPolicy, RuntimeError};
 use topk_net::id::{NodeId, Value};
 use topk_net::runtime::Runtime;
-use topk_net::socket::{FrameCodec, SocketCluster, WireError};
-use topk_net::wire::{get_varint, put_varint, WireSize};
+use topk_net::socket::SocketCluster;
 
-/// Fail fast instead of wedging the test binary: run `body` on a helper
-/// thread and panic if it has not finished within `secs` seconds (the point
-/// of these tests is precisely that nothing ever blocks forever).
-fn with_watchdog<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let out = body();
-        let _ = tx.send(());
-        out
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) => handle.join().expect("watchdog body panicked"),
-        Err(_) => panic!("test body exceeded {secs}s watchdog"),
-    }
-}
+use common::{with_watchdog, Msg, GARBLED};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Msg(u64);
-
-/// The one value [`Msg`]'s codec mis-encodes, as an overlong varint that no
-/// decoder accepts.
-const GARBLED: u64 = 0xbad;
-
-impl WireSize for Msg {
-    fn wire_bits(&self) -> u32 {
-        16
-    }
-}
-
-impl FrameCodec for Msg {
-    fn encode_frame(&self, buf: &mut Vec<u8>) {
-        if self.0 == GARBLED {
-            buf.extend_from_slice(&[0x80; 10]);
-            buf.push(0x01);
-        } else {
-            put_varint(buf, self.0);
-        }
-    }
-
-    fn decode_frame(buf: &mut &[u8]) -> Result<Self, WireError> {
-        get_varint(buf).map(Msg).ok_or(WireError::Malformed {
-            what: "truncated msg varint".into(),
-        })
-    }
-}
-
-/// Reporting node with a panic trigger: any observation equal to `poison`
-/// panics the shard thread mid-step (`u64::MAX` = never).
+/// Counting node with a panic trigger: tallies observe/micro-round side
+/// effects in shared atomics (checkpoint clones share the counters —
+/// effects are *external*, which is exactly what "applied exactly once"
+/// must mean under re-delivery), reports every observation above
+/// `threshold`, and panics its shard thread on an observation equal to
+/// `poison` (`u64::MAX` = never).
 #[derive(Clone)]
-struct FragileNode {
+struct CountingNode {
     id: NodeId,
     threshold: Value,
     observes: Arc<AtomicU64>,
+    polls: Arc<AtomicU64>,
     poison: Value,
 }
 
-impl NodeBehavior for FragileNode {
+impl NodeBehavior for CountingNode {
     type Up = Msg;
     type Down = Msg;
 
@@ -106,6 +75,7 @@ impl NodeBehavior for FragileNode {
         _bcasts: &[Msg],
         _ucast: Option<&Msg>,
     ) -> RoundAction<Msg> {
+        self.polls.fetch_add(1, Ordering::Relaxed);
         RoundAction::idle()
     }
 
@@ -118,10 +88,20 @@ impl NodeBehavior for FragileNode {
     }
 }
 
-/// Coordinator that runs one silent micro-round whenever any report arrived
-/// (and skips truly silent steps).
+/// Coordinator that runs `rounds_per_step` silent micro-rounds whenever any
+/// report arrived (and skips truly silent steps).
 struct SinkCoord {
+    rounds_per_step: u32,
     cur_round: u32,
+}
+
+impl SinkCoord {
+    fn new(rounds_per_step: u32) -> Self {
+        SinkCoord {
+            rounds_per_step,
+            cur_round: 0,
+        }
+    }
 }
 
 impl CoordinatorBehavior for SinkCoord {
@@ -148,7 +128,7 @@ impl CoordinatorBehavior for SinkCoord {
     }
 
     fn step_done(&self) -> bool {
-        self.cur_round >= 1
+        self.cur_round >= self.rounds_per_step
     }
 
     fn topk(&self) -> &[NodeId] {
@@ -156,36 +136,68 @@ impl CoordinatorBehavior for SinkCoord {
     }
 }
 
-fn fragile_nodes(n: usize, poison: Value) -> Vec<FragileNode> {
-    (0..n)
-        .map(|i| FragileNode {
+/// `n` counting nodes plus their per-node observe and poll tallies.
+fn counting_nodes(
+    n: usize,
+    threshold: Value,
+    poison: Value,
+) -> (Vec<CountingNode>, Vec<Arc<AtomicU64>>, Vec<Arc<AtomicU64>>) {
+    let observes: Vec<_> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let polls: Vec<_> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let nodes = (0..n)
+        .map(|i| CountingNode {
             id: NodeId(i as u32),
-            threshold: 2,
-            observes: Arc::new(AtomicU64::new(0)),
+            threshold,
+            observes: observes[i].clone(),
+            polls: polls[i].clone(),
             poison,
         })
-        .collect()
+        .collect();
+    (nodes, observes, polls)
+}
+
+/// The nodes of the failure-path tests: every value above 2 reports.
+fn fragile_nodes(n: usize, poison: Value) -> Vec<CountingNode> {
+    counting_nodes(n, 2, poison).0
+}
+
+fn tally(v: &[Arc<AtomicU64>]) -> Vec<u64> {
+    v.iter().map(|a| a.load(Ordering::Relaxed)).collect()
+}
+
+/// Row `t` of the chaos tests: every node crosses the report threshold 60
+/// on odd steps and falls back below it on even ones.
+fn churn_row(n: usize, t: u64) -> Vec<Value> {
+    (0..n as u64).map(|i| 10 + i + 100 * (t % 2)).collect()
 }
 
 /// A shard thread that panics mid-step surfaces as `Err(NodeDown)` on the
 /// clean socket transport — a typed error, not a hung `recv_timeout` loop —
-/// and dropping the cluster afterwards joins every surviving shard thread
-/// instead of wedging on the dead one.
+/// naming the dead shard by its first node, and dropping the cluster
+/// afterwards joins every surviving shard thread instead of wedging on the
+/// dead one.
 #[test]
 fn dead_shard_becomes_typed_error_and_drop_joins() {
     with_watchdog(60, || {
-        let mut cluster = SocketCluster::spawn(fragile_nodes(4, 666));
-        let mut coord = SinkCoord { cur_round: 0 };
+        // Eight nodes in four shards of two: node 7 lives in shard 3,
+        // whose first node is 6.
+        let mut cluster = SocketCluster::spawn(fragile_nodes(8, 666));
+        assert_eq!(cluster.shards(), 4);
+        let mut coord = SinkCoord::new(1);
         cluster
-            .try_step(&mut coord, 0, &[1, 2, 3, 4])
+            .try_step(&mut coord, 0, &[1, 2, 3, 4, 5, 6, 7, 8])
             .expect("healthy step");
 
-        // Only node 3 changes, so only node 3 is framed — its shard dies
-        // before replying and the reply wave times out onto the typed path.
+        // Only node 7 changes, so only shard 3 is framed — it dies before
+        // replying and the reply wave times out onto the typed path.
         let err = cluster
-            .try_step(&mut coord, 1, &[1, 2, 3, 666])
-            .expect_err("node 3 panicked its shard");
-        assert_eq!(err, RuntimeError::NodeDown { id: NodeId(3) });
+            .try_step(&mut coord, 1, &[1, 2, 3, 4, 5, 6, 7, 666])
+            .expect_err("node 7 panicked its shard");
+        assert_eq!(err, RuntimeError::NodeDown { id: NodeId(6) });
+        assert_eq!(
+            err.to_string(),
+            "the node shard whose first node is n6 is down"
+        );
 
         // The dead shard must not wedge teardown: Drop halts survivors and
         // joins all handles, skipping the panicked one.
@@ -201,7 +213,7 @@ fn dead_shard_is_typed_error_under_chaos_too() {
     with_watchdog(60, || {
         let policy = ChaosPolicy::quiet(5);
         let mut cluster = SocketCluster::spawn_chaotic(fragile_nodes(4, 666), policy);
-        let mut coord = SinkCoord { cur_round: 0 };
+        let mut coord = SinkCoord::new(1);
         cluster
             .try_step(&mut coord, 0, &[1, 2, 3, 4])
             .expect("healthy step");
@@ -222,7 +234,7 @@ fn dead_shard_is_typed_error_under_chaos_too() {
 fn undecodable_reply_is_a_typed_transport_error() {
     with_watchdog(5, || {
         let mut cluster = SocketCluster::spawn(fragile_nodes(4, u64::MAX));
-        let mut coord = SinkCoord { cur_round: 0 };
+        let mut coord = SinkCoord::new(1);
         cluster
             .try_step(&mut coord, 0, &[1, 2, 3, 4])
             .expect("healthy step");
@@ -251,7 +263,7 @@ fn undecodable_reply_is_a_typed_transport_error() {
 fn poisoned_capture_tap_is_recovered_not_propagated() {
     with_watchdog(60, || {
         let mut cluster = SocketCluster::spawn_captured(fragile_nodes(4, u64::MAX));
-        let mut coord = SinkCoord { cur_round: 0 };
+        let mut coord = SinkCoord::new(1);
         cluster
             .try_step(&mut coord, 0, &[1, 2, 3, 4])
             .expect("healthy step");
@@ -282,5 +294,120 @@ fn poisoned_capture_tap_is_recovered_not_propagated() {
             "capture must keep growing after the poison ({before} → {after})"
         );
         drop(cluster);
+    });
+}
+
+/// Under a duplicate-everything policy every shard frame crosses the wire
+/// twice, yet the `(t, run, m)` idempotency key makes the second delivery a
+/// strict no-op: per-node observe/poll tallies and the model ledger match a
+/// fault-free twin exactly; only the `Retransmit` channel records the noise.
+#[test]
+fn duplicated_frames_apply_exactly_once() {
+    with_watchdog(60, || {
+        let n = 8;
+        let dup_policy = ChaosPolicy::quiet(5).with_rates(0, 1000, 0, 0, 0, 0);
+        let (nodes, c_obs, c_polls) = counting_nodes(n, 60, u64::MAX);
+        let mut chaotic = SocketCluster::spawn_chaotic(nodes, dup_policy);
+        let (nodes, f_obs, f_polls) = counting_nodes(n, 60, u64::MAX);
+        let mut clean = SocketCluster::spawn(nodes);
+        let (mut coord_a, mut coord_b) = (SinkCoord::new(2), SinkCoord::new(2));
+        for t in 0..6u64 {
+            let row = churn_row(n, t);
+            chaotic.step(&mut coord_a, t, &row);
+            clean.step(&mut coord_b, t, &row);
+        }
+
+        assert!(
+            chaotic.recovery().injected_dups > 0,
+            "a 100% dup rate must inject: {:?}",
+            chaotic.recovery()
+        );
+        let (a, b) = (chaotic.ledger().snapshot(), clean.ledger().snapshot());
+        assert_eq!((a.up, a.down, a.broadcast), (b.up, b.down, b.broadcast));
+        assert_eq!(a.sync_frames, b.sync_frames, "dups are not model frames");
+        assert_eq!(b.retransmit, 0);
+        assert!(a.retransmit > 0, "dups are charged to Retransmit");
+
+        drop(chaotic);
+        drop(clean);
+        assert_eq!(tally(&c_obs), tally(&f_obs), "observe effects exactly once");
+        assert_eq!(
+            tally(&c_polls),
+            tally(&f_polls),
+            "round effects exactly once"
+        );
+    });
+}
+
+/// Dropped frames and dropped replies are recovered by deadline-driven
+/// retransmission: the committed model traffic still matches the fault-free
+/// twin, and the recovery counters show both the faults and the cure.
+#[test]
+fn dropped_frames_recover_via_retransmission() {
+    with_watchdog(60, || {
+        let n = 6;
+        let drop_policy = ChaosPolicy::quiet(11)
+            .with_rates(250, 0, 0, 0, 250, 0)
+            .with_timing(0, 25, 50);
+        let mut chaotic =
+            SocketCluster::spawn_chaotic(counting_nodes(n, 60, u64::MAX).0, drop_policy);
+        let mut clean = SocketCluster::spawn(counting_nodes(n, 60, u64::MAX).0);
+        let (mut coord_a, mut coord_b) = (SinkCoord::new(2), SinkCoord::new(2));
+        for t in 0..8u64 {
+            let row = churn_row(n, t);
+            chaotic.step(&mut coord_a, t, &row);
+            clean.step(&mut coord_b, t, &row);
+        }
+        let r = *chaotic.recovery();
+        assert!(r.injected_drops > 0, "drops must occur: {r:?}");
+        assert!(r.injected_reply_drops > 0, "reply drops must occur: {r:?}");
+        assert!(r.retries > 0, "drops force deadline retries: {r:?}");
+        assert!(r.redelivered_frames > 0, "retries resend pending frames");
+        let (a, b) = (chaotic.ledger().snapshot(), clean.ledger().snapshot());
+        assert_eq!((a.up, a.down, a.broadcast), (b.up, b.down, b.broadcast));
+        assert_eq!(a.sync_frames, b.sync_frames, "intent-charged, drop or not");
+        assert_eq!(a.total_bits(), b.total_bits());
+    });
+}
+
+/// The fault schedule is a pure function of `(policy, coordinates)`: two
+/// clusters under the same seeded policy inject the identical fault pattern,
+/// wire classes included, and end with identical ledgers; a different seed
+/// diverges.
+#[test]
+fn chaos_fault_pattern_is_seed_deterministic() {
+    with_watchdog(60, || {
+        let run = |seed: u64| {
+            let policy = ChaosPolicy::from_seed(seed).with_rates(120, 120, 80, 0, 80, 0);
+            let mut cluster =
+                SocketCluster::spawn_chaotic(counting_nodes(6, 60, u64::MAX).0, policy);
+            let mut coord = SinkCoord::new(2);
+            for t in 0..10u64 {
+                cluster.step(&mut coord, t, &churn_row(6, t));
+            }
+            let r = *cluster.recovery();
+            let l = cluster.ledger().snapshot();
+            // Injection counters are pure rolls; the model ledger is the
+            // committed protocol. (Retry/retransmission counts depend on
+            // wall-clock deadlines — not pinned here.)
+            (
+                (
+                    r.injected_drops,
+                    r.injected_dups,
+                    r.injected_delays,
+                    r.injected_reply_drops,
+                    r.injected_torn_frames,
+                    r.injected_conn_resets,
+                    r.injected_half_opens,
+                ),
+                (l.up, l.down, l.broadcast, l.sync_frames, l.up_bits),
+            )
+        };
+        let (r1, l1) = run(3);
+        let (r2, l2) = run(3);
+        assert_eq!(r1, r2, "same seed ⇒ same fault pattern");
+        assert_eq!(l1, l2);
+        let (r3, _) = run(4);
+        assert_ne!(r1, r3, "different seed ⇒ different fault pattern");
     });
 }

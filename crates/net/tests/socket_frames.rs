@@ -1,15 +1,17 @@
-//! The socket transport's byte accounting and torn-stream robustness.
+//! The socket transport's frame and byte accounting and torn-stream
+//! robustness.
 //!
-//! Byte side (socket twin of `threaded_frames.rs` / `calendar_visits.rs`):
-//! each shard gets at most one work frame per wave and answers with one
-//! reply frame. On a silent step the bytes written are
-//! O(#changed + #engaged) — an unchanged row writes *zero* bytes — a
-//! `RoundScope`-narrowed broadcast round frames only the shards of the
-//! scoped nodes, and a `FireCalendar`-scheduled node is polled exactly
-//! once, at its fire phase, with the broadcasts it skipped replayed inside
-//! that one frame. All of this is asserted on
-//! [`topk_net::ledger::WireMetrics`], i.e. on real bytes, not on simulated
-//! frame counts.
+//! Frame side: each shard gets at most one work frame per wave and answers
+//! with one reply frame. On a silent step the driver frames only
+//! changed ∪ engaged nodes (`sync_frames` grows by O(#changed), not n, and
+//! a superset change-list costs nothing extra) and the bytes written are
+//! O(#changed + #engaged) — an unchanged row writes *zero* bytes. A
+//! broadcast round is the full-fan-out exception, a `RoundScope`-narrowed
+//! one frames only the shards of the scoped nodes, and a
+//! `FireCalendar`-scheduled node is polled exactly once, at its fire
+//! phase, with the broadcasts it skipped replayed inside that one frame.
+//! All of this is asserted on both the driver's `sync_frames` and
+//! [`topk_net::ledger::WireMetrics`], i.e. on real bytes.
 //!
 //! Stream side (PR 6's decode-never-panics suite extended from buffers to
 //! streams): proptests that [`topk_net::socket::read_frame`] never panics
@@ -21,9 +23,10 @@
 //! wedging `cargo test -q` (the clusters themselves bind port 0, never a
 //! fixed port).
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -34,52 +37,15 @@ use topk_net::id::{NodeId, Value};
 use topk_net::ledger::WireMetrics;
 use topk_net::runtime::Runtime;
 use topk_net::socket::{
-    read_frame, write_frame, FrameCodec, SocketCluster, WireError, FRAME_PREFIX_LEN, MAX_FRAME_LEN,
+    read_frame, write_frame, SocketCluster, WireError, FRAME_PREFIX_LEN, MAX_FRAME_LEN,
 };
-use topk_net::wire::{get_varint, put_varint, WireSize};
 
-/// Fail fast instead of wedging the test binary: run `body` on a helper
-/// thread and panic if it has not finished within `secs` seconds. Used by
-/// every test that opens sockets (a hung accept/read otherwise blocks until
-/// the harness-level timeout, minutes away).
-fn with_watchdog<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let out = body();
-        let _ = tx.send(());
-        out
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(()) => handle.join().expect("watchdog body panicked"),
-        Err(_) => panic!("test body exceeded {secs}s watchdog"),
-    }
-}
+use common::{with_watchdog, Msg};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Msg(u64);
-
-impl WireSize for Msg {
-    fn wire_bits(&self) -> u32 {
-        16
-    }
-}
-
-impl FrameCodec for Msg {
-    fn encode_frame(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.0);
-    }
-
-    fn decode_frame(buf: &mut &[u8]) -> Result<Self, WireError> {
-        get_varint(buf).map(Msg).ok_or(WireError::Malformed {
-            what: "truncated msg varint".into(),
-        })
-    }
-}
-
-/// Change-driven mock node (the `threaded_frames.rs` `LevelNode`, plus a
-/// fire-round script): a value change above `threshold` starts an
+/// Change-driven mock node: a value change above `threshold` starts an
 /// `echo_rounds` engagement; a value in `1..=49` schedules a calendar fire
-/// at node-phase `value` instead.
+/// at node-phase `value` instead. `observe` with an unchanged value is a
+/// strict no-op, so the behavior legitimately declares `SPARSE_OBSERVE`.
 struct LevelNode {
     id: NodeId,
     threshold: Value,
@@ -287,11 +253,13 @@ fn silent_step_bytes_are_o_changed() {
             3 * h.cluster.shards() as u64,
             "init: one hello, one work frame and one reply per shard"
         );
+        assert_eq!(h.cluster.ledger().sync_frames(), n as u64, "init is dense");
 
-        // Unchanged rows: zero bytes cross the sockets.
+        // Unchanged rows: zero frames and zero bytes cross the sockets.
         h.cluster.step(&mut h.coord, 1, &row);
         h.cluster.step(&mut h.coord, 2, &row);
         assert_eq!(*h.cluster.wire(), after_init, "silence is byte-free");
+        assert_eq!(h.cluster.ledger().sync_frames(), n as u64);
 
         // Three movers on shards 0, 2 and 3 (values above the
         // calendar-script range, below the report threshold): exactly 3
@@ -300,6 +268,7 @@ fn silent_step_bytes_are_o_changed() {
         row[42] = 90;
         row[63] = 51;
         h.cluster.step(&mut h.coord, 3, &row);
+        assert_eq!(h.cluster.ledger().sync_frames(), n as u64 + 3);
         let w = h.cluster.wire();
         assert_eq!(w.frames_total - after_init.frames_total, 6);
         assert!(
@@ -327,21 +296,26 @@ fn engaged_node_bytes_are_o_engaged() {
         let row: Vec<Value> = vec![60; n];
         h.cluster.step(&mut h.coord, 0, &row);
         let base = h.cluster.wire().frames_total;
+        let after_init = h.cluster.ledger().sync_frames();
+        assert_eq!(after_init, n as u64);
 
         // Node 3 fires and echoes twice: 1 observe + 2 round frames out,
-        // 3 replies back — 6 frames total, all for node 3.
+        // 3 replies back — 6 frames total, all for node 3. The third round
+        // has no engaged node left, so nobody is framed in it.
         let mut row2 = row.clone();
         row2[3] = 500;
         h.cluster.step(&mut h.coord, 1, &row2);
         assert_eq!(h.cluster.ledger().up(), 3, "report + two echoes");
+        assert_eq!(h.cluster.ledger().sync_frames(), after_init + 1 + 2);
         assert_eq!(h.cluster.wire().frames_total - base, 6);
         assert_eq!(h.cluster.wire().frames_sent(topk_net::ChannelKind::Up), 3);
         assert!(h.cluster.engaged_nodes().is_empty(), "episode concluded");
 
-        // Steady again: zero bytes.
+        // Steady again: zero frames, zero bytes.
         let settled = *h.cluster.wire();
         h.cluster.step(&mut h.coord, 2, &row2);
         assert_eq!(*h.cluster.wire(), settled);
+        assert_eq!(h.cluster.ledger().sync_frames(), after_init + 3);
         let polls = counts(&h.polls);
         drop(h.cluster);
         assert_eq!(polls[3], 2, "only node 3's echo rounds polled");
@@ -349,10 +323,12 @@ fn engaged_node_bytes_are_o_engaged() {
     });
 }
 
-/// `RoundScope` narrowing on the wire: a `RoundScope::All` broadcast costs
-/// one broadcast copy per shard (full fan-out), while the same broadcast under
-/// `RoundScope::Engaged` with nobody engaged writes zero node frames — the
-/// scope rule is measured in bytes, not simulated counts.
+/// A broadcast round is the full-fan-out exception, and `RoundScope`
+/// narrowing is measured on the wire: a `RoundScope::All` broadcast frames
+/// every node (n sync frames, every node polled) in one broadcast copy per
+/// shard, although node-phase 0 framed nobody, while the same broadcast
+/// under `RoundScope::Engaged` with nobody engaged writes zero node
+/// frames.
 #[test]
 fn round_scope_narrowing_measured_in_bytes() {
     with_watchdog(60, || {
@@ -368,10 +344,17 @@ fn round_scope_narrowing_measured_in_bytes() {
         h.cluster.step(&mut h.coord, 1, &row);
         let before = *h.cluster.wire();
         assert_eq!(before.broadcast_frames, 0);
+        let sync_before = h.cluster.ledger().sync_frames();
+        assert_eq!(sync_before, n as u64, "silent steps framed nobody");
 
-        // Full fan-out: one work frame, one reply and one broadcast copy
-        // per shard.
+        // Full fan-out: every node framed, in one work frame, one reply and
+        // one broadcast copy per shard.
         h.cluster.step(&mut h.coord, 2, &row);
+        assert_eq!(
+            h.cluster.ledger().sync_frames() - sync_before,
+            n as u64,
+            "broadcast fans out to every node"
+        );
         let w = *h.cluster.wire();
         let shards = h.cluster.shards() as u64;
         assert_eq!(w.frames_total - before.frames_total, 2 * shards);
@@ -381,6 +364,7 @@ fn round_scope_narrowing_measured_in_bytes() {
         // Engaged-scoped broadcast with nobody engaged: zero node frames —
         // the model ledger still charges the broadcast in full.
         h.cluster.step(&mut h.coord, 3, &row);
+        assert_eq!(h.cluster.ledger().sync_frames(), sync_before + n as u64);
         let w2 = *h.cluster.wire();
         assert_eq!(
             w2.frames_total, w.frames_total,
@@ -444,8 +428,45 @@ fn scheduled_node_framed_once_at_fire_phase() {
     });
 }
 
-/// The dense and sparse entry points drive the identical byte stream — the
-/// socket transport is one code path behind two entry points.
+/// Superset change-lists (unchanged values repeated, as the fill_delta
+/// contract permits) cost no frames: the driver filters them against its
+/// cached row, so only the real mover is framed and observed.
+#[test]
+fn superset_changes_cost_no_frames() {
+    with_watchdog(60, || {
+        let n = 8;
+        let mut h = harness(n, u64::MAX, 0, vec![]);
+        let init: Vec<(NodeId, Value)> = (0..n).map(|i| (NodeId(i as u32), 50)).collect();
+        h.cluster.step_sparse(&mut h.coord, 0, &init);
+        assert_eq!(h.cluster.ledger().sync_frames(), n as u64);
+        let after_init = h.cluster.wire().frames_total;
+
+        // Repeat three unchanged values plus one real mover: one node
+        // framed, one work frame and its reply on the wire.
+        h.cluster.step_sparse(
+            &mut h.coord,
+            1,
+            &[
+                (NodeId(1), 50),
+                (NodeId(2), 50),
+                (NodeId(5), 60),
+                (NodeId(7), 50),
+            ],
+        );
+        assert_eq!(h.cluster.ledger().sync_frames(), n as u64 + 1);
+        assert_eq!(h.cluster.wire().frames_total - after_init, 2);
+        let observes = counts(&h.observes);
+        drop(h.cluster);
+        assert_eq!(observes[5], 2, "the real mover was observed");
+        assert_eq!(observes[1], 1, "repeated values were filtered out");
+        assert_eq!(observes[2], 1);
+        assert_eq!(observes[7], 1);
+    });
+}
+
+/// The dense and sparse entry points drive the identical byte stream, model
+/// ledger and per-node observe pattern — the socket transport is one code
+/// path behind two entry points.
 #[test]
 fn dense_and_sparse_drives_write_identical_bytes() {
     with_watchdog(60, || {
@@ -454,6 +475,7 @@ fn dense_and_sparse_drives_write_identical_bytes() {
             vec![51, 52, 53, 54, 55, 56],
             vec![900, 52, 53, 54, 55, 56],
             vec![900, 52, 53, 54, 55, 800],
+            vec![51, 52, 53, 54, 55, 800],
         ];
         let mut dense = harness(6, 100, 2, vec![]);
         for (t, row) in steps.iter().enumerate() {
@@ -486,9 +508,17 @@ fn dense_and_sparse_drives_write_identical_bytes() {
             sparse.cluster.wire(),
             "identical byte streams"
         );
+        let (a, b) = (
+            dense.cluster.ledger().snapshot(),
+            sparse.cluster.ledger().snapshot(),
+        );
+        assert_eq!((a.up, a.down, a.broadcast), (b.up, b.down, b.broadcast));
+        assert_eq!(a.total_bits(), b.total_bits());
+        assert_eq!(a.sync_frames, b.sync_frames, "identical frame traffic");
         assert_eq!(
-            dense.cluster.ledger().snapshot().sync_frames,
-            sparse.cluster.ledger().snapshot().sync_frames
+            counts(&dense.observes),
+            counts(&sparse.observes),
+            "identical per-node observe patterns"
         );
     });
 }

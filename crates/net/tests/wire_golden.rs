@@ -16,34 +16,16 @@
 //! `UPDATE_GOLDEN=1 cargo test -p topk-net --test wire_golden` — then
 //! review the diff like any other code change.
 
+mod common;
+
 use topk_net::behavior::{
     CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction, RoundScope,
 };
 use topk_net::id::{NodeId, Value};
 use topk_net::runtime::Runtime;
-use topk_net::socket::{FrameCodec, SocketCluster, WireError};
-use topk_net::wire::{get_varint, put_varint, WireSize};
+use topk_net::socket::SocketCluster;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Msg(u64);
-
-impl WireSize for Msg {
-    fn wire_bits(&self) -> u32 {
-        16
-    }
-}
-
-impl FrameCodec for Msg {
-    fn encode_frame(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.0);
-    }
-
-    fn decode_frame(buf: &mut &[u8]) -> Result<Self, WireError> {
-        get_varint(buf).map(Msg).ok_or(WireError::Malformed {
-            what: "truncated msg varint".into(),
-        })
-    }
-}
+use common::{with_watchdog, Msg};
 
 /// Deterministic node: a value above 100 reports and stays engaged for two
 /// echo rounds (so the next step re-observes it via a cached frame path
@@ -220,7 +202,7 @@ fn run_and_render() -> String {
 #[test]
 fn wire_bytes_match_golden_snapshot() {
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/wire_frames.hex");
-    let rendered = run_and_render();
+    let rendered = with_watchdog(60, run_and_render);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(golden_path).parent().unwrap()).unwrap();
         std::fs::write(golden_path, &rendered).unwrap();
@@ -241,5 +223,5 @@ fn wire_bytes_match_golden_snapshot() {
 /// meaningful because the transport is deterministic, not accidentally so.
 #[test]
 fn wire_bytes_are_reproducible() {
-    assert_eq!(run_and_render(), run_and_render());
+    with_watchdog(60, || assert_eq!(run_and_render(), run_and_render()));
 }

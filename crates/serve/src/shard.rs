@@ -72,7 +72,7 @@ struct Slot {
 
 /// Worker loop: wait for a command, execute it against the owned session,
 /// publish the outputs. The session is *built* on this thread too, so
-/// engine construction (thread fleets, socket accept loops) parallelizes
+/// engine construction (socket accept loops) parallelizes
 /// across shards and the session never crosses a thread boundary.
 fn worker(slot: Arc<Slot>, builder: MonitorBuilder, globals: Vec<NodeId>) {
     let mut session = builder.build();

@@ -145,7 +145,7 @@ fn socket_wire_ledger_sums_across_shards() {
     );
 }
 
-/// Drive a chaotic service and its fault-free threaded twin through the
+/// Drive a chaotic service and its fault-free socket twin through the
 /// same stream, asserting the merged outputs never diverge. Returns the
 /// chaotic service so callers can tighten additional pins.
 fn assert_chaos_transparent(policy: ChaosPolicy, steps: u64) -> (TopkService, TopkService) {
@@ -156,13 +156,13 @@ fn assert_chaos_transparent(policy: ChaosPolicy, steps: u64) -> (TopkService, To
         .seed(seed)
         .chaos(policy)
         .build();
-    // Chaos falls back to the threaded engine; the fault-free twin must run
+    // Chaos falls back to the socket engine; the fault-free twin must run
     // the same engine for bit-identical protocol streams.
-    assert_eq!(chaotic.engine(), Engine::Threaded);
+    assert_eq!(chaotic.engine(), Engine::Socket);
     let mut calm = ServeBuilder::new(keys, k)
         .shards(shards)
         .seed(seed)
-        .engine(Engine::Threaded)
+        .engine(Engine::Socket)
         .build();
 
     for t in 0..steps {

@@ -16,10 +16,8 @@ fn service_engine_matches_session_engine_for_every_accepted_pair() {
     let p = Some(ChaosPolicy::from_seed(3));
     let table = [
         (Auto, None, Sequential),
-        (Auto, p, Threaded),
+        (Auto, p, Socket),
         (Sequential, None, Sequential),
-        (Threaded, None, Threaded),
-        (Threaded, p, Threaded),
         (Socket, None, Socket),
         (Socket, p, Socket),
     ];

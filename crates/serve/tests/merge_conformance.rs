@@ -5,8 +5,8 @@
 //!    service's `topk()`, rank order, `threshold()` (the exact global
 //!    `(k+1)`-th best) and full event stream are identical across shard
 //!    counts {1, 2, 3, 7}, identical to a single [`MonitorSession`] twin's
-//!    answer, and identical to `true_ranking` of the pushed row — across
-//!    both in-process [`Engine`]s.
+//!    answer, and identical to `true_ranking` of the pushed row — on both
+//!    [`Engine`]s.
 //! 2. **Replayability**: feeding the service's event stream into an
 //!    [`EventReplay`] reconstructs its polled state at every step (the
 //!    session-layer losslessness contract, lifted to the service).
@@ -16,7 +16,7 @@
 //!    stays the exact `(k+1)`-th global order statistic (a value-multiset
 //!    fact, independent of tie resolution).
 //!
-//! Run under rotated `PROPTEST_SEED`s in CI (`serve-conformance`).
+//! Run under rotated `PROPTEST_SEED`s in CI (`conformance`).
 //!
 //! [`MonitorSession`]: topk_core::session::MonitorSession
 //! [`Engine`]: topk_core::session::Engine
@@ -148,7 +148,7 @@ fn matrix_shard_counts_resets_engines_conform() {
         step_max: 300,
         lazy_p: 0.2,
     };
-    for engine in [Engine::Sequential, Engine::Threaded] {
+    for engine in [Engine::Sequential, Engine::Socket] {
         assert_sharded_conformance(&spec, 4, 11, 70, engine);
     }
 }
@@ -335,7 +335,7 @@ proptest! {
             lazy_p: 0.3,
         };
         let k = 1 + k_off.min(n - 2);
-        let engine = if engine_pick == 0 { Engine::Sequential } else { Engine::Threaded };
+        let engine = if engine_pick == 0 { Engine::Sequential } else { Engine::Socket };
         assert_sharded_conformance(&spec, k, seed, 60, engine);
     }
 }

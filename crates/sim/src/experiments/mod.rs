@@ -7,12 +7,12 @@
 //!   `k`, `Δ`; epoch structure);
 //! * E7–E9 — comparisons and ablations (naive / §2.1 / filter-poll /
 //!   dominance tracking / ordered extension);
-//! * E10 — model sanity: threaded runtime ≡ sequential simulator.
+//! * E10 — model sanity: socket runtime ≡ sequential simulator.
 
 pub mod comparison;
 pub mod monitoring;
 pub mod protocol;
-pub mod threaded;
+pub mod socket;
 
 use crate::table::Table;
 
@@ -63,7 +63,7 @@ pub fn run(id: &str, cfg: &ExpCfg) -> Vec<Table> {
         "e7" => comparison::e7_algorithm_comparison(cfg),
         "e8" => comparison::e8_ablations(cfg),
         "e9" => comparison::e9_ordered_extension(cfg),
-        "e10" => threaded::e10_threaded_equivalence(cfg),
+        "e10" => socket::e10_socket_equivalence(cfg),
         "e11" => protocol::e11_lemma41_per_rank(cfg),
         "e12" => monitoring::e12_epoch_structure(cfg),
         "e13" => protocol::e13_growth_schedules(cfg),

@@ -1,5 +1,5 @@
 //! Smoke tests: every experiment in the registry runs in quick mode and
-//! produces well-formed, non-empty tables. The threaded-equivalence
+//! produces well-formed, non-empty tables. The socket-equivalence
 //! experiment (E10) asserts ledger equality internally — the single most
 //! important cross-runtime invariant in the repository.
 
@@ -14,8 +14,8 @@ fn cfg() -> ExpCfg {
 }
 
 #[test]
-fn e10_threaded_equivalence_holds() {
-    // Run first: it asserts sequential ≡ threaded ledgers internally.
+fn e10_socket_equivalence_holds() {
+    // Run first: it asserts sequential ≡ socket ledgers internally.
     let tables = run("e10", &cfg());
     assert_eq!(tables.len(), 1);
     for row in &tables[0].rows {

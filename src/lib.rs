@@ -42,13 +42,12 @@
 //!
 //! [`MonitorBuilder`](core::MonitorBuilder) carries every knob (`n`, `k`,
 //! slack, ε, [`HandlerMode`](core::HandlerMode), seed) plus an
-//! [`Engine`](core::Engine) choice — `Sequential`, `Threaded`, `Socket`,
-//! or `Auto`, resolved by the one rule
+//! [`Engine`](core::Engine) choice — `Sequential`, `Socket`, or `Auto`,
+//! resolved by the one rule
 //! [`MonitorBuilder::resolved_engine`](core::MonitorBuilder::resolved_engine)
 //! — replacing the per-runtime pick between the dense/sparse drives of
-//! [`TopkMonitor`](core::TopkMonitor),
-//! [`ThreadedTopkMonitor`](core::ThreadedTopkMonitor), and
-//! [`SocketTopkMonitor`](core::SocketTopkMonitor). Those three are
+//! [`TopkMonitor`](core::TopkMonitor) and
+//! [`SocketTopkMonitor`](core::SocketTopkMonitor). Those two are
 //! aliases of one monitor, [`Algorithm1`](core::Algorithm1), which holds
 //! the coordinator and lends it to its [`Runtime`](net::Runtime) every
 //! step. Every engine is
@@ -87,7 +86,7 @@
 //! stream's replayability is property-tested in `tests/session_events.rs`.
 //!
 //! Direct engine access ([`TopkMonitor::new`](core::TopkMonitor::new),
-//! [`ThreadedTopkMonitor::new`](core::ThreadedTopkMonitor::new), the
+//! [`SocketTopkMonitor::new`](core::SocketTopkMonitor::new), the
 //! `step`/`step_sparse` drives) remains available for harnesses that need
 //! it; application code should prefer the session.
 //!
@@ -95,7 +94,7 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`net`] | system model: ids, ledgers, wire sizes, the [`Runtime`](net::Runtime) trait and its sequential (sparse delta-driven) + threaded + loopback-TCP socket implementations |
+//! | [`net`] | system model: ids, ledgers, wire sizes, the [`Runtime`](net::Runtime) trait and its sequential (sparse delta-driven) + loopback-TCP socket implementations |
 //! | [`proto`] | Algorithm 2 (randomized max/min protocols), baselines, closed forms |
 //! | [`filters`] | filter intervals, Lemma 2.2 validity, `T±` tracking |
 //! | [`streams`] | seeded synthetic workloads ([`WorkloadSpec`](streams::WorkloadSpec)), delta generation ([`ValueFeed::fill_delta`](net::behavior::ValueFeed::fill_delta)) |
@@ -124,8 +123,7 @@ pub mod prelude {
     pub use topk_core::{
         is_eps_valid_topk, is_valid_topk, run_monitor, run_monitor_sparse, ApproxMode, BuildError,
         ChaosPolicy, Engine, EventReplay, HandlerMode, Monitor, MonitorBuilder, MonitorConfig,
-        MonitorSession, RecoveryMetrics, RuntimeError, SocketTopkMonitor, ThreadedTopkMonitor,
-        TopkEvent, TopkMonitor,
+        MonitorSession, RecoveryMetrics, RuntimeError, SocketTopkMonitor, TopkEvent, TopkMonitor,
     };
     pub use topk_core::{opt_segments, trace_delta, OptCostModel};
     pub use topk_core::{DominanceMidpoint, FilterNaiveResolve, NaiveMonitor, PeriodicRecompute};

@@ -2,9 +2,10 @@
 //! through a seeded fault-injecting transport ([`ChaosPolicy`]) under
 //! rotating fault seeds, with a deep invariant audit every step.
 //!
-//! Three cross-checked arms per `(engine, chaos seed)`:
+//! Three cross-checked arms per chaos seed:
 //!
-//! 1. a **chaotic session** — the engine under soak behind the fault layer;
+//! 1. a **chaotic session** — the socket engine behind the fault layer,
+//!    every frame crossing a real loopback socket;
 //! 2. a **fault-free session twin** — sequential engine, same stream — whose
 //!    typed event stream, answers and thresholds the chaotic arm must match
 //!    bit-for-bit at every committed step (the Las Vegas-exact pin);
@@ -16,11 +17,10 @@
 //! a reset every few steps, with a seeded [`boundary_storm`] glitch rain
 //! (shared `topk_sim::faults` vocabulary) landing values exactly on the
 //! filter boundaries. Across the rotating seeds the soak must observe every
-//! headline fault class at least once — drops, duplicates, stalls and
-//! coordinator crash-restarts on the threaded slice; torn frames,
-//! connection resets, half-opens and reconnects on the socket slice —
-//! proving the recovery machinery (not the absence of faults) is what keeps
-//! the arms identical.
+//! headline fault class at least once — drops, duplicates, stalls,
+//! coordinator crash-restarts and retries; torn frames, connection resets,
+//! half-opens, reconnects and re-deliveries — proving the recovery
+//! machinery (not the absence of faults) is what keeps the arms identical.
 //!
 //! `CHAOS_SEED=<u64>` rotates the fault seeds from CI without recompiling.
 
@@ -39,11 +39,11 @@ fn chaos_seeds() -> [u64; 3] {
     [base, base ^ 0x5eed, base.wrapping_mul(0x9e37_79b9).max(1)]
 }
 
-/// One soak arm: `steps` of boundary churn + glitch rain on `engine` behind
-/// `policy`, cross-checked per step against the fault-free sequential twin
-/// and the audited monitor. Returns the chaotic run's recovery counters for
-/// the caller's coverage gate.
-fn soak_arm(engine: Engine, policy: ChaosPolicy, steps: u64) -> RecoveryMetrics {
+/// One soak arm: `steps` of boundary churn + glitch rain on the socket
+/// engine behind `policy`, cross-checked per step against the fault-free
+/// sequential twin and the audited monitor. Returns the chaotic run's
+/// recovery counters for the caller's coverage gate.
+fn soak_arm(policy: ChaosPolicy, steps: u64) -> RecoveryMetrics {
     let n = 10;
     let k = 2;
     let spec = WorkloadSpec::BoundaryCross {
@@ -64,12 +64,12 @@ fn soak_arm(engine: Engine, policy: ChaosPolicy, steps: u64) -> RecoveryMetrics 
         100,
         20,
     ));
-    let ctx = format!("chaos soak (seed={}, {engine:?})", policy.seed);
+    let ctx = format!("chaos soak (seed={})", policy.seed);
 
     let run_seed = 47;
     let mut chaotic = MonitorBuilder::new(n, k)
         .seed(run_seed)
-        .engine(engine)
+        .engine(Engine::Socket)
         .chaos(policy)
         .build();
     let mut twin = MonitorBuilder::new(n, k)
@@ -121,22 +121,19 @@ fn soak_arm(engine: Engine, policy: ChaosPolicy, steps: u64) -> RecoveryMetrics 
 
 #[test]
 fn chaos_soak_reset_storms_with_per_step_audits() {
+    // Recovery rides `(t, run, m)` dedup, `Hello` re-handshakes and
+    // snapshot + step re-run; the per-step pins hold on every arm.
     let mut total = RecoveryMetrics::default();
     let mut arms = 0u32;
     for chaos_seed in chaos_seeds() {
-        let recovery = soak_arm(Engine::Threaded, ChaosPolicy::from_seed(chaos_seed), 160);
-        total.injected_drops += recovery.injected_drops;
-        total.injected_dups += recovery.injected_dups;
-        total.injected_delays += recovery.injected_delays;
-        total.injected_stalls += recovery.injected_stalls;
-        total.injected_reply_drops += recovery.injected_reply_drops;
-        total.restarts += recovery.restarts;
-        total.retries += recovery.retries;
+        total.absorb(&soak_arm(ChaosPolicy::from_seed(chaos_seed), 120));
         arms += 1;
     }
 
     // Coverage gate: across the rotating seeds every headline fault class
-    // fired at least once — the soak proved recovery, not fault absence.
+    // fired at least once, every severed connection re-handshook, and the
+    // dedup layer absorbed re-deliveries — the soak proved recovery, not
+    // fault absence.
     assert_eq!(arms, 3);
     assert!(total.injected_drops > 0, "no drops across soak: {total:?}");
     assert!(
@@ -149,44 +146,17 @@ fn chaos_soak_reset_storms_with_per_step_audits() {
     );
     assert!(total.restarts > 0, "no restarts across soak: {total:?}");
     assert!(total.retries > 0, "faults never forced a retry: {total:?}");
-}
-
-#[test]
-fn chaos_soak_socket_wire_storms_with_per_step_audits() {
-    // The socket slice: the same hostile stream, but every frame crosses a
-    // real loopback socket through the wire-level fault classes on top of
-    // the in-process ones. Recovery rides `(t, run, m)` dedup, `Hello`
-    // re-handshakes and snapshot + step re-run; the per-step pins are
-    // identical to the threaded slice.
-    let mut total = RecoveryMetrics::default();
-    let mut arms = 0u32;
-    for chaos_seed in chaos_seeds() {
-        let recovery = soak_arm(Engine::Socket, ChaosPolicy::from_seed(chaos_seed), 120);
-        total.injected_torn_frames += recovery.injected_torn_frames;
-        total.injected_conn_resets += recovery.injected_conn_resets;
-        total.injected_half_opens += recovery.injected_half_opens;
-        total.injected_storms += recovery.injected_storms;
-        total.reconnects += recovery.reconnects;
-        total.redelivered_frames += recovery.redelivered_frames;
-        total.stale_replies += recovery.stale_replies;
-        arms += 1;
-    }
-
-    // Coverage gate for the wire classes: every one fired at least once
-    // across the rotating seeds, every severed connection re-handshook, and
-    // the dedup layer actually absorbed re-deliveries.
-    assert_eq!(arms, 3);
     assert!(
         total.injected_torn_frames > 0,
-        "no torn frames across socket soak: {total:?}"
+        "no torn frames across soak: {total:?}"
     );
     assert!(
         total.injected_conn_resets > 0,
-        "no connection resets across socket soak: {total:?}"
+        "no connection resets across soak: {total:?}"
     );
     assert!(
         total.injected_half_opens > 0,
-        "no half-opens across socket soak: {total:?}"
+        "no half-opens across soak: {total:?}"
     );
     assert!(
         total.reconnects > 0,

@@ -1,7 +1,7 @@
 //! Cross-runtime conformance suite: every execution path of Algorithm 1 —
-//! dense sequential, sparse sequential, threaded densely driven, threaded
-//! delta-driven, the socket runtime (real loopback-TCP frames), and the
-//! push-based `MonitorSession` facade on every engine — must be
+//! dense sequential, sparse sequential, the socket runtime (real
+//! loopback-TCP frames) densely driven and delta-driven, and the push-based
+//! `MonitorSession` facade on every engine — must be
 //! **bit-identical** in everything the model can observe: top-k answers,
 //! comm ledgers (counts *and* payload bits), node filter state, and the
 //! per-node RNG streams. The session arms must additionally agree on their
@@ -10,10 +10,10 @@
 //!
 //! RNG agreement is asserted both structurally (node state after hundreds of
 //! randomized protocol episodes) and behaviorally (a churny iid tail whose
-//! coin flips would diverge loudly if any stream had drifted). The threaded
-//! paths additionally agree on `sync_frames` with each other: the dense
-//! `step` entry point diffs against the driver's cached row, so both drives
-//! use the identical delta transport.
+//! coin flips would diverge loudly if any stream had drifted). The socket
+//! paths additionally agree on `sync_frames` and on every wire byte with
+//! each other: the dense `step` entry point diffs against the driver's
+//! cached row, so both drives use the identical delta transport.
 //!
 //! Every step that completes a FILTERRESET is also pinned to ground truth:
 //! the post-reset threshold must be `⌊(v_k + v_{k+1})/2⌋` of the sorted
@@ -28,7 +28,7 @@ use topk_monitoring::net::id::{midpoint_floor, true_topk};
 use topk_monitoring::prelude::*;
 
 /// Model-observable ledger tuple (sync frames excluded — they are transport
-/// accounting, compared separately between the two threaded drives).
+/// accounting, compared separately between the two socket drives).
 fn model(l: &LedgerSnapshot) -> (u64, u64, u64, u64, u64, u64) {
     (
         l.up,
@@ -40,7 +40,7 @@ fn model(l: &LedgerSnapshot) -> (u64, u64, u64, u64, u64, u64) {
     )
 }
 
-/// Drive all five runtimes — plus a push-based session on each engine —
+/// Drive all four runtimes — plus a push-based session on each engine —
 /// over `steps` of the spec plus a 30-step churny tail, asserting identical
 /// observable state at every step and identical node state at the end.
 /// `eps = 0` is exact mode; `eps > 0` runs the whole matrix in ε-band
@@ -58,13 +58,11 @@ fn assert_conformant_with(
     let cfg = MonitorConfig::new(n, k).with_epsilon(eps);
     let mut seq_dense = TopkMonitor::new(cfg, seed);
     let mut seq_sparse = TopkMonitor::new(cfg, seed);
-    let mut thr_dense = ThreadedTopkMonitor::new(cfg, seed);
-    let mut thr_sparse = ThreadedTopkMonitor::new(cfg, seed);
+    let mut soc_dense = SocketTopkMonitor::new(cfg, seed);
     let mut soc_sparse = SocketTopkMonitor::new(cfg, seed);
     let builder = MonitorBuilder::new(n, k).epsilon(eps).seed(seed);
     let mut ses_seq = builder.clone().engine(Engine::Sequential).build();
-    let mut ses_soc = builder.clone().engine(Engine::Socket).build();
-    let mut ses_thr = builder.engine(Engine::Threaded).build();
+    let mut ses_soc = builder.engine(Engine::Socket).build();
 
     // One dense feed drives both densely-stepped monitors, one delta feed
     // the two sparsely-stepped ones and (via `update_batch`) the two
@@ -79,21 +77,16 @@ fn assert_conformant_with(
                  changes: &[(NodeId, Value)],
                  seq_dense: &mut TopkMonitor,
                  seq_sparse: &mut TopkMonitor,
-                 thr_dense: &mut ThreadedTopkMonitor,
-                 thr_sparse: &mut ThreadedTopkMonitor,
+                 soc_dense: &mut SocketTopkMonitor,
                  soc_sparse: &mut SocketTopkMonitor,
                  ses_seq: &mut MonitorSession,
-                 ses_thr: &mut MonitorSession,
                  ses_soc: &mut MonitorSession| {
         seq_dense.step(t, row);
         seq_sparse.step_sparse(t, changes);
-        thr_dense.step(t, row);
-        thr_sparse.step_sparse(t, changes);
+        soc_dense.step(t, row);
         soc_sparse.step_sparse(t, changes);
         ses_seq.update_batch(changes.iter().copied());
         let ev_seq: Vec<TopkEvent> = ses_seq.advance(t).to_vec();
-        ses_thr.update_batch(changes.iter().copied());
-        let ev_thr: Vec<TopkEvent> = ses_thr.advance(t).to_vec();
         ses_soc.update_batch(changes.iter().copied());
         let ev_soc: Vec<TopkEvent> = ses_soc.advance(t).to_vec();
 
@@ -101,8 +94,7 @@ fn assert_conformant_with(
         let ledger = seq_dense.ledger();
         for (name, m) in [
             ("seq-sparse", seq_sparse as &mut dyn Monitor),
-            ("thr-dense", thr_dense as &mut dyn Monitor),
-            ("thr-sparse", thr_sparse as &mut dyn Monitor),
+            ("soc-dense", soc_dense as &mut dyn Monitor),
             ("soc-sparse", soc_sparse as &mut dyn Monitor),
         ] {
             assert_eq!(answer, m.topk(), "t={t}: {name} top-k diverged");
@@ -115,11 +107,7 @@ fn assert_conformant_with(
         // The session facade is bit-identical to the raw drives on answers
         // and ledgers, on every engine — and the engines' event streams are
         // indistinguishable.
-        for (name, s) in [
-            ("session-seq", &*ses_seq),
-            ("session-thr", &*ses_thr),
-            ("session-soc", &*ses_soc),
-        ] {
+        for (name, s) in [("session-seq", &*ses_seq), ("session-soc", &*ses_soc)] {
             assert_eq!(answer, s.topk(), "t={t}: {name} top-k diverged");
             assert_eq!(
                 model(&ledger),
@@ -127,8 +115,7 @@ fn assert_conformant_with(
                 "t={t}: {name} ledger diverged"
             );
         }
-        assert_eq!(ev_seq, ev_thr, "t={t}: session event streams diverged");
-        assert_eq!(ev_seq, ev_soc, "t={t}: socket session events diverged");
+        assert_eq!(ev_seq, ev_soc, "t={t}: session event streams diverged");
         // A completed reset selected the true top-(k+1), so the threshold
         // it broadcast is the midpoint of the true k-th and (k+1)-st values.
         if ev_seq
@@ -162,11 +149,9 @@ fn assert_conformant_with(
             &changes,
             &mut seq_dense,
             &mut seq_sparse,
-            &mut thr_dense,
-            &mut thr_sparse,
+            &mut soc_dense,
             &mut soc_sparse,
             &mut ses_seq,
-            &mut ses_thr,
             &mut ses_soc,
         );
     }
@@ -190,30 +175,27 @@ fn assert_conformant_with(
             &changes,
             &mut seq_dense,
             &mut seq_sparse,
-            &mut thr_dense,
-            &mut thr_sparse,
+            &mut soc_dense,
             &mut soc_sparse,
             &mut ses_seq,
-            &mut ses_thr,
             &mut ses_soc,
         );
     }
 
-    // The two threaded drives share one transport: identical frame counts.
+    // The two socket drives share one transport: identical frame counts
+    // and identical bytes on the wire.
     assert_eq!(
-        thr_dense.sync_frames(),
-        thr_sparse.sync_frames(),
-        "dense step diffs internally; both threaded drives must frame identically"
-    );
-    // The socket transport charges sync frames at dispatch intent, exactly
-    // like the threaded one — the counts are bit-identical even though the
-    // socket frames are real bytes. The model metrics match the sequential
-    // twin once the wire block (socket-only by design) is zeroed.
-    assert_eq!(
+        soc_dense.sync_frames(),
         soc_sparse.sync_frames(),
-        thr_sparse.sync_frames(),
-        "socket and threaded transports must frame identically"
+        "dense step diffs internally; both socket drives must frame identically"
     );
+    assert_eq!(
+        soc_dense.wire(),
+        soc_sparse.wire(),
+        "both socket drives must write identical bytes"
+    );
+    // The model metrics match the sequential twin once the wire block
+    // (socket-only by design) is zeroed.
     assert!(
         soc_sparse.metrics().wire.bytes_total > 0,
         "the socket engine must actually put bytes on the wire"
@@ -230,24 +212,20 @@ fn assert_conformant_with(
 
     // Node state — values, filters, membership, and the RNG-bearing state
     // machines' observable fields — must agree across all four runtimes.
-    let thr_dense_nodes = thr_dense.shutdown();
-    let thr_sparse_nodes = thr_sparse.shutdown();
-    let soc_nodes = soc_sparse.shutdown();
-    assert_eq!(soc_nodes.len(), n, "socket shutdown must return every node");
-    for ((((d, s), td), ts), sn) in seq_dense
+    let soc_dense_nodes = soc_dense.shutdown();
+    let soc_sparse_nodes = soc_sparse.shutdown();
+    assert!(
+        soc_dense_nodes.len() == n && soc_sparse_nodes.len() == n,
+        "socket shutdown must return every node"
+    );
+    for (((d, s), sd), ss) in seq_dense
         .nodes()
         .iter()
         .zip(seq_sparse.nodes().iter())
-        .zip(thr_dense_nodes.iter())
-        .zip(thr_sparse_nodes.iter())
-        .zip(soc_nodes.iter())
+        .zip(soc_dense_nodes.iter())
+        .zip(soc_sparse_nodes.iter())
     {
-        for (name, node) in [
-            ("seq-sparse", s),
-            ("thr-dense", td),
-            ("thr-sparse", ts),
-            ("soc-sparse", sn),
-        ] {
+        for (name, node) in [("seq-sparse", s), ("soc-dense", sd), ("soc-sparse", ss)] {
             assert_eq!(d.value(), node.value(), "{name}: node value diverged");
             assert_eq!(
                 d.threshold(),
@@ -271,23 +249,21 @@ fn assert_conformant(spec: &WorkloadSpec, k: usize, seed: u64, steps: u64) -> Ru
     m
 }
 
-/// Chaos conformance: a monitor on `engine` behind a seeded fault-injection
-/// transport ([`ChaosPolicy`]) against a fault-free sequential twin. At
-/// every *committed* step the chaotic run must be indistinguishable —
-/// identical answers, thresholds, typed event streams, model ledgers and
-/// (recovery and wire blocks aside) protocol metrics. When the policy
-/// cannot restart the coordinator the pin tightens to full transport
-/// identity: the same `sync_frames` as a fault-free twin on the same
-/// engine (frames are charged at dispatch intent, so drops/dups/retries
-/// never leak into the model), and on the socket engine the physical wire
-/// ledger's model split — up/down/broadcast frames *and* bytes — is
-/// byte-identical to the clean socket twin (faulty traffic lands on the
-/// retransmit channel only).
+/// Chaos conformance: a socket-engine monitor behind a seeded
+/// fault-injection transport ([`ChaosPolicy`]) against a fault-free
+/// sequential twin. At every *committed* step the chaotic run must be
+/// indistinguishable — identical answers, thresholds, typed event streams,
+/// model ledgers and (recovery and wire blocks aside) protocol metrics.
+/// When the policy cannot restart the coordinator the pin tightens to full
+/// transport identity against a clean socket twin: the same `sync_frames`
+/// (frames are charged at dispatch intent, so drops/dups/retries never leak
+/// into the model), and a physical wire ledger whose model split —
+/// up/down/broadcast frames *and* bytes — is byte-identical (faulty traffic
+/// lands on the retransmit channel only).
 ///
 /// Returns the chaotic run's recovery counters so callers can assert
 /// coverage of specific fault classes across arms.
 fn assert_chaos_conformant(
-    engine: Engine,
     policy: ChaosPolicy,
     spec: &WorkloadSpec,
     k: usize,
@@ -297,14 +273,14 @@ fn assert_chaos_conformant(
     let n = spec.n();
     let builder = MonitorBuilder::new(n, k).seed(seed);
     let mut twin = builder.clone().engine(Engine::Sequential).build();
-    let mut clean = builder.clone().engine(engine).build();
-    let mut chaotic = builder.engine(engine).chaos(policy).build();
+    let mut clean = builder.clone().engine(Engine::Socket).build();
+    let mut chaotic = builder.engine(Engine::Socket).chaos(policy).build();
 
     let mut twin_feed = spec.build(seed ^ 0xfeed);
     let mut chaos_feed = spec.build(seed ^ 0xfeed);
     let mut clean_feed = spec.build(seed ^ 0xfeed);
     let mut changes: Vec<(NodeId, Value)> = Vec::new();
-    let tag = format!("chaos(seed={}, {engine:?})", policy.seed);
+    let tag = format!("chaos(seed={})", policy.seed);
 
     for t in 0..steps {
         twin_feed.fill_delta(t, &mut changes);
@@ -335,8 +311,7 @@ fn assert_chaos_conformant(
 
     // Protocol metrics match exactly once the engine-local blocks are
     // zeroed: recovery counts the faults themselves, wire counts physical
-    // bytes (populated only on the socket engine, where faulty traffic
-    // legitimately inflates the totals).
+    // bytes (faulty traffic legitimately inflates the totals).
     let recovery = *chaotic.recovery().expect("chaotic engines expose recovery");
     let scrubbed = RunMetrics {
         recovery: Default::default(),
@@ -359,69 +334,41 @@ fn assert_chaos_conformant(
             clean.sync_frames(),
             "{tag}: without restarts even transport frames are identical"
         );
-        if let (Some(cw), Some(ww)) = (chaotic.wire(), clean.wire()) {
-            assert_eq!(
-                (cw.up_frames, cw.up_bytes, cw.down_frames, cw.down_bytes),
-                (ww.up_frames, ww.up_bytes, ww.down_frames, ww.down_bytes),
-                "{tag}: wire model split (up/down) diverged from clean socket"
-            );
-            assert_eq!(
-                (cw.broadcast_frames, cw.broadcast_bytes),
-                (ww.broadcast_frames, ww.broadcast_bytes),
-                "{tag}: wire model split (broadcast) diverged from clean socket"
-            );
-            assert_eq!(
-                (ww.retransmit_frames, ww.retransmit_bytes),
-                (0, 0),
-                "{tag}: a fault-free socket twin never retransmits"
-            );
-            assert!(
-                cw.retransmit_bytes > 0,
-                "{tag}: faulty wire traffic must land on the retransmit channel"
-            );
-        }
+        let (cw, ww) = (chaotic.wire().unwrap(), clean.wire().unwrap());
+        assert_eq!(
+            (cw.up_frames, cw.up_bytes, cw.down_frames, cw.down_bytes),
+            (ww.up_frames, ww.up_bytes, ww.down_frames, ww.down_bytes),
+            "{tag}: wire model split (up/down) diverged from clean socket"
+        );
+        assert_eq!(
+            (cw.broadcast_frames, cw.broadcast_bytes),
+            (ww.broadcast_frames, ww.broadcast_bytes),
+            "{tag}: wire model split (broadcast) diverged from clean socket"
+        );
+        assert_eq!(
+            (ww.retransmit_frames, ww.retransmit_bytes),
+            (0, 0),
+            "{tag}: a fault-free socket twin never retransmits"
+        );
+        assert!(
+            cw.retransmit_bytes > 0,
+            "{tag}: faulty wire traffic must land on the retransmit channel"
+        );
     }
     recovery
 }
 
 #[test]
-fn chaos_seeds_conform_to_fault_free_twin() {
-    // Six rotating fault seeds on a reset-heavy boundary churn: every
-    // committed step bit-identical to the twin.
-    let spec = WorkloadSpec::BoundaryCross {
-        n: 10,
-        base: 100,
-        spread: 25,
-        amplitude: 30,
-        period: 4,
-    };
-    for chaos_seed in 1u64..=6 {
-        let policy = ChaosPolicy::from_seed(chaos_seed);
-        assert_chaos_conformant(Engine::Threaded, policy, &spec, 2, 17, 120);
-    }
-}
-
-#[test]
-fn chaos_without_restarts_is_frame_identical() {
-    // No coordinator crashes: drop/dup/delay/stall/reply-drop only. The
-    // transport pin tightens to sync-frame identity with a clean twin.
-    let spec = WorkloadSpec::default_walk(12);
-    for chaos_seed in [7u64, 8, 9] {
-        let policy = ChaosPolicy::from_seed(chaos_seed).with_rates(40, 40, 25, 10, 25, 0);
-        assert_chaos_conformant(Engine::Threaded, policy, &spec, 3, 23, 150);
-    }
-}
-
-#[test]
 fn socket_chaos_seeds_conform_to_fault_free_twin() {
-    // The wire-level tentpole pin: six wire-fault seeds on
-    // `Engine::Socket`. Every frame crosses a real loopback
-    // socket through the seeded [`WireChaos`] layer — torn frames,
-    // connection resets, half-open connections, reconnect storms — on top
-    // of the in-process classes, and every committed step must still be
-    // bit-identical to the fault-free sequential twin (answers, thresholds,
-    // events, model ledger). Recovery rides the protocol semantics alone:
-    // `(t, run, m)` dedup, `Hello` re-handshake, snapshot + step re-run.
+    // Six rotating fault seeds on a reset-heavy boundary churn. Every frame
+    // crosses a real loopback socket through the seeded fault layer — the
+    // frame classes (drop, duplicate, delay, stall, reply loss, coordinator
+    // crash) plus the [`WireChaos`] classes (torn frames, connection
+    // resets, half-open connections, reconnect storms) — and every
+    // committed step must still be bit-identical to the fault-free
+    // sequential twin (answers, thresholds, events, model ledger). Recovery
+    // rides the protocol semantics alone: `(t, run, m)` dedup, `Hello`
+    // re-handshake, snapshot + step re-run.
     let spec = WorkloadSpec::BoundaryCross {
         n: 10,
         base: 100,
@@ -432,7 +379,7 @@ fn socket_chaos_seeds_conform_to_fault_free_twin() {
     let mut sum = RecoveryMetrics::default();
     for chaos_seed in 1u64..=6 {
         let policy = ChaosPolicy::from_seed(chaos_seed);
-        let r = assert_chaos_conformant(Engine::Socket, policy, &spec, 2, 17, 120);
+        let r = assert_chaos_conformant(policy, &spec, 2, 17, 120);
         sum.injected_torn_frames += r.injected_torn_frames;
         sum.injected_conn_resets += r.injected_conn_resets;
         sum.injected_half_opens += r.injected_half_opens;
@@ -457,8 +404,9 @@ fn socket_chaos_seeds_conform_to_fault_free_twin() {
 
 #[test]
 fn socket_chaos_without_restarts_is_wire_model_identical() {
-    // No coordinator crashes, wire rates boosted: the socket pin tightens
-    // inside `assert_chaos_conformant` to byte-identity of the wire
+    // No coordinator crashes (drop/dup/delay/stall/reply-drop plus boosted
+    // wire rates): the pin tightens inside `assert_chaos_conformant` to
+    // sync-frame identity with a clean twin and byte-identity of the wire
     // ledger's model split against a clean socket twin — torn halves,
     // duplicates and re-deliveries are all charged to the retransmit
     // channel, never to up/down/broadcast.
@@ -468,7 +416,7 @@ fn socket_chaos_without_restarts_is_wire_model_identical() {
         let policy = ChaosPolicy::from_seed(chaos_seed)
             .with_rates(40, 40, 25, 10, 25, 0)
             .with_wire_rates(25, 25, 20, 400);
-        let r = assert_chaos_conformant(Engine::Socket, policy, &spec, 3, 23, 100);
+        let r = assert_chaos_conformant(policy, &spec, 3, 23, 100);
         sum.injected_torn_frames += r.injected_torn_frames;
         sum.injected_conn_resets += r.injected_conn_resets;
         sum.injected_half_opens += r.injected_half_opens;
@@ -487,8 +435,7 @@ fn socket_chaos_restart_storm_still_conforms() {
     // from its committed `CoordSnapshot` and re-runs whole steps over real
     // sockets (abort frames, reply-cache dedup, reconnects racing the
     // re-run). Committed answers stay exact; the model ledger is
-    // deliberately not compared — a re-run legitimately repeats rounds,
-    // exactly as in the threaded storm arm above.
+    // deliberately not compared — a re-run legitimately repeats rounds.
     let spec = WorkloadSpec::RotatingMax {
         n: 8,
         base: 100,
@@ -525,39 +472,6 @@ fn socket_chaos_restart_storm_still_conforms() {
     assert!(
         reconnects_seen > 0,
         "wire faults under restarts must force reconnects"
-    );
-}
-
-#[test]
-fn chaos_restart_storm_still_conforms() {
-    // Crash-heavy policy: the coordinator restarts from its committed
-    // snapshot many times; committed answers stay exact.
-    let spec = WorkloadSpec::RotatingMax {
-        n: 8,
-        base: 100,
-        bonus: 10_000,
-    };
-    let mut restarts_seen = 0;
-    for chaos_seed in [4u64, 5, 6] {
-        let policy = ChaosPolicy::from_seed(chaos_seed).with_rates(20, 20, 10, 5, 10, 120);
-        let builder = MonitorBuilder::new(8, 2).seed(31).chaos(policy);
-        let mut chaotic = builder.build();
-        let mut twin = MonitorBuilder::new(8, 2).seed(31).build();
-        let mut feed_a = spec.build(99);
-        let mut feed_b = spec.build(99);
-        for t in 0..100 {
-            chaotic.ingest(&mut feed_a, t);
-            twin.ingest(&mut feed_b, t);
-            let (ea, eb) = (chaotic.advance(t).to_vec(), twin.advance(t).to_vec());
-            assert_eq!(ea, eb, "t={t}: restart arm event stream diverged");
-            assert_eq!(chaotic.topk(), twin.topk(), "t={t}");
-            assert_eq!(chaotic.threshold(), twin.threshold(), "t={t}");
-        }
-        restarts_seen += chaotic.recovery().expect("threaded").restarts;
-    }
-    assert!(
-        restarts_seen > 0,
-        "a 12% crash rate over 3×100 churny steps must restart at least once"
     );
 }
 
@@ -688,18 +602,16 @@ fn socket_engine_conforms_across_seeds() {
     }
 }
 
-/// Drive a socket session and a sequential twin over `steps` update
-/// batches from `fill`, asserting at every step the same events, answers,
-/// thresholds and model ledger (`sync_frames` is transport accounting and
-/// left out). Returns the sequential session for further checks.
+/// Drive a socket session and a sequential twin, both from `builder`, over
+/// `steps` update batches from `fill`, asserting at every step the same
+/// events, answers, thresholds and model ledger (`sync_frames` is transport
+/// accounting and left out), and at the end the same protocol metrics.
+/// Returns the sequential session for further checks.
 fn assert_socket_session_conforms(
-    n: usize,
-    k: usize,
-    seed: u64,
+    builder: MonitorBuilder,
     steps: u64,
     mut fill: impl FnMut(u64, &mut Vec<(NodeId, Value)>),
 ) -> MonitorSession {
-    let builder = MonitorBuilder::new(n, k).seed(seed);
     let mut seq = builder.clone().engine(Engine::Sequential).build();
     let mut soc = builder.engine(Engine::Socket).build();
     let mut changes: Vec<(NodeId, Value)> = Vec::new();
@@ -722,6 +634,11 @@ fn assert_socket_session_conforms(
             "t={t}: model ledger diverged"
         );
     }
+    let scrubbed = RunMetrics {
+        wire: Default::default(),
+        ..*soc.metrics()
+    };
+    assert_eq!(scrubbed, *seq.metrics(), "protocol metrics diverged");
     seq
 }
 
@@ -742,15 +659,16 @@ fn socket_waves_larger_than_stream_buffers_conform() {
         lazy_p: 0.2,
     };
     let mut feed = spec.build(seed ^ 0xfeed);
-    let seq =
-        assert_socket_session_conforms(n, k, seed, 40, |t, changes| feed.fill_delta(t, changes));
+    let seq = assert_socket_session_conforms(MonitorBuilder::new(n, k).seed(seed), 40, |t, c| {
+        feed.fill_delta(t, c)
+    });
     assert!(seq.metrics().resets >= 1, "the init reset ran");
     assert!(seq.ledger().up > 0, "the protocol exchanged messages");
 }
 
-/// A large `k`. The socket and threaded engines size their micro-round
-/// guard without knowing `k`, so a reset whose round count grows with `k`
-/// trips it. At n = 4096, k = 2047 the socket session must match the
+/// A large `k`. The socket engine sizes its micro-round guard without
+/// knowing `k`, so a reset whose round count grows with `k` trips it. At
+/// n = 4096, k = 2047 the socket session must match the
 /// sequential one through the init reset, a silent step, a forced reset
 /// (the whole order flips at t = 2) and a step after it.
 #[test]
@@ -758,15 +676,61 @@ fn socket_engine_conforms_at_large_k() {
     let (n, k) = (4096usize, 2047usize);
     let ascending: Vec<Value> = (0..n as u64).map(|i| 1_000 + 10 * i).collect();
     let descending: Vec<Value> = ascending.iter().rev().copied().collect();
-    let seq = assert_socket_session_conforms(n, k, 29, 4, |t, changes| {
-        emit_dense(changes, if t < 2 { &ascending } else { &descending })
+    let seq = assert_socket_session_conforms(MonitorBuilder::new(n, k).seed(29), 4, |t, c| {
+        emit_dense(c, if t < 2 { &ascending } else { &descending })
     });
     assert_eq!(seq.topk(), true_topk(&descending, k), "wrong answer");
     assert_eq!(seq.metrics().resets, 1, "the flip forced one reset");
 }
 
+/// The E8 ablation knobs on a transport engine: every
+/// `{OnChange, EveryRound} × {Tight, Faithful}` pair runs a socket session
+/// against its sequential twin on a reset-heavy boundary churn, with
+/// answers, thresholds, events and the model ledger pinned at every step.
+/// Both knobs must show in the run: `EveryRound` announces more than
+/// `OnChange` under the same handler, and only `Faithful` runs extra
+/// handler protocols.
+#[test]
+fn ablation_knob_pairs_conform_on_socket() {
+    let spec = WorkloadSpec::BoundaryCross {
+        n: 10,
+        base: 100,
+        spread: 25,
+        amplitude: 30,
+        period: 4,
+    };
+    for mode in [HandlerMode::Tight, HandlerMode::Faithful] {
+        let mut broadcasts = Vec::new();
+        for policy in [BroadcastPolicy::OnChange, BroadcastPolicy::EveryRound] {
+            // k = 1: the oscillating pair is the rank-1/2 boundary, so
+            // every crossing violates and forces regular resets.
+            let builder = MonitorBuilder::new(10, 1)
+                .seed(17)
+                .handler_mode(mode)
+                .policy(policy);
+            let mut feed = spec.build(17 ^ 0xfeed);
+            let seq = assert_socket_session_conforms(builder, 120, |t, c| feed.fill_delta(t, c));
+            assert!(
+                seq.metrics().resets >= 3,
+                "{mode:?}/{policy:?}: workload must be reset-heavy: {:?}",
+                seq.metrics()
+            );
+            assert_eq!(
+                seq.metrics().handler_protocols > 0,
+                mode == HandlerMode::Faithful,
+                "{mode:?}/{policy:?}: only Faithful re-runs the handler protocols"
+            );
+            broadcasts.push(seq.ledger().broadcast);
+        }
+        assert!(
+            broadcasts[1] > broadcasts[0],
+            "{mode:?}: EveryRound must announce more than OnChange: {broadcasts:?}"
+        );
+    }
+}
+
 /// The ISSUE 10 tentpole pin: ε-approximate mode is a *full conformance
-/// peer* — the whole 5-runtime + 3-session matrix stays bit-identical with
+/// peer* — the whole 4-runtime + 2-session matrix stays bit-identical with
 /// the band engaged, on the adversarial boundary-oscillation workload
 /// built to hammer the band arm. The band must actually fire (band hits,
 /// avoided resets) or the arm proves nothing.
@@ -801,7 +765,7 @@ fn approx_epsilon_zero_is_bit_identical_to_exact_mode() {
         amplitude: 30,
         period: 4,
     };
-    for engine in [Engine::Sequential, Engine::Threaded, Engine::Socket] {
+    for engine in [Engine::Sequential, Engine::Socket] {
         let seed = 13;
         let tag = format!("eps0({engine:?})");
         let base = MonitorBuilder::new(10, 2).seed(seed).engine(engine);

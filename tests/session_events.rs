@@ -97,7 +97,7 @@ fn assert_replay_reconstructs(
     (events_total, replay.resets())
 }
 
-/// Both in-process engines on a reset-heavy named workload, with fixed
+/// Both engines on a reset-heavy named workload, with fixed
 /// seeds: replay reconstructs every arm, the two engines produce identical
 /// event totals, and the replayed reset count matches the coordinator's
 /// metrics.
@@ -111,7 +111,7 @@ fn matrix_replay_reconstructs_reset_heavy_churn() {
         period: 4,
     };
     let mut per_engine = Vec::new();
-    for engine in [Engine::Sequential, Engine::Threaded] {
+    for engine in [Engine::Sequential, Engine::Socket] {
         let (events, resets) = assert_replay_reconstructs(&spec, 1, 11, 200, engine);
         assert!(resets >= 3, "workload must be reset-heavy, got {resets}");
         per_engine.push((events, resets));
@@ -202,7 +202,14 @@ fn coordinator_restarts_mid_reset_replay_losslessly() {
     assert!(resets_seen >= 3, "storm must reset repeatedly");
     assert_eq!(replay.resets(), resets_seen);
     assert_eq!(replay.resets(), chaotic.metrics().resets + 1);
-    let recovery = chaotic.recovery().expect("chaotic engine is threaded");
+    assert_eq!(
+        chaotic.engine(),
+        Engine::Socket,
+        "chaos resolves to sockets"
+    );
+    let recovery = chaotic
+        .recovery()
+        .expect("the socket engine exposes recovery");
     assert!(
         recovery.restarts > 0,
         "a 15% crash rate over 200 stormy steps must restart: {recovery:?}"
@@ -214,7 +221,7 @@ fn coordinator_restarts_mid_reset_replay_losslessly() {
 /// a frozen buffer capacity.
 #[test]
 fn event_buffer_is_reused_on_silent_ticks() {
-    for engine in [Engine::Sequential, Engine::Threaded] {
+    for engine in [Engine::Sequential, Engine::Socket] {
         let mut session = MonitorBuilder::new(32, 4).seed(9).engine(engine).build();
         let ramp: Vec<(NodeId, Value)> =
             (0..32).map(|i| (NodeId(i), 100 * (i as u64 + 1))).collect();
@@ -297,7 +304,7 @@ proptest! {
             lazy_p: 0.3,
         };
         let k = 1 + k_off.min(n - 1);
-        let engine = if engine_pick == 0 { Engine::Sequential } else { Engine::Threaded };
+        let engine = if engine_pick == 0 { Engine::Sequential } else { Engine::Socket };
         assert_replay_reconstructs(&spec, k, seed, 200, engine);
     }
 
