@@ -7,11 +7,6 @@
 //! * `results/BENCH_sparse.json` — steady-state silent-step cost (mirrors
 //!   `benches/sparse_step.rs`): µs/step for the delta-driven loop and the
 //!   generator alone;
-//! * `results/BENCH_serve.json` — serving-layer scaling (mirrors
-//!   `benches/serve_throughput.rs` at 10M keys): updates/sec and merged
-//!   advance µs per shard count against a single-session baseline, plus
-//!   the deterministic event/ledger/merge counters of the exact same
-//!   stream through every arm;
 //! * `results/BENCH_approx.json` — the ε-band competitive gap (mirrors
 //!   `tests/approx_mode.rs`): exact vs ε-approximate twins on the
 //!   boundary-oscillation adversary, per seed. Every counter (resets,
@@ -27,11 +22,10 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use topk_core::session::{Engine, MonitorBuilder};
+use topk_core::session::MonitorBuilder;
 use topk_core::{Monitor, MonitorConfig, TopkMonitor};
 use topk_net::behavior::ValueFeed;
 use topk_net::id::{NodeId, Value};
-use topk_serve::ServeBuilder;
 use topk_streams::WorkloadSpec;
 
 #[derive(Serialize)]
@@ -52,28 +46,6 @@ struct SparsePoint {
     movers_per_step: usize,
     step_us_median: f64,
     generator_us_median: f64,
-}
-
-#[derive(Serialize)]
-struct ServePoint {
-    /// `"single_session"` (the unsharded baseline) or `"service"`.
-    kind: String,
-    shards_requested: usize,
-    shards_effective: usize,
-    ingest_step_us_median: f64,
-    /// Movers per step over the median ingest step time.
-    updates_per_sec_median: f64,
-    /// A globally silent `advance`: one no-op round across the workers.
-    silent_advance_us_median: f64,
-    /// Deterministic for fixed (workload, seed): total events emitted over
-    /// the whole drive — identical across all service shard counts (the
-    /// exact-merge conformance contract, visible in the artifact).
-    events_total: u64,
-    /// Deterministic: summed model-message ledger after the drive.
-    ledger_total: u64,
-    /// Deterministic: candidates the *last* merge inspected
-    /// (`TopkService::merge_offered`; 0 for the single-session baseline).
-    last_merge_offered: u64,
 }
 
 #[derive(Serialize)]
@@ -115,18 +87,6 @@ struct SparseReport {
     suite: String,
     runs_per_point: usize,
     points: Vec<SparsePoint>,
-}
-
-#[derive(Serialize)]
-struct ServeReport {
-    suite: String,
-    keys: usize,
-    k: usize,
-    movers_per_step: usize,
-    /// Timed chunks per point; each µs median is over this many chunks.
-    chunks: usize,
-    steps_per_chunk: u64,
-    points: Vec<ServePoint>,
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -219,119 +179,6 @@ fn measure_sparse(runs: usize) -> Vec<SparsePoint> {
     points
 }
 
-const SERVE_KEYS: usize = 10_000_000;
-const SERVE_K: usize = 8;
-const SERVE_MOVERS: usize = 1_000;
-const SERVE_CHUNKS: usize = 5;
-const SERVE_CHUNK_STEPS: u64 = 10;
-const SERVE_WARMUP_STEPS: u64 = 10;
-
-/// Drive one arm (service or single session, abstracted as a step closure
-/// returning that step's event count) through the shared 10M-key sparse
-/// stream: warm-up, timed ingest chunks, then timed silent chunks.
-/// Returns `(ingest µs/step per chunk, silent µs/step per chunk, total
-/// events)` — the event total is deterministic, the timings are not.
-fn drive_serve_arm(
-    spec: &WorkloadSpec,
-    mut step: impl FnMut(u64, &[(NodeId, Value)]) -> usize,
-) -> (Vec<f64>, Vec<f64>, u64) {
-    let mut feed = spec.build(5);
-    let mut changes: Vec<(NodeId, Value)> = Vec::new();
-    let mut events_total = 0u64;
-    let mut t = 0u64;
-    for _ in 0..=SERVE_WARMUP_STEPS {
-        feed.fill_delta(t, &mut changes);
-        events_total += step(t, &changes) as u64;
-        t += 1;
-    }
-    let mut ingest_us = Vec::new();
-    for _ in 0..SERVE_CHUNKS {
-        // Generate the chunk's inputs before the clock starts.
-        let chunk: Vec<Vec<(NodeId, Value)>> = (t..t + SERVE_CHUNK_STEPS)
-            .map(|t| {
-                feed.fill_delta(t, &mut changes);
-                changes.clone()
-            })
-            .collect();
-        let t0 = Instant::now();
-        for changes in &chunk {
-            events_total += step(t, changes) as u64;
-            t += 1;
-        }
-        ingest_us.push(t0.elapsed().as_secs_f64() * 1e6 / SERVE_CHUNK_STEPS as f64);
-    }
-    let mut silent_us = Vec::new();
-    for _ in 0..SERVE_CHUNKS {
-        let t0 = Instant::now();
-        for _ in 0..SERVE_CHUNK_STEPS {
-            events_total += step(t, &[]) as u64;
-            t += 1;
-        }
-        silent_us.push(t0.elapsed().as_secs_f64() * 1e6 / SERVE_CHUNK_STEPS as f64);
-    }
-    (ingest_us, silent_us, events_total)
-}
-
-fn measure_serve() -> Vec<ServePoint> {
-    let spec = WorkloadSpec::SparseWalk {
-        n: SERVE_KEYS,
-        lo: 0,
-        hi: 1 << 40,
-        step_max: 64,
-        sparsity: SERVE_MOVERS as f64 / SERVE_KEYS as f64,
-    };
-    let mut points = Vec::new();
-
-    // Unsharded baseline: the identical stream through one session.
-    {
-        let mut session = MonitorBuilder::new(SERVE_KEYS, SERVE_K)
-            .seed(9)
-            .engine(Engine::Sequential)
-            .build();
-        let (ingest, silent, events_total) = drive_serve_arm(&spec, |t, changes| {
-            session.update_batch(changes.iter().copied());
-            session.advance(t).len()
-        });
-        let ingest_med = median(ingest);
-        points.push(ServePoint {
-            kind: "single_session".into(),
-            shards_requested: 1,
-            shards_effective: 1,
-            ingest_step_us_median: ingest_med,
-            updates_per_sec_median: SERVE_MOVERS as f64 / (ingest_med * 1e-6),
-            silent_advance_us_median: median(silent),
-            events_total,
-            ledger_total: session.ledger().total(),
-            last_merge_offered: 0,
-        });
-    }
-
-    for &shards in &[1usize, 2, 4, 8] {
-        let mut svc = ServeBuilder::new(SERVE_KEYS, SERVE_K)
-            .shards(shards)
-            .seed(9)
-            .engine(Engine::Sequential)
-            .build();
-        let (ingest, silent, events_total) = drive_serve_arm(&spec, |t, changes| {
-            svc.update_batch(changes.iter().copied());
-            svc.advance(t).len()
-        });
-        let ingest_med = median(ingest);
-        points.push(ServePoint {
-            kind: "service".into(),
-            shards_requested: shards,
-            shards_effective: svc.shard_count(),
-            ingest_step_us_median: ingest_med,
-            updates_per_sec_median: SERVE_MOVERS as f64 / (ingest_med * 1e-6),
-            silent_advance_us_median: median(silent),
-            events_total,
-            ledger_total: svc.ledger().total(),
-            last_merge_offered: svc.merge_offered(),
-        });
-    }
-    points
-}
-
 /// Exact vs ε-band twins on the boundary-oscillation adversary — the
 /// ISSUE 10 headline instance of `tests/approx_mode.rs`, re-measured here
 /// so the competitive gap lands in the perf-trajectory artifacts. All
@@ -408,19 +255,6 @@ fn main() {
             suite: "sparse_steady_state".into(),
             runs_per_point: runs,
             points: measure_sparse(runs),
-        },
-    );
-    write(
-        &dir,
-        "BENCH_serve.json",
-        &ServeReport {
-            suite: "serve_shard_scaling".into(),
-            keys: SERVE_KEYS,
-            k: SERVE_K,
-            movers_per_step: SERVE_MOVERS,
-            chunks: SERVE_CHUNKS,
-            steps_per_chunk: SERVE_CHUNK_STEPS,
-            points: measure_serve(),
         },
     );
     write(

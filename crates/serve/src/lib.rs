@@ -3,11 +3,12 @@
 //!
 //! A single [`MonitorSession`] scales Algorithm 1 to one coordinator's key
 //! space. This crate horizontally shards that: [`ServeBuilder`] hashes the
-//! key space across `S` independent sessions (each on its own worker
-//! thread, each on any [`Engine`]), and [`TopkService`] presents the same
-//! push surface a session has — `update` / `update_batch`, `advance(t)`
-//! returning the step's global [`TopkEvent`]s, `topk()` / `threshold()` /
-//! `metrics()` — answering about the *global* top-k.
+//! key space across `S` independent sessions (each on any [`Engine`],
+//! stepped one after another on the caller's thread), and [`TopkService`]
+//! presents the same push surface a session has — `update` /
+//! `update_batch`, `advance(t)` returning the step's global
+//! [`TopkEvent`]s, `topk()` / `threshold()` / `metrics()` — answering
+//! about the *global* top-k.
 //!
 //! The composition is **exact**, not approximate: a shard's local
 //! top-`(k+1)` provably contains every global top-`(k+1)` key it holds, so
@@ -32,7 +33,7 @@
 //! assert_eq!(svc.topk().len(), 5);
 //! assert!(svc.threshold().is_some(), "exact global 6th-best value");
 //!
-//! // Silent steps cost one concurrent no-op round across the shards.
+//! // A silent step steps every shard and skips the merge.
 //! assert!(svc.advance(1).is_empty());
 //! ```
 //!

@@ -7,17 +7,19 @@
 //! `(k+1)`-th-best cut (the service threshold) fall out of an `S`-way merge
 //! of shard candidate lists ([`ShardMerge`]), never an approximation.
 //!
-//! Per step, the service dispatches all shards concurrently (one worker
-//! thread each, see [`crate::shard`]), collects their change flags, and
-//! re-merges only when some shard's candidates moved. Global events are
-//! derived from the merged ranking exactly like a single session derives
-//! them from its engine's answer, so the [`EventReplay`] losslessness
-//! contract holds at service level too.
+//! Per step, the service steps every shard on the caller's thread (see
+//! [`crate::shard`]), collects their change flags, and re-merges only when
+//! some shard's candidates moved. The first step alone runs the shards in
+//! parallel, one thread each: it builds every shard's session and runs its
+//! init FILTERRESET over all its keys. Global events are derived from the
+//! merged ranking exactly like a single session derives them from its
+//! engine's answer, so the [`EventReplay`] losslessness contract holds at
+//! service level too.
 //!
 //! [`MonitorSession`]: topk_core::session::MonitorSession
 //! [`EventReplay`]: topk_core::EventReplay
 
-use topk_core::session::{Engine, MonitorBuilder};
+use topk_core::session::{Engine, MonitorBuilder, MonitorSession};
 use topk_core::{RankDiff, RunMetrics, TopkEvent};
 use topk_net::chaos::{ChaosPolicy, RecoveryMetrics};
 use topk_net::id::{NodeId, Value};
@@ -134,15 +136,16 @@ impl ServeBuilder {
         self.k
     }
 
-    /// Assemble the service: hash keys to shards, spawn one worker (and
-    /// session) per non-empty shard. Borrowing the builder keeps it a
+    /// Assemble the service: hash keys to shards and derive one session
+    /// builder per non-empty shard. The sessions themselves are built by
+    /// the first [`TopkService::advance`]. Borrowing the builder keeps it a
     /// reusable template, like [`MonitorBuilder::build`].
     ///
     /// # Panics
     ///
     /// On a knob combination [`MonitorBuilder::try_build`] rejects (chaos
     /// on an explicit [`Engine::Sequential`]), with
-    /// [`MonitorBuilder::build`]'s message, before any worker is spawned.
+    /// [`MonitorBuilder::build`]'s message.
     pub fn build(&self) -> TopkService {
         let engine = self
             .template
@@ -155,7 +158,7 @@ impl ServeBuilder {
         let assign = derive_seed(master, ASSIGN_STREAM);
 
         // Raw hash shard per key, then compress away hash-empty shards so
-        // every spawned worker has at least one key.
+        // every shard has at least one key.
         let mut raw = vec![0u32; keys];
         let mut sizes = vec![0usize; requested];
         for (key, slot) in raw.iter_mut().enumerate() {
@@ -204,7 +207,7 @@ impl ServeBuilder {
                         ..p
                     });
                 }
-                ShardHandle::spawn(idx, b, globals)
+                ShardHandle::new(b, globals)
             })
             .collect();
 
@@ -222,7 +225,6 @@ impl ServeBuilder {
             topk_sorted: Vec::new(),
             bar: None,
             last_t: None,
-            started: false,
         }
     }
 }
@@ -231,8 +233,8 @@ impl ServeBuilder {
 ///
 /// The push surface is the [`MonitorSession`] one — [`update`](Self::update)
 /// / [`update_batch`](Self::update_batch) buffer observations,
-/// [`advance`](Self::advance) commits a time step on every shard
-/// concurrently and returns the step's *global* [`TopkEvent`]s. Queries
+/// [`advance`](Self::advance) commits a time step on every shard and
+/// returns the step's *global* [`TopkEvent`]s. Queries
 /// ([`topk`](Self::topk), [`threshold`](Self::threshold),
 /// [`in_topk`](Self::in_topk)) answer about the merged global ranking.
 ///
@@ -269,7 +271,6 @@ pub struct TopkService {
     /// Exact global (k+1)-th-best value after the last merge.
     bar: Option<Value>,
     last_t: Option<u64>,
-    started: bool,
 }
 
 impl TopkService {
@@ -299,26 +300,50 @@ impl TopkService {
     }
 
     /// Commit the buffered updates as time step `t` (strictly increasing)
-    /// on every shard **concurrently**, merge whatever changed, and return
-    /// the step's global events.
+    /// on every shard, one after another on the caller's thread, merge
+    /// whatever changed, and return the step's global events.
+    ///
+    /// The first call is the exception: it builds each shard's session and
+    /// runs its init FILTERRESET over all its keys, one thread per shard
+    /// (the caller's thread takes the first shard, a scoped thread each
+    /// other one). A shard that panics there has its own panic re-raised
+    /// here.
     ///
     /// A globally silent step (no shard candidate moved) skips the merge
-    /// and the event derivation entirely and allocates nothing — on the
-    /// service thread or any worker.
+    /// and the event derivation entirely and allocates nothing.
     pub fn advance(&mut self, t: u64) -> &[TopkEvent] {
         assert!(
             self.last_t.is_none_or(|last| t > last),
             "advance requires strictly increasing t (last {:?}, got {t})",
             self.last_t
         );
-        for shard in &mut self.shards {
-            shard.dispatch_step(t);
+        let first = self.last_t.is_none();
+        let mut changed = first;
+        if first {
+            // Each shard is built and initialized on one thread, and the
+            // caller takes the first itself: what a scoped thread allocates
+            // stays in that thread's malloc arena, and freeing it from the
+            // caller later measurably raised peak RSS.
+            std::thread::scope(|scope| {
+                let (own, others) = self.shards.split_at_mut(1);
+                let steps: Vec<_> = others
+                    .iter_mut()
+                    .map(|shard| scope.spawn(move || shard.step(t)))
+                    .collect();
+                for shard in own {
+                    shard.step(t);
+                }
+                for step in steps {
+                    if let Err(payload) = step.join() {
+                        std::panic::resume_unwind(payload);
+                    }
+                }
+            });
+        } else {
+            for shard in &mut self.shards {
+                changed |= shard.step(t);
+            }
         }
-        let mut changed = !self.started;
-        for shard in &mut self.shards {
-            changed |= shard.collect_step();
-        }
-        self.started = true;
         self.last_t = Some(t);
 
         self.events.clear();
@@ -410,59 +435,62 @@ impl TopkService {
         &self.events
     }
 
+    /// The shard sessions built so far: none before the first
+    /// [`advance`](Self::advance), every shard's after it.
+    fn sessions(&self) -> impl Iterator<Item = &MonitorSession> {
+        self.shards.iter().filter_map(ShardHandle::session)
+    }
+
     /// Service-level protocol counters: the counter-wise sum of every
     /// shard's [`RunMetrics`] (including the embedded recovery and wire
     /// blocks). `steps` counts shard-steps — `shard_count() ×` the
-    /// wall-clock step count.
+    /// wall-clock step count. All zero before the first advance.
     pub fn metrics(&self) -> RunMetrics {
         let mut agg = RunMetrics::default();
-        for shard in &self.shards {
-            agg.absorb(&shard.probe().metrics);
+        for session in self.sessions() {
+            agg.absorb(session.metrics());
         }
         agg
     }
 
     /// One shard's own [`RunMetrics`] block.
     pub fn shard_metrics(&self, shard: usize) -> RunMetrics {
-        self.shards[shard].probe().metrics
+        self.shards[shard]
+            .session()
+            .map_or_else(RunMetrics::default, |s| *s.metrics())
     }
 
     /// Service-level model-message counters: the counter-wise sum of every
     /// shard's ledger.
     pub fn ledger(&self) -> LedgerSnapshot {
-        let mut agg = LedgerSnapshot::default();
-        for shard in &self.shards {
-            agg = agg.plus(&shard.probe().ledger);
-        }
-        agg
+        self.sessions()
+            .fold(LedgerSnapshot::default(), |agg, s| agg.plus(&s.ledger()))
     }
 
     /// One shard's own ledger.
     pub fn shard_ledger(&self, shard: usize) -> LedgerSnapshot {
-        self.shards[shard].probe().ledger
+        self.shards[shard]
+            .session()
+            .map_or_else(LedgerSnapshot::default, MonitorSession::ledger)
     }
 
-    /// Summed fault-injection/recovery counters (`None` when every shard
-    /// runs the sequential engine, mirroring the session).
+    /// Summed fault-injection/recovery counters (`None` on the sequential
+    /// engine, mirroring the session).
     pub fn recovery(&self) -> Option<RecoveryMetrics> {
-        let mut agg: Option<RecoveryMetrics> = None;
-        for shard in &self.shards {
-            if let Some(r) = shard.probe().recovery {
-                agg.get_or_insert_with(Default::default).absorb(&r);
-            }
+        let mut agg = RecoveryMetrics::default();
+        for r in self.sessions().filter_map(MonitorSession::recovery) {
+            agg.absorb(r);
         }
-        agg
+        (self.engine == Engine::Socket).then_some(agg)
     }
 
     /// Summed physical wire ledgers (`None` except on [`Engine::Socket`]).
     pub fn wire(&self) -> Option<WireMetrics> {
-        let mut agg: Option<WireMetrics> = None;
-        for shard in &self.shards {
-            if let Some(w) = shard.probe().wire {
-                agg.get_or_insert_with(Default::default).absorb(&w);
-            }
+        let mut agg = WireMetrics::default();
+        for w in self.sessions().filter_map(MonitorSession::wire) {
+            agg.absorb(w);
         }
-        agg
+        (self.engine == Engine::Socket).then_some(agg)
     }
 
     // ── shape introspection ──────────────────────────────────────────
@@ -483,8 +511,8 @@ impl TopkService {
         self.engine
     }
 
-    /// Number of live shards (hash-empty shards are never spawned, so this
-    /// can be below the requested count for tiny key spaces).
+    /// Number of shards (hash-empty shards are dropped, so this can be
+    /// below the requested count for tiny key spaces).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -502,13 +530,14 @@ impl TopkService {
     /// One shard's `(n, k)` dimensions — `k = min(service k + 1, n)`, the
     /// exact-merge invariant.
     pub fn shard_dims(&self, shard: usize) -> (usize, usize) {
-        (self.shards[shard].n(), self.shards[shard].k())
+        let cfg = self.shards[shard].builder().config();
+        (cfg.n, cfg.k)
     }
 
     /// The derived master seed of one shard's session (what a twin
     /// [`MonitorBuilder`] needs to reproduce that shard bit-identically).
     pub fn shard_seed(&self, shard: usize) -> u64 {
-        self.shards[shard].seed()
+        self.shards[shard].builder().build_seed()
     }
 
     /// The last committed time step.
@@ -526,5 +555,98 @@ impl TopkService {
     /// steady-state witness (must stop growing once the service warms up).
     pub fn event_capacity(&self) -> usize {
         self.events.capacity()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::AssertUnwindSafe;
+    use std::time::{Duration, Instant};
+
+    use super::*;
+
+    // The first `advance` steps shards on scoped threads; a caller may move
+    // the whole service to another thread.
+    const _: () = {
+        const fn assert_send<T: Send>() {}
+        assert_send::<MonitorSession>();
+        assert_send::<TopkService>();
+    };
+
+    #[test]
+    fn a_never_advanced_service_answers_without_building_a_shard() {
+        for engine in [Engine::Sequential, Engine::Socket] {
+            let socket = engine == Engine::Socket;
+            let svc = ServeBuilder::new(64, 4)
+                .shards(3)
+                .seed(1)
+                .engine(engine)
+                .build();
+            assert_eq!(svc.metrics(), RunMetrics::default(), "{engine:?}");
+            assert_eq!(svc.ledger(), LedgerSnapshot::default(), "{engine:?}");
+            assert_eq!(svc.recovery(), socket.then(RecoveryMetrics::default));
+            assert_eq!(svc.wire(), socket.then(WireMetrics::default));
+            assert!(svc.topk().is_empty() && svc.threshold().is_none());
+            for s in 0..svc.shard_count() {
+                assert_eq!(svc.shard_metrics(s), RunMetrics::default());
+                assert_eq!(svc.shard_ledger(s), LedgerSnapshot::default());
+            }
+            assert!(
+                svc.shards.iter().all(|s| s.session().is_none()),
+                "{engine:?}: a query built a shard session"
+            );
+            let t0 = Instant::now();
+            drop(svc);
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "{engine:?}: slow drop"
+            );
+
+            // The first advance builds every shard and keeps the shape.
+            let mut svc = ServeBuilder::new(64, 4)
+                .shards(3)
+                .seed(1)
+                .engine(engine)
+                .build();
+            svc.update_row(&(0..64).collect::<Vec<_>>());
+            svc.advance(0);
+            assert!(svc.shards.iter().all(|s| s.session().is_some()));
+            assert_eq!(svc.recovery().is_some(), socket, "{engine:?}");
+            assert_eq!(svc.wire().is_some(), socket, "{engine:?}");
+            assert_eq!(
+                svc.topk(),
+                &[NodeId(60), NodeId(61), NodeId(62), NodeId(63)]
+            );
+        }
+    }
+
+    /// `build` rejects an invalid template, so a shard can only hold an
+    /// invalid builder through this test; the first `advance` must then
+    /// report that shard's own panic, whichever thread built it.
+    #[test]
+    fn a_panicking_shard_build_reraises_its_own_message() {
+        for bad in 0..2 {
+            let mut svc = ServeBuilder::new(16, 2).shards(2).seed(5).build();
+            let globals: Vec<NodeId> = (0..16)
+                .map(NodeId)
+                .filter(|&key| svc.shard_of(key) == bad)
+                .collect();
+            let invalid = MonitorBuilder::new(globals.len(), 3)
+                .engine(Engine::Sequential)
+                .chaos(ChaosPolicy::from_seed(3));
+            svc.shards[bad] = ShardHandle::new(invalid, globals);
+            svc.update_row(&(0..16).collect::<Vec<_>>());
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                svc.advance(0);
+            }))
+            .expect_err("the invalid shard must panic");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.starts_with(
+                    "invalid monitor configuration: chaos policy on Engine::Sequential"
+                ),
+                "shard {bad}: {message:?}"
+            );
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! pair runs the same engine on a [`TopkService`](topk_serve::TopkService)
 //! as on a single session, and the one rejected pair — chaos on an explicit
 //! [`Engine::Sequential`] — fails at `build`, with the session builder's
-//! message, before any worker exists.
+//! message. Shard sessions are only built by the first `advance`.
 
 use topk_core::session::{Engine, MonitorBuilder};
 use topk_net::chaos::ChaosPolicy;
@@ -31,7 +31,7 @@ fn service_engine_matches_session_engine_for_every_accepted_pair() {
         let mut svc = service.build();
         assert_eq!(session.build().engine(), want, "{engine:?} {chaos:?}");
         assert_eq!(svc.engine(), want, "{engine:?} {chaos:?}");
-        // Every worker built its shard session: the first step commits.
+        // The first step builds every shard session and commits.
         svc.update_row(&(0..16).map(|v| v * 10).collect::<Vec<_>>());
         svc.advance(0);
         assert_eq!(svc.topk(), &[NodeId(14), NodeId(15)]);

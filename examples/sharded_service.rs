@@ -37,7 +37,7 @@ fn main() {
     let mut svc = ServeBuilder::new(keys, k).shards(shards).seed(42).build();
     let mut feed = spec.build(7);
     println!(
-        "  constructed in {:.2?} (shard sessions built concurrently)",
+        "  constructed in {:.2?} (keys hashed; the init advance builds the shard sessions)",
         t0.elapsed()
     );
     for s in 0..svc.shard_count() {
@@ -51,7 +51,7 @@ fn main() {
     let t0 = Instant::now();
     let init_events = svc.advance(0).len();
     println!(
-        "  init advance (every shard runs its FILTERRESET): {:.2?}, \
+        "  init advance (every shard builds its session and runs its FILTERRESET): {:.2?}, \
          {} messages, {init_events} events",
         t0.elapsed(),
         svc.ledger().total()

@@ -100,7 +100,7 @@
 //! | [`streams`] | seeded synthetic workloads ([`WorkloadSpec`](streams::WorkloadSpec)), delta generation ([`ValueFeed::fill_delta`](net::behavior::ValueFeed::fill_delta)) |
 //! | [`core`] | the session facade, Algorithm 1 as one monitor over any runtime (dense + sparse stepping), online baselines, offline OPT |
 //! | [`ordered`] | §5 ordered-top-k extension, exact S-way shard merge ([`ShardMerge`](ordered::ShardMerge)) |
-//! | [`serve`] | sharded serving layer: [`ServeBuilder`](serve::ServeBuilder) hashes millions of keys across concurrent shard sessions behind one ingest front door |
+//! | [`serve`] | sharded serving layer: [`ServeBuilder`](serve::ServeBuilder) hashes millions of keys across shard sessions behind one ingest front door and merges their answers exactly |
 //! | [`sim`] | experiment harness E1–E14, statistics, tables |
 //!
 //! Third-party dependencies are vendored as minimal offline shims under

@@ -10,8 +10,11 @@
 //! The serving layer inherits the discipline: a sharded [`TopkService`]
 //! over sequential shards performs zero allocations on merged silent steps
 //! — including steps that wiggle a member's value and force a full
-//! candidate refresh + S-way re-merge (the slot handoff swaps buffers, the
-//! merge reuses its aggregator, the event derivation reuses its scratch).
+//! candidate refresh + S-way re-merge (each shard reuses its ingest queue
+//! and candidate list, the merge reuses its aggregator, the event
+//! derivation reuses its scratch). Spawning a thread allocates, so this
+//! also pins that a steady-state service step spawns none: only the
+//! first `advance` runs the shards in parallel.
 //!
 //! So does the socket engine, on both ends of its loopback connections:
 //! steady-state silent steps with most keys moving allocate nothing on the
@@ -20,8 +23,7 @@
 //!
 //! The whole suite is one `#[test]` on purpose: Rust test binaries run
 //! tests on concurrent threads, and a second test's allocations would
-//! bleed into the counter (the counting allocator is process-global, so
-//! the serve arm also proves the shard *worker threads* stay quiet).
+//! bleed into the counter (the counting allocator is process-global).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
