@@ -244,6 +244,15 @@ impl NodeMachine {
             }
         }
     }
+
+    /// Copy `at`'s protocol state: every field but the shared parameter
+    /// block, the id and the RNG cursor.
+    fn restore(&mut self, at: &Self) {
+        self.value = at.value;
+        self.filter_m = at.filter_m;
+        self.aux = at.aux;
+        self.flags = at.flags;
+    }
 }
 
 impl NodeBehavior for NodeMachine {
@@ -307,19 +316,25 @@ impl NodeBehavior for NodeMachine {
         self.resolve(m)
     }
 
-    /// The flat layout makes a checkpoint one cache-line copy (the `Arc`
-    /// parameter block is shared, not duplicated).
-    fn checkpoint(&self) -> Option<Self> {
-        Some(self.clone())
+    /// The flat layout makes a checkpoint a copy of the plain fields. Only
+    /// the first checkpoint clones the node; after that the slot is
+    /// overwritten in place and the shared `Arc` parameter block, which
+    /// every node on every shard thread points at, is never touched.
+    fn checkpoint(&self, slot: &mut Option<Self>) {
+        match slot {
+            Some(at) => {
+                at.restore(self);
+                at.rng = self.rng.clone();
+            }
+            None => *slot = Some(self.clone()),
+        }
     }
 
     /// Restore the step-start protocol state but keep the RNG cursor: an
     /// aborted attempt's draws are burned, so the re-run is a fresh
     /// Las Vegas trial rather than a replay of the crashed one.
     fn rollback(&mut self, at: &Self) {
-        let rng = self.rng.clone();
-        *self = at.clone();
-        self.rng = rng;
+        self.restore(at);
     }
 }
 
@@ -575,5 +590,43 @@ mod tests {
             return;
         }
         panic!("no seed deferred the send");
+    }
+
+    /// A step checkpoint into an occupied slot overwrites it in place
+    /// without touching the shared parameter block, and a rollback from it
+    /// restores the step-start state but keeps the RNG cursor.
+    #[test]
+    fn checkpoint_overwrites_its_slot_and_rollback_keeps_the_rng_cursor() {
+        let params = params(4, 2);
+        let mut node = NodeMachine::new(NodeId(2), &params, 7);
+        let mut first = None;
+        node.checkpoint(&mut first);
+        assert!(first.is_some(), "the first checkpoint fills an empty slot");
+        node.observe(0, 50);
+        node.micro_round(0, 1, &[DownMsg::ResetStart], None);
+        node.micro_round(0, 2, &[done(40, 3, 30)], None);
+        // Step 1 checkpoints into an occupied slot. The slot's node holds a
+        // parameter block of its own, so cloning the node, or the node
+        // taking the slot's block, would move one of the two counts.
+        let held = self::params(4, 2);
+        let mut slot = Some(NodeMachine::new(NodeId(2), &held, 7));
+        let counts = || (Arc::strong_count(&params), Arc::strong_count(&held));
+        let refs = counts();
+        node.checkpoint(&mut slot);
+        assert_eq!(counts(), refs, "the checkpoint touched an Arc");
+        // A violation starts an episode, which draws once.
+        let draws = node.rng_draws();
+        node.observe(1, 10);
+        assert_eq!(node.rng_draws(), draws + 1);
+        node.rollback(slot.as_ref().expect("the slot stays filled"));
+        assert_eq!(counts(), refs, "the rollback touched an Arc");
+        assert_eq!(node.value(), 50, "the step-start value is back");
+        assert_eq!(node.threshold(), Some(40), "the filter is back");
+        assert!(node.in_topk());
+        assert_eq!(node.rng_draws(), draws + 1, "the burned draw stays burned");
+        // The rolled-back node re-runs the step as a fresh trial.
+        let act = node.observe(1, 10);
+        assert!(act.up.is_some() || act.engaged, "the violation runs again");
+        assert_eq!(node.rng_draws(), draws + 2);
     }
 }

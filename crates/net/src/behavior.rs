@@ -105,10 +105,8 @@ impl<U> RoundAction<U> {
 
 /// Node-side behavior in the synchronous execution.
 pub trait NodeBehavior: Send {
-    /// Node → coordinator message type. `Clone` because the recovery layer
-    /// caches each phase's reply so an idempotent frame re-delivery can
-    /// re-send it without re-running the behavior.
-    type Up: WireSize + Clone + Send + 'static;
+    /// Node → coordinator message type.
+    type Up: WireSize + Send + 'static;
     /// Coordinator → node message type (broadcast or unicast).
     type Down: WireSize + Clone + Send + 'static;
 
@@ -139,15 +137,18 @@ pub trait NodeBehavior: Send {
         ucast: Option<&Self::Down>,
     ) -> RoundAction<Self::Up>;
 
-    /// Capture a rollback checkpoint of this node's protocol state, taken
-    /// by the recovery layer at the first frame of each time step. `None`
-    /// (the default) declares the behavior non-recoverable; a chaos-enabled
-    /// cluster requires `Some`.
-    fn checkpoint(&self) -> Option<Self>
+    /// Write a rollback checkpoint of this node's protocol state into
+    /// `slot`. The node's host takes one at its first frame of each time
+    /// step, on every socket transport, so this runs once per visited node
+    /// per step. The slot holds the previous checkpoint once there is one:
+    /// overwrite it in place, without allocating and without touching state
+    /// the nodes share. Leaving the slot empty (the default) declares that
+    /// the behavior cannot be rolled back; a chaos-enabled cluster refuses
+    /// it.
+    fn checkpoint(&self, _slot: &mut Option<Self>)
     where
         Self: Sized,
     {
-        None
     }
 
     /// Restore the protocol state captured by [`NodeBehavior::checkpoint`]

@@ -128,9 +128,10 @@ pub trait Transport<NB: NodeBehavior>: Sized {
     /// A retained copy of one endpoint's sealed wave, kept for re-send.
     type Frame;
 
-    /// Start the endpoints for `nodes` (dense, id-ordered). `chaos`
-    /// selects the recoverable frame layout; wire transports also read
-    /// their own fault rates from it.
+    /// Start the endpoints for `nodes` (dense, id-ordered). `chaos` is the
+    /// armed fault schedule, if any: a wire transport takes its reply
+    /// deadline and its own fault rates from it. Frames look the same
+    /// either way, and every endpoint dedups, re-answers and aborts by key.
     fn spawn(nodes: Vec<NB>, chaos: Option<ChaosPolicy>) -> Result<Self, RuntimeError>;
     /// Number of endpoints.
     fn endpoints(&self) -> usize;
@@ -149,8 +150,9 @@ pub trait Transport<NB: NodeBehavior>: Sized {
     /// A re-sendable copy of endpoint `e`'s sealed wave.
     fn keep(&self, e: usize) -> Self::Frame;
     /// First delivery of endpoint `e`'s sealed wave; `stall_ms > 0` makes
-    /// the endpoint sleep before processing it. May consume the sealed
-    /// wave, so the driver calls [`Transport::keep`] first.
+    /// the endpoint sleep before processing it (off-model traffic, like an
+    /// abort). May consume the sealed wave, so the driver calls
+    /// [`Transport::keep`] first.
     fn send(&mut self, e: usize, stall_ms: u32) -> Result<(), RuntimeError>;
     /// Re-send a kept wave to endpoint `e` (off-model traffic).
     fn resend(&mut self, e: usize, frame: &Self::Frame) -> Result<(), RuntimeError>;
@@ -198,7 +200,7 @@ pub trait Transport<NB: NodeBehavior>: Sized {
 enum AttemptError {
     /// Injected coordinator crash — recover and re-run the step.
     Crashed,
-    /// Unrecoverable transport failure.
+    /// A transport failure that no re-run can heal.
     Fatal(RuntimeError),
 }
 
@@ -292,65 +294,53 @@ pub(crate) fn visit_round<D: Clone, E>(
     Ok(())
 }
 
-/// What a [`NodeHost`] should do with an incoming work key.
-pub(crate) enum Admit<'a, R> {
-    /// A fresh key: run the behavior.
-    Run,
-    /// The current key again: re-send the cached reply, if any.
-    Repeat(Option<&'a R>),
-    /// An older key: ignore.
-    Stale,
-}
-
 /// The node-side endpoint of the recovery state machine, one per hosted
 /// node, kept by the socket shards: the cached observation (for value-less
-/// observes), the `(t, run, m)` cursor, the cached reply `R`, and the
+/// observes), the `(t, run, m)` cursor, the action answered to it, and the
 /// step-start checkpoint an abort rolls back to.
-pub(crate) struct NodeHost<NB: NodeBehavior, R> {
+pub(crate) struct NodeHost<NB: NodeBehavior> {
     pub node: NB,
     last: Value,
     cur: Option<FrameKey>,
-    cached: Option<R>,
-    ck: Option<(u64, NB)>,
+    reply: Option<RoundAction<NB::Up>>,
+    /// The step whose start `ck` holds.
+    ck_t: Option<u64>,
+    ck: Option<NB>,
 }
 
-impl<NB: NodeBehavior, R> NodeHost<NB, R> {
+impl<NB: NodeBehavior> NodeHost<NB> {
     pub fn new(node: NB) -> Self {
         NodeHost {
             node,
             last: 0,
             cur: None,
-            cached: None,
+            reply: None,
+            ck_t: None,
             ck: None,
         }
     }
 
-    /// Classify `key` against the cursor. On a recoverable transport the
-    /// first fresh key of a new step also takes the step checkpoint; a clean
-    /// transport never re-delivers, so it always runs.
-    pub fn admit(&mut self, key: FrameKey, recoverable: bool) -> Admit<'_, R> {
-        if !recoverable {
-            return Admit::Run;
-        }
+    /// Answer one work entry keyed `key`. A key newer than the cursor runs
+    /// the behavior and caches its action; the first such key of a step
+    /// takes the step checkpoint first. The cursor's own key is a
+    /// re-delivery and gets the cached action again without a run. An
+    /// older key, or the key of an aborted attempt, gets `None`.
+    pub fn answer(
+        &mut self,
+        key: FrameKey,
+        work: Work<'_, NB::Down>,
+    ) -> Option<&RoundAction<NB::Up>> {
         match self.cur {
-            Some(c) if key < c => return Admit::Stale,
-            Some(c) if key == c => return Admit::Repeat(self.cached.as_ref()),
+            Some(c) if key < c => return None,
+            Some(c) if key == c => return self.reply.as_ref(),
             _ => {}
         }
-        if self.ck.as_ref().is_none_or(|(s, _)| *s < key.0) {
-            let snap = self
-                .node
-                .checkpoint()
-                .expect("chaos transport requires NodeBehavior::checkpoint support");
-            self.ck = Some((key.0, snap));
-        }
-        Admit::Run
-    }
-
-    /// Run the behavior for one admitted frame.
-    pub fn run(&mut self, key: FrameKey, work: Work<'_, NB::Down>) -> RoundAction<NB::Up> {
         let (t, _, m) = key;
-        match work {
+        if self.ck_t.is_none_or(|s| s < t) {
+            self.node.checkpoint(&mut self.ck);
+            self.ck_t = Some(t);
+        }
+        let a = match work {
             Work::Observe(value) => {
                 if let Some(v) = value {
                     self.last = v;
@@ -363,13 +353,9 @@ impl<NB: NodeBehavior, R> NodeHost<NB, R> {
                 }
             }
             Work::Round { bcasts, ucast } => self.node.micro_round(t, m, bcasts, ucast),
-        }
-    }
-
-    /// Record the reply to `key` for re-delivery (recoverable transports).
-    pub fn commit(&mut self, key: FrameKey, reply: R) {
+        };
         self.cur = Some(key);
-        self.cached = Some(reply);
+        Some(self.reply.insert(a))
     }
 
     /// Discard every effect of attempt `(t, run)`: roll back to the step
@@ -378,13 +364,13 @@ impl<NB: NodeBehavior, R> NodeHost<NB, R> {
     pub fn abort(&mut self, t: u64, run: u32) {
         let key = (t, run, ABORT_M);
         if self.cur.is_none_or(|c| key > c) {
-            if let Some((s, snap)) = &self.ck {
-                if *s == t {
+            if let (Some(snap), Some(s)) = (&self.ck, self.ck_t) {
+                if s == t {
                     self.node.rollback(snap);
                 }
             }
             self.cur = Some(key);
-            self.cached = None;
+            self.reply = None;
         }
     }
 }
@@ -684,11 +670,16 @@ where
     }
 
     /// Start the endpoints with a seeded fault schedule armed. Requires
-    /// checkpoint-capable behaviors ([`NodeBehavior::checkpoint`] returning
-    /// `Some`) — step re-runs roll nodes back to their step-start state.
+    /// checkpoint-capable behaviors ([`NodeBehavior::checkpoint`] filling
+    /// its slot) — step re-runs roll nodes back to their step-start state.
     pub fn spawn_chaotic(nodes: Vec<NB>, policy: ChaosPolicy) -> Self {
+        let has_checkpoint = |node: &NB| {
+            let mut slot = None;
+            node.checkpoint(&mut slot);
+            slot.is_some()
+        };
         assert!(
-            nodes.first().is_none_or(|node| node.checkpoint().is_some()),
+            nodes.first().is_none_or(has_checkpoint),
             "chaos transport requires NodeBehavior::checkpoint support"
         );
         Self::launch(nodes, Some(policy), T::spawn)

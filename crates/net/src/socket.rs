@@ -43,8 +43,8 @@
 //!    writing it. A read waits at most one tick; then the driver checks
 //!    for dead shards and, on a chaotic transport, re-sends.
 //!
-//! On a clean transport a shard never writes while the driver writes to
-//! it: by rule 1 it is still reading the wave. Split waves change nothing,
+//! Without injected faults a shard never writes while the driver writes
+//! to it: by rule 1 it is still reading the wave. Split waves change nothing,
 //! since the parts of one wave go out back to back. Traffic that can
 //! overlap — a shard answering a duplicate or a re-send from its reply
 //! cache, a stalled shard answering late, the acks of an abort wave — is
@@ -63,10 +63,13 @@
 //! length prefix, tag byte, LEB128 varint fields, version byte in `Hello`,
 //! the wave and reply entries). Model payloads are embedded through
 //! [`FrameCodec`], whose implementations delegate to the concrete message
-//! codec (e.g. `topk-core`'s `codec.rs`). The clean layout is pinned byte
-//! for byte by `crates/net/tests/wire_golden.rs`; a chaotic transport
-//! switches to a recoverable layout whose work frames carry a stall slot
-//! and whose work and reply frames carry the whole `(t, run, m)` key.
+//! codec (e.g. `topk-core`'s `codec.rs`). There is one layout, with or
+//! without a fault schedule: every work and reply frame carries the whole
+//! `(t, run, m)` key, so every shard dedups a re-delivered wave, answers it
+//! from its nodes' reply caches, acks an abort and re-handshakes after a
+//! lost connection. An injected stall is a control frame of its own, sent
+//! ahead of the wave. The layout is pinned byte for byte by
+//! `crates/net/tests/wire_golden.rs`.
 //!
 //! # Wire faults
 //!
@@ -76,7 +79,8 @@
 //! **half-open** connection (wave delivered, severed before the reply), and
 //! a **reconnect storm** of junk connections racing the shard's real
 //! re-handshake. Like every fault, each rolls once per shard and wave. A
-//! severed shard reconnects to the retained listener and re-sends its
+//! severed shard reconnects to the driver's listener, which stays open for
+//! the transport's whole life, and re-sends its
 //! `Hello` (version and shard id are validated, junk is skipped); the wave
 //! is then re-delivered and each node dedups it by its key. All faulty
 //! traffic is charged to [`ChannelKind::Retransmit`] in both ledgers.
@@ -88,10 +92,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::behavior::NodeBehavior;
+use crate::behavior::{NodeBehavior, RoundAction};
 use crate::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError, WireChaos};
 use crate::driver::{
-    Admit, Cluster, FrameKey, NodeHost, Reply, ReplyHead, Transport, Work, ABORT_M, MAX_IDLE_TICKS,
+    Cluster, FrameKey, NodeHost, Reply, ReplyHead, Transport, Work, ABORT_M, MAX_IDLE_TICKS,
     RECV_TICK_MS,
 };
 use crate::id::{NodeId, Value};
@@ -110,7 +114,7 @@ pub const FRAME_PREFIX_LEN: usize = 4;
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Transport wire-format version, carried in every `Hello` frame.
-pub const WIRE_VERSION: u8 = 0x02;
+pub const WIRE_VERSION: u8 = 0x03;
 
 /// Upper bound on shard connections (one per node below that).
 const MAX_SHARDS: usize = 4;
@@ -126,9 +130,9 @@ const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
 const ACCEPT_POLL_MIN: Duration = Duration::from_micros(20);
 const ACCEPT_POLL_MAX: Duration = Duration::from_millis(1);
 
-/// Reconnect attempts a recoverable shard may consume before giving up —
-/// far above any real fault schedule; a runaway sever loop fails typed
-/// instead of spinning forever.
+/// Reconnect attempts a shard may consume before giving up — far above
+/// any real fault schedule; a runaway sever loop fails typed instead of
+/// spinning forever.
 const SHARD_RECONNECT_BUDGET: u32 = 256;
 
 // Transport frame tags (distinct namespace from the model-message codec).
@@ -137,6 +141,8 @@ const T_HELLO: u8 = 0x01;
 const T_WAVE: u8 = 0x10;
 /// A work frame with more of its wave to follow.
 const T_WAVE_MORE: u8 = 0x11;
+/// Sleep for the given milliseconds before reading on (an injected stall).
+const T_STALL: u8 = 0x1d;
 const T_ABORT: u8 = 0x1e;
 const T_HALT: u8 = 0x1f;
 const T_REPLY: u8 = 0x20;
@@ -311,6 +317,22 @@ fn need_u32(rd: &mut &[u8], what: &str) -> Result<u32, WireError> {
     u32::try_from(need_varint(rd, what)?).map_err(|_| malformed(format!("{what} overflow")))
 }
 
+/// Append the key `(t, run, m)` that heads every work and reply frame.
+fn put_key(out: &mut Vec<u8>, (t, run, m): FrameKey) {
+    put_varint(out, t);
+    put_varint(out, u64::from(run));
+    put_varint(out, u64::from(m));
+}
+
+/// Read the key that heads a work or reply frame.
+fn need_key(rd: &mut &[u8]) -> Result<FrameKey, WireError> {
+    Ok((
+        need_varint(rd, "t")?,
+        need_u32(rd, "run")?,
+        need_u32(rd, "m")?,
+    ))
+}
+
 /// Deterministic shard count for an `n`-node cluster: one connection per
 /// node up to `MAX_SHARDS` connections. Fixed by construction so the
 /// per-connection byte streams are a pure function of the run.
@@ -395,6 +417,17 @@ fn close_frame(out: &mut [u8], at: usize) {
     out[at..at + FRAME_PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
+/// Encode a control frame (`T_STALL`, `T_ABORT`) of varint `fields` into
+/// `out`, replacing its contents.
+fn control_frame(out: &mut Vec<u8>, tag: u8, fields: &[u64]) {
+    out.clear();
+    let at = open_frame(out, tag);
+    for &f in fields {
+        put_varint(out, f);
+    }
+    close_frame(out, at);
+}
+
 /// The payloads of back-to-back length-prefixed frames this side encoded.
 fn payloads(mut framed: &[u8]) -> impl Iterator<Item = &[u8]> {
     std::iter::from_fn(move || {
@@ -467,20 +500,12 @@ impl Wave {
     /// would exceed `cap` is closed as [`T_WAVE_MORE`] and the next one
     /// repeats the header and broadcasts; the last frame is [`T_WAVE`].
     /// Every embedded model payload is charged to `wire` as one copy.
-    fn seal(&mut self, recoverable: bool, key: FrameKey, cap: usize, wire: &mut WireMetrics) {
-        let (t, run, m) = key;
+    fn seal(&mut self, key: FrameKey, cap: usize, wire: &mut WireMetrics) {
         let nb = self.bcast_lens.len() as u32;
         let (bcasts, bcast_lens) = (&self.bcasts, &self.bcast_lens);
         let open = |out: &mut Vec<u8>, wire: &mut WireMetrics| {
             let at = open_frame(out, T_WAVE_MORE);
-            if recoverable {
-                put_varint(out, 0); // stall slot, patched by `stalled_copy`
-            }
-            put_varint(out, t);
-            if recoverable {
-                put_varint(out, run as u64);
-            }
-            put_varint(out, m as u64);
+            put_key(out, key);
             put_varint(out, nb as u64);
             out.extend_from_slice(bcasts);
             for &len in bcast_lens {
@@ -547,20 +572,6 @@ fn put_entry(out: &mut Vec<u8>, entry: &Entry, prev: u32, nb: u32, ucasts: &[u8]
     }
 }
 
-/// Copy a sealed recoverable wave with its first frame's stall slot set.
-/// The canonical copy carries `varint(0)` (one byte) directly after the
-/// first tag, so the copy re-frames that frame and keeps every other byte.
-fn stalled_copy(sealed: &[u8], stall_ms: u32, out: &mut Vec<u8>) {
-    let first = payloads(sealed).next().expect("a sealed wave has a frame");
-    debug_assert!(first.len() >= 2, "work frame has tag + stall slot");
-    out.clear();
-    let at = open_frame(out, first[0]);
-    put_varint(out, stall_ms as u64);
-    out.extend_from_slice(&first[2..]);
-    close_frame(out, at);
-    out.extend_from_slice(&sealed[FRAME_PREFIX_LEN + first.len()..]);
-}
-
 /// One decoded node entry of a work frame.
 struct WorkEntry<D> {
     id: u32,
@@ -572,28 +583,17 @@ struct WorkEntry<D> {
 }
 
 /// Decode a work frame after its tag — the inverse of [`Wave::seal`] — into
-/// its stall slot and key, its broadcasts and its node entries, whose ids
-/// must fall in `ids`. The frame is decoded in full before any node runs,
-/// so a torn or garbage payload can never half-apply.
+/// its key, its broadcasts and its node entries, whose ids must fall in
+/// `ids`. The frame is decoded in full before any node runs, so a torn or
+/// garbage payload can never half-apply.
 fn decode_wave<D: FrameCodec>(
     mut rd: &[u8],
-    recoverable: bool,
     ids: Range<u32>,
     bcasts: &mut Vec<D>,
     entries: &mut Vec<WorkEntry<D>>,
-) -> Result<(u32, FrameKey), WireError> {
-    let stall_ms = if recoverable {
-        need_u32(&mut rd, "stall")?
-    } else {
-        0
-    };
-    let t = need_varint(&mut rd, "t")?;
-    let run = if recoverable {
-        need_u32(&mut rd, "run")?
-    } else {
-        0
-    };
-    let m = need_u32(&mut rd, "m")?;
+) -> Result<FrameKey, WireError> {
+    let key = need_key(&mut rd)?;
+    let m = key.2;
     let nb = need_varint(&mut rd, "bcast count")?;
     if nb > rd.len() as u64 {
         return Err(malformed("bcast count exceeds payload")); // each ≥ 1 byte
@@ -641,53 +641,43 @@ fn decode_wave<D: FrameCodec>(
             }
         });
     }
-    Ok((stall_ms, (t, run, m)))
+    Ok(key)
 }
 
-/// Open a reply frame keyed `(t, run, m)` at the end of `out`; `run` is
-/// written on the recoverable layout only. Returns the prefix offset.
-fn open_reply(out: &mut Vec<u8>, recoverable: bool, (t, run, m): FrameKey) -> usize {
+/// Open a reply frame keyed `key` at the end of `out`. Returns the prefix
+/// offset.
+fn open_reply(out: &mut Vec<u8>, key: FrameKey) -> usize {
     let at = open_frame(out, T_REPLY);
-    put_varint(out, t);
-    if recoverable {
-        put_varint(out, run as u64);
-    }
-    put_varint(out, m as u64);
+    put_key(out, key);
     at
 }
 
 /// Encode a reply entry's body, everything after its id delta: the flags,
 /// then `up` and `wake_at` if present.
-fn put_reply_body<U: FrameCodec>(
-    out: &mut Vec<u8>,
-    up: &Option<U>,
-    engaged: bool,
-    wake_at: Option<u32>,
-) {
+fn put_reply_body<U: FrameCodec>(out: &mut Vec<u8>, a: &RoundAction<U>) {
     let mut flags = 0u8;
-    if up.is_some() {
+    if a.up.is_some() {
         flags |= F_UP;
     }
-    if engaged {
+    if a.engaged {
         flags |= F_ENGAGED;
     }
-    if wake_at.is_some() {
+    if a.wake_at.is_some() {
         flags |= F_WAKE;
     }
     out.push(flags);
-    if let Some(u) = up {
+    if let Some(u) = &a.up {
         u.encode_frame(out);
     }
-    if let Some(w) = wake_at {
+    if let Some(w) = a.wake_at {
         put_varint(out, w as u64);
     }
 }
 
 /// Decode one reply frame into `into` (cleared first) and return its key.
-/// `with_run` selects the recoverable layout; node ids must fall in `ids`.
+/// Node ids must fall in `ids`.
 fn decode_replies<U: FrameCodec>(
     payload: &[u8],
-    with_run: bool,
     ids: Range<u32>,
     into: &mut Vec<Reply<U>>,
 ) -> Result<FrameKey, WireError> {
@@ -698,13 +688,7 @@ fn decode_replies<U: FrameCodec>(
         Some(tag) => return Err(WireError::UnknownTag { tag }),
         None => return Err(malformed("empty frame")),
     }
-    let t = need_varint(&mut rd, "reply t")?;
-    let run = if with_run {
-        need_u32(&mut rd, "reply run")?
-    } else {
-        0
-    };
-    let m = need_u32(&mut rd, "reply m")?;
+    let key = need_key(&mut rd)?;
     let mut prev = 0u32;
     while !rd.is_empty() {
         let id = prev
@@ -736,7 +720,7 @@ fn decode_replies<U: FrameCodec>(
             up_bytes,
         });
     }
-    Ok((t, run, m))
+    Ok(key)
 }
 
 fn decode_hello(payload: &[u8]) -> Result<u32, WireError> {
@@ -781,18 +765,17 @@ enum ServeExit {
     /// Orderly `Halt` from the driver — the shard thread is done.
     Halt,
     /// The connection died (EOF, torn frame, write failure, malformed
-    /// frame). Recoverable shards reconnect; clean shards exit.
+    /// frame). The shard reconnects, within [`SHARD_RECONNECT_BUDGET`].
     Lost,
 }
 
 /// Node-range state a shard keeps across reconnects: one [`NodeHost`] per
-/// node, whose reply cache holds the encoded body of the node's last reply
-/// entry.
+/// node, each with its key cursor, its last answer and its step
+/// checkpoint.
 struct ShardState<NB: NodeBehavior> {
-    hosts: Vec<NodeHost<NB, Vec<u8>>>,
+    hosts: Vec<NodeHost<NB>>,
     first: u32,
     shard: u32,
-    recoverable: bool,
 }
 
 impl<NB> ShardState<NB>
@@ -830,7 +813,17 @@ where
             };
             match tag {
                 T_HALT => return ServeExit::Halt,
-                T_ABORT if self.recoverable => {
+                T_STALL => {
+                    let Ok(ms) = need_u32(&mut rd, "stall") else {
+                        return ServeExit::Lost;
+                    };
+                    // About to wait: the replies so far leave first.
+                    if writer.flush().is_err() {
+                        return ServeExit::Lost;
+                    }
+                    std::thread::sleep(Duration::from_millis(u64::from(ms)));
+                }
+                T_ABORT => {
                     let (Ok(t), Ok(run)) = (
                         need_varint(&mut rd, "abort t"),
                         need_u32(&mut rd, "abort run"),
@@ -842,25 +835,16 @@ where
                     }
                     // One ack per shard: a reply frame at ABORT_M, no entries.
                     buf.clear();
-                    let at = open_reply(&mut buf, true, (t, run, ABORT_M));
+                    let at = open_reply(&mut buf, (t, run, ABORT_M));
                     close_frame(&mut buf, at);
                     if writer.write_all(&buf).is_err() {
                         return ServeExit::Lost;
                     }
                 }
                 T_WAVE | T_WAVE_MORE => {
-                    let rec = self.recoverable;
-                    let decoded = decode_wave(rd, rec, ids.clone(), &mut bcasts, &mut entries);
-                    let Ok((stall_ms, key)) = decoded else {
+                    let Ok(key) = decode_wave(rd, ids.clone(), &mut bcasts, &mut entries) else {
                         return ServeExit::Lost;
                     };
-                    if stall_ms > 0 {
-                        // About to wait: the replies so far leave first.
-                        if writer.flush().is_err() {
-                            return ServeExit::Lost;
-                        }
-                        std::thread::sleep(Duration::from_millis(stall_ms as u64));
-                    }
                     self.answer(key, &bcasts, &entries, &mut held, &mut buf);
                     if tag == T_WAVE {
                         if writer.write_all(&held).is_err() {
@@ -877,7 +861,7 @@ where
     /// Run the decoded entries of one work frame in order and append their
     /// replies to `held` as reply frames keyed like it, each within
     /// [`MAX_FRAME_LEN`]. A stale entry gets no reply, a repeated one the
-    /// cached reply, and a frame left without entries is dropped.
+    /// cached answer, and a frame left without entries is dropped.
     fn answer(
         &mut self,
         key: FrameKey,
@@ -886,36 +870,28 @@ where
         held: &mut Vec<u8>,
         body: &mut Vec<u8>,
     ) {
-        let rec = self.recoverable;
-        let mut at = open_reply(held, rec, key);
+        let mut at = open_reply(held, key);
         let mut head_end = held.len();
         let mut prev = 0;
         for w in entries {
-            let host = &mut self.hosts[(w.id - self.first) as usize];
-            body.clear();
-            match host.admit(key, rec) {
-                Admit::Stale | Admit::Repeat(None) => continue,
-                Admit::Repeat(Some(cached)) => body.extend_from_slice(cached),
-                Admit::Run => {
-                    let work = if key.2 == 0 {
-                        Work::Observe(w.value)
-                    } else {
-                        Work::Round {
-                            bcasts: &bcasts[w.from..],
-                            ucast: w.ucast.as_ref(),
-                        }
-                    };
-                    let a = host.run(key, work);
-                    put_reply_body(body, &a.up, a.engaged, a.wake_at);
-                    if rec {
-                        host.commit(key, body.clone());
-                    }
+            let work = if key.2 == 0 {
+                Work::Observe(w.value)
+            } else {
+                Work::Round {
+                    bcasts: &bcasts[w.from..],
+                    ucast: w.ucast.as_ref(),
                 }
-            }
+            };
+            let host = &mut self.hosts[(w.id - self.first) as usize];
+            let Some(a) = host.answer(key, work) else {
+                continue;
+            };
+            body.clear();
+            put_reply_body(body, a);
             let len = held.len() - at - FRAME_PREFIX_LEN;
             if len + MAX_U32_VARINT + body.len() > MAX_FRAME_LEN && held.len() > head_end {
                 close_frame(held, at);
-                at = open_reply(held, rec, key);
+                at = open_reply(held, key);
                 head_end = held.len();
                 prev = 0;
             }
@@ -932,17 +908,11 @@ where
 }
 
 /// Shard thread: own a contiguous node range behind one TCP connection.
-/// On a recoverable (chaos) transport the shard survives a severed
-/// connection: it re-connects to the driver's listener, re-sends its
-/// `Hello`, and keeps serving with its node state intact, bounded by
-/// [`SHARD_RECONNECT_BUDGET`].
-fn shard_main<NB>(
-    nodes: Vec<NB>,
-    first: u32,
-    shard: u32,
-    addr: SocketAddr,
-    recoverable: bool,
-) -> Vec<NB>
+/// The shard survives a severed connection: it re-connects to the
+/// driver's listener, re-sends its `Hello`, and keeps serving with its
+/// node state intact, bounded by [`SHARD_RECONNECT_BUDGET`]. It exits on
+/// `Halt`, or once the listener is gone.
+fn shard_main<NB>(nodes: Vec<NB>, first: u32, shard: u32, addr: SocketAddr) -> Vec<NB>
 where
     NB: NodeBehavior,
     NB::Up: FrameCodec,
@@ -952,13 +922,8 @@ where
         hosts: nodes.into_iter().map(NodeHost::new).collect(),
         first,
         shard,
-        recoverable,
     };
-    let mut budget = if recoverable {
-        SHARD_RECONNECT_BUDGET
-    } else {
-        0
-    };
+    let mut budget = SHARD_RECONNECT_BUDGET;
     while let Some(stream) = connect_with_retries(addr) {
         // No delay: a flushed burst leaves at once (module docs).
         stream.set_nodelay(true).ok();
@@ -1217,7 +1182,7 @@ pub struct SocketTransport<NB: NodeBehavior> {
     /// The staged wave of each shard.
     waves: Vec<Wave>,
     shard_handles: Vec<JoinHandle<Vec<NB>>>,
-    /// Retained (nonblocking) on a chaotic transport to accept reconnects.
+    /// Kept (nonblocking) to accept reconnects; dropped on halt.
     listener: Option<TcpListener>,
     /// The listener's loopback address (reconnect storms self-connect).
     addr: SocketAddr,
@@ -1225,10 +1190,9 @@ pub struct SocketTransport<NB: NodeBehavior> {
     shard_of: Vec<u32>,
     /// `(first id, len)` per shard.
     ranges: Vec<(u32, u32)>,
-    recoverable: bool,
     /// Read and write timeout of every shard socket.
     tick: Duration,
-    /// Scratch for stalled copies and abort frames.
+    /// Scratch for control frames.
     scratch: Vec<u8>,
 }
 
@@ -1251,7 +1215,6 @@ where
         let s_count = ranges.len();
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(transport)?;
         let addr = listener.local_addr().map_err(transport)?;
-        let recoverable = chaos.is_some();
         let tick = Duration::from_millis(chaos.map_or(RECV_TICK_MS, |p| p.deadline_ms.max(1)));
 
         let mut chunks: Vec<Vec<NB>> = Vec::with_capacity(s_count);
@@ -1264,7 +1227,7 @@ where
             let first = ranges[s].0;
             let handle = std::thread::Builder::new()
                 .name(format!("topk-shard-{s}"))
-                .spawn(move || shard_main(chunk, first, s as u32, addr, recoverable))
+                .spawn(move || shard_main(chunk, first, s as u32, addr))
                 .expect("spawn shard thread");
             shard_handles.push(handle);
         }
@@ -1332,11 +1295,10 @@ where
             conns: Conns { shards, wire, taps },
             waves: (0..s_count).map(|_| Wave::default()).collect(),
             shard_handles,
-            listener: recoverable.then_some(listener),
+            listener: Some(listener),
             addr,
             shard_of,
             ranges,
-            recoverable,
             tick,
             scratch: Vec::new(),
         })
@@ -1407,7 +1369,7 @@ where
             tap_extend(&taps.from_shard[s], payload);
         }
         let (first, len) = self.ranges[s];
-        let decoded = decode_replies(payload, self.recoverable, first..first + len, into);
+        let decoded = decode_replies(payload, first..first + len, into);
         c.inbox.consume(range.end);
         decoded
             .map(|key| ReplyHead { e: s, key })
@@ -1442,13 +1404,13 @@ where
         self.conns.flush(s).map_err(|_| self.down(s))
     }
 
-    /// Accept shard `s`'s reconnect on the retained listener: validate the
+    /// Accept shard `s`'s reconnect on the kept listener: validate the
     /// re-sent `Hello` (version + shard id must match the original) and
     /// swap the new connection in. Junk connections (storms, stale
     /// handshakes) are discarded.
     fn accept_reconnect(&mut self, s: usize) -> Result<(), RuntimeError> {
         let Some(listener) = self.listener.as_ref() else {
-            return Err(transport("reconnect without a retained listener"));
+            return Err(transport("reconnect after halt"));
         };
         let deadline = Instant::now() + ACCEPT_TIMEOUT;
         let mut backoff = Backoff::new();
@@ -1571,21 +1533,20 @@ where
     }
 
     fn seal(&mut self, e: usize, key: FrameKey) {
-        let wire = &mut self.conns.wire;
-        self.waves[e].seal(self.recoverable, key, MAX_FRAME_LEN, wire);
+        self.waves[e].seal(key, MAX_FRAME_LEN, &mut self.conns.wire);
     }
 
     fn keep(&self, e: usize) -> Vec<u8> {
         self.waves[e].sealed.clone()
     }
 
+    /// A stall goes ahead of the wave as a `T_STALL` frame.
     fn send(&mut self, e: usize, stall_ms: u32) -> Result<(), RuntimeError> {
         if stall_ms > 0 {
-            stalled_copy(&self.waves[e].sealed, stall_ms, &mut self.scratch);
-            self.conns.queue(e, &self.scratch);
-        } else {
-            self.conns.queue(e, &self.waves[e].sealed);
+            control_frame(&mut self.scratch, T_STALL, &[u64::from(stall_ms)]);
+            self.conns.queue_retransmit(e, &self.scratch);
         }
+        self.conns.queue(e, &self.waves[e].sealed);
         Ok(())
     }
 
@@ -1633,11 +1594,7 @@ where
     }
 
     fn send_abort(&mut self, e: usize, t: u64, run: u32) -> Result<(), RuntimeError> {
-        self.scratch.clear();
-        let at = open_frame(&mut self.scratch, T_ABORT);
-        put_varint(&mut self.scratch, t);
-        put_varint(&mut self.scratch, run as u64);
-        close_frame(&mut self.scratch, at);
+        control_frame(&mut self.scratch, T_ABORT, &[t, u64::from(run)]);
         self.conns.queue_retransmit(e, &self.scratch);
         Ok(())
     }
@@ -1815,8 +1772,8 @@ mod tests {
         }
     }
 
-    /// Reports every observation; checkpointable, so it also runs on the
-    /// recoverable layout.
+    /// Reports every observation; checkpointable, so an abort can roll it
+    /// back.
     #[derive(Clone)]
     struct Echo(NodeId);
 
@@ -1840,8 +1797,8 @@ mod tests {
             RoundAction::idle()
         }
 
-        fn checkpoint(&self) -> Option<Self> {
-            Some(self.clone())
+        fn checkpoint(&self, slot: &mut Option<Self>) {
+            *slot = Some(self.clone());
         }
 
         fn rollback(&mut self, at: &Self) {
@@ -1866,34 +1823,44 @@ mod tests {
 
     /// The framed reply a shard owes to one node-phase-0 wave in which
     /// nodes `first..` report `values` back.
-    fn owed_reply(first: u64, values: &[u64], recoverable: bool, key: FrameKey) -> Vec<u8> {
+    fn owed_reply(first: u64, values: &[u64], key: FrameKey) -> Vec<u8> {
         let mut out = Vec::new();
-        let at = open_reply(&mut out, recoverable, key);
+        let at = open_reply(&mut out, key);
         for (i, &v) in values.iter().enumerate() {
             put_varint(&mut out, if i == 0 { first } else { 1 });
-            put_reply_body(&mut out, &Some(Msg(v)), false, None);
+            let a = RoundAction {
+                up: Some(Msg(v)),
+                engaged: false,
+                wake_at: None,
+            };
+            put_reply_body(&mut out, &a);
         }
         close_frame(&mut out, at);
         out
     }
 
-    /// Seal one node-phase-0 wave of `values` for nodes `0..` at `t`, its
-    /// payloads kept within `cap`.
-    fn sealed_wave(values: &[u64], recoverable: bool, t: u64, cap: usize) -> Vec<u8> {
+    /// Seal one node-phase-0 wave of `values` for nodes `0..` under `key`,
+    /// its payloads kept within `cap`.
+    fn sealed_wave(values: &[u64], key: FrameKey, cap: usize) -> Vec<u8> {
         let mut w = Wave::default();
         for (i, &v) in values.iter().enumerate() {
             w.stage::<Msg>(i as u32, Work::Observe(Some(v)));
         }
-        w.seal(recoverable, (t, 0, 0), cap, &mut WireMetrics::default());
+        w.seal(key, cap, &mut WireMetrics::default());
         w.sealed
     }
 
-    fn echo_shard(n: u32, recoverable: bool) -> ShardState<Echo> {
+    fn control(tag: u8, fields: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        control_frame(&mut out, tag, fields);
+        out
+    }
+
+    fn echo_shard(n: u32) -> ShardState<Echo> {
         ShardState {
             hosts: (0..n).map(|i| NodeHost::new(Echo(NodeId(i)))).collect(),
             first: 0,
             shard: 0,
-            recoverable,
         }
     }
 
@@ -1903,45 +1870,64 @@ mod tests {
         hello
     }
 
-    /// Serve a burst of one-frame waves on shard 0, wave `stall_at`
-    /// (recoverable layout only) stalled for 1 ms. Returns the shard's
-    /// writes after its `Hello`, and the framed reply it owes each wave.
-    fn serve_burst(
-        waves: u64,
-        recoverable: bool,
-        stall_at: Option<u64>,
-    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let values: Vec<u64> = (0..64).map(|i| 1000 + 7 * i).collect();
-        let (mut input, mut owed, mut stalled) = (Vec::new(), Vec::new(), Vec::new());
-        for t in 0..waves {
-            let sealed = sealed_wave(&values, recoverable, t, MAX_FRAME_LEN);
-            if stall_at == Some(t) {
-                stalled_copy(&sealed, 1, &mut stalled);
-                input.extend_from_slice(&stalled);
-            } else {
-                input.extend_from_slice(&sealed);
-            }
-            owed.push(owed_reply(0, &values, recoverable, (t, 0, 0)));
-        }
-        let mut st = echo_shard(64, recoverable);
+    /// Serve `input` on a 64-node shard 0 until it runs out. Returns the
+    /// shard's writes after its `Hello`.
+    fn serve_input(input: &[u8]) -> Vec<Vec<u8>> {
+        let mut st = echo_shard(64);
         let mut log = WriteLog::default();
-        assert!(matches!(st.serve(&input[..], &mut log), ServeExit::Lost));
+        assert!(matches!(st.serve(input, &mut log), ServeExit::Lost));
         assert_eq!(log.0.first(), Some(&hello()), "the hello leaves on its own");
-        (log.0.split_off(1), owed)
+        log.0.split_off(1)
+    }
+
+    fn burst_values() -> Vec<u64> {
+        (0..64).map(|i| 1000 + 7 * i).collect()
+    }
+
+    /// Serve a burst of one-frame waves on shard 0, wave `stall_at` stalled
+    /// for 1 ms. Returns the shard's writes after its `Hello`, and the
+    /// framed reply it owes each wave.
+    fn serve_burst(waves: u64, stall_at: Option<u64>) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        let values = burst_values();
+        let (mut input, mut owed) = (Vec::new(), Vec::new());
+        for t in 0..waves {
+            if stall_at == Some(t) {
+                input.extend_from_slice(&control(T_STALL, &[1]));
+            }
+            input.extend_from_slice(&sealed_wave(&values, (t, 0, 0), MAX_FRAME_LEN));
+            owed.push(owed_reply(0, &values, (t, 0, 0)));
+        }
+        (serve_input(&input), owed)
     }
 
     #[test]
     fn shard_answers_a_burst_with_one_write() {
-        for recoverable in [false, true] {
-            let (writes, owed) = serve_burst(4, recoverable, None);
-            assert_eq!(writes, [owed.concat()], "recoverable={recoverable}");
-        }
+        let (writes, owed) = serve_burst(4, None);
+        assert_eq!(writes, [owed.concat()]);
     }
 
     #[test]
     fn stall_flushes_the_burst_before_sleeping() {
-        let (writes, owed) = serve_burst(4, true, Some(2));
+        let (writes, owed) = serve_burst(4, Some(2));
         assert_eq!(writes, [owed[..2].concat(), owed[2..].concat()]);
+    }
+
+    /// Every shard takes an abort: one ack at `ABORT_M`, after which the
+    /// aborted attempt's frames are stale and the re-run is served.
+    #[test]
+    fn shard_acks_an_abort_and_keeps_serving() {
+        let values = burst_values();
+        let wave = |run| sealed_wave(&values, (5, run, 0), MAX_FRAME_LEN);
+        let input = [wave(0), control(T_ABORT, &[5, 0]), wave(0), wave(1)].concat();
+        let mut ack = Vec::new();
+        let at = open_reply(&mut ack, (5, 0, ABORT_M));
+        close_frame(&mut ack, at);
+        let want = [
+            owed_reply(0, &values, (5, 0, 0)),
+            ack,
+            owed_reply(0, &values, (5, 1, 0)),
+        ];
+        assert_eq!(serve_input(&input), [want.concat()]);
     }
 
     /// What a shard did, in order: bytes it read or wrote.
@@ -1981,9 +1967,9 @@ mod tests {
     #[test]
     fn split_wave_is_answered_with_one_write_after_its_last_frame() {
         let values: Vec<u64> = (0..30).map(|i| 5000 + i).collect();
-        // A 4-byte header plus ten 3-byte observe entries per frame splits
+        // A 5-byte header plus ten 3-byte observe entries per frame splits
         // the wave into three frames.
-        let sealed = sealed_wave(&values, false, 9, 34);
+        let sealed = sealed_wave(&values, (9, 0, 0), 35);
         let frames: Vec<Vec<u8>> = payloads(&sealed)
             .map(|p| {
                 let mut f = Vec::new();
@@ -2000,13 +1986,13 @@ mod tests {
         let lens: Vec<usize> = frames.iter().map(Vec::len).collect();
 
         let log = Rc::new(RefCell::new(Vec::new()));
-        let mut st = echo_shard(30, false);
+        let mut st = echo_shard(30);
         let exit = st.serve(LogRead(log.clone(), frames), LogWrite(log.clone()));
         assert!(matches!(exit, ServeExit::Lost));
 
         // One reply frame per work frame, written together at the end.
         let replies: Vec<u8> = (0..3)
-            .flat_map(|c| owed_reply(10 * c, &values[10 * c as usize..][..10], false, (9, 0, 0)))
+            .flat_map(|c| owed_reply(10 * c, &values[10 * c as usize..][..10], (9, 0, 0)))
             .collect();
         assert_eq!(
             *log.borrow(),
@@ -2025,7 +2011,7 @@ mod tests {
     fn wave_over_the_cap_goes_out_as_frames_within_it() {
         // 120k observes of 9-byte values: ~1.3 MB of entries on one shard.
         let values: Vec<u64> = (0..120_000).map(|i| u64::MAX - i).collect();
-        let sealed = sealed_wave(&values, true, 3, MAX_FRAME_LEN);
+        let sealed = sealed_wave(&values, (3, 0, 0), MAX_FRAME_LEN);
         let frames: Vec<&[u8]> = payloads(&sealed).collect();
         assert!(frames.len() >= 2, "the wave needs more than one frame");
         assert!(frames.iter().all(|p| p.len() <= MAX_FRAME_LEN));
@@ -2038,8 +2024,8 @@ mod tests {
         let (mut bcasts, mut entries) = (Vec::<Msg>::new(), Vec::new());
         for p in frames {
             let ids = 0..values.len() as u32;
-            let head = decode_wave(&p[1..], true, ids, &mut bcasts, &mut entries).unwrap();
-            assert_eq!(head, (0, (3, 0, 0)));
+            let key = decode_wave(&p[1..], ids, &mut bcasts, &mut entries).unwrap();
+            assert_eq!(key, (3, 0, 0));
             seen.extend(entries.iter().map(|e| (e.id, e.value)));
         }
         let want: Vec<_> = values
@@ -2078,12 +2064,12 @@ mod tests {
                 ucast: Some(&Msg(99)),
             },
         );
-        w.seal(false, (5, 0, 2), MAX_FRAME_LEN, &mut wire);
+        w.seal((5, 1, 2), MAX_FRAME_LEN, &mut wire);
         let frame = payloads(&w.sealed).next().unwrap();
         assert_eq!(frame[0], T_WAVE);
         let (mut bcasts, mut entries) = (Vec::new(), Vec::new());
-        let head = decode_wave::<Msg>(&frame[1..], false, 0..8, &mut bcasts, &mut entries);
-        assert_eq!(head, Ok((0, (5, 0, 2))));
+        let key = decode_wave::<Msg>(&frame[1..], 0..8, &mut bcasts, &mut entries);
+        assert_eq!(key, Ok((5, 1, 2)));
         assert_eq!(
             bcasts, log,
             "the broadcasts go out once, for the longest suffix"

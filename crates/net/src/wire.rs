@@ -24,33 +24,40 @@
 //!   above [`crate::socket::MAX_FRAME_LEN`] (1 MiB) is rejected before any
 //!   allocation.
 //! * The first payload byte is a frame tag; transport tags (`Hello`,
-//!   `Wave`, `Reply`, `Abort`, `Halt`) live in [`crate::socket`], while
-//!   embedded model messages carry their own codec tags via
+//!   `Wave`, `Reply`, `Stall`, `Abort`, `Halt`) live in [`crate::socket`],
+//!   while embedded model messages carry their own codec tags via
 //!   [`crate::socket::FrameCodec`].
 //! * The `Hello` handshake frame carries a version byte
-//!   ([`crate::socket::WIRE_VERSION`], currently `0x02`) directly after its
+//!   ([`crate::socket::WIRE_VERSION`], currently `0x03`) directly after its
 //!   tag; a version mismatch aborts the connection before any work frame.
 //! * All multi-byte integers inside payloads are [`put_varint`] varints —
 //!   the length prefix is the only fixed-width field.
 //!
-//! ## Waves and replies (version `0x02`)
+//! ## Waves and replies (version `0x03`)
 //!
 //! The unit of the wire is one shard and one wave: each shard gets one work
 //! frame per coordinator round (node-phase `m`), holding every node of the
 //! shard that the visit rule polls, and answers with one reply frame.
-//! Fields in brackets exist on the recoverable layout only.
+//! There is one layout, with or without a fault schedule:
 //!
 //! ```text
-//! work   tag [stall] t [run] m  nb  bcast × nb  entry …
+//! hello  0x01 version shard
+//! work   tag t run m  nb  bcast × nb  entry …
 //!        tag  0x10 = the wave's last (usually only) frame
 //!             0x11 = more frames of this wave follow
-//!        entry, m = 0:  varint(Δid << 1 | cached)  [value unless cached]
-//!        entry, m ≥ 1:  varint(Δid << 1 | unicast)  offset  [unicast]
-//! reply  0x20 t [run] m  entry …
-//!        entry:         varint(Δid)  flags  [up]  [wake_at]
+//!        entry, m = 0:  varint(Δid << 1 | cached)  value, unless cached
+//!        entry, m ≥ 1:  varint(Δid << 1 | unicast)  offset  unicast, if flagged
+//! reply  0x20 t run m  entry …
+//!        entry:         varint(Δid)  flags  up, if flagged  wake_at, if flagged
+//! stall  0x1d ms
+//! abort  0x1e t run
+//! halt   0x1f
 //! ```
 //!
-//! * The key `(t, run, m)` is written once per frame.
+//! * The key `(t, run, m)` is written once per work and reply frame: time
+//!   step, step attempt (bumped on every whole-step re-run) and node-phase.
+//!   It is what makes re-delivery idempotent: each node answers a key at
+//!   most once, and answers a repeat from its reply cache.
 //! * The broadcasts come once per frame: the longest suffix of the step's
 //!   broadcast log that any polled node of the shard needs. Each entry
 //!   names its node by the id delta from the previous entry of the frame
@@ -67,6 +74,12 @@
 //!   frames that each repeat the header and broadcasts, all but the last
 //!   tagged `0x11`. A shard writes nothing for a wave before it has read
 //!   its last frame; its replies may be split the same way.
+//! * `stall` and `abort` are control frames that only a fault schedule
+//!   sends, and they are charged off-model. A shard that reads a `stall`
+//!   flushes its replies and sleeps `ms` milliseconds before reading on;
+//!   the wave it delays follows it. An `abort` rolls every node of the
+//!   shard back to its step checkpoint, fences attempt `(t, run)`, and is
+//!   acked with one reply.
 //!
 //! The exact bytes of a fixed-seed run are pinned by the golden-frame
 //! snapshot test (`crates/net/tests/wire_golden.rs`): any drift in this
@@ -97,12 +110,6 @@
 //! * **Reconnect storm** — junk connections race the shard's real
 //!   reconnect; the `Hello` handshake (version + shard id) is what lets
 //!   the driver tell them apart.
-//!
-//! Chaotic transports use the *recoverable* layout: work frames gain a
-//! stall-slot varint after the tag (set only on the first frame of a
-//! stalled copy) and a `run` (attempt number) varint after `t`, and
-//! replies echo `(t, run, m)` so re-deliveries dedup on the idempotency
-//! key. The golden snapshot pins the clean layout, not the chaos variant.
 
 use bytes::{Buf, BufMut};
 

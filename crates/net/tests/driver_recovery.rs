@@ -60,8 +60,8 @@ impl NodeBehavior for ScriptedNode {
         RoundAction::idle()
     }
 
-    fn checkpoint(&self) -> Option<Self> {
-        Some(self.clone())
+    fn checkpoint(&self, slot: &mut Option<Self>) {
+        *slot = Some(self.clone());
     }
 
     fn rollback(&mut self, at: &Self) {

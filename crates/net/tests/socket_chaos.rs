@@ -79,8 +79,8 @@ impl NodeBehavior for CountingNode {
         RoundAction::idle()
     }
 
-    fn checkpoint(&self) -> Option<Self> {
-        Some(self.clone())
+    fn checkpoint(&self, slot: &mut Option<Self>) {
+        *slot = Some(self.clone());
     }
 
     fn rollback(&mut self, at: &Self) {
@@ -205,9 +205,9 @@ fn dead_shard_becomes_typed_error_and_drop_joins() {
     });
 }
 
-/// Same pin on the chaotic transport: the recoverable wire adds reconnect
-/// budgets and re-send retries, but a shard whose thread is gone is still a
-/// typed `NodeDown`, never an infinite retry loop.
+/// Same pin on the chaotic transport: the fault layer adds re-send
+/// retries, but a shard whose thread is gone is still a typed `NodeDown`,
+/// never an infinite retry loop.
 #[test]
 fn dead_shard_is_typed_error_under_chaos_too() {
     with_watchdog(60, || {
@@ -224,6 +224,36 @@ fn dead_shard_is_typed_error_under_chaos_too() {
         assert_eq!(err, RuntimeError::NodeDown { id: NodeId(3) });
         drop(cluster);
     });
+}
+
+/// A node without a checkpoint: the default `checkpoint` leaves the slot
+/// empty.
+struct Plain(NodeId);
+
+impl NodeBehavior for Plain {
+    type Up = Msg;
+    type Down = Msg;
+
+    fn id(&self) -> NodeId {
+        self.0
+    }
+
+    fn observe(&mut self, _t: u64, _value: Value) -> ObserveAction<Msg> {
+        ObserveAction::idle()
+    }
+
+    fn micro_round(&mut self, _: u64, _: u32, _: &[Msg], _: Option<&Msg>) -> RoundAction<Msg> {
+        RoundAction::idle()
+    }
+}
+
+/// A fault schedule re-runs steps, and a re-run rolls the nodes back, so a
+/// behavior that cannot be rolled back is refused before any shard starts.
+#[test]
+#[should_panic(expected = "chaos transport requires NodeBehavior::checkpoint support")]
+fn chaos_refuses_a_behavior_without_a_checkpoint() {
+    let nodes = (0..4).map(|i| Plain(NodeId(i))).collect();
+    SocketCluster::spawn_chaotic(nodes, ChaosPolicy::quiet(5));
 }
 
 /// A reply frame the driver cannot decode — here a node's report whose
