@@ -23,21 +23,52 @@
 //! machinery (not the absence of faults) is what keeps the arms identical.
 //!
 //! `CHAOS_SEED=<u64>` rotates the fault seeds from CI without recompiling.
+//! For the seeds CI runs, the injected-fault counters are pinned exactly.
 
 use topk_monitoring::core::audit::assert_audit_clean;
 use topk_monitoring::prelude::*;
 use topk_monitoring::sim::{boundary_storm, FaultSchedule};
 
-/// Rotating fault seeds: three deterministic derivations of `CHAOS_SEED`
-/// (default 101) so each CI matrix entry exercises three distinct fault
-/// patterns.
-fn chaos_seeds() -> [u64; 3] {
-    let base: u64 = std::env::var("CHAOS_SEED")
+/// `CHAOS_SEED`, default 101.
+fn chaos_seed() -> u64 {
+    std::env::var("CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(101);
+        .unwrap_or(101)
+}
+
+/// Rotating fault seeds: three deterministic derivations of `base` so each
+/// CI matrix entry exercises three distinct fault patterns.
+fn chaos_seeds(base: u64) -> [u64; 3] {
     [base, base ^ 0x5eed, base.wrapping_mul(0x9e37_79b9).max(1)]
 }
+
+/// The ten classes [`RecoveryMetrics::injected_total`] sums, in its order.
+fn injected(r: &RecoveryMetrics) -> [u64; 10] {
+    [
+        r.injected_drops,
+        r.injected_dups,
+        r.injected_delays,
+        r.injected_stalls,
+        r.injected_reply_drops,
+        r.restarts,
+        r.injected_torn_frames,
+        r.injected_conn_resets,
+        r.injected_half_opens,
+        r.injected_storms,
+    ]
+}
+
+/// Injected faults per class, summed over the three arms, for each
+/// `CHAOS_SEED` that CI runs. Every fault rolls once per
+/// `(seed, t, run, m, shard)`, so these repeat exactly. Retries, stale
+/// replies, re-deliveries and reconnects follow the wall clock and are not
+/// pinned.
+const PINNED_INJECTED: [(u64, [u64; 10]); 3] = [
+    (101, [171, 123, 73, 57, 111, 27, 58, 57, 38, 38]),
+    (3511, [124, 131, 81, 36, 71, 28, 34, 38, 21, 34]),
+    (77041, [122, 147, 82, 45, 79, 24, 44, 35, 34, 36]),
+];
 
 /// One soak arm: `steps` of boundary churn + glitch rain on the socket
 /// engine behind `policy`, cross-checked per step against the fault-free
@@ -123,9 +154,10 @@ fn soak_arm(policy: ChaosPolicy, steps: u64) -> RecoveryMetrics {
 fn chaos_soak_reset_storms_with_per_step_audits() {
     // Recovery rides `(t, run, m)` dedup, `Hello` re-handshakes and
     // snapshot + step re-run; the per-step pins hold on every arm.
+    let base = chaos_seed();
     let mut total = RecoveryMetrics::default();
     let mut arms = 0u32;
-    for chaos_seed in chaos_seeds() {
+    for chaos_seed in chaos_seeds(base) {
         total.absorb(&soak_arm(ChaosPolicy::from_seed(chaos_seed), 120));
         arms += 1;
     }
@@ -166,4 +198,11 @@ fn chaos_soak_reset_storms_with_per_step_audits() {
         total.redelivered_frames > 0,
         "reconnects never re-delivered a frame: {total:?}"
     );
+    if let Some((_, want)) = PINNED_INJECTED.iter().find(|(seed, _)| *seed == base) {
+        assert_eq!(
+            injected(&total),
+            *want,
+            "CHAOS_SEED={base}: injected faults per class moved: {total:?}"
+        );
+    }
 }
