@@ -322,10 +322,7 @@ impl NodeBehavior for NodeMachine {
     /// every node on every shard thread points at, is never touched.
     fn checkpoint(&self, slot: &mut Option<Self>) {
         match slot {
-            Some(at) => {
-                at.restore(self);
-                at.rng = self.rng.clone();
-            }
+            Some(at) => at.restore(self),
             None => *slot = Some(self.clone()),
         }
     }

@@ -364,8 +364,8 @@ impl<NB: NodeBehavior> NodeHost<NB> {
     pub fn abort(&mut self, t: u64, run: u32) {
         let key = (t, run, ABORT_M);
         if self.cur.is_none_or(|c| key > c) {
-            if let (Some(snap), Some(s)) = (&self.ck, self.ck_t) {
-                if s == t {
+            if self.ck_t == Some(t) {
+                if let Some(snap) = &self.ck {
                     self.node.rollback(snap);
                 }
             }

@@ -911,7 +911,7 @@ where
 /// The shard survives a severed connection: it re-connects to the
 /// driver's listener, re-sends its `Hello`, and keeps serving with its
 /// node state intact, bounded by [`SHARD_RECONNECT_BUDGET`]. It exits on
-/// `Halt`, or once the listener is gone.
+/// `Halt`, once the listener is gone, or when the budget runs out.
 fn shard_main<NB>(nodes: Vec<NB>, first: u32, shard: u32, addr: SocketAddr) -> Vec<NB>
 where
     NB: NodeBehavior,
