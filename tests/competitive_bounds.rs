@@ -90,8 +90,8 @@ fn ratio_within_bound_adversarial() {
 /// top-k change per half period — the ε-band run's competitive ratio
 /// against offline OPT collapses to a small constant (it pays O(1)
 /// broadcasts per OPT update), while the exact hero stays in the
-/// Θ(FILTERRESET) regime on the identical trace. Seed-rotated, and the
-/// CI `approx-conformance` job adds `PROPTEST_SEED` as an extra rotation.
+/// Θ(FILTERRESET) regime on the identical trace. Seed-rotated, and CI's
+/// `conformance` job adds `PROPTEST_SEED` as an extra rotation.
 #[test]
 fn approx_band_collapses_the_competitive_ratio_on_oscillation() {
     let (n, k, steps) = (48usize, 2usize, 400usize);
