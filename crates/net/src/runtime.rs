@@ -21,7 +21,10 @@ pub trait Runtime<CB> {
     /// [`crate::behavior::NodeBehavior::SPARSE_OBSERVE`] are diffed against
     /// the runtime's cached row, so only changed ∪ engaged nodes are
     /// visited. A transport failure the runtime cannot mask surfaces as a
-    /// typed [`RuntimeError`]; the in-process runtime never fails.
+    /// typed [`RuntimeError`]; the in-process runtime never fails. `t`
+    /// must increase strictly from step to step: a transport keys every
+    /// frame by `(t, run, m)`, and a node ignores a key older than the
+    /// last one it answered and answers that one again from its cache.
     fn try_step(&mut self, coord: &mut CB, t: u64, values: &[Value]) -> Result<(), RuntimeError>;
 
     /// Execute one step given only the values that changed since `t − 1`
