@@ -197,16 +197,20 @@ pub type TopkMonitor = Algorithm1<SyncRuntime<NodeMachine>>;
 
 impl<R: Runtime<CoordinatorMachine>> Algorithm1<R> {
     /// Build the node machines and the coordinator for `(cfg, seed)` and
-    /// hand the nodes to the runtime `start` makes of them.
+    /// hand the nodes to the runtime `start` makes of them. All nodes
+    /// share one [`crate::params::NodeParams`] block (flat layout).
     fn assemble(
         cfg: MonitorConfig,
         seed: u64,
         engine: Engine,
         start: impl FnOnce(Vec<NodeMachine>) -> R,
     ) -> Self {
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
+        let params = crate::params::NodeParams::shared(&cfg);
+        let nodes = (0..cfg.n)
+            .map(|i| NodeMachine::new(NodeId(i as u32), &params, seed))
+            .collect();
         Algorithm1 {
-            coord,
+            coord: CoordinatorMachine::new(cfg),
             cfg,
             engine,
             events: EventCursor::default(),
@@ -325,18 +329,6 @@ impl TopkMonitor {
     /// the sparse path, `n` per step only on the very first (init) step.
     pub fn observe_calls(&self) -> u64 {
         self.rt.observe_calls()
-    }
-
-    /// The pieces of Algorithm 1 for `(cfg, seed)`: `(nodes, coordinator)`
-    /// with the seeds and behaviors every engine starts from, for
-    /// harnesses that drive a raw runtime (the `sparse_step` bench). All
-    /// nodes share one [`crate::params::NodeParams`] block (flat layout).
-    pub fn make_parts(cfg: MonitorConfig, seed: u64) -> (Vec<NodeMachine>, CoordinatorMachine) {
-        let params = crate::params::NodeParams::shared(&cfg);
-        let nodes = (0..cfg.n)
-            .map(|i| NodeMachine::new(NodeId(i as u32), &params, seed))
-            .collect();
-        (nodes, CoordinatorMachine::new(cfg))
     }
 
     /// Round-poll counter of the underlying runtime — the fire-round

@@ -110,8 +110,8 @@ impl ValueFeed for BoundaryCross {
 /// * **ε-approximate mode** with `ε ≥ 2·amplitude` absorbs every flip as
 ///   an in-band re-centering — one broadcast, zero resets.
 ///
-/// That makes it the headline workload of the approximate-mode benchmark
-/// (`results/BENCH_approx.json`): the gap between the two modes *is* the
+/// That makes it the headline workload of approximate mode
+/// (`tests/approx_mode.rs`): the gap between the two modes *is* the
 /// competitive gap of arXiv 1601.04448. The `seed` only shifts the wave's
 /// phase (`seed mod period`), so runs are fully deterministic per seed.
 #[derive(Debug, Clone)]

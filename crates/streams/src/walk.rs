@@ -302,7 +302,8 @@ impl SparseWalk {
     /// O(step_max/2³¹) — negligible for the sizes the constructor admits.
     /// Stratification emits `touched` pre-sorted and duplicate-free, so the
     /// former ChaCha block generation *and* the touched-index sort are both
-    /// gone from the hot path (`benches/sparse_step.rs` pins the gain).
+    /// gone from the hot path (perfbench's `silent-100k` workload reports
+    /// this generator's cost as `streams.fill_delta_us.p50`).
     fn advance(&mut self) {
         let n = self.state.len() as u64;
         let m = self.movers_per_step as u64;

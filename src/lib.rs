@@ -79,8 +79,8 @@
 //! assert!(session.silent_steps() > 25, "most steps exchange no message");
 //! ```
 //!
-//! `examples/million_nodes.rs` drives n = 1,000,000 this way, and
-//! `crates/bench/benches/sparse_step.rs` pins the dense/sparse gap.
+//! `examples/million_nodes.rs` drives n = 1,000,000 this way, and the
+//! `silent-100k` workload of `perfbench/` times it at n = 100,000.
 //! Dense and sparse execution are bit-identical (ledgers, answers, RNG
 //! streams) — property-tested in `tests/sparse_equivalence.rs`; the event
 //! stream's replayability is property-tested in `tests/session_events.rs`.

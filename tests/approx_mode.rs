@@ -9,9 +9,8 @@
 //! * the approximate run triggers **zero** resets (every crossing becomes
 //!   a band hit = one broadcast, `RunMetrics::band_hits`);
 //! * the exact twin resets on every crossing and pays **≥ 10×** the
-//!   up-messages — the competitive gap of arXiv 1601.04448, reported
-//!   deterministically in `results/BENCH_approx.json` by the bench
-//!   harness;
+//!   up-messages — the competitive gap of arXiv 1601.04448, pinned at
+//!   `(n, k) = (64, 2)` and `(256, 4)`;
 //! * answers stay ε-indistinguishable from the true top-k at every step;
 //! * the `ApproxBoundary` event stream is lossless: an [`EventReplay`]
 //!   reconstructs answer, threshold *and* the band-hit count exactly.
@@ -52,54 +51,58 @@ fn drive(session: &mut MonitorSession, spec: &WorkloadSpec, seed: u64, steps: u6
 
 #[test]
 fn approx_zero_resets_and_10x_fewer_up_messages_than_exact() {
-    let (n, k) = (64, 2);
-    let (spec, eps) = oscillation(n, k);
-    for seed in [3u64, 17] {
-        let mut exact = MonitorBuilder::new(n, k).seed(seed).build();
-        let mut approx = MonitorBuilder::new(n, k).seed(seed).epsilon(eps).build();
-        drive(&mut exact, &spec, seed, 400, 0);
-        drive(&mut approx, &spec, seed, 400, eps);
+    for (n, k) in [(64, 2), (256, 4)] {
+        let (spec, eps) = oscillation(n, k);
+        for seed in [3u64, 17] {
+            let mut exact = MonitorBuilder::new(n, k).seed(seed).build();
+            let mut approx = MonitorBuilder::new(n, k).seed(seed).epsilon(eps).build();
+            drive(&mut exact, &spec, seed, 400, 0);
+            drive(&mut approx, &spec, seed, 400, eps);
 
-        let me = *exact.metrics();
-        let ma = *approx.metrics();
+            let me = *exact.metrics();
+            let ma = *approx.metrics();
 
-        // The band arm absorbs every violating crossing: zero resets, one
-        // broadcast per hit. Only every *other* flip bands — after a band
-        // hit keeps the membership ε-stale, the next flip puts the stale
-        // member genuinely back on top and repairs the answer silently
-        // (no violation at all), while the exact twin pays a reset on
-        // every single flip (100 over 400 steps at period 8).
-        assert_eq!(ma.resets, 0, "seed {seed}: approx must never reset");
-        assert!(
-            ma.band_hits >= 45,
-            "seed {seed}: every other flip over 400 steps must band ≥ 45 times, got {}",
-            ma.band_hits
-        );
-        assert_eq!(ma.band_bcast, ma.band_hits, "one broadcast per band hit");
-        assert_eq!(ma.avoided_resets(), ma.band_hits);
+            // The band arm absorbs every violating crossing: zero resets, one
+            // broadcast per hit. Only every *other* flip bands — after a band
+            // hit keeps the membership ε-stale, the next flip puts the stale
+            // member genuinely back on top and repairs the answer silently
+            // (no violation at all), while the exact twin pays a reset on
+            // every single flip (100 over 400 steps at period 8).
+            assert_eq!(
+                ma.resets, 0,
+                "({n}, {k}) seed {seed}: approx must never reset"
+            );
+            assert!(
+                ma.band_hits >= 45,
+                "({n}, {k}) seed {seed}: every other flip over 400 steps must band ≥ 45 times, got {}",
+                ma.band_hits
+            );
+            assert_eq!(ma.band_bcast, ma.band_hits, "one broadcast per band hit");
+            assert_eq!(ma.avoided_resets(), ma.band_hits);
 
-        // The exact twin pays a FILTERRESET per crossing on the same trace.
-        assert!(
-            me.resets >= 90,
-            "seed {seed}: exact twin must reset per flip, got {}",
-            me.resets
-        );
-        assert_eq!(me.band_hits, 0, "exact mode never takes the band arm");
+            // The exact twin pays a FILTERRESET per crossing on the same trace.
+            assert!(
+                me.resets >= 90,
+                "({n}, {k}) seed {seed}: exact twin must reset per flip, got {}",
+                me.resets
+            );
+            assert_eq!(me.band_hits, 0, "exact mode never takes the band arm");
 
-        // Headline: ≥ 10× fewer up-messages (and strictly fewer total
-        // messages) than the exact twin on the identical trace.
-        assert!(
-            me.total_up() >= 10 * ma.total_up(),
-            "seed {seed}: up-message gap too small: exact {} vs approx {}",
-            me.total_up(),
-            ma.total_up()
-        );
-        assert!(
-            me.total() > ma.total(),
-            "seed {seed}: total message gap inverted: exact {} vs approx {}",
-            me.total(),
-            ma.total()
-        );
+            // Headline: ≥ 10× fewer up-messages (and strictly fewer total
+            // messages) than the exact twin on the identical trace.
+            assert!(
+                me.total_up() >= 10 * ma.total_up(),
+                "({n}, {k}) seed {seed}: up-message gap too small: exact {} vs approx {}",
+                me.total_up(),
+                ma.total_up()
+            );
+            assert!(
+                me.total() > ma.total(),
+                "({n}, {k}) seed {seed}: total message gap inverted: exact {} vs approx {}",
+                me.total(),
+                ma.total()
+            );
+        }
     }
 }
 
