@@ -52,6 +52,9 @@ pub struct FireDist {
     /// is what makes the probability-1 round structural rather than
     /// numerical. Empty iff `last == 0` (bound 1): no draw needed.
     cdf: Vec<u64>,
+    /// `start[b]` = the number of `cdf` entries `≤ b << 56`: where the scan
+    /// of a draw whose top byte is `b` begins.
+    start: [u8; 256],
     last: u32,
     n_bound: u64,
 }
@@ -72,7 +75,16 @@ impl FireDist {
             survival = survival * miss as u128 / n_bound as u128;
             cdf.push((one - survival).min(u64::MAX as u128) as u64);
         }
-        FireDist { cdf, last, n_bound }
+        let mut start = [0u8; 256];
+        for (b, s) in start.iter_mut().enumerate() {
+            *s = cdf.partition_point(|&c| c <= (b as u64) << 56) as u8;
+        }
+        FireDist {
+            cdf,
+            start,
+            last,
+            n_bound,
+        }
     }
 
     /// Index of the final round (send probability 1); `r*` never exceeds it.
@@ -90,11 +102,11 @@ impl FireDist {
     /// Sample the first-send round: one uniform draw, zero draws when the
     /// schedule is a single probability-1 round (`n_bound = 1`).
     ///
-    /// The lookup is a branchless linear scan (`r*` = number of CDF entries
-    /// ≤ the draw): the table has at most `⌈log₂N⌉ ≤ 64` cache-resident
-    /// entries and the draw is uniform, so a binary search would mispredict
-    /// on nearly every comparison — measurable when an episode start
-    /// fans out to 10⁶ participants at once.
+    /// `r*` is the number of CDF entries `≤` the draw. The draw's top byte
+    /// indexes a 256-entry table that already counts every entry `≤` that
+    /// byte's floor, so the forward scan from there usually stops after
+    /// one or two comparisons instead of touching all `⌈log₂N⌉` entries —
+    /// the per-node cost of an episode start that fans out to every node.
     #[inline]
     pub fn sample(&self, rng: &mut impl RngCore) -> u32 {
         if self.cdf.is_empty() {
@@ -102,7 +114,8 @@ impl FireDist {
         }
         let u: u64 = rng.next_u64();
         // First r with u < cdf[r]; all entries cleared ⇒ the final round.
-        self.cdf.iter().map(|&c| (c <= u) as u32).sum()
+        let from = self.start[(u >> 56) as usize] as usize;
+        (from + self.cdf[from..].iter().take_while(|&&c| c <= u).count()) as u32
     }
 
     /// Exact per-round probabilities of the underlying coin chain, in `f64`
@@ -158,6 +171,39 @@ mod tests {
             let mut rng = substream_rng(5, n);
             for _ in 0..200 {
                 assert!(dist.sample(&mut rng) <= dist.last_round(), "n={n}");
+            }
+        }
+    }
+
+    /// Hands out one fixed draw.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The table-started scan returns exactly the count of CDF entries
+    /// `≤ u` at every edge a draw can sit on: both ends of the range, each
+    /// entry and its neighbours, and each table boundary.
+    #[test]
+    fn table_driven_sample_counts_cdf_entries_exactly() {
+        for n in [2u64, 3, 37, 1024, 11_111, (1 << 20) - 3] {
+            let dist = FireDist::for_bound(n);
+            let mut draws = vec![0, u64::MAX];
+            for &c in &dist.cdf {
+                draws.extend([c.wrapping_sub(1), c, c.wrapping_add(1)]);
+            }
+            for b in 0..256u64 {
+                draws.extend([(b << 56).wrapping_sub(1), b << 56]);
+            }
+            for u in draws {
+                let want = dist.cdf.iter().filter(|&&c| c <= u).count() as u32;
+                assert_eq!(dist.sample(&mut Fixed(u)), want, "n={n} u={u:#x}");
             }
         }
     }
