@@ -27,9 +27,14 @@
 //!    `(k+1)·(⌈log₂n⌉+1) + 1` rounds. Both are Las Vegas-exact, so they
 //!    select the same top-`k+1`; the searches stay as the proto-level
 //!    reference `topk_proto::runner::select_topk`, pinned equal to the
-//!    sweep by `kselect_matches_iterated_selection_exactly`. Round counts
-//!    are pinned by `crates/core/tests/reset_rounds.rs` via
-//!    [`RunMetrics::reset_rounds`].
+//!    sweep by `kselect_matches_iterated_selection_exactly`. Every sampling
+//!    round carries the last announced bar as its [`CoordOut::cutoff`]: a
+//!    participant due next phase whose value cannot beat it would only
+//!    withdraw, so the runtimes resolve it unpolled. A reset therefore
+//!    polls `2n + reporters` times — the `ResetStart` and `ResetDone`
+//!    fan-outs, plus one fire-phase poll per up-message at most. Round
+//!    and poll counts are pinned by `crates/core/tests/reset_rounds.rs`
+//!    via [`RunMetrics::reset_rounds`].
 
 use topk_net::behavior::{CoordOut, CoordinatorBehavior, RoundScope};
 use topk_net::id::{midpoint_floor, NodeId};
@@ -422,6 +427,12 @@ impl CoordinatorBehavior for CoordinatorMachine {
                         self.ks_agg.mark_announced();
                         self.metrics.reset_bcast += 1;
                     }
+                    // A participant due next phase that cannot beat the
+                    // last announced bar withdraws on replay, with no
+                    // message and no draw, and `ResetDone` resets it
+                    // whether or not it was polled: the runtimes need not
+                    // poll it.
+                    out.cutoff = self.ks_agg.announced_bar();
                 } else {
                     // r == l_ks: the probability-1 round's reports arrived,
                     // so the top-(k+1) is exact and one broadcast concludes.

@@ -332,9 +332,10 @@ impl TopkMonitor {
     }
 
     /// Round-poll counter of the underlying runtime — the fire-round
-    /// calendar's cost witness: a protocol episode polls each participant
-    /// once (at its scheduled fire phase) plus the full-fanout rounds,
-    /// instead of every active participant every round.
+    /// calendar's cost witness: a protocol round polls one node per
+    /// reporter (at its scheduled fire phase), plus the full-fanout
+    /// rounds, instead of every active participant every round. A reset
+    /// polls `2n + reporters` times.
     pub fn micro_polls(&self) -> u64 {
         self.rt.micro_polls()
     }

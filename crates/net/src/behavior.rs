@@ -35,7 +35,7 @@
 //! [`ValueFeed::fill_delta`] lets generators produce only the movers.
 
 use crate::id::{NodeId, Value};
-use crate::wire::WireSize;
+use crate::wire::{Report, WireSize};
 
 /// What a node does upon observing its next stream value.
 #[derive(Debug, Clone, Default)]
@@ -188,6 +188,25 @@ pub enum RoundScope {
 }
 
 /// Everything the coordinator emits at the end of one micro-round.
+///
+/// # The cutoff
+///
+/// [`CoordOut::cutoff`] is the second transport contract next to
+/// [`RoundScope`], and like the scope the emitter owns its guarantee. A
+/// cutoff `c` set on round `m` asserts: every node whose fire-round
+/// calendar entry is due at node-phase `m + 1` and whose value does not
+/// beat `c` in the [`RankEntry`](crate::id::RankEntry) order (higher value
+/// first, ties to the lower id) would, if polled, withdraw with no message
+/// and no draw, and the episode's concluding full fan-out leaves it in the
+/// same state whether or not it was polled. The runtimes then resolve such
+/// an entry without polling or framing the node, so a round costs one poll
+/// per reporter instead of one per due participant. The value compared is
+/// the runtime's cached row, so the cutoff is honoured only for
+/// [`NodeBehavior::SPARSE_OBSERVE`] behaviors (the only ones whose values
+/// both runtimes cache), and only in rounds that are neither a full
+/// fan-out nor carry a unicast; otherwise every due node is polled. Algorithm 1 sets it to
+/// the last announced k-select bar on every sampling round of
+/// FILTERRESET: a participant below the bar withdraws on replay.
 #[derive(Debug, Clone)]
 pub struct CoordOut<D> {
     /// Unicasts, each charged as one `Down` message.
@@ -197,6 +216,9 @@ pub struct CoordOut<D> {
     pub broadcasts: Vec<D>,
     /// Delivery scope of `broadcasts` (ledger cost unaffected).
     pub scope: RoundScope,
+    /// Due calendar entries that do not beat this report are resolved
+    /// unpolled (see the type docs; `None`, the default, polls them all).
+    pub cutoff: Option<Report>,
 }
 
 impl<D> Default for CoordOut<D> {
@@ -205,6 +227,7 @@ impl<D> Default for CoordOut<D> {
             unicasts: Vec::new(),
             broadcasts: Vec::new(),
             scope: RoundScope::All,
+            cutoff: None,
         }
     }
 }
@@ -223,16 +246,18 @@ impl<D> CoordOut<D> {
             unicasts: Vec::new(),
             broadcasts: vec![d],
             scope: RoundScope::All,
+            cutoff: None,
         }
     }
 
     /// Drop the round's messages but keep both buffers' capacity — the
     /// runtimes reuse one `CoordOut` across all micro-rounds of a run.
-    /// The scope resets to the safe default.
+    /// The scope and the cutoff reset to the safe defaults.
     pub fn clear(&mut self) {
         self.unicasts.clear();
         self.broadcasts.clear();
         self.scope = RoundScope::All;
+        self.cutoff = None;
     }
 }
 

@@ -6,10 +6,13 @@
 //! A node that announces its wake phase is bucketed under it and dropped
 //! from the per-round poll set; each micro-round then visits only the
 //! engaged every-round pollers plus **that round's scheduled firers**
-//! (plus addressees), so a protocol round costs `O(#senders)` instead of
-//! `O(#active participants)`. Broadcasts a scheduled node skips are
-//! replayed from the step's broadcast log (owned by the runtime) at its
-//! next poll — the calendar tracks the per-node log cursor.
+//! (plus addressees). When the round carries a cutoff
+//! ([`crate::behavior::CoordOut::cutoff`]), a due firer whose cached value
+//! cannot beat it is resolved without a poll, because it would only
+//! withdraw — so a protocol round costs one poll per reporter, not one
+//! per due participant. Broadcasts a scheduled node skips are replayed
+//! from the step's broadcast log (owned by the runtime) at its next poll —
+//! the calendar tracks the per-node log cursor.
 //!
 //! Both runtimes must resolve schedules identically or their bit-identity
 //! breaks; keeping the bucket/cursor bookkeeping in this one type keeps
@@ -20,6 +23,9 @@
 //! capacity, per-node arrays are fixed-size, and a step that never
 //! schedules ([`FireCalendar::end_step`] on an empty calendar) costs O(1) —
 //! the steady-state hot path stays allocation-free.
+
+use crate::id::{NodeId, RankEntry, Value};
+use crate::wire::Report;
 
 /// Sentinel for "not scheduled".
 const NONE: u32 = u32::MAX;
@@ -81,17 +87,40 @@ impl FireCalendar {
 
     /// Append the indices due at `phase` to `out` (unsorted — callers merge
     /// and sort their full visit set).
-    pub fn due_into(&self, phase: u32, out: &mut Vec<u32>) {
+    ///
+    /// With a `cutoff` `(bar, row)`, a due node `i` whose `row[i]` does not
+    /// beat `bar` in the [`RankEntry`] order is resolved here instead: its
+    /// entry is dropped and it is not appended, so the round neither polls
+    /// nor frames it (the emitter's guarantee,
+    /// [`crate::behavior::CoordOut::cutoff`], makes that poll a no-op).
+    pub fn due_into(&mut self, phase: u32, cutoff: Option<(Report, &[Value])>, out: &mut Vec<u32>) {
         if self.live == 0 {
             return;
         }
-        if let Some(bucket) = self.buckets.get(phase as usize) {
+        let Some(bucket) = self.buckets.get(phase as usize) else {
+            return;
+        };
+        let sched = &mut self.sched_phase;
+        let Some((bar, row)) = cutoff else {
             out.extend(
                 bucket
                     .iter()
                     .copied()
-                    .filter(|&i| self.sched_phase[i as usize] == phase),
+                    .filter(|&i| sched[i as usize] == phase),
             );
+            return;
+        };
+        let bar = RankEntry::new(bar.value, bar.id);
+        for &i in bucket {
+            if sched[i as usize] != phase {
+                continue;
+            }
+            if RankEntry::new(row[i as usize], NodeId(i)) > bar {
+                out.push(i);
+            } else {
+                sched[i as usize] = NONE;
+                self.live -= 1;
+            }
         }
     }
 
@@ -187,13 +216,43 @@ mod tests {
         assert!(cal.has_due(2) && cal.has_due(5) && !cal.has_due(4));
 
         let mut due = Vec::new();
-        cal.due_into(5, &mut due);
+        cal.due_into(5, None, &mut due);
         assert_eq!(due, vec![3, 1]);
 
         // Node 7 is polled at its phase and stays quiet: resolved.
         cal.note_poll(7, None, 2, 1);
         assert!(!cal.is_scheduled(7));
         assert!(!cal.has_due(2));
+    }
+
+    #[test]
+    fn cutoff_resolves_due_entries_that_cannot_beat_it() {
+        let mut cal = FireCalendar::new(6);
+        for i in 0..5 {
+            cal.note_poll(i, Some(4), 0, 0);
+        }
+        cal.note_poll(5, Some(7), 0, 0);
+        let row = [10, 30, 20, 20, 20, 1];
+        let bar = Report {
+            id: NodeId(3),
+            value: 20,
+        };
+        let mut due = Vec::new();
+        cal.due_into(4, Some((bar, &row)), &mut due);
+        // 30 beats the bar and so does 20 at the lower id 2; the bar's own
+        // node and the higher id 4 lose the tie, and 10 loses outright.
+        assert_eq!(due, vec![1, 2]);
+        assert!(cal.is_scheduled(1) && cal.is_scheduled(2));
+        assert!(!cal.is_scheduled(0) && !cal.is_scheduled(3) && !cal.is_scheduled(4));
+        // Entries of other phases are left alone.
+        assert!(cal.is_scheduled(5));
+        due.clear();
+        cal.due_into(7, None, &mut due);
+        assert_eq!(due, vec![5]);
+        cal.note_poll(1, None, 4, 0);
+        cal.note_poll(2, None, 4, 0);
+        cal.note_poll(5, None, 7, 0);
+        assert!(cal.is_empty(), "resolved entries leave the live count");
     }
 
     #[test]
@@ -204,7 +263,7 @@ mod tests {
         // with an advanced cursor: no duplicate bucket entry.
         cal.note_poll(2, Some(6), 3, 4);
         let mut due = Vec::new();
-        cal.due_into(6, &mut due);
+        cal.due_into(6, None, &mut due);
         assert_eq!(due, vec![2]);
         assert_eq!(cal.seen(2), 4);
 
@@ -212,10 +271,10 @@ mod tests {
         // stale, the new one is authoritative.
         cal.note_poll(2, Some(9), 4, 5);
         due.clear();
-        cal.due_into(6, &mut due);
+        cal.due_into(6, None, &mut due);
         assert!(due.is_empty(), "stale entries must not resurface");
         due.clear();
-        cal.due_into(9, &mut due);
+        cal.due_into(9, None, &mut due);
         assert_eq!(due, vec![2]);
     }
 
@@ -228,12 +287,12 @@ mod tests {
         assert!(cal.is_empty());
         assert!(!cal.is_scheduled(0) && !cal.is_scheduled(1));
         let mut due = Vec::new();
-        cal.due_into(3, &mut due);
+        cal.due_into(3, None, &mut due);
         assert!(due.is_empty());
         // Fresh step reuses the buckets.
         cal.note_poll(1, Some(3), 0, 0);
         due.clear();
-        cal.due_into(3, &mut due);
+        cal.due_into(3, None, &mut due);
         assert_eq!(due, vec![1]);
     }
 }

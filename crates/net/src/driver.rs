@@ -6,7 +6,8 @@
 //! rows and change-lists through [`DeltaRow`], applies the visit rule
 //! (`visit_round`: sparse node-phase 0 with value-less cached observes,
 //! [`FireCalendar`] skip plus broadcast-log replay, [`RoundScope`]
-//! narrowing), charges `sync_frames` at dispatch intent and every model
+//! narrowing, the round's [`CoordOut::cutoff`] against the cached row),
+//! charges `sync_frames` at dispatch intent and every model
 //! message to its [`CommLedger`], and runs the recovery state machine. A
 //! [`Transport`] only carries frames, one per endpoint and wave:
 //! [`crate::socket`] writes them as length-prefixed bytes over loopback TCP
@@ -226,14 +227,20 @@ pub(crate) struct Poll<'a, D> {
 ///
 /// A [`RoundScope::All`] broadcast reaches every node; otherwise only
 /// engaged nodes, the calendar entries due at `m` and unicast addressees
-/// are visited (skipped nodes are contractual no-ops). A scheduled node
-/// receives every broadcast since its last poll, replayed from the log;
-/// everyone else gets this round's.
+/// are visited (skipped nodes are contractual no-ops), and in a round
+/// without unicasts a due entry whose `row` value does not beat the
+/// round's [`CoordOut::cutoff`] is resolved unpolled, so the round costs
+/// one poll per reporter. `row` is
+/// the runtime's cached value row, empty for behaviors without
+/// [`NodeBehavior::SPARSE_OBSERVE`], which therefore ignore the cutoff. A
+/// scheduled node receives every broadcast since its last poll, replayed
+/// from the log; everyone else gets this round's.
 #[allow(clippy::too_many_arguments)] // the visit state is split across both runtimes' fields
 pub(crate) fn visit_round<D: Clone, E>(
     n: usize,
     m: u32,
     out: &mut CoordOut<D>,
+    row: &[Value],
     engaged: &[u32],
     cal: &mut FireCalendar,
     log: &mut Vec<D>,
@@ -283,7 +290,10 @@ pub(crate) fn visit_round<D: Clone, E>(
     } else {
         visit.clear();
         visit.extend_from_slice(engaged);
-        cal.due_into(m, visit);
+        let cutoff = out
+            .cutoff
+            .filter(|_| !row.is_empty() && unicasts.is_empty());
+        cal.due_into(m, cutoff.map(|c| (c, row)), visit);
         visit.extend(unicasts.iter().map(|(id, _)| id.0));
         visit.sort_unstable();
         visit.dedup();
@@ -901,6 +911,7 @@ where
             self.n,
             m,
             out,
+            self.delta_row.row(),
             &self.engaged_idx,
             &mut self.calendar,
             &mut self.bcast_log,

@@ -42,8 +42,13 @@
 //!   fixed distribution, see `topk_proto::schedule`) is parked in the
 //!   [`crate::calendar::FireCalendar`] and skipped by silent and scoped
 //!   rounds until that phase; the broadcasts it missed are replayed from
-//!   the step's broadcast log when it is next polled. A protocol round
-//!   thus visits `O(#senders due now)` nodes, not `O(#active)`.
+//!   the step's broadcast log when it is next polled. When the round
+//!   carries a cutoff ([`CoordOut::cutoff`]), a due node whose cached
+//!   value cannot beat it would only withdraw, and is resolved unpolled.
+//!   A protocol round thus costs one poll per reporter, not one per
+//!   active participant. The cached row lives in a [`DeltaRow`] that a
+//!   step moves out of the runtime while it runs, so the row is passed
+//!   down to each round's visit rule rather than read from the field.
 //!
 //! All scratch buffers (`ups`, the [`CoordOut`] pair, visit lists, calendar
 //! buckets, the broadcast log) are owned by the runtime and reused across
@@ -162,9 +167,10 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
     }
 
     /// Total `micro_round` invocations so far — the calendar's cost
-    /// witness: with fire-round-scheduled behaviors a protocol episode
-    /// costs one poll per participant (at its fire phase) plus the
-    /// full-fanout rounds, instead of one poll per participant per round.
+    /// witness: with fire-round-scheduled behaviors a protocol round polls
+    /// one node per reporter (at its fire phase), plus the full-fanout
+    /// rounds, instead of every participant every round. A participant
+    /// that a round's cutoff dooms to withdraw is not polled at all.
     pub fn micro_polls(&self) -> u64 {
         self.micro_polls
     }
@@ -175,14 +181,16 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
     }
 
     /// Node-phase 0 over every node (the legacy dense visit), then the
-    /// micro-round schedule.
-    fn step_dense<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value])
+    /// micro-round schedule. `row` is the cached value row the visit rule
+    /// compares a round's cutoff against: `values` itself for
+    /// `SPARSE_OBSERVE` behaviors, empty for the others.
+    fn step_dense<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value], row: &[Value])
     where
         CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
     {
         coord.begin_step(t);
         let any_engaged = self.observe_phase(t, values.iter().copied().enumerate());
-        self.finish_step(coord, t, any_engaged);
+        self.finish_step(coord, t, any_engaged, row);
     }
 
     /// Node-phase 0 over changed ∪ engaged nodes only, then the micro-round
@@ -204,7 +212,7 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
         let any_engaged =
             self.observe_phase(t, visit.iter().map(|&i| (i as usize, row[i as usize])));
         self.visit = visit;
-        self.finish_step(coord, t, any_engaged);
+        self.finish_step(coord, t, any_engaged, row);
     }
 
     /// Observe `(node, value)` pairs as node-phase 0; returns whether any
@@ -230,8 +238,10 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
         any_engaged
     }
 
-    /// Silent-step fast path plus the coordinator micro-round loop.
-    fn finish_step<CB>(&mut self, coord: &mut CB, t: u64, any_engaged: bool)
+    /// Silent-step fast path plus the coordinator micro-round loop. The
+    /// step's [`DeltaRow`] is moved out of `self` while it runs, so its row
+    /// comes in as `row` and goes down to every round's visit rule.
+    fn finish_step<CB>(&mut self, coord: &mut CB, t: u64, any_engaged: bool, row: &[Value])
     where
         CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
     {
@@ -265,7 +275,7 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
                 m <= self.guard,
                 "micro-round guard exceeded at t={t}: protocol failed to terminate"
             );
-            self.deliver_phase(t, m, &mut out);
+            self.deliver_phase(t, m, &mut out, row);
             self.out = out;
         }
         // Schedules and the broadcast log are step-local.
@@ -279,7 +289,7 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
     /// rule the transport engines frame by) and collect the nodes'
     /// up-messages into `self.ups`. `out` is runtime scratch: read here,
     /// cleared by the next round.
-    fn deliver_phase(&mut self, t: u64, m: u32, out: &mut CoordOut<NB::Down>) {
+    fn deliver_phase(&mut self, t: u64, m: u32, out: &mut CoordOut<NB::Down>, row: &[Value]) {
         let mut next = std::mem::take(&mut self.engaged_next);
         next.clear();
         let (nodes, ups, ledger, polls) = (
@@ -292,6 +302,7 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
             nodes.len(),
             m,
             out,
+            row,
             &self.engaged_idx,
             &mut self.calendar,
             &mut self.bcast_log,
@@ -323,11 +334,11 @@ where
             dr.diff(values);
             self.step_visits(coord, t, dr.last_delta(), dr.row());
             self.delta_row = dr;
+        } else if NB::SPARSE_OBSERVE {
+            self.delta_row.prime(values);
+            self.step_dense(coord, t, values, values);
         } else {
-            if NB::SPARSE_OBSERVE {
-                self.delta_row.prime(values);
-            }
-            self.step_dense(coord, t, values);
+            self.step_dense(coord, t, values, &[]);
         }
         Ok(())
     }
@@ -346,7 +357,7 @@ where
         );
         let mut dr = std::mem::take(&mut self.delta_row);
         if dr.apply_sparse(changes) {
-            self.step_dense(coord, t, dr.row());
+            self.step_dense(coord, t, dr.row(), dr.row());
         } else {
             self.step_visits(coord, t, dr.last_delta(), dr.row());
         }

@@ -10,7 +10,10 @@
 //! * every-round engaged nodes keep the classic per-round delivery;
 //! * the sequential and socket runtimes poll the same nodes the same
 //!   number of times and deliver identical broadcast sequences, and the
-//!   model ledger is unaffected by scheduling.
+//!   model ledger is unaffected by scheduling;
+//! * a round's cutoff ([`CoordOut::cutoff`]) resolves a due node that
+//!   cannot beat it without a poll or a frame, on both runtimes, for
+//!   sparse-observing behaviors only, and never in a full fan-out.
 
 mod common;
 
@@ -20,10 +23,11 @@ use std::sync::{Arc, Mutex};
 use topk_net::behavior::{
     CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction, RoundScope,
 };
-use topk_net::id::{NodeId, Value};
+use topk_net::id::{NodeId, RankEntry, Value};
 use topk_net::runtime::Runtime;
 use topk_net::seq::SyncRuntime;
 use topk_net::socket::SocketCluster;
+use topk_net::wire::Report;
 
 use common::{with_watchdog, Msg};
 
@@ -120,14 +124,27 @@ impl NodeBehavior for CalNode {
     }
 }
 
-/// Coordinator scripted with one optional `(payload, scope)` broadcast per
-/// round, running `rounds` micro-rounds per step; records which node ids
-/// reported in which round.
+/// Coordinator scripted with one optional `(payload, scope)` broadcast and
+/// one optional cutoff per round, running `rounds` micro-rounds per step;
+/// records which node ids reported in which round.
 struct ScriptCoord {
     rounds: u32,
     cur: u32,
     script: Vec<Option<(u64, RoundScope)>>,
+    cutoffs: Vec<Option<Report>>,
     ups_by_round: Vec<(u32, Vec<u32>)>,
+}
+
+impl ScriptCoord {
+    fn new(rounds: u32, script: Vec<Option<(u64, RoundScope)>>) -> Self {
+        ScriptCoord {
+            rounds,
+            cur: 0,
+            script,
+            cutoffs: Vec::new(),
+            ups_by_round: Vec::new(),
+        }
+    }
 }
 
 impl CoordinatorBehavior for ScriptCoord {
@@ -155,6 +172,7 @@ impl CoordinatorBehavior for ScriptCoord {
             out.broadcasts.push(Msg(payload));
             out.scope = scope;
         }
+        out.cutoff = self.cutoffs.get(m as usize).copied().flatten();
     }
 
     fn step_done(&self) -> bool {
@@ -265,12 +283,7 @@ fn check_scoped_run(h: &Harness, coord: &ScriptCoord, tag: &str) {
 #[test]
 fn seq_scheduled_node_skips_rounds_and_replays_broadcasts() {
     let mut h = harness(N);
-    let mut coord = ScriptCoord {
-        rounds: 6,
-        cur: 0,
-        script: scoped_script(),
-        ups_by_round: Vec::new(),
-    };
+    let mut coord = ScriptCoord::new(6, scoped_script());
     let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), 4);
     rt.step(&mut coord, 0, &values());
     // 3 broadcasts charged in full regardless of narrowed delivery.
@@ -283,12 +296,7 @@ fn seq_scheduled_node_skips_rounds_and_replays_broadcasts() {
 fn socket_scheduled_node_skips_rounds_and_replays_broadcasts() {
     with_watchdog(60, || {
         let mut h = harness(N);
-        let mut coord = ScriptCoord {
-            rounds: 6,
-            cur: 0,
-            script: scoped_script(),
-            ups_by_round: Vec::new(),
-        };
+        let mut coord = ScriptCoord::new(6, scoped_script());
         let mut cluster = SocketCluster::spawn(std::mem::take(&mut h.nodes));
         cluster.step(&mut coord, 0, &values());
         assert_eq!(cluster.ledger().broadcast(), 3);
@@ -320,12 +328,7 @@ fn fanout_round_catches_scheduled_nodes_up_early() {
     ];
     let run_seq = |script: Vec<Option<(u64, RoundScope)>>| {
         let mut h = harness(N);
-        let mut coord = ScriptCoord {
-            rounds: 6,
-            cur: 0,
-            script,
-            ups_by_round: Vec::new(),
-        };
+        let mut coord = ScriptCoord::new(6, script);
         let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), 4);
         rt.step(&mut coord, 0, &values());
         let counts = h.poll_counts();
@@ -346,12 +349,7 @@ fn fanout_round_catches_scheduled_nodes_up_early() {
     // The socket runtime delivers the identical sequences.
     let (h2, ups2) = with_watchdog(60, move || {
         let mut h2 = harness(N);
-        let mut coord = ScriptCoord {
-            rounds: 6,
-            cur: 0,
-            script,
-            ups_by_round: Vec::new(),
-        };
+        let mut coord = ScriptCoord::new(6, script);
         let mut cluster = SocketCluster::spawn(std::mem::take(&mut h2.nodes));
         cluster.step(&mut coord, 0, &values());
         cluster.shutdown();
@@ -368,12 +366,7 @@ fn fanout_round_catches_scheduled_nodes_up_early() {
 #[test]
 fn schedules_do_not_survive_the_step() {
     let mut h = harness(N);
-    let mut coord = ScriptCoord {
-        rounds: 3,
-        cur: 0,
-        script: vec![None, None, None],
-        ups_by_round: Vec::new(),
-    };
+    let mut coord = ScriptCoord::new(3, vec![None, None, None]);
     let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), 4);
     let mut v = vec![0; N];
     v[1] = 30; // wake phase far beyond the step's 3 rounds
@@ -383,4 +376,258 @@ fn schedules_do_not_survive_the_step() {
     rt.step(&mut coord, 1, &[0; N]);
     assert_eq!(h.poll_counts()[1], 0);
     assert_eq!(rt.ledger().up(), 0);
+}
+
+/// A cutoff on a non-sparse behavior is ignored: the step script of the
+/// scoped test, with a cutoff no node can beat on every round, visits
+/// exactly as without one, on both runtimes.
+#[test]
+fn cutoff_is_ignored_for_non_sparse_behaviors() {
+    let unbeatable = Report {
+        id: NodeId(0),
+        value: Value::MAX,
+    };
+    let coord = move || {
+        let mut c = ScriptCoord::new(6, scoped_script());
+        c.cutoffs = vec![Some(unbeatable); 6];
+        c
+    };
+    let mut h = harness(N);
+    let mut c = coord();
+    let mut rt = SyncRuntime::new(std::mem::take(&mut h.nodes), 4);
+    rt.step(&mut c, 0, &values());
+    check_scoped_run(&h, &c, "seq");
+
+    with_watchdog(60, move || {
+        let mut h = harness(N);
+        let mut c = coord();
+        let mut cluster = SocketCluster::spawn(std::mem::take(&mut h.nodes));
+        cluster.step(&mut c, 0, &values());
+        assert_eq!(cluster.ledger().sync_frames(), (N + 3 + 1) as u64);
+        cluster.shutdown();
+        check_scoped_run(&h, &c, "socket");
+    });
+}
+
+/// Sweep payloads of the cutoff arms: `START` opens an episode, `DONE`
+/// closes it, and any other payload is a bar `value << 8 | id`.
+const START: u64 = 1;
+const DONE: u64 = 2;
+
+fn bar(r: Report) -> u64 {
+    r.value << 8 | r.id.0 as u64
+}
+
+/// A sparse-observing sweep participant, so that both runtimes cache its
+/// value. `START` schedules one report of its value at its fixed fire
+/// phase; a bar it cannot beat withdraws the report (as in a k-select
+/// sweep), and `DONE` ends the episode. Polls and deliveries are recorded
+/// like [`CalNode`]'s.
+struct BarNode {
+    id: NodeId,
+    value: Value,
+    fire_at: u32,
+    live: bool,
+    polls: Arc<AtomicU64>,
+    deliveries: DeliveryLog,
+}
+
+impl NodeBehavior for BarNode {
+    type Up = Msg;
+    type Down = Msg;
+
+    /// An idle node's observe only stores the value.
+    const SPARSE_OBSERVE: bool = true;
+
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn observe(&mut self, _t: u64, value: Value) -> ObserveAction<Msg> {
+        self.value = value;
+        ObserveAction::idle()
+    }
+
+    fn micro_round(
+        &mut self,
+        _t: u64,
+        m: u32,
+        bcasts: &[Msg],
+        _ucast: Option<&Msg>,
+    ) -> RoundAction<Msg> {
+        self.polls.fetch_add(1, Ordering::Relaxed);
+        self.deliveries
+            .lock()
+            .unwrap()
+            .push((m, bcasts.iter().map(|b| b.0).collect()));
+        let me = RankEntry::new(self.value, self.id);
+        for b in bcasts {
+            match b.0 {
+                START => self.live = true,
+                DONE => self.live = false,
+                b => self.live &= me > RankEntry::new(b >> 8, NodeId((b & 0xff) as u32)),
+            }
+        }
+        if !self.live {
+            return RoundAction::idle();
+        }
+        if m == self.fire_at {
+            self.live = false;
+            return RoundAction {
+                up: Some(Msg(self.value)),
+                engaged: false,
+                wake_at: None,
+            };
+        }
+        RoundAction {
+            up: None,
+            engaged: true,
+            wake_at: Some(self.fire_at),
+        }
+    }
+}
+
+/// `(value, fire phase)` of the eight sweep participants. Nodes 2, 3, 4
+/// and 7 tie at 30 against the second bar `(30, id 4)`: the lower ids 2
+/// and 3 beat it, node 4 is the bar itself, and node 7 loses the tie.
+const SWEEP: [(Value, u32); N] = [
+    (10, 3),
+    (70, 4),
+    (30, 4),
+    (30, 4),
+    (30, 4),
+    (50, 2),
+    (20, 3),
+    (30, 4),
+];
+const BAR1: Report = Report {
+    id: NodeId(6),
+    value: 20,
+};
+const BAR2: Report = Report {
+    id: NodeId(4),
+    value: 30,
+};
+
+/// What one sweep step left behind.
+struct SweepRun {
+    polls: Vec<u64>,
+    deliveries: Vec<Vec<(u32, Vec<u64>)>>,
+    coord: ScriptCoord,
+}
+
+/// The sweep: `START` to everyone, a bar in rounds 1 and 3, and a full
+/// fan-out `DONE` in round 5. Every round after `START` carries the last
+/// announced bar as its cutoff, the `DONE` fan-out included. `step` runs
+/// the one step on a runtime of its choice.
+fn run_sweep(step: impl FnOnce(Vec<BarNode>, &mut ScriptCoord, &[Value])) -> SweepRun {
+    let polls: Vec<_> = (0..N).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let deliveries: Vec<DeliveryLog> = (0..N).map(|_| Arc::default()).collect();
+    let nodes = SWEEP
+        .iter()
+        .enumerate()
+        .map(|(i, &(value, fire_at))| BarNode {
+            id: NodeId(i as u32),
+            value,
+            fire_at,
+            live: false,
+            polls: polls[i].clone(),
+            deliveries: deliveries[i].clone(),
+        })
+        .collect();
+    let mut coord = ScriptCoord::new(
+        6,
+        vec![
+            Some((START, RoundScope::All)),
+            Some((bar(BAR1), RoundScope::Engaged)),
+            None,
+            Some((bar(BAR2), RoundScope::Engaged)),
+            None,
+            Some((DONE, RoundScope::All)),
+        ],
+    );
+    coord.cutoffs = vec![
+        None,
+        Some(BAR1),
+        Some(BAR1),
+        Some(BAR2),
+        Some(BAR2),
+        Some(BAR2),
+    ];
+    let values: Vec<Value> = SWEEP.iter().map(|&(v, _)| v).collect();
+    step(nodes, &mut coord, &values);
+    SweepRun {
+        polls: polls.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
+        deliveries: deliveries
+            .iter()
+            .map(|d| d.lock().unwrap().clone())
+            .collect(),
+        coord,
+    }
+}
+
+/// Poll pins of the sweep: a node below the cutoff is never polled at its
+/// fire phase, one above it is polled there and gets its whole replay
+/// slice, ties go by id, and the `DONE` fan-out reaches everyone despite
+/// its cutoff.
+fn check_sweep(run: &SweepRun, tag: &str) {
+    let SweepRun {
+        polls,
+        deliveries,
+        coord,
+    } = run;
+    // START and DONE poll everyone; only the reporters are polled between.
+    assert_eq!(*polls, [2, 3, 3, 3, 2, 3, 2, 2], "{tag}: polls per node");
+    assert_eq!(
+        coord.ups_by_round,
+        vec![(2, vec![5]), (4, vec![1, 2, 3])],
+        "{tag}: the reporters report at their fire phases"
+    );
+    let (b1, b2) = (bar(BAR1), bar(BAR2));
+    assert_eq!(
+        deliveries[1],
+        vec![(1, vec![START]), (4, vec![b1, b2]), (6, vec![DONE])],
+        "{tag}: a reporter gets its whole replay slice"
+    );
+    assert_eq!(deliveries[5][1], (2, vec![b1]), "{tag}: early reporter");
+    for i in [0, 4, 6, 7] {
+        assert_eq!(
+            deliveries[i],
+            vec![(1, vec![START]), (6, vec![DONE])],
+            "{tag}: node {i} below the cutoff is resolved unpolled"
+        );
+    }
+}
+
+#[test]
+fn seq_cutoff_skips_due_nodes_that_cannot_beat_it() {
+    let run = run_sweep(|nodes, coord, values| {
+        let mut rt = SyncRuntime::new(nodes, 4);
+        rt.step(coord, 0, values);
+        assert_eq!(rt.ledger().broadcast(), 4);
+        assert_eq!(rt.ledger().up(), 4, "one report per reporter");
+        assert_eq!(rt.micro_polls(), 2 * N as u64 + 4, "2n + reporters");
+    });
+    check_sweep(&run, "seq");
+}
+
+#[test]
+fn socket_cutoff_skips_due_nodes_that_cannot_beat_it() {
+    let run = with_watchdog(60, || {
+        run_sweep(|nodes, coord, values| {
+            let mut cluster = SocketCluster::spawn(nodes);
+            cluster.step(coord, 0, values);
+            assert_eq!(cluster.ledger().broadcast(), 4);
+            assert_eq!(cluster.ledger().up(), 4);
+            // Observe, START and DONE frame every node; between them only
+            // the four reporters get a frame entry.
+            assert_eq!(
+                cluster.ledger().sync_frames(),
+                3 * N as u64 + 4,
+                "no frame for a node below the cutoff"
+            );
+            cluster.shutdown();
+        })
+    });
+    check_sweep(&run, "socket");
 }

@@ -156,6 +156,13 @@ impl<O: ProtocolOrder> KSelectAggregator<O> {
         self.announced_bar = self.bar();
     }
 
+    /// The last bar marked announced, if any: every participant has been
+    /// sent it (or a lower one), and one that cannot beat it withdraws.
+    #[inline]
+    pub fn announced_bar(&self) -> Option<Report> {
+        self.announced_bar
+    }
+
     /// The running top-`count` so far, best-first. Exact once the final
     /// round completed (every non-deactivated participant has sent).
     #[inline]
@@ -230,9 +237,17 @@ mod tests {
         assert_eq!(a.pending_bar(BroadcastPolicy::OnChange), None);
         a.absorb(rep(0, 3));
         assert_eq!(a.pending_bar(BroadcastPolicy::OnChange), Some(rep(0, 3)));
+        assert_eq!(a.announced_bar(), None, "not announced until marked");
         a.mark_announced();
+        assert_eq!(a.announced_bar(), Some(rep(0, 3)));
         assert_eq!(a.pending_bar(BroadcastPolicy::OnChange), None);
         assert_eq!(a.pending_bar(BroadcastPolicy::EveryRound), Some(rep(0, 3)));
+        // A better report lifts the bar, but the announced one stays until
+        // the next broadcast; `clear` forgets it.
+        a.absorb(rep(1, 5));
+        assert_eq!(a.announced_bar(), Some(rep(0, 3)));
+        a.clear();
+        assert_eq!(a.announced_bar(), None);
     }
 
     #[test]
