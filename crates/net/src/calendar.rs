@@ -101,25 +101,17 @@ impl FireCalendar {
             return;
         };
         let sched = &mut self.sched_phase;
-        let Some((bar, row)) = cutoff else {
-            out.extend(
-                bucket
-                    .iter()
-                    .copied()
-                    .filter(|&i| sched[i as usize] == phase),
-            );
-            return;
-        };
-        let bar = RankEntry::new(bar.value, bar.id);
+        let cutoff = cutoff.map(|(bar, row)| (RankEntry::new(bar.value, bar.id), row));
         for &i in bucket {
             if sched[i as usize] != phase {
                 continue;
             }
-            if RankEntry::new(row[i as usize], NodeId(i)) > bar {
-                out.push(i);
-            } else {
-                sched[i as usize] = NONE;
-                self.live -= 1;
+            match cutoff {
+                Some((bar, row)) if RankEntry::new(row[i as usize], NodeId(i)) <= bar => {
+                    sched[i as usize] = NONE;
+                    self.live -= 1;
+                }
+                _ => out.push(i),
             }
         }
     }

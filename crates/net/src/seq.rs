@@ -46,9 +46,7 @@
 //!   carries a cutoff ([`CoordOut::cutoff`]), a due node whose cached
 //!   value cannot beat it would only withdraw, and is resolved unpolled.
 //!   A protocol round thus costs one poll per reporter, not one per
-//!   active participant. The cached row lives in a [`DeltaRow`] that a
-//!   step moves out of the runtime while it runs, so the row is passed
-//!   down to each round's visit rule rather than read from the field.
+//!   active participant.
 //!
 //! All scratch buffers (`ups`, the [`CoordOut`] pair, visit lists, calendar
 //! buckets, the broadcast log) are owned by the runtime and reused across
@@ -181,15 +179,16 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
     }
 
     /// Node-phase 0 over every node (the legacy dense visit), then the
-    /// micro-round schedule. `row` is the cached value row the visit rule
-    /// compares a round's cutoff against: `values` itself for
-    /// `SPARSE_OBSERVE` behaviors, empty for the others.
-    fn step_dense<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value], row: &[Value])
+    /// micro-round schedule.
+    fn step_dense<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value])
     where
         CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
     {
         coord.begin_step(t);
         let any_engaged = self.observe_phase(t, values.iter().copied().enumerate());
+        // Every node observed `values`: they are the cached row, which only
+        // sparse-observing behaviors keep.
+        let row: &[Value] = if NB::SPARSE_OBSERVE { values } else { &[] };
         self.finish_step(coord, t, any_engaged, row);
     }
 
@@ -334,11 +333,11 @@ where
             dr.diff(values);
             self.step_visits(coord, t, dr.last_delta(), dr.row());
             self.delta_row = dr;
-        } else if NB::SPARSE_OBSERVE {
-            self.delta_row.prime(values);
-            self.step_dense(coord, t, values, values);
         } else {
-            self.step_dense(coord, t, values, &[]);
+            if NB::SPARSE_OBSERVE {
+                self.delta_row.prime(values);
+            }
+            self.step_dense(coord, t, values);
         }
         Ok(())
     }
@@ -357,7 +356,7 @@ where
         );
         let mut dr = std::mem::take(&mut self.delta_row);
         if dr.apply_sparse(changes) {
-            self.step_dense(coord, t, dr.row(), dr.row());
+            self.step_dense(coord, t, dr.row());
         } else {
             self.step_visits(coord, t, dr.last_delta(), dr.row());
         }
