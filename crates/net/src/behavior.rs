@@ -204,9 +204,10 @@ pub enum RoundScope {
 /// the runtime's cached row, so the cutoff is honoured only for
 /// [`NodeBehavior::SPARSE_OBSERVE`] behaviors (the only ones whose values
 /// both runtimes cache), and only in rounds that are neither a full
-/// fan-out nor carry a unicast; otherwise every due node is polled. Algorithm 1 sets it to
-/// the last announced k-select bar on every sampling round of
-/// FILTERRESET: a participant below the bar withdraws on replay.
+/// fan-out nor carry a unicast; otherwise every due node is polled.
+/// Algorithm 1 sets it to the last announced k-select bar on every
+/// sampling round of FILTERRESET: a participant below the bar withdraws on
+/// replay.
 #[derive(Debug, Clone)]
 pub struct CoordOut<D> {
     /// Unicasts, each charged as one `Down` message.

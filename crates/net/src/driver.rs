@@ -7,8 +7,8 @@
 //! (`visit_round`: sparse node-phase 0 with value-less cached observes,
 //! [`FireCalendar`] skip plus broadcast-log replay, [`RoundScope`]
 //! narrowing, the round's [`CoordOut::cutoff`] against the cached row),
-//! charges `sync_frames` at dispatch intent and every model
-//! message to its [`CommLedger`], and runs the recovery state machine. A
+//! charges `sync_frames` at dispatch intent and every model message to
+//! its [`CommLedger`], and runs the recovery state machine. A
 //! [`Transport`] only carries frames, one per endpoint and wave:
 //! [`crate::socket`] writes them as length-prefixed bytes over loopback TCP
 //! to node shards, one frame holding every polled node of the shard. Tests
@@ -230,11 +230,10 @@ pub(crate) struct Poll<'a, D> {
 /// are visited (skipped nodes are contractual no-ops), and in a round
 /// without unicasts a due entry whose `row` value does not beat the
 /// round's [`CoordOut::cutoff`] is resolved unpolled, so the round costs
-/// one poll per reporter. `row` is
-/// the runtime's cached value row, empty for behaviors without
-/// [`NodeBehavior::SPARSE_OBSERVE`], which therefore ignore the cutoff. A
-/// scheduled node receives every broadcast since its last poll, replayed
-/// from the log; everyone else gets this round's.
+/// one poll per reporter. `row` is the runtime's cached value row, empty
+/// for behaviors without [`NodeBehavior::SPARSE_OBSERVE`], which therefore
+/// ignore the cutoff. A scheduled node receives every broadcast since its
+/// last poll, replayed from the log; everyone else gets this round's.
 #[allow(clippy::too_many_arguments)] // the visit state is split across both runtimes' fields
 pub(crate) fn visit_round<D: Clone, E>(
     n: usize,

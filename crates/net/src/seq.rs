@@ -237,9 +237,11 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
         any_engaged
     }
 
-    /// Silent-step fast path plus the coordinator micro-round loop. The
-    /// step's [`DeltaRow`] is moved out of `self` while it runs, so its row
-    /// comes in as `row` and goes down to every round's visit rule.
+    /// Silent-step fast path plus the coordinator micro-round loop. `row`
+    /// is the cached value row (empty for behaviors without
+    /// `SPARSE_OBSERVE`) that every round's visit rule compares a cutoff
+    /// against. It is passed in because a diffed or sparse step holds the
+    /// runtime's [`DeltaRow`] outside `self` while it runs.
     fn finish_step<CB>(&mut self, coord: &mut CB, t: u64, any_engaged: bool, row: &[Value])
     where
         CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
