@@ -302,6 +302,11 @@ impl NodeBehavior for NodeMachine {
         }
     }
 
+    // Inlinable into the runtimes' per-node loops, which are compiled in
+    // other codegen units and crates: a full fan-out calls it once per
+    // node. In paired `churn-100k` perfbench runs on a 2-vCPU VM the
+    // attribute added 7–11 % to `updates_per_s` (25 of 30 pairs).
+    #[inline]
     fn micro_round(
         &mut self,
         _t: u64,

@@ -178,13 +178,19 @@ impl FireCalendar {
     }
 
     /// Drop every entry of the finished step, retaining all capacity. O(1)
-    /// when the step never scheduled; O(#entries) otherwise. Schedules are
-    /// step-local by contract ([`crate::behavior::RoundAction::wake_at`]).
+    /// when the step never scheduled, and O(1) per used bucket when every
+    /// entry is already resolved (a reset's sweep resolves all ~n of its
+    /// entries); O(#entries) otherwise. Schedules are step-local by
+    /// contract ([`crate::behavior::RoundAction::wake_at`]).
     pub fn end_step(&mut self) {
         for p in self.used.drain(..) {
             let bucket = &mut self.buckets[p as usize];
-            for i in bucket.drain(..) {
-                self.sched_phase[i as usize] = NONE;
+            if self.live == 0 {
+                bucket.clear();
+            } else {
+                for i in bucket.drain(..) {
+                    self.sched_phase[i as usize] = NONE;
+                }
             }
         }
         self.live = 0;
@@ -286,5 +292,47 @@ mod tests {
         due.clear();
         cal.due_into(3, None, &mut due);
         assert_eq!(due, vec![1]);
+    }
+
+    /// A reset-shaped step: a fan-out files every node, and the sweep
+    /// resolves each entry, by a poll at its phase or by the cutoff. With
+    /// nothing live, `end_step` only empties the used buckets, and the next
+    /// step's entries come back exactly once.
+    #[test]
+    fn end_step_after_a_resolved_sweep_leaves_no_stale_entry() {
+        const N: u32 = 16;
+        let mut cal = FireCalendar::new(N as usize);
+        let phase = |i: u32| 2 + i % 4;
+        for i in 0..N {
+            cal.note_poll(i, Some(phase(i)), 1, 1);
+        }
+        // Odd nodes beat the bar and are polled; even ones fall to it.
+        let row: Vec<Value> = (0..N as Value).map(|i| 100 * (i % 2)).collect();
+        let bar = Report {
+            id: NodeId(0),
+            value: 50,
+        };
+        let mut due = Vec::new();
+        for p in 2..=5 {
+            due.clear();
+            cal.due_into(p, Some((bar, &row)), &mut due);
+            assert!(due.iter().all(|&i| i % 2 == 1 && phase(i) == p));
+            for &i in &due {
+                cal.note_poll(i, None, p, 2);
+            }
+        }
+        assert!(cal.is_empty(), "the sweep resolved every entry");
+        cal.end_step();
+        assert!((0..N).all(|i| !cal.is_scheduled(i)));
+
+        // Nodes 0 and 8 were filed under phase 2 last step; refiled there,
+        // each comes back once, and nothing else does.
+        cal.note_poll(0, Some(2), 0, 0);
+        cal.note_poll(8, Some(2), 0, 0);
+        due.clear();
+        cal.due_into(2, None, &mut due);
+        assert_eq!(due, vec![0, 8]);
+        cal.end_step();
+        assert!(cal.is_empty() && !cal.is_scheduled(0) && !cal.is_scheduled(8));
     }
 }

@@ -220,6 +220,35 @@ pub(crate) struct Poll<'a, D> {
     pub log_len: usize,
 }
 
+/// The uniform case of [`visit_round`]: a round whose broadcasts reach every
+/// node ([`RoundScope::All`]), with no unicast and no live calendar entry.
+/// Then every node, in id order, gets exactly this round's broadcasts and
+/// no unicast, so a runtime that calls its nodes directly may serve the
+/// round as one pass over its node array. In Algorithm 1 every
+/// broadcast-to-all round is uniform (`ResetStart`, `ResetDone`,
+/// `HandlerStartMin/Max`, `Midpoint`, `Band`): each is emitted when no
+/// protocol episode is open, at init or once the protocol before it has
+/// passed its probability-1 final round, so no calendar entry is live.
+///
+/// For a uniform round this appends the broadcasts to the step's `log`, as
+/// [`visit_round`] would, and returns the log length each node's reply is
+/// noted at ([`FireCalendar::note_reply`]). Otherwise it leaves `log`
+/// alone and returns `None`, and the round goes through [`visit_round`].
+pub(crate) fn uniform_fanout<D: Clone>(
+    out: &CoordOut<D>,
+    cal: &FireCalendar,
+    log: &mut Vec<D>,
+) -> Option<usize> {
+    let uniform = !out.broadcasts.is_empty()
+        && out.scope == RoundScope::All
+        && out.unicasts.is_empty()
+        && cal.is_empty();
+    uniform.then(|| {
+        log.extend(out.broadcasts.iter().cloned());
+        log.len()
+    })
+}
+
 /// The round visit rule, shared by [`crate::seq::SyncRuntime`] and
 /// [`Cluster`]: deliver the coordinator output of round `m-1` as node-phase
 /// `m`. This round's broadcasts are appended to the step's `log`, then
@@ -234,6 +263,12 @@ pub(crate) struct Poll<'a, D> {
 /// for behaviors without [`NodeBehavior::SPARSE_OBSERVE`], which therefore
 /// ignore the cutoff. A scheduled node receives every broadcast since its
 /// last poll, replayed from the log; everyone else gets this round's.
+///
+/// A full fan-out is *uniform* ([`uniform_fanout`]) when it carries no
+/// unicast and finds the calendar empty; Algorithm 1's broadcast-to-all
+/// rounds always are. [`crate::seq::SyncRuntime`] serves those as one pass
+/// over its nodes; [`Cluster`] stages them here, node by node, like any
+/// other round.
 #[allow(clippy::too_many_arguments)] // the visit state is split across both runtimes' fields
 pub(crate) fn visit_round<D: Clone, E>(
     n: usize,

@@ -18,7 +18,7 @@
 //!
 //! # Sparsity
 //!
-//! Two mechanisms keep quiet steps cheap:
+//! Four mechanisms keep steps cheap:
 //!
 //! * **Within a step**: in a micro-round without broadcasts, only *engaged*
 //!   nodes and unicast addressees are polled, iterating a persistent sorted
@@ -47,6 +47,13 @@
 //!   value cannot beat it would only withdraw, and is resolved unpolled.
 //!   A protocol round thus costs one poll per reporter, not one per
 //!   active participant.
+//! * **Across a full fan-out**: a round whose broadcasts reach every node,
+//!   with no unicast and no live calendar entry (the driver's
+//!   `uniform_fanout`; in Algorithm 1 every broadcast-to-all round, e.g.
+//!   FILTERRESET's `ResetStart` and `ResetDone`), is one pass over the node
+//!   array: each node gets the round's broadcasts straight from the
+//!   coordinator output, with no per-node visit-rule work. The visits, the
+//!   calendar and the ledger are those the shared rule would produce.
 //!
 //! All scratch buffers (`ups`, the [`CoordOut`] pair, visit lists, calendar
 //! buckets, the broadcast log) are owned by the runtime and reused across
@@ -58,7 +65,7 @@ use crate::behavior::{max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehav
 use crate::calendar::FireCalendar;
 use crate::chaos::RuntimeError;
 use crate::delta::{merge_visit, DeltaRow};
-use crate::driver::visit_round;
+use crate::driver::{uniform_fanout, visit_round};
 use crate::id::{NodeId, Value};
 use crate::ledger::{ChannelKind, CommLedger};
 use crate::runtime::Runtime;
@@ -288,8 +295,10 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
     /// Deliver the coordinator output of round `m-1` as node-phase `m` under
     /// the shared visit rule ([`crate::driver`]'s `visit_round`, the same
     /// rule the transport engines frame by) and collect the nodes'
-    /// up-messages into `self.ups`. `out` is runtime scratch: read here,
-    /// cleared by the next round.
+    /// up-messages into `self.ups`. A uniform full fan-out (`uniform_fanout`
+    /// beside it) is one pass over the node array: the same visits, without
+    /// the rule's per-node index, schedule check, unicast peek and replay
+    /// slice. `out` is runtime scratch: read here, cleared by the next round.
     fn deliver_phase(&mut self, t: u64, m: u32, out: &mut CoordOut<NB::Down>, row: &[Value]) {
         let mut next = std::mem::take(&mut self.engaged_next);
         next.clear();
@@ -299,26 +308,39 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
             &mut self.ledger,
             &mut self.micro_polls,
         );
-        let Ok(()) = visit_round::<_, Infallible>(
-            nodes.len(),
-            m,
-            out,
-            row,
-            &self.engaged_idx,
-            &mut self.calendar,
-            &mut self.bcast_log,
-            &mut self.visit,
-            |cal, p| {
-                let act = nodes[p.i as usize].micro_round(t, m, p.bcasts, p.ucast);
-                *polls += 1;
-                cal.note_reply(p.i, act.engaged, act.wake_at, m, p.log_len, &mut next);
+        if let Some(log_len) = uniform_fanout(out, &self.calendar, &mut self.bcast_log) {
+            for (i, node) in (0..).zip(nodes.iter_mut()) {
+                let act = node.micro_round(t, m, &out.broadcasts, None);
+                self.calendar
+                    .note_reply(i, act.engaged, act.wake_at, m, log_len, &mut next);
                 if let Some(up) = act.up {
                     ledger.count(ChannelKind::Up, up.wire_bits());
-                    ups.push((NodeId(p.i), up));
+                    ups.push((NodeId(i), up));
                 }
-                Ok(())
-            },
-        );
+            }
+            *polls += nodes.len() as u64;
+        } else {
+            let Ok(()) = visit_round::<_, Infallible>(
+                nodes.len(),
+                m,
+                out,
+                row,
+                &self.engaged_idx,
+                &mut self.calendar,
+                &mut self.bcast_log,
+                &mut self.visit,
+                |cal, p| {
+                    let act = nodes[p.i as usize].micro_round(t, m, p.bcasts, p.ucast);
+                    *polls += 1;
+                    cal.note_reply(p.i, act.engaged, act.wake_at, m, p.log_len, &mut next);
+                    if let Some(up) = act.up {
+                        ledger.count(ChannelKind::Up, up.wire_bits());
+                        ups.push((NodeId(p.i), up));
+                    }
+                    Ok(())
+                },
+            );
+        }
         self.engaged_next = std::mem::replace(&mut self.engaged_idx, next);
     }
 }

@@ -54,16 +54,18 @@ impl NodeBehavior for EchoNode {
     ) -> RoundAction<Msg> {
         self.polls
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // A unicast ping demands one reply.
+        // A unicast ping demands one reply, which adds up the round's
+        // broadcasts too, so the coordinator sees what the addressee got.
+        // Broadcasts alone don't wake this mock.
         if let Some(u) = ucast {
+            let heard: u64 = bcasts.iter().map(|b| b.0).sum();
             return RoundAction {
-                up: Some(Msg(u.0 + 1)),
+                up: Some(Msg(u.0 + 1 + heard)),
                 engaged: self.remaining > 0,
                 wake_at: None,
             };
         }
-        // Dormant unless mid-echo; broadcasts alone don't wake this mock.
-        let _ = bcasts;
+        // Dormant unless mid-echo.
         if self.remaining > 0 {
             self.remaining -= 1;
             RoundAction {
@@ -78,13 +80,14 @@ impl NodeBehavior for EchoNode {
 }
 
 /// Mock coordinator: runs a fixed number of micro-rounds per step, can
-/// emit a broadcast and unicasts on command.
+/// emit a broadcast and unicasts on command, and records every
+/// up-message as `(round, sender, payload)`.
 struct ScriptCoord {
     rounds_per_step: u32,
     cur_round: u32,
     bcast_at: Option<u32>,
     ucast_at: Option<(u32, NodeId)>,
-    ups_seen: u64,
+    ups_seen: Vec<(u32, NodeId, u64)>,
     skip_when_silent: bool,
 }
 
@@ -107,8 +110,8 @@ impl CoordinatorBehavior for ScriptCoord {
         ups: &mut Vec<(NodeId, Msg)>,
         out: &mut CoordOut<Msg>,
     ) {
-        self.ups_seen += ups.len() as u64;
-        ups.clear();
+        self.ups_seen
+            .extend(ups.drain(..).map(|(id, up)| (m, id, up.0)));
         self.cur_round = m + 1;
         if self.bcast_at == Some(m) {
             out.broadcasts.push(Msg(1000 + m as u64));
@@ -155,7 +158,7 @@ fn silent_step_skips_and_costs_nothing() {
         cur_round: 0,
         bcast_at: None,
         ucast_at: None,
-        ups_seen: 0,
+        ups_seen: Vec::new(),
         skip_when_silent: true,
     };
     let mut rt = SyncRuntime::new(ns, 1);
@@ -173,7 +176,7 @@ fn engaged_nodes_are_polled_without_broadcast() {
         cur_round: 0,
         bcast_at: None,
         ucast_at: None,
-        ups_seen: 0,
+        ups_seen: Vec::new(),
         skip_when_silent: true,
     };
     let mut rt = SyncRuntime::new(ns, 1);
@@ -193,7 +196,7 @@ fn broadcast_reaches_every_node() {
         cur_round: 0,
         bcast_at: Some(0),
         ucast_at: None,
-        ups_seen: 0,
+        ups_seen: Vec::new(),
         skip_when_silent: false, // force the rounds to run
     };
     let mut rt = SyncRuntime::new(ns, 1);
@@ -212,7 +215,7 @@ fn unicast_is_delivered_and_charged() {
         cur_round: 0,
         bcast_at: None,
         ucast_at: Some((0, NodeId(3))),
-        ups_seen: 0,
+        ups_seen: Vec::new(),
         skip_when_silent: false,
     };
     let mut rt = SyncRuntime::new(ns, 1);
@@ -298,7 +301,7 @@ fn socket_matches_sequential_for_mock_protocol() {
         cur_round: 0,
         bcast_at: Some(1),
         ucast_at: Some((2, NodeId(4))),
-        ups_seen: 0,
+        ups_seen: Vec::new(),
         skip_when_silent: true,
     };
     let steps: Vec<Vec<Value>> = vec![
@@ -325,4 +328,46 @@ fn socket_matches_sequential_for_mock_protocol() {
     assert_eq!((a.up, a.down, a.broadcast), (b.up, b.down, b.broadcast));
     assert_eq!(a.total_bits(), b.total_bits());
     assert_eq!(seq_coord.ups_seen, ups_seen);
+}
+
+/// A round that broadcasts and unicasts at once: every node gets the
+/// broadcast, and the addressee gets it together with its unicast in one
+/// poll (it is no uniform full fan-out, whose nodes get no unicast). Both
+/// runtimes agree on ledgers, polls and replies.
+#[test]
+fn broadcast_and_unicast_in_one_round_reach_the_addressee() {
+    let mk_coord = || ScriptCoord {
+        rounds_per_step: 2,
+        cur_round: 0,
+        bcast_at: Some(0),
+        ucast_at: Some((0, NodeId(2))),
+        ups_seen: Vec::new(),
+        skip_when_silent: false,
+    };
+    let (ns, polls) = nodes(5, u64::MAX, 0);
+    let mut coord = mk_coord();
+    let mut seq = SyncRuntime::new(ns, 1);
+    seq.step(&mut coord, 0, &[0; 5]);
+    // Ping 2000 + 1, plus broadcast 1000 of round 0.
+    assert_eq!(coord.ups_seen, vec![(1, NodeId(2), 3001)]);
+    let a = seq.ledger().snapshot();
+    assert_eq!((a.up, a.down, a.broadcast), (1, 1, 1));
+    let seq_polls = polls.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(seq_polls, 5, "one poll per node");
+    assert_eq!(seq.micro_polls(), seq_polls);
+
+    let (b, socket_polls, ups_seen) = with_watchdog(60, move || {
+        let (ns, polls) = nodes(5, u64::MAX, 0);
+        let mut coord = mk_coord();
+        let mut cluster = SocketCluster::spawn(ns);
+        cluster.step(&mut coord, 0, &[0; 5]);
+        let b = cluster.ledger().snapshot();
+        cluster.shutdown();
+        let polls = polls.load(std::sync::atomic::Ordering::Relaxed);
+        (b, polls, coord.ups_seen)
+    });
+    assert_eq!((a.up, a.down, a.broadcast), (b.up, b.down, b.broadcast));
+    assert_eq!(a.total_bits(), b.total_bits());
+    assert_eq!(socket_polls, seq_polls);
+    assert_eq!(ups_seen, coord.ups_seen);
 }
