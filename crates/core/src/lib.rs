@@ -9,9 +9,10 @@
 //!   communicating state machines (runnable on every runtime of
 //!   `topk-net`);
 //! * [`session`] / [`events`] — the public facade: [`MonitorBuilder`] →
-//!   [`MonitorSession`], push-based ingestion with automatic dense/sparse
-//!   routing and a typed [`TopkEvent`] stream, over any [`Engine`]
-//!   ([`MonitorBuilder::resolved_engine`] is the one engine rule);
+//!   [`MonitorSession`], push-based ingestion committed through the
+//!   engine's sparse path and a typed [`TopkEvent`] stream, over any
+//!   [`Engine`] ([`MonitorBuilder::resolved_engine`] is the one engine
+//!   rule);
 //! * [`monitor`] — the [`Monitor`] trait and [`Algorithm1`], the assembled
 //!   algorithm over any [`topk_net::Runtime`], with one alias per engine:
 //!   [`TopkMonitor`] (sequential) and [`SocketTopkMonitor`] (loopback-TCP

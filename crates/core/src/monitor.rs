@@ -75,8 +75,8 @@ pub trait Monitor: Send {
     /// [`TopkEvent::ThresholdUpdated`] for Algorithm 1 — clearing its
     /// internal "changed since last drain" cursor. Membership and rank
     /// events are *not* produced here: they are derived by the session
-    /// layer ([`crate::session::MonitorSession`]), which owns the value row
-    /// needed to rank members.
+    /// layer ([`crate::session::MonitorSession`]), which ranks members by
+    /// the value row its engine caches ([`Runtime::row`]).
     ///
     /// The default is a no-op: monitors without protocol-level state (the
     /// baselines) report nothing, and a session over them still emits the
@@ -182,7 +182,7 @@ pub type DynRuntime = dyn Runtime<CoordinatorMachine> + Send;
 /// holds whichever engine it was built with. This is the *engine* type;
 /// new code should usually build a session via
 /// [`crate::session::MonitorBuilder`] instead — the session adds
-/// push-based ingestion, automatic dense/sparse routing, and the typed
+/// push-based ingestion committed through the sparse path, and the typed
 /// event stream on top of the identical execution.
 pub struct Algorithm1<R: ?Sized> {
     coord: CoordinatorMachine,

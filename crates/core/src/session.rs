@@ -26,10 +26,11 @@
 //! * **One ingest surface.** [`MonitorSession::update`] /
 //!   [`MonitorSession::update_batch`] buffer observations; nothing reaches
 //!   the monitor until [`MonitorSession::advance`] commits the time step.
-//!   The session routes the commit to the engine's sparse path when the
-//!   batch is small and to the dense diff otherwise — both are
-//!   bit-identical (pinned by `tests/runtime_conformance.rs`), so routing
-//!   is purely a cost choice.
+//!   Point updates commit through the engine's sparse path, whose one walk
+//!   over the batch and the engaged list is the whole node-phase 0, and a
+//!   whole-row update through its dense diff — both are bit-identical
+//!   (pinned by `tests/runtime_conformance.rs`). The session keeps no
+//!   value row of its own: it reads the one the engine caches.
 //! * **Typed output.** `advance` returns the step's
 //!   [`TopkEvent`]s, drained from a buffer that is reused across steps
 //!   (steady-state silent ticks allocate nothing). Replaying the event
@@ -251,9 +252,9 @@ impl MonitorBuilder {
         };
         Ok(MonitorSession {
             monitor,
-            row: vec![0; cfg.n],
             started: false,
-            dense_pending: false,
+            row_pending: false,
+            staged_row: Vec::new(),
             pending: Vec::new(),
             pending_sorted: true,
             events: Vec::new(),
@@ -332,16 +333,21 @@ impl std::error::Error for BuildError {}
 /// actually communicates is decided by the filters, exactly as in the
 /// paper, and is what [`ledger`](Self::ledger) counts.
 pub struct MonitorSession {
-    /// Algorithm 1 on whichever engine the builder resolved to.
+    /// Algorithm 1 on whichever engine the builder resolved to. Its
+    /// runtime's cached row ([`topk_net::Runtime::row`]) is the committed
+    /// value row that [`Self::value`] and the rank events read.
     monitor: Box<Algorithm1<DynRuntime>>,
-    /// Committed value row (updated by the commit itself, so it always
-    /// mirrors what the engine has seen).
-    row: Vec<Value>,
-    /// Whether the first step has been committed (engines need a dense
-    /// first row).
+    /// Whether the first step has been committed (engines need every
+    /// node's value in the first step).
     started: bool,
-    /// `true` when a whole-row update is pending (dense route forced).
-    dense_pending: bool,
+    /// A whole-row update is pending in `staged_row`.
+    row_pending: bool,
+    /// The full row a dense commit hands the engine: the pending
+    /// [`Self::update_row`], or, for a first commit that leaves some nodes
+    /// unset, zeros. Buffered point updates are patched on top. Empty
+    /// (never allocated) for a session fed only point updates that set
+    /// every node in its first step.
+    staged_row: Vec<Value>,
     /// Buffered `(id, value)` updates since the last commit.
     pending: Vec<(NodeId, Value)>,
     /// `pending` is id-sorted as pushed (skip the commit sort when true).
@@ -367,7 +373,7 @@ impl MonitorSession {
     /// [`advance`](Self::advance) commits. Later updates for the same node
     /// within one step win.
     pub fn update(&mut self, id: NodeId, value: Value) {
-        assert!(id.idx() < self.row.len(), "node {id} out of range");
+        assert!(id.idx() < self.n(), "node {id} out of range");
         if let Some(&(last, _)) = self.pending.last() {
             self.pending_sorted &= last < id;
         }
@@ -382,13 +388,14 @@ impl MonitorSession {
         }
     }
 
-    /// Buffer a whole-row update: node `i` observes `values[i]`. Forces the
-    /// dense commit route; point updates buffered in the same step are
-    /// applied *on top* regardless of call order.
+    /// Buffer a whole-row update: node `i` observes `values[i]`. The step
+    /// commits through the engine's dense diff; point updates buffered in
+    /// the same step are applied *on top* regardless of call order.
     pub fn update_row(&mut self, values: &[Value]) {
-        assert_eq!(values.len(), self.row.len(), "one value per node");
-        self.row.copy_from_slice(values);
-        self.dense_pending = true;
+        assert_eq!(values.len(), self.n(), "one value per node");
+        self.staged_row.clear();
+        self.staged_row.extend_from_slice(values);
+        self.row_pending = true;
         self.touched_member = true;
     }
 
@@ -396,7 +403,7 @@ impl MonitorSession {
     /// generator-side adapter: any `WorkloadSpec`-built feed drives a
     /// session directly). `t` must be the step the next `advance` commits.
     pub fn ingest(&mut self, feed: &mut dyn ValueFeed, t: u64) {
-        assert_eq!(feed.n(), self.row.len(), "feed size must match session");
+        assert_eq!(feed.n(), self.n(), "feed size must match session");
         let mut scratch = std::mem::take(&mut self.feed_scratch);
         feed.fill_delta(t, &mut scratch);
         self.update_batch(scratch.iter().copied());
@@ -406,28 +413,39 @@ impl MonitorSession {
     /// Commit the buffered updates as time step `t` (strictly increasing),
     /// run the protocol exchange, and return the step's events.
     ///
-    /// Routing: the first commit and whole-row updates take the engine's
-    /// dense path (a diff against its cached row); small batches — at most
-    /// half the fleet — take the sparse path, so a silent tick costs
-    /// `O(#changed + #engaged)`. Both paths are bit-identical, and the
-    /// returned buffer is reused across steps (no steady-state allocation).
+    /// Routing: point updates commit through the engine's sparse path
+    /// whatever their number, so a silent tick costs
+    /// `O(#changed + #engaged)`; a first commit that sets every node is
+    /// its dense first step. A whole-row update, and a first commit that
+    /// leaves some nodes unset (they observe `0`), hand the engine a staged
+    /// full row instead, which it diffs against its cached row. Both paths
+    /// are bit-identical, and the returned buffer is reused across steps
+    /// (no steady-state allocation).
     pub fn advance(&mut self, t: u64) -> &[TopkEvent] {
         assert!(
             self.last_t.is_none_or(|last| t > last),
             "advance requires strictly increasing t (last {:?}, got {t})",
             self.last_t
         );
-        self.commit_pending();
-
         let first = !self.started;
-        if first || self.dense_pending || 2 * self.pending.len() > self.row.len() {
-            // Dense diff (and the mandatory dense first step).
-            self.monitor.step(t, &self.row);
+        // The first step and a whole-row update derive membership anyway.
+        self.commit_pending(!first && !self.row_pending);
+
+        let n = self.n();
+        if self.row_pending || (first && self.pending.len() < n) {
+            if !self.row_pending {
+                self.staged_row.clear();
+                self.staged_row.resize(n, 0);
+            }
+            for &(id, v) in &self.pending {
+                self.staged_row[id.idx()] = v;
+            }
+            self.monitor.step(t, &self.staged_row);
         } else {
             self.monitor.step_sparse(t, &self.pending);
         }
         self.started = true;
-        self.dense_pending = false;
+        self.row_pending = false;
         self.pending.clear();
         self.pending_sorted = true;
         self.last_t = Some(t);
@@ -448,12 +466,12 @@ impl MonitorSession {
         &self.events
     }
 
-    /// Sort (stable) + last-wins dedup the pending buffer, patch it onto
-    /// the committed row, and flag touched members. A buffer pushed in
-    /// strictly ascending id order (`pending_sorted` — every feed-driven
-    /// ingest) is duplicate-free by construction, so both passes are
-    /// skipped on the hot path.
-    fn commit_pending(&mut self) {
+    /// Sort (stable) + last-wins dedup the pending buffer, and, when
+    /// `scan_members`, flag touched members. A buffer pushed in strictly
+    /// ascending id order (`pending_sorted` — every feed-driven ingest) is
+    /// duplicate-free by construction, so both passes are skipped on the
+    /// hot path.
+    fn commit_pending(&mut self, scan_members: bool) {
         if !self.pending_sorted {
             self.pending.sort_by_key(|&(id, _)| id);
             let mut w = 0;
@@ -469,9 +487,9 @@ impl MonitorSession {
             self.pending.truncate(w);
         }
         debug_assert!(self.pending.windows(2).all(|w| w[0].0 < w[1].0));
-        for &(id, v) in &self.pending {
-            self.touched_member |= self.ranks.contains(id);
-            self.row[id.idx()] = v;
+        if scan_members {
+            let ranks = &self.ranks;
+            self.touched_member |= self.pending.iter().any(|&(id, _)| ranks.contains(id));
         }
     }
 
@@ -481,7 +499,7 @@ impl MonitorSession {
     fn derive_membership_events(&mut self, t: u64) {
         let next = self.ranks.next_order();
         next.extend_from_slice(self.monitor.coordinator().topk());
-        let row = &self.row;
+        let row = self.monitor.runtime().row();
         next.sort_by(|a, b| row[b.idx()].cmp(&row[a.idx()]).then(a.cmp(b)));
         self.ranks.commit(t, &mut self.events);
     }
@@ -521,11 +539,12 @@ impl MonitorSession {
         self.ranks.contains(id)
     }
 
-    /// O(1): the committed value of node `id` (what the engine has seen;
-    /// buffered updates not yet committed by [`advance`](Self::advance)
-    /// are not reflected). Nodes never updated observe `0`.
+    /// O(1): the committed value of node `id`, read from the engine's
+    /// cached row: what the engine has seen. Updates buffered since the
+    /// last [`advance`](Self::advance), point or whole-row, are not
+    /// reflected. Nodes never updated observe `0`.
     pub fn value(&self, id: NodeId) -> Value {
-        self.row[id.idx()]
+        self.monitor.runtime().row()[id.idx()]
     }
 
     /// The shared filter threshold `M`, once initialized.
@@ -875,6 +894,68 @@ mod tests {
             true_topk(rows[3], 3),
             "strict boundary ⇒ unique answer"
         );
+    }
+
+    #[test]
+    fn updates_compose_on_both_engines() {
+        fn assert_row(s: &MonitorSession, row: &[Value], what: &str) {
+            for (i, &v) in row.iter().enumerate() {
+                assert_eq!(s.value(NodeId(i as u32)), v, "{what}: value of node {i}");
+            }
+            assert_eq!(s.topk(), true_topk(row, s.k()).as_slice(), "{what}: answer");
+        }
+        for engine in [Engine::Sequential, Engine::Socket] {
+            let tag = format!("{engine:?}");
+            // A first commit that sets only some nodes: the rest observe 0.
+            let mut s = MonitorBuilder::new(6, 2).seed(5).engine(engine).build();
+            s.update_batch([(NodeId(4), 70), (NodeId(1), 90)]);
+            s.update(NodeId(2), 30);
+            assert_eq!(s.value(NodeId(1)), 0, "{tag}: nothing is committed yet");
+            s.advance(0);
+            assert_row(&s, &[0, 90, 30, 0, 70, 0], &format!("{tag} partial first"));
+
+            // A point update before `update_row` in the same step still
+            // wins, and neither shows before the commit.
+            s.update(NodeId(5), 200);
+            s.update_row(&[10, 20, 30, 40, 50, 60]);
+            assert_eq!(s.value(NodeId(0)), 0, "{tag}: update_row is not committed");
+            assert_eq!(s.value(NodeId(5)), 0, "{tag}: update is not committed");
+            s.advance(1);
+            assert_row(&s, &[10, 20, 30, 40, 50, 200], &format!("{tag} row"));
+
+            // ...and so does one after it.
+            s.update_row(&[10, 20, 30, 40, 50, 60]);
+            s.update(NodeId(0), 500);
+            assert_eq!(s.value(NodeId(0)), 10, "{tag}: committed value only");
+            s.advance(2);
+            assert_row(
+                &s,
+                &[500, 20, 30, 40, 50, 60],
+                &format!("{tag} row, then point"),
+            );
+
+            // A session fed only point updates never stages a row, even
+            // for a batch that moves most of the nodes.
+            let mut p = MonitorBuilder::new(6, 2).seed(5).engine(engine).build();
+            let mut row = [5, 15, 25, 35, 45, 55];
+            p.update_batch((0..6).map(|i| (NodeId(i), row[i as usize])));
+            p.advance(0);
+            assert_row(&p, &row, &format!("{tag} point first"));
+            row = [95, 85, 75, 65, 5, 15];
+            p.update_batch([(NodeId(5), 15), (NodeId(0), 95), (NodeId(4), 5)]);
+            p.update_batch([(NodeId(1), 85), (NodeId(2), 75), (NodeId(3), 65)]);
+            p.advance(1);
+            assert_row(&p, &row, &format!("{tag} point batch"));
+            for t in 2..20 {
+                p.update(NodeId(t as u32 % 6), 100 + t);
+                p.advance(t);
+            }
+            assert_eq!(
+                p.staged_row.capacity(),
+                0,
+                "{tag}: point updates staged a row"
+            );
+        }
     }
 
     #[test]

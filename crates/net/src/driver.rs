@@ -2,9 +2,10 @@
 //!
 //! The paper's model is `n` nodes, one coordinator and synchronous rounds
 //! with every message charged; Algorithm 1 does not care what carries a
-//! frame. [`Cluster`] is that model's driver, written once. It routes dense
-//! rows and change-lists through [`DeltaRow`], applies the visit rule
-//! (`visit_round`: sparse node-phase 0 with value-less cached observes,
+//! frame. [`Cluster`] is that model's driver, written once. It stages
+//! node-phase 0 from [`DeltaRow`]'s walk over dense rows and change-lists
+//! (changed nodes observe their new value, engaged ones a value-less
+//! cached observe), applies the round visit rule (`visit_round`:
 //! [`FireCalendar`] skip plus broadcast-log replay, [`RoundScope`]
 //! narrowing, the round's [`CoordOut::cutoff`] against the cached row),
 //! charges `sync_frames` at dispatch intent and every model message to
@@ -58,7 +59,7 @@ use crate::behavior::{
 };
 use crate::calendar::FireCalendar;
 use crate::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};
-use crate::delta::{merge_visit, DeltaRow};
+use crate::delta::DeltaRow;
 use crate::id::{NodeId, Value};
 use crate::ledger::{ChannelKind, CommLedger, LedgerSnapshot, WireMetrics};
 use crate::runtime::Runtime;
@@ -806,16 +807,6 @@ where
         &self.link.recovery
     }
 
-    /// Node-phase 0 over changed ∪ engaged nodes: changed nodes get their
-    /// new value, engaged-but-unchanged nodes a value-less cached observe.
-    fn stage_changes(&mut self) {
-        self.phase0.clear();
-        let phase0 = &mut self.phase0;
-        merge_visit(self.delta_row.last_delta(), &self.engaged_idx, |i, v| {
-            phase0.push((i, v.copied()))
-        });
-    }
-
     /// Run the step from its staged phase-0 wave, re-running whole attempts
     /// after injected coordinator crashes until one commits.
     fn run_step<CB>(&mut self, coord: &mut CB, t: u64) -> Result<(), RuntimeError>
@@ -1129,14 +1120,18 @@ where
     /// restore surfaces as a typed [`RuntimeError`].
     fn try_step(&mut self, coord: &mut CB, t: u64, values: &[Value]) -> Result<(), RuntimeError> {
         assert_eq!(values.len(), self.n, "one value per node");
+        self.phase0.clear();
+        let phase0 = &mut self.phase0;
         if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
-            self.delta_row.diff(values);
-            self.stage_changes();
+            self.delta_row
+                .diff(values, &self.engaged_idx, |i, v, changed| {
+                    stage_observe(phase0, i, v, changed)
+                });
         } else {
             if NB::SPARSE_OBSERVE {
                 self.delta_row.prime(values);
             }
-            stage_dense(&mut self.phase0, values);
+            stage_dense(phase0, values);
         }
         self.run_step(coord, t)
     }
@@ -1152,12 +1147,21 @@ where
             NB::SPARSE_OBSERVE,
             "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
         );
-        if self.delta_row.apply_sparse(changes) {
-            stage_dense(&mut self.phase0, self.delta_row.row());
-        } else {
-            self.stage_changes();
+        self.phase0.clear();
+        let phase0 = &mut self.phase0;
+        let first = self
+            .delta_row
+            .apply_sparse(changes, &self.engaged_idx, |i, v, changed| {
+                stage_observe(phase0, i, v, changed)
+            });
+        if first {
+            stage_dense(phase0, self.delta_row.row());
         }
         self.run_step(coord, t)
+    }
+
+    fn row(&self) -> &[Value] {
+        self.delta_row.row()
     }
 
     fn ledger(&self) -> &CommLedger {
@@ -1185,7 +1189,15 @@ where
     }
 }
 
+/// Stage one node of the phase-0 wave as [`DeltaRow`]'s walk visits it: a
+/// changed node gets its new value, an engaged node that did not change a
+/// value-less cached observe.
+#[inline]
+fn stage_observe(phase0: &mut Vec<(u32, Option<Value>)>, i: u32, v: Value, changed: bool) {
+    phase0.push((i, changed.then_some(v)));
+}
+
+/// Stage a dense phase-0 wave: node `i` observes `values[i]`.
 fn stage_dense(phase0: &mut Vec<(u32, Option<Value>)>, values: &[Value]) {
-    phase0.clear();
     phase0.extend(values.iter().enumerate().map(|(i, &v)| (i as u32, Some(v))));
 }

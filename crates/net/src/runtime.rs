@@ -32,7 +32,8 @@ pub trait Runtime<CB> {
     /// value is permitted and costs nothing). Requires `SPARSE_OBSERVE`.
     /// The first step must carry all `n` nodes. Bit-identical to
     /// [`Runtime::try_step`] driven with the corresponding full rows;
-    /// validation lives in [`crate::delta::DeltaRow`].
+    /// validation and the node-phase-0 walk live in
+    /// [`crate::delta::DeltaRow`].
     fn try_step_sparse(
         &mut self,
         coord: &mut CB,
@@ -53,6 +54,13 @@ pub trait Runtime<CB> {
             panic!("runtime failed at t={t}: {e}");
         }
     }
+
+    /// The value row the runtime caches for
+    /// [`crate::behavior::NodeBehavior::SPARSE_OBSERVE`] behaviors: entry
+    /// `i` is the value node `i` last observed, so after a step it is that
+    /// step's full row, and before the first step it is all zero. Behaviors
+    /// without `SPARSE_OBSERVE` keep no row, and it is empty.
+    fn row(&self) -> &[Value];
 
     /// The model ledger: every message charged so far.
     fn ledger(&self) -> &CommLedger;

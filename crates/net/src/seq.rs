@@ -31,11 +31,14 @@
 //!   charged to the ledger either way.
 //! * **Across steps** (opt-in via [`NodeBehavior::SPARSE_OBSERVE`]):
 //!   [`Runtime::step_sparse`] accepts only the *changed* `(id, value)`
-//!   pairs and visits changed ∪ engaged nodes in node-phase 0, so a silent
-//!   step costs `O(#changed + #engaged)` instead of `O(n)`. The dense
-//!   [`Runtime::step`] transparently becomes a diff against a cached
-//!   value row for opted-in behaviors, so every existing monitor benefits
-//!   without code changes.
+//!   pairs, and node-phase 0 is one walk ([`DeltaRow::apply_sparse`], the
+//!   single phase-0 visit rule): in one ascending pass over the change-list
+//!   and the engaged list it drops repeated values, updates the cached row
+//!   and observes each node of changed ∪ engaged, so a silent step costs
+//!   `O(#changed + #engaged)` instead of `O(n)`. The dense
+//!   [`Runtime::step`] transparently becomes the same walk over a diff
+//!   against the cached row ([`DeltaRow::diff`]) for opted-in behaviors, so
+//!   every existing monitor benefits without code changes.
 //! * **Within a protocol episode** (opt-in via
 //!   [`crate::behavior::RoundAction::wake_at`]): a node that knows its
 //!   fire round in advance (Algorithm 2 participants — one draw from a
@@ -64,7 +67,7 @@ use std::convert::Infallible;
 use crate::behavior::{max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior};
 use crate::calendar::FireCalendar;
 use crate::chaos::RuntimeError;
-use crate::delta::{merge_visit, DeltaRow};
+use crate::delta::DeltaRow;
 use crate::driver::{uniform_fanout, visit_round};
 use crate::id::{NodeId, Value};
 use crate::ledger::{ChannelKind, CommLedger};
@@ -87,7 +90,7 @@ pub struct SyncRuntime<NB: NodeBehavior> {
     ups: Vec<(NodeId, NB::Up)>,
     /// Scratch: coordinator output, reused across micro-rounds.
     out: CoordOut<NB::Down>,
-    /// Scratch: merged visit list (changed ∪ engaged) for sparse phase 0.
+    /// Scratch: the visit list of a micro-round ([`visit_round`]).
     visit: Vec<u32>,
     /// Fire-round calendar: nodes that announced their wake phase, bucketed
     /// by phase, plus their broadcast-log replay cursors.
@@ -185,70 +188,61 @@ impl<NB: NodeBehavior> SyncRuntime<NB> {
         &self.engaged_idx
     }
 
-    /// Node-phase 0 over every node (the legacy dense visit), then the
-    /// micro-round schedule.
-    fn step_dense<CB>(&mut self, coord: &mut CB, t: u64, values: &[Value])
-    where
-        CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
-    {
-        coord.begin_step(t);
-        let any_engaged = self.observe_phase(t, values.iter().copied().enumerate());
-        // Every node observed `values`: they are the cached row, which only
-        // sparse-observing behaviors keep.
-        let row: &[Value] = if NB::SPARSE_OBSERVE { values } else { &[] };
-        self.finish_step(coord, t, any_engaged, row);
-    }
-
-    /// Node-phase 0 over changed ∪ engaged nodes only, then the micro-round
-    /// schedule. `row` is the current full value row (already reflecting
-    /// the changes) — engaged-but-unchanged nodes observe from it.
-    fn step_visits<CB>(
+    /// One step: node-phase 0 as `phase0` walks it, then the micro-round
+    /// schedule. `phase0` gets the cached row and the engaged list of the
+    /// step before, calls [`Self::observe`] for each node it visits, in
+    /// ascending id order, and returns whether any of them engaged. The
+    /// row and the list are moved out of `self` while the step runs.
+    fn run_step<CB>(
         &mut self,
         coord: &mut CB,
         t: u64,
-        changes: &[(NodeId, Value)],
-        row: &[Value],
+        phase0: impl FnOnce(&mut Self, &mut DeltaRow, &[u32]) -> bool,
     ) where
         CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
     {
-        let mut visit = std::mem::take(&mut self.visit);
-        visit.clear();
-        merge_visit(changes, &self.engaged_idx, |i, _| visit.push(i));
+        let mut dr = std::mem::take(&mut self.delta_row);
+        let engaged = std::mem::take(&mut self.engaged_idx);
+        self.engaged_next.clear();
+        self.ups.clear();
         coord.begin_step(t);
-        let any_engaged =
-            self.observe_phase(t, visit.iter().map(|&i| (i as usize, row[i as usize])));
-        self.visit = visit;
-        self.finish_step(coord, t, any_engaged, row);
+        let any_engaged = phase0(self, &mut dr, &engaged);
+        self.engaged_idx = std::mem::replace(&mut self.engaged_next, engaged);
+        self.finish_step(coord, t, any_engaged, dr.row());
+        self.delta_row = dr;
     }
 
-    /// Observe `(node, value)` pairs as node-phase 0; returns whether any
-    /// node engaged.
-    fn observe_phase(&mut self, t: u64, visits: impl Iterator<Item = (usize, Value)>) -> bool {
-        self.ups.clear();
-        let mut any_engaged = false;
-        let mut next = std::mem::take(&mut self.engaged_next);
-        next.clear();
-        for (i, value) in visits {
-            let act = self.nodes[i].observe(t, value);
-            self.observe_calls += 1;
-            any_engaged |= act.engaged;
-            // Observe is node-phase 0; the log is empty.
-            self.calendar
-                .note_reply(i as u32, act.engaged, act.wake_at, 0, 0, &mut next);
-            if let Some(up) = act.up {
-                self.ledger.count(ChannelKind::Up, up.wire_bits());
-                self.ups.push((NodeId(i as u32), up));
-            }
+    /// Node-phase 0 at node `i`: observe `value`, file the reply into the
+    /// engaged list being rebuilt and charge its up-message. Returns
+    /// whether the node engaged.
+    #[inline]
+    fn observe(&mut self, t: u64, i: u32, value: Value) -> bool {
+        let act = self.nodes[i as usize].observe(t, value);
+        self.observe_calls += 1;
+        // Observe is node-phase 0; the log is empty.
+        self.calendar
+            .note_reply(i, act.engaged, act.wake_at, 0, 0, &mut self.engaged_next);
+        if let Some(up) = act.up {
+            self.ledger.count(ChannelKind::Up, up.wire_bits());
+            self.ups.push((NodeId(i), up));
         }
-        self.engaged_next = std::mem::replace(&mut self.engaged_idx, next);
+        act.engaged
+    }
+
+    /// Node-phase 0 over every node: node `i` observes `values[i]`.
+    fn observe_all(&mut self, t: u64, values: &[Value]) -> bool {
+        let mut any_engaged = false;
+        for (i, &value) in (0..).zip(values) {
+            any_engaged |= self.observe(t, i, value);
+        }
         any_engaged
     }
 
     /// Silent-step fast path plus the coordinator micro-round loop. `row`
     /// is the cached value row (empty for behaviors without
     /// `SPARSE_OBSERVE`) that every round's visit rule compares a cutoff
-    /// against. It is passed in because a diffed or sparse step holds the
-    /// runtime's [`DeltaRow`] outside `self` while it runs.
+    /// against. It is passed in because a step holds the runtime's
+    /// [`DeltaRow`] outside `self` while it runs.
     fn finish_step<CB>(&mut self, coord: &mut CB, t: u64, any_engaged: bool, row: &[Value])
     where
         CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
@@ -353,15 +347,20 @@ where
     fn try_step(&mut self, coord: &mut CB, t: u64, values: &[Value]) -> Result<(), RuntimeError> {
         assert_eq!(values.len(), self.nodes.len(), "one value per node");
         if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
-            let mut dr = std::mem::take(&mut self.delta_row);
-            dr.diff(values);
-            self.step_visits(coord, t, dr.last_delta(), dr.row());
-            self.delta_row = dr;
+            self.run_step(coord, t, |rt, dr, engaged| {
+                let mut any_engaged = false;
+                dr.diff(values, engaged, |i, v, _| {
+                    any_engaged |= rt.observe(t, i, v)
+                });
+                any_engaged
+            });
         } else {
-            if NB::SPARSE_OBSERVE {
-                self.delta_row.prime(values);
-            }
-            self.step_dense(coord, t, values);
+            self.run_step(coord, t, |rt, dr, _| {
+                if NB::SPARSE_OBSERVE {
+                    dr.prime(values);
+                }
+                rt.observe_all(t, values)
+            });
         }
         Ok(())
     }
@@ -378,14 +377,21 @@ where
             NB::SPARSE_OBSERVE,
             "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
         );
-        let mut dr = std::mem::take(&mut self.delta_row);
-        if dr.apply_sparse(changes) {
-            self.step_dense(coord, t, dr.row());
-        } else {
-            self.step_visits(coord, t, dr.last_delta(), dr.row());
-        }
-        self.delta_row = dr;
+        self.run_step(coord, t, |rt, dr, engaged| {
+            let mut any_engaged = false;
+            let first = dr.apply_sparse(changes, engaged, |i, v, _| {
+                any_engaged |= rt.observe(t, i, v)
+            });
+            if first {
+                any_engaged = rt.observe_all(t, dr.row());
+            }
+            any_engaged
+        });
         Ok(())
+    }
+
+    fn row(&self) -> &[Value] {
+        self.delta_row.row()
     }
 
     fn ledger(&self) -> &CommLedger {
